@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GramNotPositiveDefiniteError, RankDeficiencyError
-from .geometry import Manifold, SurfacePoint, WeightVector
+from .geometry import Manifold, SurfacePoint, WeightVector, monomial_products
 from .integrate import SampleSet, compliant_density, sphere_area, surface_samples
 
 ROUND_EXACT = "round-exact"
@@ -110,70 +110,33 @@ def sphere_monomial_norm_sq(alpha: MultiIndex, n: int) -> ExactNorm:
 def monomial_values(Z: np.ndarray, indices: Sequence[MultiIndex]) -> np.ndarray:
     """Matrix V[i, j] = z_i^{alpha_j} for points Z (N, n)."""
     Z = np.asarray(Z, dtype=complex)
-    single = Z.ndim == 1
-    Zb = Z[None, :] if single else Z
-    n = Zb.shape[1]
-    max_exp = [max((mi.exponents[k] for mi in indices), default=0) for k in range(n)]
-    powers = []
-    for k in range(n):
-        P = np.empty((max_exp[k] + 1, Zb.shape[0]), dtype=complex)
-        P[0] = 1.0
-        for e in range(1, max_exp[k] + 1):
-            P[e] = P[e - 1] * Zb[:, k]
-        powers.append(P)
-    V = np.empty((Zb.shape[0], len(indices)), dtype=complex)
-    for j, mi in enumerate(indices):
-        col = powers[0][mi.exponents[0]].copy()
-        for k in range(1, n):
-            if mi.exponents[k]:
-                col *= powers[k][mi.exponents[k]]
-        V[:, j] = col
-    return V[0] if single else V
+    n = Z.shape[-1]
+    A = np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, n)
+    V = monomial_products(Z.reshape(-1, n), A)
+    return V[0] if Z.ndim == 1 else V
 
 
 def monomial_jacobian(z: np.ndarray, indices: Sequence[MultiIndex]) -> np.ndarray:
     """D[j, k] = d z^{alpha_j} / d z_k at a single point."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[0]
+    A = np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, n)
+    rows, cols = np.nonzero(A)  # d z^alpha / d z_k = alpha_k z^{alpha - e_k}
     D = np.zeros((len(indices), n), dtype=complex)
-    for j, mi in enumerate(indices):
-        for k in range(n):
-            a = mi.exponents[k]
-            if not a:
-                continue
-            term = complex(a)
-            for l in range(n):
-                e = mi.exponents[l] - (1 if l == k else 0)
-                if e:
-                    term *= z[l] ** e
-            D[j, k] = term
+    lowered = A[rows] - np.eye(n, dtype=np.int64)[cols]
+    D[rows, cols] = A[rows, cols] * monomial_products(z[None, :], lowered)[0]
     return D
 
 
-class DiagonalGram:
-    """Diagonal Gram matrix stored as its (positive real) diagonal."""
-
-    def __init__(self, diagonal):
-        self.diagonal = np.asarray(diagonal, dtype=float)
-
-    @property
-    def shape(self):
-        d = self.diagonal.shape[0]
-        return (d, d)
-
-    def toarray(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
-class DiagonalCoeff:
-    """Coefficient matrix that happens to be diagonal, stored as its diagonal.
+class DiagonalMatrix:
+    """Diagonal matrix stored as its diagonal (Gram or coefficient matrix).
 
     Keeps large exact-measure components memory-safe (a level with d ~ 10^4
     monomials would otherwise materialize a d x d dense matrix).
     """
 
     def __init__(self, diagonal):
-        self.diagonal = np.asarray(diagonal, dtype=complex)
+        self.diagonal = np.asarray(diagonal)
 
     @property
     def shape(self):
@@ -186,21 +149,21 @@ class DiagonalCoeff:
 
 def apply_coeff(C, rows: np.ndarray) -> np.ndarray:
     """C @ rows for a dense or diagonal coefficient matrix."""
-    if isinstance(C, DiagonalCoeff):
+    if isinstance(C, DiagonalMatrix):
         return C.diagonal * rows if rows.ndim == 1 else C.diagonal[:, None] * rows
     return C @ rows
 
 
 def apply_coeff_right(V: np.ndarray, C) -> np.ndarray:
     """V @ C.T for a dense or diagonal coefficient matrix."""
-    if isinstance(C, DiagonalCoeff):
+    if isinstance(C, DiagonalMatrix):
         return V * C.diagonal[None, :]
     return V @ C.T
 
 
 @dataclass(frozen=True, eq=False)
 class GramEstimate:
-    matrix: "np.ndarray | DiagonalGram"
+    matrix: "np.ndarray | DiagonalMatrix"
     stderr: np.ndarray | None  # None for exact measures
     measure: str
     smallest_eigenvalue: float
@@ -229,7 +192,7 @@ def gram_matrix(
         if M.kind != "sphere":
             raise ValueError("round-exact measure requires a sphere-kind manifold")
         diag = np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices])
-        return GramEstimate(DiagonalGram(diag), None, measure, float(diag.min()) if d else 0.0)
+        return GramEstimate(DiagonalMatrix(diag), None, measure, float(diag.min()) if d else 0.0)
     if measure != COMPLIANT:
         raise ValueError(f"unknown measure {measure!r}")
     S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
@@ -250,6 +213,15 @@ def gram_matrix(
     if d and eigs[0] <= 0:
         raise GramNotPositiveDefiniteError(float(eigs[0]))
     return GramEstimate(G, stderr, measure, float(eigs[0]) if d else 0.0)
+
+
+def resolve_measure(M: Manifold, measure: str) -> str:
+    """measure="auto" is round-exact on the standard sphere, where the compliant
+    measure coincides with the round one, and compliant-quadrature otherwise."""
+    if measure != "auto":
+        return measure
+    standard = M.kind == "sphere" and all(w == 1 for w in M.weights)
+    return ROUND_EXACT if standard else COMPLIANT
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,13 +271,13 @@ def orthonormalize(
         G = gram.matrix
         measure = measure or gram.measure
     else:
-        G = gram if isinstance(gram, DiagonalGram) else np.asarray(gram)
+        G = gram if isinstance(gram, DiagonalMatrix) else np.asarray(gram)
         measure = measure or "custom"
     d = len(indices)
     if d == 0:
         return FourierBasis(0, (), np.zeros((0, 0), dtype=complex), measure, weights, 1.0)
     level = indices[0].weighted_degree
-    if isinstance(G, DiagonalGram):
+    if isinstance(G, DiagonalMatrix):
         diag = G.diagonal
     elif not np.any(G - np.diag(np.diag(G))):
         diag = np.diag(G).real
@@ -314,7 +286,7 @@ def orthonormalize(
     if diag is not None:
         if np.any(diag <= 0):
             raise RankDeficiencyError(int(np.argmax(diag <= 0)))
-        C = DiagonalCoeff(1.0 / np.sqrt(diag))
+        C = DiagonalMatrix((1.0 / np.sqrt(diag)).astype(complex))
         cond = float(diag.max() / diag.min())
     else:
         L = _cholesky_with_pivot(G)
@@ -333,15 +305,9 @@ def fourier_basis(
 ) -> FourierBasis:
     """Enumerate, assemble the Gram matrix, and whiten, in one call.
 
-    measure="auto" picks round-exact on the standard sphere (where the
-    compliant measure coincides with the round one) and compliant-quadrature
-    otherwise.
+    measure="auto" is resolved by resolve_measure.
     """
-    if measure == "auto":
-        if M.kind == "sphere" and all(w == 1 for w in M.weights):
-            measure = ROUND_EXACT
-        else:
-            measure = COMPLIANT
+    measure = resolve_measure(M, measure)
     indices = enumerate_multiindices(M.weights, m)
     if not indices:
         return FourierBasis(m, (), np.zeros((0, 0), dtype=complex), measure, M.weights, 1.0)

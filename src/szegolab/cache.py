@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import FourierBasis, MultiIndex
+from .basis import DiagonalMatrix, FourierBasis, MultiIndex
 from .geometry import Manifold
 from .integrate import SampleSet
 
@@ -17,9 +17,7 @@ def basis_cache_path(directory, M: Manifold, m: int, measure: str, seed: int, sa
 
 
 def save_basis(path, B: FourierBasis) -> None:
-    from .basis import DiagonalCoeff
-
-    diagonal = isinstance(B.coeff_matrix, DiagonalCoeff)
+    diagonal = isinstance(B.coeff_matrix, DiagonalMatrix)
     np.savez_compressed(
         path,
         level=B.level,
@@ -45,9 +43,7 @@ def load_basis(path) -> FourierBasis:
         )
         coeff = np.asarray(data["coeff"], dtype=complex)
         if bool(data["diagonal"]):
-            from .basis import DiagonalCoeff
-
-            coeff = DiagonalCoeff(coeff)
+            coeff = DiagonalMatrix(coeff)
         return FourierBasis(
             level=int(data["level"]),
             indices=indices,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, basis, embedding, fourier, kernel
 from .errors import SzegolabError
-from .geometry import Manifold
+from .geometry import Manifold, monomial_products
 
 SCHEMA_VERSION = 1
 
@@ -63,6 +63,23 @@ def _parse_tolerances(items) -> dict[str, float]:
         name, value = item.split("=", 1)
         out[name.strip()] = float(value)
     return out
+
+
+def _parse_function(terms, n: int):
+    """(A, B, coeffs) of a --function polynomial: terms like rho's, complex coefficients."""
+    if isinstance(terms, dict):
+        terms = terms["terms"]
+    A, B, coeffs = [], [], []
+    for t in terms:
+        a, b = list(t["z_exponents"]), list(t["zbar_exponents"])
+        if len(a) != n or len(b) != n or not all(type(e) is int and e >= 0 for e in a + b):
+            raise ConfigError(f"--function term {t} needs {n} non-negative integer "
+                              "exponents in each list")
+        A.append(a)
+        B.append(b)
+        coeffs.append(complex(str(t.get("coeff", "1"))))
+    A, B = (np.array(E, dtype=np.int64).reshape(-1, n) for E in (A, B))
+    return A, B, np.array(coeffs)
 
 
 def resolve_manifold(args) -> Manifold:
@@ -242,7 +259,8 @@ def cmd_vanish(args) -> int:
     ms = [m for m in _parse_range(args.m) if m % k != 0]
     if not ms:
         raise ConfigError(f"all requested levels are divisible by the stabilizer order {k}")
-    measure = "round-exact" if M.kind == "sphere" else args.measure
+    # only the span matters for vanishing, so auto follows the embedding's rule
+    measure = embedding.default_measure(M, args.measure)
     worst = 0.0
     rows = []
     for m in ms:
@@ -298,30 +316,13 @@ def cmd_ratio(args) -> int:
 def cmd_project(args) -> int:
     M = resolve_manifold(args)
     x = M.point(_parse_point(args.point))
-    func_terms = json.loads(Path(args.func).read_text())
-    if isinstance(func_terms, dict):
-        func_terms = func_terms["terms"]
+    A, B, coeffs = _parse_function(json.loads(Path(args.func).read_text()), M.n)
 
     def u(Z):
-        Z = np.asarray(Z, dtype=complex)
-        out = np.zeros(Z.shape[0], dtype=complex)
-        for t in func_terms:
-            term = np.full(Z.shape[0], complex(str(t.get("coeff", "1"))))
-            for j, e in enumerate(t["z_exponents"]):
-                if e:
-                    term = term * Z[:, j] ** e
-            for j, e in enumerate(t["zbar_exponents"]):
-                if e:
-                    term = term * Z[:, j].conj() ** e
-            out += term
-        return out
+        return monomial_products(Z, A, B) @ coeffs
 
     ms = _parse_range(args.m)
-    max_orbit_degree = 0
-    for t in func_terms:
-        wz = sum(e * w for e, w in zip(t["z_exponents"], M.weights.weights))
-        wzb = sum(e * w for e, w in zip(t["zbar_exponents"], M.weights.weights))
-        max_orbit_degree = max(max_orbit_degree, abs(wz - wzb))
+    max_orbit_degree = int(np.max(np.abs((A - B) @ M.weights.array), initial=0))
     Q = fourier.default_quadrature(max(max(ms), max_orbit_degree))
     rows = []
     for m in ms:
@@ -402,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", help="comma-separated action weights")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker cap (recorded; results are thread-count independent)")
         p.add_argument("--out", help="directory for CSV/JSON artifacts")
         p.add_argument("--measure", default="auto",
                        choices=["auto", "round-exact", "compliant-quadrature"])

@@ -59,7 +59,9 @@ class EmbeddingMap:
         return int(self.coordinate_weights.min())
 
 
-def _default_measure(M: Manifold, measure: str) -> str:
+def default_measure(M: Manifold, measure: str) -> str:
+    """measure="auto" for a map built from whole components: round-exact on
+    every sphere, compliant-quadrature otherwise."""
     if measure != "auto":
         return measure
     # any orthonormalization of the same span gives the same image geometry up
@@ -77,7 +79,7 @@ def embedding_from_levels(
     seed: int = 0,
     sample_set: SampleSet | None = None,
 ) -> EmbeddingMap:
-    measure = _default_measure(M, measure)
+    measure = default_measure(M, measure)
     if measure == COMPLIANT and sample_set is None:
         sample_set = surface_samples(M, samples, seed)
     blocks = []

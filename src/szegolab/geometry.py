@@ -30,6 +30,7 @@ from .errors import (
     InvalidSurfaceError,
     NotOnSurfaceError,
     PseudoconvexityError,
+    SamplingError,
     SingularPointError,
     TransversalityError,
 )
@@ -88,6 +89,69 @@ def _exp_tuple(e) -> tuple[int, ...]:
     return t
 
 
+# rows per block when a polynomial is contracted against its monomials
+_ROW_BLOCK = 2048
+
+
+def monomial_products(Z: np.ndarray, A, B=None) -> np.ndarray:
+    """Matrix V[i, t] = z_i^{A_t} zbar_i^{B_t} for points Z (N, n).
+
+    A and B are (T, n) non-negative exponent arrays; B=None means holomorphic
+    monomials.  One power table per coordinate (and per conjugate coordinate);
+    each column starts as a copy of its first factor and is multiplied in place.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    N, n = Z.shape
+    exps = np.asarray(A, dtype=np.int64).reshape(-1, n)
+    bases = [Z[:, k] for k in range(n)]
+    if B is not None:
+        exps = np.hstack([exps, np.asarray(B, dtype=np.int64).reshape(-1, n)])
+        Zc = Z.conj()
+        bases += [Zc[:, k] for k in range(n)]
+    powers = []
+    for base, e_max in zip(bases, exps.max(axis=0, initial=0).tolist()):
+        P = np.empty((e_max + 1, N), dtype=complex)
+        P[0] = 1.0
+        for e in range(1, e_max + 1):
+            P[e] = P[e - 1] * base
+        powers.append(P)
+    V = np.empty((N, len(exps)), dtype=complex)
+    for j, e in enumerate(exps.tolist()):
+        col = powers[0][e[0]].copy()
+        for k in range(1, len(e)):
+            if e[k]:
+                col *= powers[k][e[k]]
+        V[:, j] = col
+    return V
+
+
+def _lower(e: tuple[int, ...], j):
+    """(factor, exponents) of d/dx_j x^e; j=None leaves the monomial alone."""
+    if j is None:
+        return 1, e
+    return e[j], e[:j] + (e[j] - 1,) + e[j + 1 :]
+
+
+def _derivative_table(terms: dict, n: int, z_vars, zbar_vars):
+    """(A, B, C) with d rho = monomial_products(Z, A, B) @ C.
+
+    Column j * len(zbar_vars) + k of C holds the derivative by z_j and zbar_k,
+    where a None variable means no derivative on that side.
+    """
+    columns = [(j, k) for j in z_vars for k in zbar_vars]
+    rows: dict[tuple, list[Fraction]] = {}
+    for (a, b), c in terms.items():
+        for col, (j, k) in enumerate(columns):
+            fa, da = _lower(a, j)
+            fb, db = _lower(b, k)
+            if fa and fb:
+                rows.setdefault((da, db), [Fraction(0)] * len(columns))[col] += c * fa * fb
+    A = np.array([a for a, _ in rows], dtype=np.int64).reshape(-1, n)
+    B = np.array([b for _, b in rows], dtype=np.int64).reshape(-1, n)
+    C = np.array([[float(c) for c in row] for row in rows.values()]).reshape(-1, len(columns))
+    return A, B, C
+
+
 class DefiningPolynomial:
     """Real polynomial rho in (z, zbar) with rational coefficients.
 
@@ -113,10 +177,16 @@ class DefiningPolynomial:
                     f"rho is not real: coefficient of z^{a} zbar^{b} is {c} "
                     f"but coefficient of z^{b} zbar^{a} is {self.terms.get((b, a))}"
                 )
-        # float view for fast evaluation
-        self._coeff = np.array([float(c) for c in self.terms.values()])
-        self._a = np.array([a for (a, _) in self.terms], dtype=np.int64).reshape(-1, n)
-        self._b = np.array([b for (_, b) in self.terms], dtype=np.int64).reshape(-1, n)
+        # float tables contracted against monomial_products
+        self._value = _derivative_table(self.terms, n, [None], [None])
+        self._gradient = _derivative_table(self.terms, n, range(n), [None])
+        self._hessian = _derivative_table(self.terms, n, range(n), range(n))
+        # rho(t u) = sum_d t^d (sum of the terms of total degree d at u)
+        A, B, C = self._value
+        degree = A.sum(axis=1) + B.sum(axis=1)
+        by_degree = np.zeros((len(C), int(degree.max(initial=0)) + 1))
+        by_degree[np.arange(len(C)), degree] = C[:, 0]
+        self._ray = (A, B, by_degree)
 
     def check_invariance(self, weights: WeightVector) -> None:
         w = weights.array
@@ -127,66 +197,38 @@ class DefiningPolynomial:
                     f"bidegree ({int(np.dot(a, w))}, {int(np.dot(b, w))})"
                 )
 
+    def _contract(self, table, Z: np.ndarray, real: bool) -> np.ndarray:
+        """monomial_products(Z, A, B) @ C over the rows of Z (N, n), block by block.
+
+        real=True contracts Re(V), which equals Re(V @ C) for real coefficients.
+        """
+        A, B, C = table
+        out = np.empty((Z.shape[0], C.shape[1]), dtype=float if real else complex)
+        for start in range(0, Z.shape[0], _ROW_BLOCK):
+            V = monomial_products(Z[start : start + _ROW_BLOCK], A, B)
+            out[start : start + _ROW_BLOCK] = (V.real if real else V) @ C
+        return out
+
     def value(self, Z: np.ndarray) -> np.ndarray:
         """rho at one point (n,) or a batch (N, n); returns real array."""
         Z = np.asarray(Z, dtype=complex)
-        single = Z.ndim == 1
-        Zb = Z[None, :] if single else Z
-        out = np.zeros(Zb.shape[0])
-        Zc = Zb.conj()
-        for c, a, b in zip(self._coeff, self._a, self._b):
-            term = np.full(Zb.shape[0], c, dtype=complex)
-            for k in range(self.n):
-                if a[k]:
-                    term *= Zb[:, k] ** a[k]
-                if b[k]:
-                    term *= Zc[:, k] ** b[k]
-            out += term.real
-        return out[0] if single else out
+        out = self._contract(self._value, Z.reshape(-1, self.n), real=True)[:, 0]
+        return out[0] if Z.ndim == 1 else out
 
     def z_gradient(self, Z: np.ndarray) -> np.ndarray:
         """Holomorphic derivatives (d rho / d z_j); shape (n,) or (N, n)."""
         Z = np.asarray(Z, dtype=complex)
-        single = Z.ndim == 1
-        Zb = Z[None, :] if single else Z
-        Zc = Zb.conj()
-        out = np.zeros_like(Zb)
-        for c, a, b in zip(self._coeff, self._a, self._b):
-            for j in range(self.n):
-                if not a[j]:
-                    continue
-                term = np.full(Zb.shape[0], c * a[j], dtype=complex)
-                for k in range(self.n):
-                    e = a[k] - (1 if k == j else 0)
-                    if e:
-                        term *= Zb[:, k] ** e
-                    if b[k]:
-                        term *= Zc[:, k] ** b[k]
-                out[:, j] += term
-        return out[0] if single else out
+        out = self._contract(self._gradient, Z.reshape(-1, self.n), real=False)
+        return out[0] if Z.ndim == 1 else out
 
     def zz_hessian(self, z: np.ndarray) -> np.ndarray:
         """Mixed complex Hessian H[j, k] = d^2 rho / d z_j d zbar_k at one point."""
-        z = np.asarray(z, dtype=complex)
-        zc = z.conj()
-        H = np.zeros((self.n, self.n), dtype=complex)
-        for c, a, b in zip(self._coeff, self._a, self._b):
-            for j in range(self.n):
-                if not a[j]:
-                    continue
-                for k in range(self.n):
-                    if not b[k]:
-                        continue
-                    term = c * a[j] * b[k]
-                    for l in range(self.n):
-                        ea = a[l] - (1 if l == j else 0)
-                        eb = b[l] - (1 if l == k else 0)
-                        if ea:
-                            term *= z[l] ** ea
-                        if eb:
-                            term *= zc[l] ** eb
-                    H[j, k] += term
-        return H
+        z = np.asarray(z, dtype=complex).reshape(1, self.n)
+        return self._contract(self._hessian, z, real=False).reshape(self.n, self.n)
+
+    def ray_coefficients(self, U: np.ndarray) -> np.ndarray:
+        """C[i, d] with rho(t u_i) = sum_d C[i, d] t^d for real t, rows u_i of U (N, n)."""
+        return self._contract(self._ray, np.asarray(U, dtype=complex), real=True)
 
     def to_json_terms(self) -> list[dict]:
         return [
@@ -404,6 +446,8 @@ class Manifold:
         (radial root along directions in the coordinate subspace).  Patterns
         that fail certification are reported as unconfirmed, not dropped.
         """
+        from .integrate import radial_roots  # integrate builds on this module
+
         n = self.n
         patterns: list[tuple[tuple[int, ...], int]] = []
         unconfirmed_orders: set[int] = set()
@@ -416,22 +460,20 @@ class Manifold:
                 patterns.append((support, k))
                 confirmed_orders.add(k)
                 continue
-            found = False
-            for _ in range(samples):
-                u = np.zeros(n, dtype=complex)
-                g = rng.normal(size=(len(support), 2))
-                u[list(support)] = g[:, 0] + 1j * g[:, 1]
-                norm = np.linalg.norm(u)
-                if norm < 1e-12 or np.min(np.abs(u[list(support)])) < 0.05 * norm:
-                    continue
-                u /= norm
-                t = self._radial_root_single(u)
-                if t is not None:
-                    patterns.append((support, k))
-                    confirmed_orders.add(k)
-                    found = True
-                    break
-            if not found:
+            g = rng.normal(size=(samples, len(support), 2))
+            u = g[..., 0] + 1j * g[..., 1]
+            norm = np.linalg.norm(u, axis=1)
+            keep = (norm >= 1e-12) & (np.min(np.abs(u), axis=1) >= 0.05 * norm)
+            U = np.zeros((int(keep.sum()), n), dtype=complex)
+            U[:, list(support)] = u[keep] / norm[keep, None]
+            try:
+                found = bool(np.any(np.isfinite(radial_roots(self, U))))
+            except SamplingError:  # rho(0) >= 0: no ray from the origin meets X
+                found = False
+            if found:
+                patterns.append((support, k))
+                confirmed_orders.add(k)
+            else:
                 unconfirmed_orders.add(k)
         unconfirmed_orders -= confirmed_orders
         return StrataOrders(
@@ -439,27 +481,6 @@ class Manifold:
             tuple(sorted(unconfirmed_orders)),
             tuple(patterns),
         )
-
-    def _radial_root_single(self, u: np.ndarray, t_max: float = 8.0):
-        """First positive root of rho(t u) along the ray, or None."""
-        lo, hi = 0.0, 1.0
-        f_lo = float(self.rho.value(np.zeros(self.n)))
-        if f_lo >= 0:
-            return None
-        while float(self.rho.value(hi * u)) < 0:
-            lo = hi
-            hi *= 2.0
-            if hi > t_max:
-                return None
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if float(self.rho.value(mid * u)) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
 
     # -- tangent structure -------------------------------------------------
 

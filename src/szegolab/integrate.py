@@ -62,44 +62,59 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SampleSet:
     return SampleSet(u, w, seed, "sphere-uniform")
 
 
-def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
-    """First positive root of rho(t u) per row of U (star-shaped assumption).
+def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Values at t of the polynomials with ascending coefficient rows C (degree + 1, N)."""
+    f = C[-1]
+    for c in C[-2::-1]:
+        f = f * t + c
+    return f
 
-    Bisection brackets the first sign change on a coarse scan; a few Newton
-    steps polish to ~1e-13.  A sign change after the accepted root would
-    violate the single-intersection assumption and raises SamplingError.
+
+def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
+    """First positive root of rho(t u) per row of U; NaN where none is bracketed.
+
+    One evaluator pass gives each ray's coefficients of the real polynomial
+    t -> rho(t u).  Doubling t from 1 up to t_max brackets the first sign
+    change seen at t = 1, 2, 4, ...; bisection narrows the bracket and a few
+    Newton steps, clipped to it, polish the root to rounding level.  Rays
+    still negative at the last doubling inside t_max get NaN.  Nothing checks
+    that a ray meets X only once: crossings in pairs between grid points go
+    unseen, and the root is a sign change inside the first bracket.
+    rho(0) >= 0 raises SamplingError.
     """
     U = np.asarray(U, dtype=complex)
-    count = U.shape[0]
-    if float(M.rho.value(np.zeros(M.n))) >= 0:
+    C = np.ascontiguousarray(M.rho.ray_coefficients(U).T)  # (degree + 1, N)
+    if np.any(C[0] >= 0):
         raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
-    hi = np.ones(count)
-    val = M.rho.value(U * hi[:, None])
-    for _ in range(16):
-        neg = val < 0
-        if not np.any(neg):
-            break
-        hi[neg] *= 2.0
-        if np.max(hi) > t_max:
-            raise SamplingError("ray root not bracketed in (0, t_max]")
-        val[neg] = M.rho.value(U[neg] * hi[neg, None])
-    if np.any(val < 0):
-        raise SamplingError("ray root not bracketed in (0, t_max]")
-    lo = np.zeros(count)
+    dC = C[1:] * np.arange(1, len(C))[:, None]
+    lo = np.zeros(U.shape[0])
+    hi = np.ones(U.shape[0])
+    neg = _horner(C, hi) < 0
+    while np.any(grow := neg & (2.0 * hi <= t_max)):
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        neg[grow] = _horner(C[:, grow], hi[grow]) < 0
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        neg = M.rho.value(U * mid[:, None]) < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
+        below = _horner(C, mid) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
     for _ in range(_NEWTON_ITERS):
-        X = U * t[:, None]
-        f = M.rho.value(X)
-        # d/dt rho(t u) = 2 Re sum z_j rho_j / t
-        df = 2.0 * np.sum(X * M.rho.z_gradient(X), axis=1).real / t
+        f = _horner(C, t)
+        df = _horner(dC, t)
         df = np.where(np.abs(df) < 1e-30, 1e-30, df)
         step = np.clip(f / df, -0.25, 0.25)
         t = np.clip(t - step, lo, hi)
+    t[neg] = np.nan
+    return t
+
+
+def _ray_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
+    """radial_roots, raising SamplingError if any ray has no root."""
+    t = radial_roots(M, U)
+    if np.any(np.isnan(t)):
+        raise SamplingError("ray root not bracketed in (0, t_max]")
     return t
 
 
@@ -111,7 +126,7 @@ def sample_hypersurface(M: Manifold, count: int, seed: int = 0) -> SampleSet:
     if count < 1:
         raise ValueError("count must be >= 1")
     U = _uniform_directions(M.n, count, _rng(seed))
-    t = radial_roots(M, U)
+    t = _ray_roots(M, U)
     X = U * t[:, None]
     rho_z = M.rho.z_gradient(X)
     grad_norm = 2.0 * np.linalg.norm(rho_z, axis=1)
@@ -168,7 +183,7 @@ def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:
         return U
     single = U.ndim == 1
     Ub = U[None, :] if single else U
-    t = radial_roots(M, Ub)
+    t = _ray_roots(M, Ub)
     X = Ub * t[:, None]
     return X[0] if single else X
 

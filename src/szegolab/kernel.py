@@ -21,10 +21,10 @@ import numpy as np
 
 from .basis import (
     COMPLIANT,
-    ROUND_EXACT,
     FourierBasis,
     eval_basis,
     fourier_basis,
+    resolve_measure,
 )
 from .errors import InsufficientLevelsError, UndefinedRatioError
 from .geometry import Manifold, SurfacePoint
@@ -133,9 +133,7 @@ def fit_expansion(
         raise InsufficientLevelsError(
             f"only {len(levels)} admissible levels in [{m_min}, {m_max}] with {k} | m"
         )
-    if measure == "auto":
-        standard = M.kind == "sphere" and all(w == 1 for w in M.weights)
-        measure = ROUND_EXACT if standard else COMPLIANT
+    measure = resolve_measure(M, measure)
     if measure == COMPLIANT and sample_set is None:
         sample_set = surface_samples(M, samples, seed)
     values = []
@@ -290,9 +288,7 @@ def ratio_search(
     from .integrate import ball_points
 
     k = M.stratum_order(x0)
-    if measure == "auto":
-        standard = M.kind == "sphere" and all(w == 1 for w in M.weights)
-        measure = ROUND_EXACT if standard else COMPLIANT
+    measure = resolve_measure(M, measure)
     sample_set = (
         surface_samples(M, samples, seed) if measure == COMPLIANT else None
     )

@@ -16,7 +16,7 @@ from oracles import (
 from szegolab.basis import (
     COMPLIANT,
     ROUND_EXACT,
-    DiagonalCoeff,
+    DiagonalMatrix,
     MultiIndex,
     dimension,
     enumerate_multiindices,
@@ -156,7 +156,7 @@ class TestOrthonormalize:
         idx = enumerate_multiindices(sphere2.weights, 3)
         G = gram_matrix(idx, sphere2, measure=ROUND_EXACT)
         B = orthonormalize(idx, G, sphere2.weights)
-        assert isinstance(B.coeff_matrix, DiagonalCoeff)
+        assert isinstance(B.coeff_matrix, DiagonalMatrix)
         assert np.allclose(
             B.coeff_matrix.diagonal, 1 / np.sqrt(G.matrix.diagonal)
         )

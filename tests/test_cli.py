@@ -62,6 +62,26 @@ def test_vanish_certificate(capsys):
     assert report["results"]["stratum_order"] == 2
 
 
+@pytest.mark.parametrize("measure, used", [("auto", "round-exact"),
+                                           ("compliant-quadrature", "compliant-quadrature")])
+def test_vanish_measure(capsys, monkeypatch, measure, used):
+    from szegolab import basis
+
+    measures = []
+    gram = basis.gram_matrix
+
+    def recording_gram(*args, **kwargs):
+        measures.append(kwargs["measure"])
+        return gram(*args, **kwargs)
+
+    monkeypatch.setattr(basis, "gram_matrix", recording_gram)
+    code, out, _ = run_cli(capsys, "vanish", "--weights", "1,2", "--point", "0,1", "--m", "3",
+                           "--measure", measure, "--samples", "20000")
+    assert code == 0
+    assert measures == [used]
+    assert json.loads(out)["results"]["max_abs_value"] == 0.0
+
+
 def test_vanish_rejects_divisible_levels(capsys):
     code, _, err = run_cli(capsys, "vanish", "--weights", "1,2", "--point", "0,1", "--m", "4")
     assert code == 2
@@ -89,6 +109,18 @@ def test_project_polynomial(capsys, tmp_path):
     assert abs(rows[1] - 0.6) < 1e-12
     assert abs(rows[3] - 0.6 * 0.8**2) < 1e-12
     assert abs(rows[0]) < 1e-12 and abs(rows[2]) < 1e-12 and abs(rows[4]) < 1e-12
+
+
+@pytest.mark.parametrize("z_exponents", [[1, 0, 0], [0, 0, 1], [1], [-1, 0], [1.5, 0]])
+def test_project_rejects_malformed_function(capsys, tmp_path, z_exponents):
+    func = tmp_path / "func.json"
+    func.write_text(json.dumps([{"coeff": "1", "z_exponents": z_exponents, "zbar_exponents": [0, 0]}]))
+    code, _, err = run_cli(
+        capsys, "project", "--weights", "1,2", "--point", "0.6,0.8",
+        "--m", "0..2", "--function", str(func),
+    )
+    assert code == 2
+    assert "configuration error" in err
 
 
 def test_embed_certificate(capsys, tmp_path):
