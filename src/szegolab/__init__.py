@@ -11,7 +11,9 @@ from .basis import (
     enumerate_multiindices,
     eval_basis,
     eval_basis_jacobian,
+    fourier_bases,
     fourier_basis,
+    gram_matrices,
     gram_matrix,
     orthonormalize,
     sphere_monomial_norm_sq,

@@ -10,6 +10,15 @@ with closed-form entries
 carried exactly as (rational, pi-power) pairs.  For the compliant measure or
 a general hypersurface the Gram matrix is estimated by Monte Carlo with
 per-entry standard errors.  Orthonormalization is Cholesky whitening.
+
+The kernels are studied over many levels on one sample set, so the Gram
+matrices of all requested levels are assembled in one pass over it
+(gram_matrices, fourier_bases).  The pass runs in blocks of sample rows; per
+block it evaluates the weighted compliant density once, builds one power
+table per coordinate up to the largest exponent any level needs, gathers each
+level's monomial rows from those tables, and adds them to that level's matrix
+and second-moment accumulator.  The one-level functions gram_matrix and
+fourier_basis go through the same pass.
 """
 
 from __future__ import annotations
@@ -17,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import GramNotPositiveDefiniteError, RankDeficiencyError
-from .geometry import Manifold, SurfacePoint, WeightVector, monomial_products
+from .geometry import Manifold, SurfacePoint, WeightVector, monomial_products, power_table
 from .integrate import SampleSet, compliant_density, sphere_area, surface_samples
 
 ROUND_EXACT = "round-exact"
@@ -30,6 +39,8 @@ COMPLIANT = "compliant-quadrature"
 
 DEFAULT_GRAM_SAMPLES = 200_000
 _CHUNK = 20_000
+# sample rows per block of the one-pass multi-level Gram assembly
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -169,6 +180,77 @@ class GramEstimate:
     smallest_eigenvalue: float
 
 
+def gram_matrices(
+    level_indices: Mapping[int, Sequence[MultiIndex]],
+    M: Manifold,
+    measure: str = ROUND_EXACT,
+    samples: int = DEFAULT_GRAM_SAMPLES,
+    seed: int = 0,
+    sample_set: SampleSet | None = None,
+) -> dict[int, GramEstimate]:
+    """Gram matrices of the monomials of several levels under one measure.
+
+    level_indices maps each level m to monomials of weighted degree m.
+    round-exact is available on sphere-kind manifolds only and is diagonal by
+    torus invariance.  compliant-quadrature draws (or reuses) one sample set
+    and reweights it by the compliant volume density; one pass over its rows,
+    block by block, accumulates every level's matrix and the second moments
+    behind its per-entry standard errors.  Each result is Hermitized and must
+    be positive definite within noise.
+    """
+    for level, indices in level_indices.items():
+        degrees = {mi.weighted_degree for mi in indices}
+        if degrees - {level}:
+            raise ValueError(
+                f"indices of level {level} span several weighted degrees: "
+                f"{sorted(degrees | {level})}"
+            )
+    if measure == ROUND_EXACT:
+        if M.kind != "sphere":
+            raise ValueError("round-exact measure requires a sphere-kind manifold")
+        out = {}
+        for level, indices in level_indices.items():
+            diag = np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices])
+            out[level] = GramEstimate(
+                DiagonalMatrix(diag), None, measure, float(diag.min()) if len(diag) else 0.0
+            )
+        return out
+    if measure != COMPLIANT:
+        raise ValueError(f"unknown measure {measure!r}")
+    exps = {
+        level: np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, M.n)
+        for level, indices in level_indices.items()
+    }
+    G = {level: np.zeros((len(A), len(A)), dtype=complex) for level, A in exps.items()}
+    S2 = {level: np.zeros((len(A), len(A))) for level, A in exps.items()}
+    N = 0
+    if any(len(A) for A in exps.values()):
+        S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
+        N = S.count
+        e_max = np.max([A.max(axis=0, initial=0) for A in exps.values()], axis=0).tolist()
+        for start in range(0, N, _BLOCK):
+            Z = S.points[start : start + _BLOCK]
+            c = S.weights[start : start + _BLOCK] * compliant_density(M, Z)
+            Nc2 = N * c**2
+            powers = [power_table(Z[:, k], e) for k, e in enumerate(e_max)]
+            for level, A in exps.items():
+                V = powers[0][A[:, 0]]  # (d, rows): V[j, i] = z_i^{alpha_j}
+                for k in range(1, M.n):
+                    V *= powers[k][A[:, k]]
+                G[level] += (V * c) @ V.conj().T
+                B = V.real**2 + V.imag**2
+                S2[level] += (B * Nc2) @ B.T
+    out = {}
+    for level, A in exps.items():
+        Gm = 0.5 * (G[level] + G[level].conj().T)
+        stderr = np.sqrt(np.maximum(S2[level] - np.abs(Gm) ** 2, 0.0) / max(N - 1, 1))
+        smallest = float(np.linalg.eigvalsh(Gm)[0]) if len(A) else 0.0
+        if len(A) and smallest <= 0:
+            raise GramNotPositiveDefiniteError(smallest)
+        out[level] = GramEstimate(Gm, stderr, measure, smallest)
+    return out
+
+
 def gram_matrix(
     indices: Sequence[MultiIndex],
     M: Manifold,
@@ -177,42 +259,11 @@ def gram_matrix(
     seed: int = 0,
     sample_set: SampleSet | None = None,
 ) -> GramEstimate:
-    """Gram matrix of the monomials under the requested measure.
-
-    round-exact is available on sphere-kind manifolds only and is diagonal by
-    torus invariance.  compliant-quadrature draws (or reuses) a sample set and
-    reweights by the compliant volume density; the result is Hermitized and
-    must be positive definite within noise.
-    """
-    levels = {mi.weighted_degree for mi in indices}
-    if len(levels) > 1:
-        raise ValueError(f"indices span several weighted degrees: {sorted(levels)}")
-    d = len(indices)
-    if measure == ROUND_EXACT:
-        if M.kind != "sphere":
-            raise ValueError("round-exact measure requires a sphere-kind manifold")
-        diag = np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices])
-        return GramEstimate(DiagonalMatrix(diag), None, measure, float(diag.min()) if d else 0.0)
-    if measure != COMPLIANT:
-        raise ValueError(f"unknown measure {measure!r}")
-    S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
-    G = np.zeros((d, d), dtype=complex)
-    S2 = np.zeros((d, d))
-    N = S.count
-    for start in range(0, N, _CHUNK):
-        Z = S.points[start : start + _CHUNK]
-        c = S.weights[start : start + _CHUNK] * compliant_density(M, Z)
-        V = monomial_values(Z, indices)
-        G += (V * c[:, None]).T @ V.conj()
-        B = np.abs(V) ** 2
-        S2 += (B * (N * c**2)[:, None]).T @ B
-    G = 0.5 * (G + G.conj().T)
-    var = np.maximum(S2 - np.abs(G) ** 2, 0.0)
-    stderr = np.sqrt(var / max(N - 1, 1))
-    eigs = np.linalg.eigvalsh(G) if d else np.array([1.0])
-    if d and eigs[0] <= 0:
-        raise GramNotPositiveDefiniteError(float(eigs[0]))
-    return GramEstimate(G, stderr, measure, float(eigs[0]) if d else 0.0)
+    """Gram matrix of one level's monomials (see gram_matrices)."""
+    level = indices[0].weighted_degree if indices else 0
+    return gram_matrices(
+        {level: indices}, M, measure=measure, samples=samples, seed=seed, sample_set=sample_set
+    )[level]
 
 
 def resolve_measure(M: Manifold, measure: str) -> str:
@@ -295,6 +346,33 @@ def orthonormalize(
     return FourierBasis(level, tuple(indices), C, measure, weights, cond)
 
 
+def fourier_bases(
+    M: Manifold,
+    levels,
+    measure: str = "auto",
+    samples: int = DEFAULT_GRAM_SAMPLES,
+    seed: int = 0,
+    sample_set: SampleSet | None = None,
+) -> dict[int, FourierBasis]:
+    """Enumerate, assemble the Gram matrices and whiten, for several levels.
+
+    The non-empty levels share one gram_matrices call, hence one sample set
+    and one pass over it.  measure="auto" is resolved by resolve_measure.
+    """
+    measure = resolve_measure(M, measure)
+    indices = {m: enumerate_multiindices(M.weights, m) for m in dict.fromkeys(map(int, levels))}
+    grams = gram_matrices(
+        {m: idx for m, idx in indices.items() if idx},
+        M, measure=measure, samples=samples, seed=seed, sample_set=sample_set,
+    )
+    return {
+        m: orthonormalize(idx, grams[m], M.weights)
+        if idx
+        else FourierBasis(m, (), np.zeros((0, 0), dtype=complex), measure, M.weights, 1.0)
+        for m, idx in indices.items()
+    }
+
+
 def fourier_basis(
     M: Manifold,
     m: int,
@@ -303,16 +381,10 @@ def fourier_basis(
     seed: int = 0,
     sample_set: SampleSet | None = None,
 ) -> FourierBasis:
-    """Enumerate, assemble the Gram matrix, and whiten, in one call.
-
-    measure="auto" is resolved by resolve_measure.
-    """
-    measure = resolve_measure(M, measure)
-    indices = enumerate_multiindices(M.weights, m)
-    if not indices:
-        return FourierBasis(m, (), np.zeros((0, 0), dtype=complex), measure, M.weights, 1.0)
-    G = gram_matrix(indices, M, measure=measure, samples=samples, seed=seed, sample_set=sample_set)
-    return orthonormalize(indices, G, M.weights)
+    """The basis of one level (see fourier_bases)."""
+    return fourier_bases(
+        M, [m], measure=measure, samples=samples, seed=seed, sample_set=sample_set
+    )[int(m)]
 
 
 def eval_basis(B: FourierBasis, x) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, basis, embedding, fourier, kernel
 from .errors import SzegolabError
-from .geometry import Manifold, monomial_products
+from .geometry import Manifold, monomial_products, require_keys
 
 SCHEMA_VERSION = 1
 
@@ -68,9 +68,11 @@ def _parse_tolerances(items) -> dict[str, float]:
 def _parse_function(terms, n: int):
     """(A, B, coeffs) of a --function polynomial: terms like rho's, complex coefficients."""
     if isinstance(terms, dict):
+        require_keys(terms, ("terms",), "--function")
         terms = terms["terms"]
     A, B, coeffs = [], [], []
     for t in terms:
+        require_keys(t, ("z_exponents", "zbar_exponents"), f"--function term {t}")
         a, b = list(t["z_exponents"]), list(t["zbar_exponents"])
         if len(a) != n or len(b) != n or not all(type(e) is int and e >= 0 for e in a + b):
             raise ConfigError(f"--function term {t} needs {n} non-negative integer "
@@ -191,8 +193,9 @@ def cmd_kernel(args) -> int:
     rows, results = [], {}
     hermitian_ok, diagonal_ok = True, True
     worst_h = 0.0
+    bases = basis.fourier_bases(M, ms, measure=args.measure, samples=args.samples, seed=args.seed)
     for m in ms:
-        B = basis.fourier_basis(M, m, measure=args.measure, samples=args.samples, seed=args.seed)
+        B = bases[m]
         v_xy = kernel.szego_kernel(B, x, y).value
         v_yx = kernel.szego_kernel(B, y, x).value
         diag = kernel.kernel_diagonal(B, x)
@@ -263,8 +266,9 @@ def cmd_vanish(args) -> int:
     measure = embedding.default_measure(M, args.measure)
     worst = 0.0
     rows = []
+    bases = basis.fourier_bases(M, ms, measure=measure, samples=args.samples, seed=args.seed)
     for m in ms:
-        B = basis.fourier_basis(M, m, measure=measure, samples=args.samples, seed=args.seed)
+        B = bases[m]
         v = kernel.stratum_vanishing_check(B, M, x0)
         worst = max(worst, v)
         rows.append((m, repr(v)))

@@ -23,7 +23,7 @@ from .basis import (
     eval_basis,
     eval_basis_batch,
     eval_basis_jacobian,
-    fourier_basis,
+    fourier_bases,
 )
 from .geometry import Manifold, StrataOrders, SurfacePoint
 from .integrate import (
@@ -31,7 +31,6 @@ from .integrate import (
     random_surface_points,
     stratified_points,
     support_pattern_points,
-    surface_samples,
     _rng,
 )
 
@@ -79,14 +78,14 @@ def embedding_from_levels(
     seed: int = 0,
     sample_set: SampleSet | None = None,
 ) -> EmbeddingMap:
-    measure = default_measure(M, measure)
-    if measure == COMPLIANT and sample_set is None:
-        sample_set = surface_samples(M, samples, seed)
+    bases = fourier_bases(
+        M, sorted(set(int(m) for m in levels)), measure=default_measure(M, measure),
+        samples=samples, seed=seed, sample_set=sample_set,
+    )
     blocks = []
     warnings = []
     weights: list[int] = []
-    for level in sorted(set(int(m) for m in levels)):
-        B = fourier_basis(M, level, measure=measure, samples=samples, seed=seed, sample_set=sample_set)
+    for level, B in bases.items():
         if B.d == 0:
             warnings.append(f"level {level} has no representation (empty block)")
         blocks.append((level, B))

@@ -89,8 +89,24 @@ def _exp_tuple(e) -> tuple[int, ...]:
     return t
 
 
+def require_keys(obj: dict, keys: Sequence[str], what: str) -> None:
+    """ValueError naming every key of keys that the JSON object obj lacks."""
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
 # rows per block when a polynomial is contracted against its monomials
 _ROW_BLOCK = 2048
+
+
+def power_table(base: np.ndarray, e_max: int) -> np.ndarray:
+    """P[e] = base**e for e = 0, ..., e_max, by repeated multiplication."""
+    P = np.empty((e_max + 1,) + base.shape, dtype=complex)
+    P[0] = 1.0
+    for e in range(1, e_max + 1):
+        P[e] = P[e - 1] * base
+    return P
 
 
 def monomial_products(Z: np.ndarray, A, B=None) -> np.ndarray:
@@ -108,13 +124,8 @@ def monomial_products(Z: np.ndarray, A, B=None) -> np.ndarray:
         exps = np.hstack([exps, np.asarray(B, dtype=np.int64).reshape(-1, n)])
         Zc = Z.conj()
         bases += [Zc[:, k] for k in range(n)]
-    powers = []
-    for base, e_max in zip(bases, exps.max(axis=0, initial=0).tolist()):
-        P = np.empty((e_max + 1, N), dtype=complex)
-        P[0] = 1.0
-        for e in range(1, e_max + 1):
-            P[e] = P[e - 1] * base
-        powers.append(P)
+    e_maxes = exps.max(axis=0, initial=0).tolist()
+    powers = [power_table(base, e_max) for base, e_max in zip(bases, e_maxes)]
     V = np.empty((N, len(exps)), dtype=complex)
     for j, e in enumerate(exps.tolist()):
         col = powers[0][e[0]].copy()
@@ -375,10 +386,12 @@ class Manifold:
     @classmethod
     def from_spec(cls, spec: dict) -> "Manifold":
         """Build from the JSON manifold description (see README for the schema)."""
+        require_keys(spec, ("n", "weights", "rho"), "manifold spec")
         n = int(spec["n"])
         weights = [int(w) for w in spec["weights"]]
         terms: dict[tuple, Fraction] = {}
         for t in spec["rho"]:
+            require_keys(t, ("z_exponents", "zbar_exponents", "coeff"), f"rho term {t}")
             key = (tuple(t["z_exponents"]), tuple(t["zbar_exponents"]))
             terms[key] = terms.get(key, Fraction(0)) + Fraction(str(t["coeff"]))
         kind = spec.get("kind", "hypersurface")

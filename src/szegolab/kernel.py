@@ -23,7 +23,7 @@ from .basis import (
     COMPLIANT,
     FourierBasis,
     eval_basis,
-    fourier_basis,
+    fourier_bases,
     resolve_measure,
 )
 from .errors import InsufficientLevelsError, UndefinedRatioError
@@ -134,12 +134,8 @@ def fit_expansion(
             f"only {len(levels)} admissible levels in [{m_min}, {m_max}] with {k} | m"
         )
     measure = resolve_measure(M, measure)
-    if measure == COMPLIANT and sample_set is None:
-        sample_set = surface_samples(M, samples, seed)
-    values = []
-    for m in levels:
-        B = fourier_basis(M, m, measure=measure, samples=samples, seed=seed, sample_set=sample_set)
-        values.append(kernel_diagonal(B, x))
+    bases = fourier_bases(M, levels, measure=measure, samples=samples, seed=seed, sample_set=sample_set)
+    values = [kernel_diagonal(bases[m], x) for m in levels]
     n = M.n
     A = np.column_stack(
         [np.asarray(levels, float) ** (n - 1), np.asarray(levels, float) ** (n - 2)]
@@ -196,14 +192,13 @@ def decay_profile(
     qd = M.quotient_distance(x, y)
     if qd <= 10 * M.surface_tolerance:
         raise ValueError("points lie on (numerically) the same orbit")
+    levels = list(levels)
+    if bases is None:
+        bases = fourier_bases(M, levels, measure=measure, samples=samples, seed=seed)
     used, logs = [], []
     truncated = False
     for m in levels:
-        B = (
-            bases[m]
-            if bases is not None
-            else fourier_basis(M, m, measure=measure, samples=samples, seed=seed)
-        )
+        B = bases[m]
         num = abs(szego_kernel(B, x, y).value)
         den = kernel_diagonal(B, x)
         if num <= 0 or den <= 0 or num / den < 1e-280:
@@ -293,9 +288,14 @@ def ratio_search(
         surface_samples(M, samples, seed) if measure == COMPLIANT else None
     )
     attempts = []
+    bases: dict[int, FourierBasis] = {}  # level k*(m+1) is the next candidate's k*m
     for m in m_candidates:
-        B_low = fourier_basis(M, k * m, measure=measure, samples=samples, seed=seed, sample_set=sample_set)
-        B_high = fourier_basis(M, k * (m + 1), measure=measure, samples=samples, seed=seed, sample_set=sample_set)
+        missing = [level for level in (k * m, k * (m + 1)) if level not in bases]
+        if missing:
+            bases.update(fourier_bases(
+                M, missing, measure=measure, samples=samples, seed=seed, sample_set=sample_set
+            ))
+        B_low, B_high = bases[k * m], bases[k * (m + 1)]
         for radius in radii:
             pts = ball_points(M, x0, radius, points_per_ball, seed=seed + m, align_orbit=align_orbit)
             worst_r, worst_i = 0.0, 0.0

@@ -23,14 +23,17 @@ from szegolab.basis import (
     eval_basis,
     eval_basis_batch,
     eval_basis_jacobian,
+    fourier_bases,
     fourier_basis,
+    gram_matrices,
     gram_matrix,
     monomial_values,
     orthonormalize,
     sphere_monomial_norm_sq,
 )
-from szegolab.errors import RankDeficiencyError
+from szegolab.errors import GramNotPositiveDefiniteError, RankDeficiencyError
 from szegolab.geometry import WeightVector
+from szegolab.integrate import SampleSet, compliant_density, surface_samples
 
 
 class TestEnumeration:
@@ -149,6 +152,91 @@ class TestGram:
         bad = [MultiIndex.make((1, 0), wv), MultiIndex.make((1, 1), wv)]
         with pytest.raises(ValueError, match="several weighted degrees"):
             gram_matrix(bad, sphere2)
+
+
+def _level_set(M, keep):
+    """Levels with the monomials that keep[m] accepts; None keeps all of them."""
+    return {
+        m: [mi for mi in enumerate_multiindices(M.weights, m) if rule is None or rule(mi.exponents)]
+        for m, rule in keep.items()
+    }
+
+
+# on each manifold one level is empty and the largest exponents of the
+# coordinates come from different levels
+LEVEL_SETS = {
+    "wsphere12": {
+        9: None,  # largest z1 exponent, 9
+        12: lambda e: e[0] <= 2,  # largest z2 exponent, 6
+        7: lambda e: False,
+        10: lambda e: e[0] % 4 == 0,
+    },
+    "example2": {
+        10: lambda e: e[2] == 0,  # largest z1 and z2 exponents, 10 and 5
+        12: lambda e: e[0] <= 1 and e[1] <= 1,  # largest z3 exponent, 2
+        5: lambda e: False,
+        8: None,
+    },
+}
+
+
+class TestGramMatrices:
+    @pytest.mark.parametrize("name, samples", [("wsphere12", 30_000), ("example2", 8_000)])
+    def test_batched_equals_single_level(self, request, name, samples):
+        M = request.getfixturevalue(name)
+        levels = _level_set(M, LEVEL_SETS[name])
+        assert any(not idx for idx in levels.values())
+        A = {m: np.array([mi.exponents for mi in idx]) for m, idx in levels.items() if idx}
+        argmax_levels = {max(A, key=lambda m: A[m][:, k].max()) for k in range(M.n)}
+        assert len(argmax_levels) > 1
+
+        batched = gram_matrices(levels, M, measure=COMPLIANT, samples=samples, seed=4)
+        assert list(batched) == list(levels)
+        S = surface_samples(M, samples, 4)
+        c = S.weights * compliant_density(M, S.points)
+        for m, idx in levels.items():
+            single = gram_matrix(idx, M, measure=COMPLIANT, samples=samples, seed=4)
+            got = batched[m]
+            assert got.matrix.shape == single.matrix.shape == (len(idx), len(idx))
+            assert got.stderr.shape == single.stderr.shape == (len(idx), len(idx))
+            if not idx:
+                assert got.smallest_eigenvalue == single.smallest_eigenvalue == 0.0
+                continue
+            scale = np.max(np.abs(single.matrix))
+            assert np.max(np.abs(got.matrix - single.matrix)) <= 1e-13 * scale
+            assert np.max(np.abs(got.stderr - single.stderr)) <= 1e-13 * np.max(single.stderr)
+            assert got.smallest_eigenvalue == pytest.approx(single.smallest_eigenvalue, rel=1e-13)
+            # reference: one dense product over all the samples at once
+            V = monomial_values(S.points, idx)
+            reference = (V * c[:, None]).T @ V.conj()
+            assert np.max(np.abs(got.matrix - reference)) <= 1e-12 * scale
+
+    def test_not_positive_definite_fires(self, wsphere12):
+        S = surface_samples(wsphere12, 5_000, 2)
+        negated = SampleSet(S.points, -S.weights, S.seed, S.method)
+        levels = {m: enumerate_multiindices(wsphere12.weights, m) for m in (4, 5)}
+        with pytest.raises(GramNotPositiveDefiniteError) as info:
+            gram_matrices(levels, wsphere12, measure=COMPLIANT, sample_set=negated)
+        assert info.value.smallest_eigenvalue < 0
+
+    def test_round_exact_levels(self, wsphere126):
+        levels = {m: enumerate_multiindices(wsphere126.weights, m) for m in (3, 6, 7)}
+        grams = gram_matrices(levels, wsphere126, measure=ROUND_EXACT)
+        for m, idx in levels.items():
+            assert grams[m].stderr is None
+            np.testing.assert_array_equal(
+                grams[m].matrix.diagonal, gram_matrix(idx, wsphere126).matrix.diagonal
+            )
+
+    def test_fourier_bases_match_fourier_basis(self, wsphere12):
+        bases = fourier_bases(wsphere12, [6, 3, 6, 5], samples=20_000, seed=1)
+        assert list(bases) == [6, 3, 5]
+        for m, B in bases.items():
+            single = fourier_basis(wsphere12, m, samples=20_000, seed=1)
+            assert B.level == m and B.indices == single.indices
+            assert np.max(np.abs(B.coeff_matrix - single.coeff_matrix)) <= 1e-12 * np.max(
+                np.abs(single.coeff_matrix)
+            )
 
 
 class TestOrthonormalize:

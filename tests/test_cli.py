@@ -68,13 +68,13 @@ def test_vanish_measure(capsys, monkeypatch, measure, used):
     from szegolab import basis
 
     measures = []
-    gram = basis.gram_matrix
+    grams = basis.gram_matrices
 
-    def recording_gram(*args, **kwargs):
-        measures.append(kwargs["measure"])
-        return gram(*args, **kwargs)
+    def recording_grams(level_indices, *args, **kwargs):
+        measures.extend(kwargs["measure"] for _ in level_indices)
+        return grams(level_indices, *args, **kwargs)
 
-    monkeypatch.setattr(basis, "gram_matrix", recording_gram)
+    monkeypatch.setattr(basis, "gram_matrices", recording_grams)
     code, out, _ = run_cli(capsys, "vanish", "--weights", "1,2", "--point", "0,1", "--m", "3",
                            "--measure", measure, "--samples", "20000")
     assert code == 0
@@ -121,6 +121,44 @@ def test_project_rejects_malformed_function(capsys, tmp_path, z_exponents):
     )
     assert code == 2
     assert "configuration error" in err
+
+
+def _sphere12_spec_without(key=None, term_key=None):
+    from szegolab.geometry import Manifold
+
+    spec = Manifold.sphere(2, (1, 2)).to_spec()
+    spec.pop(key, None)
+    if term_key is not None:
+        del spec["rho"][0][term_key]
+    return spec
+
+
+@pytest.mark.parametrize(
+    "command, payload, missing",
+    [
+        ("project", [{"coeff": "1", "z_exponents": [1, 0]}], "zbar_exponents"),
+        ("project", [{"coeff": "1", "zbar_exponents": [0, 0]}], "z_exponents"),
+        ("project", {"polynomial": []}, "terms"),
+        ("dims", _sphere12_spec_without("rho"), "rho"),
+        ("dims", _sphere12_spec_without("weights"), "weights"),
+        ("dims", _sphere12_spec_without(term_key="z_exponents"), "z_exponents"),
+        ("dims", _sphere12_spec_without(term_key="coeff"), "coeff"),
+    ],
+    ids=["function-term-zbar", "function-term-z", "function-terms", "spec-rho", "spec-weights",
+         "spec-term-z", "spec-term-coeff"],
+)
+def test_missing_json_key_is_config_error(capsys, tmp_path, command, payload, missing):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "project":
+        argv = ["project", "--weights", "1,2", "--point", "0.6,0.8", "--m", "0..2",
+                "--function", str(path)]
+    else:
+        argv = ["dims", "--manifold", str(path), "--m", "4"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "configuration error" in err
+    assert repr(missing) in err
 
 
 def test_embed_certificate(capsys, tmp_path):

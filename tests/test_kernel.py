@@ -176,6 +176,14 @@ class TestFitExpansion:
         assert all(m % 2 == 0 for m in fit.levels)
         assert fit.stratum_order == 2
 
+    def test_values_match_single_level_bases(self, wsphere12):
+        x = random_point(wsphere12, 4)
+        fit = fit_expansion(wsphere12, x, 10, 16, samples=30_000, seed=6)
+        assert fit.levels == tuple(range(10, 17))
+        for m, value in zip(fit.levels, fit.values):
+            B = fourier_basis(wsphere12, m, samples=30_000, seed=6)
+            assert value == pytest.approx(kernel_diagonal(B, x), rel=1e-12)
+
     def test_diagonal_growth_bounded(self, wsphere126):
         # S_m(x, x) / m^{n-1} stays within fixed positive bounds, at regular
         # and stabilized points alike (admissible levels only)
@@ -261,3 +269,44 @@ class TestRatio:
             points_per_ball=20, samples=60_000, seed=13,
         )
         assert rep.passing_m == 30 and rep.passing_radius == 0.1
+
+    def test_ratio_search_builds_each_level_once(self, wsphere12, monkeypatch):
+        from szegolab import basis
+        from szegolab.integrate import ball_points, surface_samples
+
+        x0 = wsphere12.point([0.0, 1.0])
+        candidates, radii, samples, seed = [3, 4, 5], [0.3, 0.1], 20_000, 2
+        # the search as one pair of single-level bases per candidate
+        S = surface_samples(wsphere12, samples, seed)
+        expected = []
+        for m in candidates:
+            B_low = fourier_basis(wsphere12, 2 * m, sample_set=S)
+            B_high = fourier_basis(wsphere12, 2 * (m + 1), sample_set=S)
+            for radius in radii:
+                worst_r, worst_i = 0.0, 0.0
+                for x in ball_points(wsphere12, x0, radius, 10, seed=seed + m, align_orbit=True):
+                    try:
+                        R, I = ratio_diagnostic(B_low, B_high, x, x0)
+                    except UndefinedRatioError:
+                        worst_r, worst_i = float("inf"), float("inf")
+                        break
+                    worst_r, worst_i = max(worst_r, abs(1.0 - R)), max(worst_i, abs(I))
+                expected.append((m, radius, worst_r, worst_i))
+
+        built = []
+        grams = basis.gram_matrices
+
+        def counting_grams(level_indices, *args, **kwargs):
+            built.extend(level_indices)
+            return grams(level_indices, *args, **kwargs)
+
+        monkeypatch.setattr(basis, "gram_matrices", counting_grams)
+        rep = ratio_search(
+            wsphere12, x0, m_candidates=candidates, radii=radii, sigma=1e-6,
+            points_per_ball=10, samples=samples, seed=seed,
+        )
+        assert sorted(built) == [6, 8, 10, 12]
+        assert rep.passing_m is None and rep.passing_radius is None
+        assert [a[:2] for a in rep.attempts] == [a[:2] for a in expected]
+        for got, want in zip(rep.attempts, expected):
+            assert got[2:] == pytest.approx(want[2:], rel=1e-9)
