@@ -31,7 +31,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import GramNotPositiveDefiniteError, RankDeficiencyError
-from .geometry import Manifold, SurfacePoint, WeightVector, monomial_products, power_table
+from .geometry import (
+    ROW_BLOCK,
+    Manifold,
+    SurfacePoint,
+    WeightVector,
+    gather_products,
+    monomial_products,
+    power_table,
+)
 from .integrate import SampleSet, compliant_density, sphere_area, surface_samples
 
 ROUND_EXACT = "round-exact"
@@ -39,8 +47,6 @@ COMPLIANT = "compliant-quadrature"
 
 DEFAULT_GRAM_SAMPLES = 200_000
 _CHUNK = 20_000
-# sample rows per block of the one-pass multi-level Gram assembly
-_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -228,15 +234,13 @@ def gram_matrices(
         S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
         N = S.count
         e_max = np.max([A.max(axis=0, initial=0) for A in exps.values()], axis=0).tolist()
-        for start in range(0, N, _BLOCK):
-            Z = S.points[start : start + _BLOCK]
-            c = S.weights[start : start + _BLOCK] * compliant_density(M, Z)
+        for start in range(0, N, ROW_BLOCK):
+            Z = S.points[start : start + ROW_BLOCK]
+            c = S.weights[start : start + ROW_BLOCK] * compliant_density(M, Z)
             Nc2 = N * c**2
             powers = [power_table(Z[:, k], e) for k, e in enumerate(e_max)]
             for level, A in exps.items():
-                V = powers[0][A[:, 0]]  # (d, rows): V[j, i] = z_i^{alpha_j}
-                for k in range(1, M.n):
-                    V *= powers[k][A[:, k]]
+                V = gather_products(powers, A)  # V[j, i] = z_i^{alpha_j}
                 G[level] += (V * c) @ V.conj().T
                 B = V.real**2 + V.imag**2
                 S2[level] += (B * Nc2) @ B.T

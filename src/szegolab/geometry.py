@@ -96,8 +96,8 @@ def require_keys(obj: dict, keys: Sequence[str], what: str) -> None:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
-# rows per block when a polynomial is contracted against its monomials
-_ROW_BLOCK = 2048
+# rows per block when many monomials are formed over many points
+ROW_BLOCK = 2048
 
 
 def power_table(base: np.ndarray, e_max: int) -> np.ndarray:
@@ -109,15 +109,25 @@ def power_table(base: np.ndarray, e_max: int) -> np.ndarray:
     return P
 
 
+def gather_products(powers: Sequence[np.ndarray], exps: np.ndarray) -> np.ndarray:
+    """W[t, i] = prod_k powers[k][exps[t, k], i]: the rows of the power tables
+    named by each exponent vector, multiplied together a table at a time."""
+    W = powers[0][exps[:, 0]]
+    for k in range(1, len(powers)):
+        W *= powers[k][exps[:, k]]
+    return W
+
+
 def monomial_products(Z: np.ndarray, A, B=None) -> np.ndarray:
     """Matrix V[i, t] = z_i^{A_t} zbar_i^{B_t} for points Z (N, n).
 
     A and B are (T, n) non-negative exponent arrays; B=None means holomorphic
-    monomials.  One power table per coordinate (and per conjugate coordinate);
-    each column starts as a copy of its first factor and is multiplied in place.
+    monomials.  One power table per coordinate (and per conjugate coordinate),
+    combined by gather_products.  V is returned C-ordered: a matrix product
+    against a transposed operand can round differently.
     """
     Z = np.asarray(Z, dtype=complex)
-    N, n = Z.shape
+    n = Z.shape[1]
     exps = np.asarray(A, dtype=np.int64).reshape(-1, n)
     bases = [Z[:, k] for k in range(n)]
     if B is not None:
@@ -126,14 +136,7 @@ def monomial_products(Z: np.ndarray, A, B=None) -> np.ndarray:
         bases += [Zc[:, k] for k in range(n)]
     e_maxes = exps.max(axis=0, initial=0).tolist()
     powers = [power_table(base, e_max) for base, e_max in zip(bases, e_maxes)]
-    V = np.empty((N, len(exps)), dtype=complex)
-    for j, e in enumerate(exps.tolist()):
-        col = powers[0][e[0]].copy()
-        for k in range(1, len(e)):
-            if e[k]:
-                col *= powers[k][e[k]]
-        V[:, j] = col
-    return V
+    return np.ascontiguousarray(gather_products(powers, exps).T)
 
 
 def _lower(e: tuple[int, ...], j):
@@ -215,9 +218,9 @@ class DefiningPolynomial:
         """
         A, B, C = table
         out = np.empty((Z.shape[0], C.shape[1]), dtype=float if real else complex)
-        for start in range(0, Z.shape[0], _ROW_BLOCK):
-            V = monomial_products(Z[start : start + _ROW_BLOCK], A, B)
-            out[start : start + _ROW_BLOCK] = (V.real if real else V) @ C
+        for start in range(0, Z.shape[0], ROW_BLOCK):
+            V = monomial_products(Z[start : start + ROW_BLOCK], A, B)
+            out[start : start + ROW_BLOCK] = (V.real if real else V) @ C
         return out
 
     def value(self, Z: np.ndarray) -> np.ndarray:

@@ -228,15 +228,12 @@ class TestGramMatrices:
                 grams[m].matrix.diagonal, gram_matrix(idx, wsphere126).matrix.diagonal
             )
 
-    def test_fourier_bases_match_fourier_basis(self, wsphere12):
-        bases = fourier_bases(wsphere12, [6, 3, 6, 5], samples=20_000, seed=1)
+    def test_fourier_bases_keeps_first_occurrence_order(self, wsphere12):
+        bases = fourier_bases(wsphere12, [6, 3, 6, 5], samples=2_000, seed=1)
         assert list(bases) == [6, 3, 5]
         for m, B in bases.items():
-            single = fourier_basis(wsphere12, m, samples=20_000, seed=1)
-            assert B.level == m and B.indices == single.indices
-            assert np.max(np.abs(B.coeff_matrix - single.coeff_matrix)) <= 1e-12 * np.max(
-                np.abs(single.coeff_matrix)
-            )
+            assert B.level == m
+            assert B.indices == tuple(enumerate_multiindices(wsphere12.weights, m))
 
 
 class TestOrthonormalize:
