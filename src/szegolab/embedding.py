@@ -192,9 +192,10 @@ def immersion_report(
     samples: int = 100,
     seed: int = 0,
     failure_floor: float = 1e-9,
+    strata: StrataOrders | None = None,
 ) -> ImmersionReport:
     """Smallest singular value of d Phi over a stratified sample of X."""
-    pts = stratified_points(Phi.manifold, samples, seed=seed)
+    pts = stratified_points(Phi.manifold, samples, seed=seed, strata=strata)
     records = []
     failures = []
     worst = math.inf
@@ -235,6 +236,7 @@ def separation_report(
     threshold: float = 0.05,
     seed: int = 0,
     violation_floor: float = 1e-9,
+    strata: StrataOrders | None = None,
 ) -> SeparationReport:
     """Certify that sampled distinct points have distinct images.
 
@@ -251,14 +253,15 @@ def separation_report(
     n_cross = pair_count // 3
     n_near = pair_count - n_orbit - n_cross
 
-    strata = M.strata_orders(seed=seed)
+    if strata is None:
+        strata = M.strata_orders(seed=seed)
     singular = strata.singular_patterns()
 
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     kinds: list[str] = []
 
-    base = [p for p, _, _ in stratified_points(M, n_orbit, seed=seed + 1)]
+    base = [p for p, _, _ in stratified_points(M, n_orbit, seed=seed + 1, strata=strata)]
     thetas = rng.uniform(0.0, 2 * math.pi, size=n_orbit)
     for x, t in zip(base, thetas):
         xs.append(x.coordinates)
@@ -278,7 +281,7 @@ def separation_report(
         ys.append(b.coordinates)
         kinds.append("cross-stratum" if singular else "regular")
 
-    near = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4)
+    near = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4, strata=strata)
     near_pool = [p for p, label, _ in near if label in ("near-stratum", "regular")]
     for i in range(n_near):
         a = near_pool[i % len(near_pool)]

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingError
-from .geometry import Manifold, SurfacePoint
+from .geometry import ROW_BLOCK, Manifold, SurfacePoint
 
-_BISECT_ITERS = 46
-_NEWTON_ITERS = 4
+# Termination guard for the per-ray iteration, not a tolerance: example2 rays
+# converge in at most 8 iterations.
+_MAX_ITERS = 60
 
 
 def sphere_area(n: int) -> float:
@@ -75,18 +76,21 @@ def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
 
     One evaluator pass gives each ray's coefficients of the real polynomial
     t -> rho(t u).  Doubling t from 1 up to t_max brackets the first sign
-    change seen at t = 1, 2, 4, ...; bisection narrows the bracket and a few
-    Newton steps, clipped to it, polish the root to rounding level.  Rays
-    still negative at the last doubling inside t_max get NaN.  Nothing checks
-    that a ray meets X only once: crossings in pairs between grid points go
-    unseen, and the root is a sign change inside the first bracket.
-    rho(0) >= 0 raises SamplingError.
+    change seen at t = 1, 2, 4, ...; rays still negative at the last doubling
+    inside t_max get NaN.  Each bracketed ray then runs a safeguarded Newton
+    iteration from the bracket's upper end, where rho >= 0: the sign of rho
+    shrinks the bracket, and a Newton step that leaves it is replaced by
+    bisection.  A ray stops once its step or its bracket is within 4 ulp of
+    t, or rho is exactly 0 there, so its root does not depend on the other
+    rays of the batch, nor on the blocks of geometry.ROW_BLOCK rays that the
+    iteration runs in.  Nothing checks that a ray meets X only once:
+    crossings in pairs between grid points go unseen, and the root is a sign
+    change inside the first bracket.  rho(0) >= 0 raises SamplingError.
     """
     U = np.asarray(U, dtype=complex)
     C = np.ascontiguousarray(M.rho.ray_coefficients(U).T)  # (degree + 1, N)
     if np.any(C[0] >= 0):
         raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
-    dC = C[1:] * np.arange(1, len(C))[:, None]
     lo = np.zeros(U.shape[0])
     hi = np.ones(U.shape[0])
     neg = _horner(C, hi) < 0
@@ -94,20 +98,43 @@ def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
         lo[grow] = hi[grow]
         hi[grow] *= 2.0
         neg[grow] = _horner(C[:, grow], hi[grow]) < 0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = _horner(C, mid) < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    t = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_ITERS):
+    roots = np.full(U.shape[0], np.nan)
+    bracketed = np.flatnonzero(~neg)
+    # Blocks of ROW_BLOCK rays keep the shrinking active-set copies small; one
+    # pass over all rays fragments the heap enough to raise the peak RSS of an
+    # example2 embed campaign by up to 2 MiB.
+    for start in range(0, bracketed.size, ROW_BLOCK):
+        block = bracketed[start : start + ROW_BLOCK]
+        roots[block] = _safeguarded_newton(C[:, block], lo[block], hi[block])
+    return roots
+
+
+def _safeguarded_newton(C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root per column of C (ascending coefficients) in (lo, hi], where f(lo) < 0 <= f(hi)."""
+    roots = np.empty(hi.shape)
+    idx = np.arange(hi.size)
+    degrees = np.arange(1, len(C))[:, None]
+    t = hi.copy()
+    for _ in range(_MAX_ITERS):
+        if idx.size == 0:
+            break
         f = _horner(C, t)
-        df = _horner(dC, t)
-        df = np.where(np.abs(df) < 1e-30, 1e-30, df)
-        step = np.clip(f / df, -0.25, 0.25)
-        t = np.clip(t - step, lo, hi)
-    t[neg] = np.nan
-    return t
+        below = f < 0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - f / _horner(C[1:] * degrees, t)
+        tol = 4.0 * np.spacing(t)
+        converged = np.abs(newton - t) <= tol
+        done = converged | (hi - lo <= tol) | (f == 0)
+        inside = (newton > lo) & (newton < hi)
+        t = np.where(f == 0, t, np.where(converged | inside, newton, 0.5 * (lo + hi)))
+        if np.any(done):
+            roots[idx[done]] = t[done]
+            live = ~done
+            idx, C, lo, hi, t = idx[live], C[:, live], lo[live], hi[live], t[live]
+    roots[idx] = t
+    return roots
 
 
 def _ray_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
@@ -297,6 +324,6 @@ def stratified_points(
         delta *= (0.2 + 0.8 * rng.random()) * near_distance * 0.9 / max(
             np.linalg.norm(delta), 1e-12
         )
-        z = project_radially(M, x.coordinates + delta)
-        out.append((M.point(z), "near-stratum", M.stratum_order(M.point(z))))
+        y = M.point(project_radially(M, x.coordinates + delta))
+        out.append((y, "near-stratum", M.stratum_order(y)))
     return out

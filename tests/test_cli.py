@@ -236,3 +236,23 @@ def test_reports_byte_identical(capsys, tmp_path):
         d2 / "fit.json"
     ).read_bytes().replace(str(d2).encode(), b"")
     assert (d1 / "fit.csv").read_bytes() == (d2 / "fit.csv").read_bytes()
+
+
+def test_embed_certifies_strata_once(capsys, monkeypatch):
+    from szegolab.geometry import Manifold
+
+    calls = []
+    strata_orders = Manifold.strata_orders
+
+    def counting_strata_orders(self, *args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return strata_orders(self, *args, **kwargs)
+
+    monkeypatch.setattr(Manifold, "strata_orders", counting_strata_orders)
+    code, out, _ = run_cli(
+        capsys, "embed", "--preset", "example2", "--m", "4", "--pairs", "12",
+        "--samples", "4000", "--immersion-samples", "6", "--seed", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["violations"] == []
+    assert calls == [3]

@@ -12,7 +12,7 @@ from oracles import holomorphic_derivative_fd
 
 from szegolab.basis import enumerate_multiindices, monomial_jacobian, monomial_values
 from szegolab.errors import SamplingError
-from szegolab.geometry import DefiningPolynomial, Manifold
+from szegolab.geometry import ROW_BLOCK, DefiningPolynomial, Manifold
 from szegolab.integrate import radial_roots, sample_hypersurface
 
 
@@ -111,24 +111,74 @@ def test_monomial_jacobian_matches_mpmath_and_finite_differences(example2):
             assert np.allclose(D[:, k], fd, rtol=1e-6, atol=1e-7)
 
 
+def _mp_first_ray_root(M, u):
+    """Smallest positive root of t -> rho(t u), from mpmath roots of its polynomial."""
+    coeffs = {}
+    for (a, b), c in M.rho.terms.items():
+        d = sum(a) + sum(b)
+        coeffs[d] = coeffs.get(d, 0) + mpmath.mpf(c.numerator) / c.denominator * mpmath.re(
+            _mp_monomial(u, a, b)
+        )
+    top = max(coeffs)
+    roots = mpmath.polyroots([coeffs.get(d, 0) for d in range(top, -1, -1)],
+                             maxsteps=400, extraprec=200)
+    positive = [mpmath.re(r) for r in roots
+                if abs(mpmath.im(r)) < mpmath.mpf(10) ** -25 and mpmath.re(r) > 0]
+    return float(min(positive))
+
+
 def test_radial_roots_match_mpmath_ray_polynomial(example2):
     rng = np.random.default_rng(8)
     U = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     t = radial_roots(example2, U)
     for u, root in zip(U, t):
-        coeffs = {}
-        for (a, b), c in example2.rho.terms.items():
-            d = sum(a) + sum(b)
-            coeffs[d] = coeffs.get(d, 0) + mpmath.mpf(c.numerator) / c.denominator * mpmath.re(
-                _mp_monomial(u, a, b)
-            )
-        top = max(coeffs)
-        roots = mpmath.polyroots([coeffs.get(d, 0) for d in range(top, -1, -1)],
-                                 maxsteps=400, extraprec=200)
-        positive = [mpmath.re(r) for r in roots
-                    if abs(mpmath.im(r)) < mpmath.mpf(10) ** -25 and mpmath.re(r) > 0]
-        assert abs(root - float(min(positive))) <= 1e-14 * root
+        assert abs(root - _mp_first_ray_root(example2, u)) <= 1e-14 * root
+
+
+def test_radial_roots_in_every_doubling_bracket():
+    """4|z1|^2 + |z1|^4 + |z2|^2/50 + |z2|^4/10^4 = 1: roots from 0.49 (z1 axis) to 6.4."""
+    terms = {
+        ((1, 0), (1, 0)): Fraction(4),
+        ((2, 0), (2, 0)): Fraction(1),
+        ((0, 1), (0, 1)): Fraction(1, 50),
+        ((0, 2), (0, 2)): Fraction(1, 10_000),
+        ((0, 0), (0, 0)): Fraction(-1),
+    }
+    M = Manifold(2, (1, 2), DefiningPolynomial(2, terms))
+    s = np.linspace(0.0, 1.0, 41)
+    U = np.stack([np.sqrt(1.0 - s), np.sqrt(s) * np.exp(0.7j)], axis=1)
+    t = radial_roots(M, U)
+    for lo, hi in [(0, 1), (1, 2), (2, 4), (4, 8)]:
+        assert np.any((t > lo) & (t < hi))
+    for u, root in zip(U, t):
+        assert abs(root - _mp_first_ray_root(M, u)) <= 1e-14 * root
+
+
+def test_radial_roots_bisect_when_newton_leaves_bracket():
+    """rho(t e1) = -1 + 10 t^2 - 8 t^4 falls at t = 1, so Newton from there steps past 1."""
+    terms = {
+        ((1, 0), (1, 0)): Fraction(10),
+        ((2, 0), (2, 0)): Fraction(-8),
+        ((0, 1), (0, 1)): Fraction(1),
+        ((0, 0), (0, 0)): Fraction(-1),
+    }
+    M = Manifold(2, (1, 2), DefiningPolynomial(2, terms))
+    U = np.array([[1.0, 0.0]], dtype=complex)
+    ray = np.polynomial.Polynomial(M.rho.ray_coefficients(U)[0])
+    assert ray(1.0) > 0 and 1.0 - ray(1.0) / ray.deriv()(1.0) > 1.0
+    root = radial_roots(M, U)[0]
+    assert abs(root - _mp_first_ray_root(M, U[0])) <= 1e-14 * root
+
+
+def test_radial_roots_of_a_ray_do_not_depend_on_the_batch(example2):
+    rng = np.random.default_rng(9)
+    U = rng.normal(size=(ROW_BLOCK + 40, 3)) + 1j * rng.normal(size=(ROW_BLOCK + 40, 3))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    batch = radial_roots(example2, U)
+    near_block_edge = slice(ROW_BLOCK - 40, None)
+    single = np.array([radial_roots(example2, u[None, :])[0] for u in U[near_block_edge]])
+    np.testing.assert_allclose(single, batch[near_block_edge], rtol=1e-15, atol=0)
 
 
 @pytest.fixture(scope="module")
