@@ -46,7 +46,6 @@ ROUND_EXACT = "round-exact"
 COMPLIANT = "compliant-quadrature"
 
 DEFAULT_GRAM_SAMPLES = 200_000
-_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -405,9 +404,9 @@ def eval_basis_batch(B: FourierBasis, Z: np.ndarray) -> np.ndarray:
         return np.zeros((np.asarray(Z).shape[0], 0), dtype=complex)
     out = np.empty((np.asarray(Z).shape[0], B.d), dtype=complex)
     Z = np.asarray(Z, dtype=complex)
-    for start in range(0, Z.shape[0], _CHUNK):
-        V = monomial_values(Z[start : start + _CHUNK], B.indices)
-        out[start : start + _CHUNK] = apply_coeff_right(V, B.coeff_matrix)
+    for start in range(0, Z.shape[0], ROW_BLOCK):
+        V = monomial_values(Z[start : start + ROW_BLOCK], B.indices)
+        out[start : start + ROW_BLOCK] = apply_coeff_right(V, B.coeff_matrix)
     return out
 
 

@@ -246,6 +246,13 @@ def separation_report(
     quotient distance above the threshold the image distance must clear a
     scale-relative floor; same-orbit pairs are held to the same floor once
     the ambient distance is above the threshold.
+
+    The point sets are drawn per call: same-orbit bases from
+    stratified_points(seed + 1) rotated by angles drawn from seed, regular
+    cross points from seed + 2 against one support_pattern_points call seeded
+    seed + 3000 (seed + 3 when the action is free), and the near-stratum pool
+    from stratified_points(seed + 4).  Strata are certified with seed unless
+    given.
     """
     M = Phi.manifold
     rng = _rng(seed)
@@ -257,41 +264,31 @@ def separation_report(
         strata = M.strata_orders(seed=seed)
     singular = strata.singular_patterns()
 
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    kinds: list[str] = []
+    def coordinates(points):
+        return np.array([x.coordinates for x in points]).reshape(-1, M.n)
 
-    base = [p for p, _, _ in stratified_points(M, n_orbit, seed=seed + 1, strata=strata)]
-    thetas = rng.uniform(0.0, 2 * math.pi, size=n_orbit)
-    for x, t in zip(base, thetas):
-        xs.append(x.coordinates)
-        ys.append(M.act(float(t), x).coordinates)
-        kinds.append("same-orbit")
+    base = stratified_points(M, n_orbit, seed=seed + 1, strata=strata)
+    X_orbit = coordinates(x for x, _, _ in base[:n_orbit])
+    Y_orbit = M.act_coordinates(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
 
-    a_pts = random_surface_points(M, n_cross, seed + 2)
+    X_cross = coordinates(random_surface_points(M, n_cross, seed + 2))
     if singular:
-        b_pts = []
-        for i in range(n_cross):
-            support, _ = singular[i % len(singular)]
-            b_pts.append(support_pattern_points(M, support, 1, seed + 3000 + i)[0])
+        supports = [singular[i % len(singular)][0] for i in range(n_cross)]
+        Y_cross = coordinates(support_pattern_points(M, supports, seed + 3000))
     else:
-        b_pts = random_surface_points(M, n_cross, seed + 3)
-    for a, b in zip(a_pts, b_pts):
-        xs.append(a.coordinates)
-        ys.append(b.coordinates)
-        kinds.append("cross-stratum" if singular else "regular")
+        Y_cross = coordinates(random_surface_points(M, n_cross, seed + 3))
 
     near = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4, strata=strata)
-    near_pool = [p for p, label, _ in near if label in ("near-stratum", "regular")]
-    for i in range(n_near):
-        a = near_pool[i % len(near_pool)]
-        b = near_pool[(i * 7 + 1) % len(near_pool)]
-        xs.append(a.coordinates)
-        ys.append(b.coordinates)
-        kinds.append("near-stratum")
+    pool = coordinates(x for x, label, _ in near if label in ("near-stratum", "regular"))
+    i = np.arange(n_near)
+    X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
 
-    X = np.asarray(xs)
-    Y = np.asarray(ys)
+    X = np.concatenate([X_orbit, X_cross, X_near])
+    Y = np.concatenate([Y_orbit, Y_cross, Y_near])
+    kinds = np.repeat(
+        ["same-orbit", "cross-stratum" if singular else "regular", "near-stratum"],
+        [n_orbit, n_cross, n_near],
+    )
     qd, _ = M.orbit_distance_batch(X, Y)
     ambient = np.linalg.norm(X - Y, axis=1)
     FX = evaluate_batch(Phi, X)
@@ -300,39 +297,32 @@ def separation_report(
     scale = float(np.median(np.linalg.norm(FX, axis=1))) or 1.0
     floor = violation_floor * scale
 
+    separated = qd > threshold
+    same_orbit_distinct = (kinds == "same-orbit") & (ambient > threshold)
     violations = []
-    min_sep = math.inf
-    min_orbit = math.inf
-    for i in range(len(kinds)):
-        separated = qd[i] > threshold
-        same_orbit_distinct = kinds[i] == "same-orbit" and ambient[i] > threshold
-        if separated:
-            min_sep = min(min_sep, img[i])
-        if same_orbit_distinct:
-            min_orbit = min(min_orbit, img[i])
-        if (separated or same_orbit_distinct) and img[i] < floor:
-            violations.append(
-                {
-                    "kind": kinds[i],
-                    "x": X[i].tolist(),
-                    "y": Y[i].tolist(),
-                    "quotient_distance": float(qd[i]),
-                    "ambient_distance": float(ambient[i]),
-                    "image_distance": float(img[i]),
-                    "strata": [
-                        int(M.stratum_order(M.point(X[i]))),
-                        int(M.stratum_order(M.point(Y[i]))),
-                    ],
-                    "offending_coordinates": np.where(
-                        np.abs(FX[i] - FY[i]) == np.max(np.abs(FX[i] - FY[i]))
-                    )[0].tolist(),
-                }
-            )
+    for i in np.flatnonzero((separated | same_orbit_distinct) & (img < floor)):
+        violations.append(
+            {
+                "kind": str(kinds[i]),
+                "x": X[i].tolist(),
+                "y": Y[i].tolist(),
+                "quotient_distance": float(qd[i]),
+                "ambient_distance": float(ambient[i]),
+                "image_distance": float(img[i]),
+                "strata": [
+                    int(M.stratum_order(M.point(X[i]))),
+                    int(M.stratum_order(M.point(Y[i]))),
+                ],
+                "offending_coordinates": np.where(
+                    np.abs(FX[i] - FY[i]) == np.max(np.abs(FX[i] - FY[i]))
+                )[0].tolist(),
+            }
+        )
     return SeparationReport(
         pair_count=len(kinds),
         threshold=threshold,
-        min_image_distance=float(min_sep),
-        min_same_orbit_image_distance=float(min_orbit),
+        min_image_distance=float(np.min(img[separated], initial=math.inf)),
+        min_same_orbit_image_distance=float(np.min(img[same_orbit_distinct], initial=math.inf)),
         violations=tuple(violations),
         image_scale=scale,
     )

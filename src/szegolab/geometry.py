@@ -419,12 +419,18 @@ class Manifold:
         Z = np.asarray(coordinates, dtype=complex)
         if Z.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates, got shape {Z.shape}")
-        residual = abs(float(self.rho.value(Z)))
-        if residual > self.surface_tolerance:
+        return self.points(Z[None, :])[0]
+
+    def points(self, Z: np.ndarray) -> list[SurfacePoint]:
+        """A SurfacePoint per row of Z (N, n), all residuals from one rho pass."""
+        Z = np.asarray(Z, dtype=complex)
+        residuals = np.abs(self.rho.value(Z))
+        off = np.flatnonzero(residuals > self.surface_tolerance)
+        if off.size:
             raise NotOnSurfaceError(
-                f"|rho(x)| = {residual:.3e} exceeds tolerance {self.surface_tolerance:.1e}"
+                f"|rho(x)| = {residuals[off[0]]:.3e} exceeds tolerance {self.surface_tolerance:.1e}"
             )
-        return SurfacePoint(Z, residual)
+        return [SurfacePoint(z, float(r)) for z, r in zip(Z, residuals)]
 
     def act(self, theta: float, x: SurfacePoint) -> SurfacePoint:
         Z = x.coordinates * self.weights.phases(theta)

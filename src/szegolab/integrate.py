@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -200,48 +201,55 @@ def integrate_surface(f, S: SampleSet, density=None) -> tuple[complex, float]:
 
 # -- structured point generators ------------------------------------------
 
+# Rounds of redraws before a structured point generator gives up; a guard, not
+# a tuning knob: certified support patterns and balls around points of X are
+# realized in the first round or two.
+_MAX_ROUNDS = 200
+
 
 def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:
-    """Map ambient points to X along rays from the origin."""
+    """Map ambient points, one (n,) or a batch (N, n), to X along rays from the origin."""
     Z = np.asarray(Z, dtype=complex)
-    norms = np.linalg.norm(Z, axis=-1, keepdims=True)
-    U = Z / norms
+    U = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
     if M.kind == "sphere":
         return U
-    single = U.ndim == 1
-    Ub = U[None, :] if single else U
-    t = _ray_roots(M, Ub)
-    X = Ub * t[:, None]
-    return X[0] if single else X
+    return U * _ray_roots(M, U.reshape(-1, M.n)).reshape(U.shape[:-1] + (1,))
 
 
 def random_surface_points(M: Manifold, count: int, seed: int = 0) -> list[SurfacePoint]:
-    S = surface_samples(M, count, seed)
-    return [M.point(z) for z in S.points]
+    return M.points(surface_samples(M, count, seed).points)
 
 
 def support_pattern_points(
-    M: Manifold, support: tuple[int, ...], count: int, seed: int = 0
+    M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0
 ) -> list[SurfacePoint]:
-    """Points of X supported exactly on the given coordinate subset."""
+    """One point of X per support tuple in supports, nonzero exactly on that tuple.
+
+    The whole call draws from one generator seeded by seed.  In each round
+    every pending point draws a direction with zeros off its support;
+    directions with a support coordinate below 1e-3 in modulus are redrawn,
+    and the rest go through one radial_roots call.  Rays without a root are
+    redrawn in the next round.  A point still pending after _MAX_ROUNDS
+    rounds raises SamplingError naming its pattern.
+    """
     rng = _rng(seed)
-    out: list[SurfacePoint] = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > 50 * count + 50:
-            raise SamplingError(f"could not realize support pattern {support}")
-        u = np.zeros(M.n, dtype=complex)
-        g = rng.normal(size=(len(support), 2))
-        u[list(support)] = g[:, 0] + 1j * g[:, 1]
-        if np.min(np.abs(u[list(support)])) < 1e-3:
-            continue
-        try:
-            x = project_radially(M, u)
-        except SamplingError:
-            continue
-        out.append(M.point(x))
-    return out
+    on = np.zeros((len(supports), M.n), dtype=bool)
+    for i, support in enumerate(supports):
+        on[i, list(support)] = True
+    X = np.empty(on.shape, dtype=complex)
+    pending = np.arange(len(supports))
+    for _ in range(_MAX_ROUNDS):
+        g = rng.normal(size=(pending.size, M.n, 2))
+        U = np.where(on[pending], g[..., 0] + 1j * g[..., 1], 0.0)
+        drawn = np.flatnonzero(np.all((np.abs(U) >= 1e-3) | ~on[pending], axis=1))
+        U = U[drawn] / np.linalg.norm(U[drawn], axis=1, keepdims=True)
+        t = np.ones(drawn.size) if M.kind == "sphere" else radial_roots(M, U)
+        hit = np.isfinite(t)
+        X[pending[drawn[hit]]] = U[hit] * t[hit, None]
+        pending = np.delete(pending, drawn[hit])
+        if pending.size == 0:
+            return M.points(X)
+    raise SamplingError(f"could not realize support pattern {tuple(supports[pending[0]])}")
 
 
 def ball_points(
@@ -254,29 +262,29 @@ def ball_points(
 ) -> list[SurfacePoint]:
     """Points of X within ambient distance `radius` of x0.
 
-    With align_orbit=True each point is rotated to the orbit representative
-    closest to x0, probing the transverse neighborhood of the orbit.
+    Each round projects `count` candidate steps around x0 at once and keeps
+    those within the radius; the first `count` kept over the rounds are
+    returned.  With align_orbit=True each candidate is rotated to the orbit
+    representative closest to x0, probing the transverse neighborhood of the
+    orbit, and the radius test is applied again.
     """
     rng = _rng(seed)
     z0 = x0.coordinates
-    out: list[SurfacePoint] = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > 200 * count + 200:
-            raise SamplingError("ball sampling failed; radius too small?")
-        g = rng.normal(size=(M.n, 2))
-        step = (g[:, 0] + 1j * g[:, 1]) * radius / math.sqrt(2 * M.n)
-        z = project_radially(M, z0 + step)
-        if np.linalg.norm(z - z0) > radius:
-            continue
+    kept: list[np.ndarray] = []
+    found = 0
+    for _ in range(_MAX_ROUNDS):
+        g = rng.normal(size=(count, M.n, 2))
+        Z = project_radially(M, z0 + (g[..., 0] + 1j * g[..., 1]) * radius / math.sqrt(2 * M.n))
+        Z = Z[np.linalg.norm(Z - z0, axis=1) <= radius]
         if align_orbit:
-            _, theta = M.orbit_distance_batch(z0[None, :], z[None, :])
-            z = M.act_coordinates(float(theta[0]), z[None, :])[0]
-            if np.linalg.norm(z - z0) > radius:
-                continue
-        out.append(M.point(z))
-    return out
+            _, theta = M.orbit_distance_batch(np.broadcast_to(z0, Z.shape), Z)
+            Z = M.act_coordinates(theta, Z)
+            Z = Z[np.linalg.norm(Z - z0, axis=1) <= radius]
+        kept.append(Z)
+        found += len(Z)
+        if found >= count:
+            return M.points(np.concatenate(kept)[:count])
+    raise SamplingError("ball sampling failed; radius too small?")
 
 
 def stratified_points(
@@ -289,41 +297,40 @@ def stratified_points(
     """Sample mix: 40% regular, 40% on singular strata, 20% near them.
 
     Returns (point, label, stratum_order) triples.  On manifolds with a free
-    action everything is regular.
+    action everything is regular.  The singular patterns are used in turn.
+    Regular points come from random_surface_points(seed); the on-stratum
+    points from one support_pattern_points call seeded seed + 1000; the
+    near-stratum points perturb the off-support coordinates of the points of
+    a second call, seeded seed + 5000, by a step of length between 0.18 and
+    0.9 times near_distance drawn from seed, and project the results back to
+    X together.  Each of those calls redraws a ray at most a fixed number of
+    rounds before raising SamplingError.
     """
     if strata is None:
         strata = M.strata_orders(seed=seed)
     singular = strata.singular_patterns()
-    rng = _rng(seed)
-    out: list[tuple[SurfacePoint, str, int]] = []
     if not singular:
-        for x in random_surface_points(M, count, seed):
-            out.append((x, "regular", M.stratum_order(x)))
-        return out
+        return [(x, "regular", M.stratum_order(x)) for x in random_surface_points(M, count, seed)]
     n_regular = max(1, int(round(0.4 * count)))
     n_singular = max(len(singular), int(round(0.4 * count)))
     n_near = max(1, count - n_regular - n_singular)
-    for x in random_surface_points(M, n_regular, seed):
-        out.append((x, "regular", M.stratum_order(x)))
-    for i in range(n_singular):
-        support, k = singular[i % len(singular)]
-        x = support_pattern_points(M, support, 1, seed + 1000 + i)[0]
-        out.append((x, "stratum", k))
-    for i in range(n_near):
-        support, k = singular[i % len(singular)]
-        x = support_pattern_points(M, support, 1, seed + 5000 + i)[0]
-        g = rng.normal(size=(M.n, 2))
-        delta = (g[:, 0] + 1j * g[:, 1])
-        off = [j for j in range(M.n) if j not in support]
-        if off:
-            # perturb only off-support coordinates so the distance to the
-            # stratum locus is controlled by the perturbation size
-            mask = np.zeros(M.n)
-            mask[off] = 1.0
-            delta = delta * mask
-        delta *= (0.2 + 0.8 * rng.random()) * near_distance * 0.9 / max(
-            np.linalg.norm(delta), 1e-12
-        )
-        y = M.point(project_radially(M, x.coordinates + delta))
-        out.append((y, "near-stratum", M.stratum_order(y)))
+    out = [(x, "regular", M.stratum_order(x)) for x in random_surface_points(M, n_regular, seed)]
+    on_stratum = [singular[i % len(singular)] for i in range(n_singular)]
+    points = support_pattern_points(M, [support for support, _ in on_stratum], seed + 1000)
+    out += [(x, "stratum", k) for x, (_, k) in zip(points, on_stratum)]
+    near = [singular[i % len(singular)][0] for i in range(n_near)]
+    base = np.array([x.coordinates for x in support_pattern_points(M, near, seed + 5000)])
+    rng = _rng(seed)
+    g = rng.normal(size=(n_near, M.n, 2))
+    # a singular pattern never covers every coordinate; perturbing only the
+    # off-support ones keeps the distance to the stratum locus controlled by
+    # the perturbation size
+    off = np.ones((n_near, M.n), dtype=bool)
+    for i, support in enumerate(near):
+        off[i, list(support)] = False
+    delta = np.where(off, g[..., 0] + 1j * g[..., 1], 0.0)
+    size = (0.2 + 0.8 * rng.random(n_near)) * near_distance * 0.9
+    delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
+    Y = M.points(project_radially(M, base + delta))
+    out += [(y, "near-stratum", M.stratum_order(y)) for y in Y]
     return out

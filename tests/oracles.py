@@ -69,3 +69,32 @@ def sphere2_kernel_closed_form(m, x, y):
     """S_m(x, y) on the standard sphere in C^2: (m+1)/(2 pi^2) <x, y>^m."""
     inner = np.sum(np.asarray(x) * np.asarray(y).conj())
     return (m + 1) / (2 * np.pi**2) * inner**m
+
+
+def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
+    """Coordinates (count, n) of ball_points drawn one candidate at a time.
+
+    The per-try loop that the batched generator replaced: one direction, one
+    radial projection and one orbit alignment per candidate, from the same
+    Philox stream.
+    """
+    import math
+
+    from szegolab.integrate import project_radially
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    z0 = x0.coordinates
+    out = []
+    while len(out) < count:
+        g = rng.normal(size=(M.n, 2))
+        step = (g[:, 0] + 1j * g[:, 1]) * radius / math.sqrt(2 * M.n)
+        z = project_radially(M, z0 + step)
+        if np.linalg.norm(z - z0) > radius:
+            continue
+        if align_orbit:
+            _, theta = M.orbit_distance_batch(z0[None, :], z[None, :])
+            z = M.act_coordinates(float(theta[0]), z[None, :])[0]
+            if np.linalg.norm(z - z0) > radius:
+                continue
+        out.append(z)
+    return np.array(out)

@@ -143,9 +143,9 @@ def test_criterion_06_minimal_weight_law(sphere2, wsphere12, wsphere126):
                 assert Phi.min_weight > m0
 
 
-def test_criterion_07_immersion_certificate(sphere2, wsphere12, wsphere126):
+def test_criterion_07_immersion_certificate(sphere2, wsphere12, wsphere126, example2):
     with criterion(7, "positive immersion floor, stable across seeds", 60):
-        for M, m in ((sphere2, 2), (wsphere12, 4), (wsphere126, 4)):
+        for M, m in ((sphere2, 2), (wsphere12, 4), (wsphere126, 4), (example2, 4)):
             Phi = build_embedding(M, m)
             floors = []
             for seed in (1, 2, 3):
@@ -156,9 +156,9 @@ def test_criterion_07_immersion_certificate(sphere2, wsphere12, wsphere126):
             assert max(floors) <= 1.2 * min(floors), floors
 
 
-def test_criterion_08_separation_certificate(sphere2, wsphere12, wsphere126):
+def test_criterion_08_separation_certificate(sphere2, wsphere12, wsphere126, example2):
     with criterion(8, "zero separation violations; phase-pair failure detected", 120):
-        for M, m in ((sphere2, 2), (wsphere12, 4), (wsphere126, 4)):
+        for M, m in ((sphere2, 2), (wsphere12, 4), (wsphere126, 4), (example2, 4)):
             Phi = build_embedding(M, m)
             rep = separation_report(Phi, pair_count=10_000, threshold=0.05, seed=11)
             assert rep.violations == (), rep.violations[:1]

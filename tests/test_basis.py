@@ -336,40 +336,3 @@ class TestEvaluation:
         M = Manifold.sphere(2, (2, 3))
         B = fourier_basis(M, 1, measure=ROUND_EXACT)
         assert B.d == 0
-
-
-class TestCache:
-    def test_roundtrip(self, tmp_path, wsphere12):
-        from szegolab.cache import basis_cache_path, load_basis, save_basis
-
-        B = fourier_basis(wsphere12, 8, measure=COMPLIANT, samples=20_000, seed=2)
-        path = basis_cache_path(tmp_path, wsphere12, 8, COMPLIANT, 2, 20_000)
-        save_basis(path, B)
-        B2 = load_basis(path)
-        assert B2.level == B.level
-        assert B2.indices == B.indices
-        assert np.allclose(np.asarray(B2.coeff_matrix), np.asarray(B.coeff_matrix))
-        x = random_point(wsphere12, 3)
-        assert np.allclose(eval_basis(B2, x), eval_basis(B, x))
-
-    def test_roundtrip_diagonal(self, tmp_path, sphere2):
-        from szegolab.cache import basis_cache_path, load_basis, save_basis
-
-        B = fourier_basis(sphere2, 5)
-        path = basis_cache_path(tmp_path, sphere2, 5, B.measure, 0, 0)
-        save_basis(path, B)
-        B2 = load_basis(path)
-        x = random_point(sphere2, 9)
-        assert np.allclose(eval_basis(B2, x), eval_basis(B, x))
-
-    def test_sample_set_roundtrip(self, tmp_path, example2):
-        from szegolab.cache import load_samples, sample_cache_path, save_samples
-        from szegolab.integrate import sample_hypersurface
-
-        S = sample_hypersurface(example2, 500, seed=4)
-        path = sample_cache_path(tmp_path, example2, 500, 4, S.method)
-        save_samples(path, S)
-        S2 = load_samples(path)
-        assert S2.method == S.method and S2.seed == S.seed
-        assert np.array_equal(S2.points, S.points)
-        assert np.array_equal(S2.weights, S.weights)

@@ -67,6 +67,28 @@ class TestConstruction:
         with pytest.raises(NotOnSurfaceError):
             sphere2.point([1.0, 1.0])
 
+    def test_points_match_point_row_by_row(self, example2):
+        from szegolab.integrate import sample_hypersurface
+
+        Z = sample_hypersurface(example2, 300, seed=3).points
+        batch = example2.points(Z)
+        assert len(batch) == len(Z)
+        for z, x in zip(Z, batch):
+            single = example2.point(z)
+            assert np.array_equal(x.coordinates, z)
+            assert abs(x.residual - single.residual) <= 1e-15
+
+    def test_points_reject_an_off_surface_row(self, example2):
+        from szegolab.integrate import sample_hypersurface
+
+        Z = sample_hypersurface(example2, 50, seed=4).points.copy()
+        Z[17] *= 1.01
+        with pytest.raises(NotOnSurfaceError) as batch:
+            example2.points(Z)
+        with pytest.raises(NotOnSurfaceError) as single:
+            example2.point(Z[17])
+        assert str(batch.value) == str(single.value)
+
 
 class TestAction:
     def test_act_rotates_by_weights(self, wsphere12):

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_point
+from oracles import ball_points_loop
+
+import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_values, sphere_monomial_norm_sq
 from szegolab.errors import SamplingError
 from szegolab.integrate import (
+    ball_points,
     compliant_density,
     integrate_surface,
     sample_hypersurface,
     sample_sphere,
     sphere_area,
     stratified_points,
+    support_pattern_points,
     surface_samples,
 )
 
@@ -154,3 +160,59 @@ def test_stratified_points_cover_patterns(wsphere126):
 def test_stratified_points_free_action(sphere3):
     pts = stratified_points(sphere3, 20, seed=1)
     assert all(label == "regular" for _, label, _ in pts)
+
+
+def test_stratified_points_root_calls_do_not_grow_with_count(example2, monkeypatch):
+    strata = example2.strata_orders(seed=0)
+    calls = []
+    real = integrate.radial_roots
+
+    def counting(M, U, *args, **kwargs):
+        calls.append(len(U))
+        return real(M, U, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "radial_roots", counting)
+    counts = []
+    for count in (30, 300):
+        calls.clear()
+        pts = stratified_points(example2, count, seed=0, strata=strata)
+        assert len(pts) == count
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
+def test_support_pattern_points_realize_each_support(example2):
+    supports = [(2,), (1, 2), (1,), (2,)] * 5
+    pts = support_pattern_points(example2, supports, seed=9)
+    for x, support in zip(pts, supports):
+        assert example2.stratum_info(x).support == support
+        assert x.residual <= example2.surface_tolerance
+
+
+def test_support_pattern_points_name_an_unrealizable_pattern():
+    from fractions import Fraction
+
+    from szegolab.geometry import DefiningPolynomial, Manifold
+
+    # |z1|^2 + 1e-4 |z2|^2 = 1: the z2 axis meets X at |z2| = 100, beyond t_max
+    terms = {
+        ((1, 0), (1, 0)): Fraction(1),
+        ((0, 1), (0, 1)): Fraction(1, 10_000),
+        ((0, 0), (0, 0)): Fraction(-1),
+    }
+    M = Manifold(2, (1, 2), DefiningPolynomial(2, terms))
+    with pytest.raises(SamplingError, match=r"support pattern \(1,\)"):
+        support_pattern_points(M, [(0,), (1,)], seed=0)
+
+
+@pytest.mark.parametrize("align_orbit", [False, True])
+@pytest.mark.parametrize("preset, radius", [("wsphere12", 0.1), ("example2", 0.3)])
+def test_ball_points_match_per_try_loop(request, preset, radius, align_orbit):
+    M = request.getfixturevalue(preset)
+    x0 = random_point(M, 5)
+    got = np.array(
+        [x.coordinates for x in ball_points(M, x0, radius, 50, seed=8, align_orbit=align_orbit)]
+    )
+    ref = ball_points_loop(M, x0, radius, 50, seed=8, align_orbit=align_orbit)
+    assert got.shape == ref.shape == (50, M.n)
+    assert np.max(np.abs(got - ref)) <= 1e-15
