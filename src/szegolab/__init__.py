@@ -28,13 +28,7 @@ from .embedding import (
     separation_report,
 )
 from .fourier import OrbitQuadrature, check_T_eigen, circle_average, component_orthogonality, default_quadrature
-from .geometry import (
-    LeviData,
-    Manifold,
-    SurfacePoint,
-    WeightVector,
-    levi_bracket_oracle,
-)
+from .geometry import LeviData, Manifold, SurfacePoint, WeightVector
 from .integrate import SampleSet, integrate_surface, sample_hypersurface, sample_sphere
 from .kernel import (
     DecayProfile,

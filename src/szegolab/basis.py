@@ -7,18 +7,23 @@ with closed-form entries
 
     integral over S^{2n-1} of |z^alpha|^2 dS = 2 pi^n alpha! / (n - 1 + |alpha|)!
 
-carried exactly as (rational, pi-power) pairs.  For the compliant measure or
-a general hypersurface the Gram matrix is estimated by Monte Carlo with
-per-entry standard errors.  Orthonormalization is Cholesky whitening.
+carried exactly as (rational, pi-power) pairs.  Under the compliant measure
+on a torus-invariant manifold (every term of rho is z^a zbar^a, as on every
+sphere) the Gram matrix is diagonal too, and its entries are integrals over
+the simplex of s = (|z_1|^2, ..., |z_n|^2); they come from the deterministic
+Gauss-Legendre rule of integrate.torus_quadrature, so the sample count and
+seed do not affect them.  On other manifolds, or when a sample set is
+passed, the Gram matrix is estimated by Monte Carlo with per-entry standard
+errors.  Orthonormalization is Cholesky whitening.
 
-The kernels are studied over many levels on one sample set, so the Gram
-matrices of all requested levels are assembled in one pass over it
-(gram_matrices, fourier_bases).  The pass runs in blocks of sample rows; per
-block it evaluates the weighted compliant density once, builds one power
-table per coordinate up to the largest exponent any level needs, gathers each
-level's monomial rows from those tables, and adds them to that level's matrix
-and second-moment accumulator.  The one-level functions gram_matrix and
-fourier_basis go through the same pass.
+The kernels are studied over many levels on one rule or sample set, so the
+Gram matrices of all requested levels are assembled in one pass over it
+(gram_matrices, fourier_bases).  The pass runs in blocks of rows; per block
+it evaluates the weighted compliant density once, builds one power table per
+coordinate up to the largest exponent any level needs, gathers each level's
+monomial rows from those tables, and adds them to that level's diagonal, or
+to its matrix and second-moment accumulator.  The one-level functions
+gram_matrix and fourier_basis go through the same pass.
 """
 
 from __future__ import annotations
@@ -40,7 +45,14 @@ from .geometry import (
     monomial_products,
     power_table,
 )
-from .integrate import SampleSet, compliant_density, sphere_area, surface_samples
+from .integrate import (
+    SampleSet,
+    compliant_density,
+    sphere_area,
+    surface_samples,
+    torus_invariant,
+    torus_quadrature,
+)
 
 ROUND_EXACT = "round-exact"
 COMPLIANT = "compliant-quadrature"
@@ -183,6 +195,7 @@ class GramEstimate:
     stderr: np.ndarray | None  # None for exact measures
     measure: str
     smallest_eigenvalue: float
+    largest_eigenvalue: float
 
 
 def gram_matrices(
@@ -197,11 +210,14 @@ def gram_matrices(
 
     level_indices maps each level m to monomials of weighted degree m.
     round-exact is available on sphere-kind manifolds only and is diagonal by
-    torus invariance.  compliant-quadrature draws (or reuses) one sample set
-    and reweights it by the compliant volume density; one pass over its rows,
-    block by block, accumulates every level's matrix and the second moments
-    behind its per-entry standard errors.  Each result is Hermitized and must
-    be positive definite within noise.
+    torus invariance.  compliant-quadrature reweights a rule on X by the
+    compliant volume density.  On a torus-invariant X with no sample_set given
+    the Gram matrices are diagonal, and their entries come from the
+    deterministic simplex rule of torus_quadrature; samples and seed are then
+    unused.  Otherwise one sample set is drawn (or the given one is used), and
+    one pass over its rows, block by block, accumulates every level's matrix
+    and the second moments behind its per-entry standard errors.  Each result
+    is Hermitized and must be positive definite (within noise).
     """
     for level, indices in level_indices.items():
         degrees = {mi.weighted_degree for mi in indices}
@@ -213,31 +229,35 @@ def gram_matrices(
     if measure == ROUND_EXACT:
         if M.kind != "sphere":
             raise ValueError("round-exact measure requires a sphere-kind manifold")
-        out = {}
-        for level, indices in level_indices.items():
-            diag = np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices])
-            out[level] = GramEstimate(
-                DiagonalMatrix(diag), None, measure, float(diag.min()) if len(diag) else 0.0
+        return {
+            level: _diagonal_estimate(
+                np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices]), measure
             )
-        return out
+            for level, indices in level_indices.items()
+        }
     if measure != COMPLIANT:
         raise ValueError(f"unknown measure {measure!r}")
     exps = {
         level: np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, M.n)
         for level, indices in level_indices.items()
     }
+    if sample_set is None and torus_invariant(M):
+        diag = {level: np.zeros(len(A)) for level, A in exps.items()}
+        if any(len(A) for A in exps.values()):
+            degree = max(int(A.sum(axis=1).max(initial=0)) for A in exps.values())
+            for c, powers in _weighted_power_blocks(M, torus_quadrature(M, degree), exps):
+                for level, A in exps.items():
+                    V = gather_products(powers, A)
+                    diag[level] += (V.real**2 + V.imag**2) @ c
+        return {level: _diagonal_estimate(d, measure) for level, d in diag.items()}
     G = {level: np.zeros((len(A), len(A)), dtype=complex) for level, A in exps.items()}
     S2 = {level: np.zeros((len(A), len(A))) for level, A in exps.items()}
     N = 0
     if any(len(A) for A in exps.values()):
         S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
         N = S.count
-        e_max = np.max([A.max(axis=0, initial=0) for A in exps.values()], axis=0).tolist()
-        for start in range(0, N, ROW_BLOCK):
-            Z = S.points[start : start + ROW_BLOCK]
-            c = S.weights[start : start + ROW_BLOCK] * compliant_density(M, Z)
+        for c, powers in _weighted_power_blocks(M, S, exps):
             Nc2 = N * c**2
-            powers = [power_table(Z[:, k], e) for k, e in enumerate(e_max)]
             for level, A in exps.items():
                 V = gather_products(powers, A)  # V[j, i] = z_i^{alpha_j}
                 G[level] += (V * c) @ V.conj().T
@@ -247,11 +267,32 @@ def gram_matrices(
     for level, A in exps.items():
         Gm = 0.5 * (G[level] + G[level].conj().T)
         stderr = np.sqrt(np.maximum(S2[level] - np.abs(Gm) ** 2, 0.0) / max(N - 1, 1))
-        smallest = float(np.linalg.eigvalsh(Gm)[0]) if len(A) else 0.0
-        if len(A) and smallest <= 0:
-            raise GramNotPositiveDefiniteError(smallest)
-        out[level] = GramEstimate(Gm, stderr, measure, smallest)
+        spectrum = np.linalg.eigvalsh(Gm) if len(A) else np.zeros(1)
+        if len(A) and spectrum[0] <= 0:
+            raise GramNotPositiveDefiniteError(float(spectrum[0]))
+        out[level] = GramEstimate(Gm, stderr, measure, float(spectrum[0]), float(spectrum[-1]))
     return out
+
+
+def _weighted_power_blocks(M: Manifold, S: SampleSet, exps: Mapping[int, np.ndarray]):
+    """Per block of ROW_BLOCK rows of S: (c, powers), with c the weights times
+    the compliant density and powers one table per coordinate, up to the
+    largest exponent of that coordinate in exps."""
+    e_max = np.max([A.max(axis=0, initial=0) for A in exps.values()], axis=0).tolist()
+    for start in range(0, S.count, ROW_BLOCK):
+        Z = S.points[start : start + ROW_BLOCK]
+        c = S.weights[start : start + ROW_BLOCK] * compliant_density(M, Z)
+        yield c, [power_table(Z[:, k], e) for k, e in enumerate(e_max)]
+
+
+def _diagonal_estimate(diag: np.ndarray, measure: str) -> GramEstimate:
+    """GramEstimate of an exactly diagonal Gram matrix (no standard errors)."""
+    if len(diag) == 0:
+        return GramEstimate(DiagonalMatrix(diag), None, measure, 0.0, 0.0)
+    smallest = float(diag.min())
+    if smallest <= 0:
+        raise GramNotPositiveDefiniteError(smallest)
+    return GramEstimate(DiagonalMatrix(diag), None, measure, smallest, float(diag.max()))
 
 
 def gram_matrix(
@@ -324,9 +365,11 @@ def orthonormalize(
     if isinstance(gram, GramEstimate):
         G = gram.matrix
         measure = measure or gram.measure
+        extremes = (gram.smallest_eigenvalue, gram.largest_eigenvalue)
     else:
         G = gram if isinstance(gram, DiagonalMatrix) else np.asarray(gram)
         measure = measure or "custom"
+        extremes = None
     d = len(indices)
     if d == 0:
         return FourierBasis(0, (), np.zeros((0, 0), dtype=complex), measure, weights, 1.0)
@@ -345,7 +388,9 @@ def orthonormalize(
     else:
         L = _cholesky_with_pivot(G)
         C = np.linalg.inv(L)
-        cond = float(np.linalg.cond(G))
+        # a Hermitian positive definite G has 2-norm condition lambda_max / lambda_min
+        lo, hi = extremes if extremes is not None else np.linalg.eigvalsh(G)[[0, -1]]
+        cond = float(hi / lo)
     return FourierBasis(level, tuple(indices), C, measure, weights, cond)
 
 

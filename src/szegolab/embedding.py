@@ -166,18 +166,6 @@ def jacobian_singular_values(Phi: EmbeddingMap, x: SurfacePoint) -> np.ndarray:
     return np.linalg.svd(R, compute_uv=False)
 
 
-def jacobian_smallest_singular_value(Phi: EmbeddingMap, x: SurfacePoint) -> float:
-    return float(jacobian_singular_values(Phi, x)[-1])
-
-
-def reeb_image(Phi: EmbeddingMap, x: SurfacePoint) -> np.ndarray:
-    """d Phi (T) computed geometrically; equals i * (w_j Phi_j(x)) exactly."""
-    M = Phi.manifold
-    T = M.reeb_vector(x)
-    J = np.concatenate([eval_basis_jacobian(B, x) for _, B in Phi.blocks])
-    return J @ T
-
-
 @dataclass(frozen=True, eq=False)
 class ImmersionReport:
     min_singular_value: float
@@ -370,20 +358,3 @@ def phase_pair_demo(
         distance_with_paired_levels=d_full,
     )
 
-
-def search_embedding(
-    M: Manifold,
-    m_start: int,
-    m_max: int,
-    pair_count: int = 2000,
-    threshold: float = 0.05,
-    seed: int = 0,
-    **kwargs,
-):
-    """Increase the base level until the separation certificate passes."""
-    for m in range(m_start, m_max + 1):
-        Phi = build_embedding(M, m, seed=seed, **kwargs)
-        report = separation_report(Phi, pair_count=pair_count, threshold=threshold, seed=seed)
-        if not report.violations:
-            return m, Phi, report
-    raise RuntimeError(f"no embedding certificate up to m = {m_max}")

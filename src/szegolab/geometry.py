@@ -532,11 +532,6 @@ class Manifold:
             )
         return -1.0 / denom
 
-    def contact_form(self, x: SurfacePoint, v: np.ndarray) -> float:
-        """Contact form on a real tangent vector v (complex representation)."""
-        rho_z = self.rho.z_gradient(x.coordinates)
-        return self.contact_scale(x) * float(np.imag(np.sum(rho_z * np.asarray(v))))
-
     def levi_form(self, x: SurfacePoint) -> LeviData:
         """Levi form eigenvalues at x with respect to the compliant metric.
 
@@ -613,7 +608,8 @@ class Manifold:
 
         |x - e^{i theta}.y|^2 is a trigonometric polynomial in theta; a dense
         grid brackets the minimum and golden-section refinement locates it to
-        ~1e-10 in theta.
+        ~1e-10 in theta.  The grid is scanned ROW_BLOCK pairs at a time, so
+        memory does not grow with the pair count beyond O(P n).
         """
         X = np.asarray(X, dtype=complex)
         Y = np.asarray(Y, dtype=complex)
@@ -627,8 +623,11 @@ class Manifold:
             ph = np.exp(1j * np.outer(theta_arr, self.weights.array.astype(float)))
             return const - 2.0 * np.sum(c * ph, axis=1).real
 
-        vals = const[:, None] - 2.0 * (c @ phase).real  # (P, grid)
-        best = np.argmin(vals, axis=1)
+        best = np.empty(c.shape[0], dtype=np.int64)
+        for start in range(0, c.shape[0], ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            vals = const[rows, None] - 2.0 * (c[rows] @ phase).real  # (block, grid)
+            best[rows] = np.argmin(vals, axis=1)
         h = 2 * np.pi / grid
         a = thetas[best] - h
         b = thetas[best] + h
@@ -669,42 +668,3 @@ class Manifold:
         theta_star = np.where(use_grid, thetas[best], theta_star)
         return dist, np.mod(theta_star, 2 * np.pi)
 
-
-def levi_bracket_oracle(M: Manifold, x: SurfacePoint, step: float = 1e-4) -> np.ndarray:
-    """Levi matrix at x from numerically bracketed frame fields.
-
-    Each frame vector is extended to a neighborhood by projecting the constant
-    ambient vector onto ker(d_z rho); the Lie bracket of the extended field
-    with the conjugate of another is formed by central finite differences and
-    paired with the contact form.  Independent of the Hessian route except for
-    first derivatives of rho.
-    """
-    z0 = x.coordinates
-    n = M.n
-    frame = M.holomorphic_tangent_frame(x)
-    rho_z0 = M.rho.z_gradient(z0)
-    denom = float(M.transversal_pairing(z0))
-
-    def field(zpt: np.ndarray) -> np.ndarray:
-        # rows: projection of each frame vector onto ker d_z rho at zpt
-        g = M.rho.z_gradient(zpt).conj()
-        g2 = np.vdot(g, g).real
-        return frame - np.outer(frame @ g.conj(), g) / g2
-
-    # d(field)/d zbar_k via central differences in the real coordinates
-    Jzbar = np.zeros((n - 1, n, n), dtype=complex)  # [a, j, k]
-    for k in range(n):
-        for direction, im in ((1.0, False), (1j, True)):
-            dz = np.zeros(n, dtype=complex)
-            dz[k] = direction * step
-            d_real = (field(z0 + dz) - field(z0 - dz)) / (2 * step)
-            # d/d zbar = (d/dx + i d/dy) / 2
-            Jzbar[:, :, k] += (1j * d_real if im else d_real) / 2.0
-
-    H = np.zeros((n - 1, n - 1), dtype=complex)
-    for a in range(n - 1):
-        for b in range(n - 1):
-            first = np.einsum("j,k,jk->", rho_z0, frame[b].conj(), Jzbar[a])
-            second = np.einsum("k,j,kj->", rho_z0.conj(), frame[a], Jzbar[b].conj())
-            H[a, b] = (-first - second) / (2.0 * denom)
-    return H

@@ -28,7 +28,7 @@ from .basis import (
 )
 from .errors import InsufficientLevelsError, UndefinedRatioError
 from .geometry import Manifold, SurfacePoint
-from .integrate import SampleSet, surface_samples
+from .integrate import SampleSet, surface_samples, torus_invariant
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,12 @@ def ratio_search(
 
     k = M.stratum_order(x0)
     measure = resolve_measure(M, measure)
+    # one sample set for every candidate; torus-invariant manifolds draw none,
+    # their compliant Grams come from the deterministic simplex rule
     sample_set = (
-        surface_samples(M, samples, seed) if measure == COMPLIANT else None
+        surface_samples(M, samples, seed)
+        if measure == COMPLIANT and not torus_invariant(M)
+        else None
     )
     attempts = []
     bases: dict[int, FourierBasis] = {}  # level k*(m+1) is the next candidate's k*m

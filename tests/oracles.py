@@ -98,3 +98,124 @@ def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
                 continue
         out.append(z)
     return np.array(out)
+
+
+def orbit_distance_whole(M, X, Y, grid=720, refine_iters=64):
+    """Orbit distance (dist, theta*) with the whole (pairs, grid) scan formed at once.
+
+    The formula Manifold.orbit_distance_batch used before it scanned the grid
+    in blocks of pairs: grid argmin, golden-section refinement, Newton polish
+    on the derivative, and the grid point kept where it is closer.
+    """
+    import math
+
+    X = np.asarray(X, dtype=complex)
+    Y = np.asarray(Y, dtype=complex)
+    w = M.weights.array.astype(float)
+    c = X.conj() * Y
+    const = np.sum(np.abs(X) ** 2 + np.abs(Y) ** 2, axis=1)
+    thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+
+    def sqdist(theta_arr):
+        return const - 2.0 * np.sum(c * np.exp(1j * np.outer(theta_arr, w)), axis=1).real
+
+    best = np.argmin(const[:, None] - 2.0 * (c @ np.exp(1j * np.outer(w, thetas))).real, axis=1)
+    h = 2 * np.pi / grid
+    a, b = thetas[best] - h, thetas[best] + h
+    invphi = (math.sqrt(5) - 1) / 2
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = sqdist(x1), sqdist(x2)
+    for _ in range(refine_iters):
+        take1 = f1 < f2
+        b = np.where(take1, x2, b)
+        a = np.where(take1, a, x1)
+        x1_new = np.where(take1, b - invphi * (b - a), x2)
+        x2_new = np.where(take1, x1, a + invphi * (b - a))
+        f_new = sqdist(np.where(take1, x1_new, x2_new))
+        f1, f2 = np.where(take1, f_new, f2), np.where(take1, f1, f_new)
+        x1, x2 = x1_new, x2_new
+    theta = 0.5 * (a + b)
+    for _ in range(4):
+        ph = np.exp(1j * np.outer(theta, w))
+        g = 2.0 * np.sum(c * ph * w, axis=1).imag
+        gp = 2.0 * np.sum(c * ph * w**2, axis=1).real
+        safe = np.abs(gp) > 1e-30
+        step = np.where(safe, g / np.where(safe, gp, 1.0), 0.0)
+        theta = np.where(np.abs(step) < h, theta - step, theta)
+    dist = np.linalg.norm(X - Y * np.exp(1j * np.outer(theta, w)), axis=1)
+    dist_grid = np.linalg.norm(X - Y * np.exp(1j * np.outer(thetas[best], w)), axis=1)
+    use_grid = dist_grid < dist
+    return np.where(use_grid, dist_grid, dist), np.mod(np.where(use_grid, thetas[best], theta), 2 * np.pi)
+
+
+def contact_form(M, x, v):
+    """Contact form at x on a real tangent vector v (complex representation)."""
+    rho_z = M.rho.z_gradient(x.coordinates)
+    return M.contact_scale(x) * float(np.imag(np.sum(rho_z * np.asarray(v))))
+
+
+def levi_bracket_oracle(M, x, step=1e-4):
+    """Levi matrix at x from numerically bracketed frame fields.
+
+    Each frame vector is extended to a neighborhood by projecting the constant
+    ambient vector onto ker(d_z rho); the Lie bracket of the extended field
+    with the conjugate of another is formed by central finite differences and
+    paired with the contact form.  Independent of the Hessian route except for
+    first derivatives of rho.
+    """
+    z0 = x.coordinates
+    n = M.n
+    frame = M.holomorphic_tangent_frame(x)
+    rho_z0 = M.rho.z_gradient(z0)
+    denom = float(M.transversal_pairing(z0))
+
+    def field(zpt: np.ndarray) -> np.ndarray:
+        # rows: projection of each frame vector onto ker d_z rho at zpt
+        g = M.rho.z_gradient(zpt).conj()
+        g2 = np.vdot(g, g).real
+        return frame - np.outer(frame @ g.conj(), g) / g2
+
+    # d(field)/d zbar_k via central differences in the real coordinates
+    Jzbar = np.zeros((n - 1, n, n), dtype=complex)  # [a, j, k]
+    for k in range(n):
+        for direction, im in ((1.0, False), (1j, True)):
+            dz = np.zeros(n, dtype=complex)
+            dz[k] = direction * step
+            d_real = (field(z0 + dz) - field(z0 - dz)) / (2 * step)
+            # d/d zbar = (d/dx + i d/dy) / 2
+            Jzbar[:, :, k] += (1j * d_real if im else d_real) / 2.0
+
+    H = np.zeros((n - 1, n - 1), dtype=complex)
+    for a in range(n - 1):
+        for b in range(n - 1):
+            first = np.einsum("j,k,jk->", rho_z0, frame[b].conj(), Jzbar[a])
+            second = np.einsum("k,j,kj->", rho_z0.conj(), frame[a], Jzbar[b].conj())
+            H[a, b] = (-first - second) / (2.0 * denom)
+    return H
+
+
+def jacobian_smallest_singular_value(Phi, x):
+    """Smallest singular value of the real Jacobian of Phi on T_x X."""
+    from szegolab.embedding import jacobian_singular_values
+
+    return float(jacobian_singular_values(Phi, x)[-1])
+
+
+def reeb_image(Phi, x):
+    """d Phi (T) computed geometrically; equals i * (w_j Phi_j(x)) exactly."""
+    from szegolab.basis import eval_basis_jacobian
+
+    J = np.concatenate([eval_basis_jacobian(B, x) for _, B in Phi.blocks])
+    return J @ Phi.manifold.reeb_vector(x)
+
+
+def search_embedding(M, m_start, m_max, pair_count=2000, threshold=0.05, seed=0, **kwargs):
+    """(m, Phi, report) for the first base level whose separation certificate passes."""
+    from szegolab.embedding import build_embedding, separation_report
+
+    for m in range(m_start, m_max + 1):
+        Phi = build_embedding(M, m, seed=seed, **kwargs)
+        report = separation_report(Phi, pair_count=pair_count, threshold=threshold, seed=seed)
+        if not report.violations:
+            return m, Phi, report
+    raise RuntimeError(f"no embedding certificate up to m = {m_max}")

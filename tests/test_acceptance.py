@@ -117,7 +117,7 @@ def test_criterion_04_factor_k_stretch(wsphere12):
         assert fit.levi_determinant == pytest.approx(0.5, abs=1e-10)
         # a failure here with both numbers finite indicates a measure
         # convention mismatch, not a sampling problem; report both
-        assert fit.relative_error <= 0.10, (
+        assert fit.relative_error <= 0.002, (
             f"fitted {fit.c_lead} vs predicted {fit.predicted}"
         )
 

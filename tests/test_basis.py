@@ -13,6 +13,8 @@ from oracles import (
     mc_sphere_integral,
 )
 
+import szegolab.basis as basis
+import szegolab.integrate as integrate
 from szegolab.basis import (
     COMPLIANT,
     ROUND_EXACT,
@@ -32,7 +34,7 @@ from szegolab.basis import (
     sphere_monomial_norm_sq,
 )
 from szegolab.errors import GramNotPositiveDefiniteError, RankDeficiencyError
-from szegolab.geometry import WeightVector
+from szegolab.geometry import Manifold, WeightVector
 from szegolab.integrate import SampleSet, compliant_density, surface_samples
 
 
@@ -137,7 +139,8 @@ class TestGram:
 
     def test_compliant_offdiagonal_within_noise(self, wsphere12):
         idx = enumerate_multiindices(wsphere12.weights, 6)
-        G = gram_matrix(idx, wsphere12, measure=COMPLIANT, samples=100_000, seed=3)
+        S = surface_samples(wsphere12, 100_000, 3)
+        G = gram_matrix(idx, wsphere12, measure=COMPLIANT, sample_set=S)
         off = ~np.eye(len(idx), dtype=bool)
         assert np.all(np.abs(G.matrix[off]) <= 5 * G.stderr[off] + 1e-12)
 
@@ -190,12 +193,12 @@ class TestGramMatrices:
         argmax_levels = {max(A, key=lambda m: A[m][:, k].max()) for k in range(M.n)}
         assert len(argmax_levels) > 1
 
-        batched = gram_matrices(levels, M, measure=COMPLIANT, samples=samples, seed=4)
-        assert list(batched) == list(levels)
         S = surface_samples(M, samples, 4)
+        batched = gram_matrices(levels, M, measure=COMPLIANT, sample_set=S)
+        assert list(batched) == list(levels)
         c = S.weights * compliant_density(M, S.points)
         for m, idx in levels.items():
-            single = gram_matrix(idx, M, measure=COMPLIANT, samples=samples, seed=4)
+            single = gram_matrix(idx, M, measure=COMPLIANT, sample_set=S)
             got = batched[m]
             assert got.matrix.shape == single.matrix.shape == (len(idx), len(idx))
             assert got.stderr.shape == single.stderr.shape == (len(idx), len(idx))
@@ -236,6 +239,73 @@ class TestGramMatrices:
             assert B.indices == tuple(enumerate_multiindices(wsphere12.weights, m))
 
 
+# |z1|^2 + |z2|^2 + |z1|^4 + |z2|^4 / 2 = 1 under weights (1, 2): torus-invariant, not a sphere
+TORUS_SPEC = {
+    "n": 2,
+    "weights": [1, 2],
+    "rho": [
+        {"coeff": c, "z_exponents": list(e), "zbar_exponents": list(e)}
+        for c, e in (("-1", (0, 0)), ("1", (1, 0)), ("1", (0, 1)), ("1", (2, 0)), ("1/2", (0, 2)))
+    ],
+}
+
+
+def _doubled_nodes(M, degree):
+    """torus_quadrature with twice its nodes per axis: q = (degree + n) // 2 + 8
+    becomes degree + n + 16."""
+    return integrate.torus_quadrature(M, 2 * degree + M.n + 16)
+
+
+class TestTorusQuadrature:
+    @pytest.mark.parametrize("n, levels", [(2, (0, 7, 30, 60)), (3, (1, 12, 40))])
+    def test_standard_sphere_matches_exact_norms(self, n, levels):
+        M = Manifold.sphere(n)
+        grams = gram_matrices(
+            {m: enumerate_multiindices(M.weights, m) for m in levels}, M, measure=COMPLIANT
+        )
+        for m in levels:
+            G = grams[m]
+            assert isinstance(G.matrix, DiagonalMatrix) and G.stderr is None
+            assert G.measure == COMPLIANT
+            exact = np.array(
+                [sphere_monomial_norm_sq(mi, n).value() for mi in enumerate_multiindices(M.weights, m)]
+            )
+            assert np.max(np.abs(G.matrix.diagonal / exact - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("weights", [(1, 2), (1, 2, 6)])
+    def test_doubling_the_nodes_changes_nothing(self, weights, monkeypatch):
+        M = Manifold.sphere(len(weights), weights)
+        levels = {m: enumerate_multiindices(M.weights, m) for m in range(1, 61)}
+        grams = gram_matrices(levels, M, measure=COMPLIANT)
+        monkeypatch.setattr(basis, "torus_quadrature", _doubled_nodes)
+        doubled = gram_matrices(levels, M, measure=COMPLIANT)
+        for m in levels:
+            change = grams[m].matrix.diagonal / doubled[m].matrix.diagonal - 1
+            assert np.max(np.abs(change)) <= 1e-12
+
+    @pytest.mark.parametrize("name, levels", [("wsphere126", (6, 12)), ("spec", (4, 7))])
+    def test_agrees_with_monte_carlo(self, request, name, levels):
+        M = Manifold.from_spec(TORUS_SPEC) if name == "spec" else request.getfixturevalue(name)
+        level_indices = {m: enumerate_multiindices(M.weights, m) for m in levels}
+        exact = gram_matrices(level_indices, M, measure=COMPLIANT)
+        mc = gram_matrices(
+            level_indices, M, measure=COMPLIANT, sample_set=surface_samples(M, 100_000, 5)
+        )
+        for m in levels:
+            assert mc[m].stderr is not None and exact[m].stderr is None
+            diff = np.abs(exact[m].matrix.toarray() - mc[m].matrix)
+            assert np.all(diff <= 5 * mc[m].stderr)
+
+    def test_empty_level_and_non_positive_entry(self, wsphere12, monkeypatch):
+        levels = {m: enumerate_multiindices(wsphere12.weights, m) for m in (4, 5)}
+        grams = gram_matrices({**levels, 7: []}, wsphere12, measure=COMPLIANT)
+        assert grams[7].matrix.shape == (0, 0) and grams[7].smallest_eigenvalue == 0.0
+        monkeypatch.setattr(basis, "compliant_density", lambda M, Z: -np.ones(len(Z)))
+        with pytest.raises(GramNotPositiveDefiniteError) as info:
+            gram_matrices(levels, wsphere12, measure=COMPLIANT)
+        assert info.value.smallest_eigenvalue < 0
+
+
 class TestOrthonormalize:
     def test_diagonal_gram_gives_inverse_roots(self, sphere2):
         idx = enumerate_multiindices(sphere2.weights, 3)
@@ -252,7 +322,8 @@ class TestOrthonormalize:
 
     def test_whitened_gram_is_identity(self, wsphere12):
         idx = enumerate_multiindices(wsphere12.weights, 8)
-        G = gram_matrix(idx, wsphere12, measure=COMPLIANT, samples=80_000, seed=9)
+        S = surface_samples(wsphere12, 80_000, 9)
+        G = gram_matrix(idx, wsphere12, measure=COMPLIANT, sample_set=S)
         B = orthonormalize(idx, G, wsphere12.weights)
         C = B.coeff_matrix
         W = C @ G.matrix @ C.conj().T
@@ -260,9 +331,11 @@ class TestOrthonormalize:
 
     def test_independent_regram_within_noise(self, wsphere12):
         idx = enumerate_multiindices(wsphere12.weights, 6)
-        G1 = gram_matrix(idx, wsphere12, measure=COMPLIANT, samples=100_000, seed=10)
+        S1 = surface_samples(wsphere12, 100_000, 10)
+        G1 = gram_matrix(idx, wsphere12, measure=COMPLIANT, sample_set=S1)
         B = orthonormalize(idx, G1, wsphere12.weights)
-        G2 = gram_matrix(idx, wsphere12, measure=COMPLIANT, samples=100_000, seed=11)
+        S2 = surface_samples(wsphere12, 100_000, 11)
+        G2 = gram_matrix(idx, wsphere12, measure=COMPLIANT, sample_set=S2)
         C = np.asarray(B.coeff_matrix)
         W = C @ G2.matrix @ C.conj().T
         tol = np.abs(C) @ (3.0 * G2.stderr) @ np.abs(C).T
@@ -281,7 +354,8 @@ class TestOrthonormalize:
 
         idx = enumerate_multiindices(wsphere12.weights, 8)
         perm = idx[::-1]
-        G1 = gram_matrix(idx, wsphere12, measure=COMPLIANT, samples=60_000, seed=12)
+        S = surface_samples(wsphere12, 60_000, 12)
+        G1 = gram_matrix(idx, wsphere12, measure=COMPLIANT, sample_set=S)
         P = np.arange(len(idx))[::-1]
         G2m = G1.matrix[np.ix_(P, P)]
         B1 = orthonormalize(idx, G1, wsphere12.weights)

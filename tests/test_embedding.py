@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_points
+from oracles import jacobian_smallest_singular_value, reeb_image, search_embedding
 
 from szegolab.basis import dimension
 from szegolab.embedding import (
@@ -13,10 +14,7 @@ from szegolab.embedding import (
     evaluate,
     evaluate_batch,
     immersion_report,
-    jacobian_smallest_singular_value,
     phase_pair_demo,
-    reeb_image,
-    search_embedding,
     separation_report,
 )
 from szegolab.kernel import kernel_diagonal

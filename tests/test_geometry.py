@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_points
-from oracles import brute_orbit_distance, central_difference
+from oracles import (
+    brute_orbit_distance,
+    central_difference,
+    contact_form,
+    levi_bracket_oracle,
+    orbit_distance_whole,
+)
 
 from szegolab.errors import (
     InvalidSurfaceError,
@@ -16,9 +22,9 @@ from szegolab.errors import (
 )
 from szegolab.geometry import (
     DefiningPolynomial,
+    ROW_BLOCK,
     Manifold,
     WeightVector,
-    levi_bracket_oracle,
 )
 
 
@@ -201,11 +207,11 @@ class TestTangentAndLevi:
             for seed in range(4):
                 x = random_point(M, seed)
                 T = M.reeb_vector(x)
-                assert abs(M.contact_form(x, T) + 1.0) < 1e-10
+                assert abs(contact_form(M, x, T) + 1.0) < 1e-10
                 F = M.holomorphic_tangent_frame(x)
                 for row in F:
-                    assert abs(M.contact_form(x, row)) < 1e-10
-                    assert abs(M.contact_form(x, 1j * row)) < 1e-10
+                    assert abs(contact_form(M, x, row)) < 1e-10
+                    assert abs(contact_form(M, x, 1j * row)) < 1e-10
 
     def test_levi_on_standard_spheres(self, sphere2, sphere3):
         for M in (sphere2, sphere3):
@@ -309,6 +315,18 @@ class TestQuotientDistance:
             )
             assert d <= brute + 1e-12
             assert abs(d - brute) < 1e-6
+
+    def test_blocked_scan_matches_whole_array(self, example2):
+        from szegolab.integrate import surface_samples
+
+        pairs = ROW_BLOCK + 300
+        Z = surface_samples(example2, 2 * pairs, seed=17).points
+        X, Y = Z[:pairs], Z[pairs:]
+        dist, theta = example2.orbit_distance_batch(X, Y)
+        dist_whole, theta_whole = orbit_distance_whole(example2, X, Y)
+        assert np.max(np.abs(dist - dist_whole)) <= 1e-12
+        gap = np.abs(theta - theta_whole)
+        assert np.max(np.minimum(gap, 2 * np.pi - gap)) <= 1e-12
 
     def test_symmetry_and_triangle_inequality(self, wsphere12):
         pts = random_points(wsphere12, 6, seed=40)

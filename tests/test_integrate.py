@@ -19,6 +19,8 @@ from szegolab.integrate import (
     stratified_points,
     support_pattern_points,
     surface_samples,
+    torus_invariant,
+    torus_quadrature,
 )
 
 
@@ -216,3 +218,17 @@ def test_ball_points_match_per_try_loop(request, preset, radius, align_orbit):
     ref = ball_points_loop(M, x0, radius, 50, seed=8, align_orbit=align_orbit)
     assert got.shape == ref.shape == (50, M.n)
     assert np.max(np.abs(got - ref)) <= 1e-15
+
+
+def test_torus_invariant_on_spheres_not_example2(sphere2, sphere3, wsphere12, wsphere126, example2):
+    assert all(torus_invariant(M) for M in (sphere2, sphere3, wsphere12, wsphere126))
+    assert not torus_invariant(example2)
+    with pytest.raises(ValueError, match="torus-invariant"):
+        torus_quadrature(example2, 4)
+
+
+def test_torus_quadrature_weights_sum_to_area(sphere2, wsphere126):
+    for M in (sphere2, wsphere126):
+        S = torus_quadrature(M, 10)
+        assert S.weights.sum() == pytest.approx(sphere_area(M.n), rel=1e-14)
+        assert np.max(np.abs(np.linalg.norm(S.points, axis=1) - 1)) <= 1e-15

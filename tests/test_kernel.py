@@ -99,9 +99,11 @@ class TestKernelValues:
 
     def test_basis_independence(self, wsphere12):
         from szegolab.basis import gram_matrix, orthonormalize
+        from szegolab.integrate import surface_samples
 
         idx = enumerate_multiindices(wsphere12.weights, 8)
-        G = gram_matrix(idx, wsphere12, measure=COMPLIANT, samples=60_000, seed=1)
+        S = surface_samples(wsphere12, 60_000, 1)
+        G = gram_matrix(idx, wsphere12, measure=COMPLIANT, sample_set=S)
         B1 = orthonormalize(idx, G, wsphere12.weights)
         P = np.random.default_rng(0).permutation(len(idx))
         B2 = orthonormalize(
@@ -270,18 +272,33 @@ class TestRatio:
         )
         assert rep.passing_m == 30 and rep.passing_radius == 0.1
 
+    def test_ratio_search_draws_no_samples_on_wsphere12(self, wsphere12, monkeypatch):
+        from szegolab import basis, integrate, kernel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("surface_samples called")
+
+        for module in (basis, integrate, kernel):
+            monkeypatch.setattr(module, "surface_samples", refuse)
+        x0 = wsphere12.point([0.0, 1.0])
+        rep = ratio_search(
+            wsphere12, x0, m_candidates=[30], radii=[0.1], measure=COMPLIANT,
+            points_per_ball=20, samples=60_000, seed=13,
+        )
+        assert rep.passing_m == 30 and rep.passing_radius == 0.1
+
     def test_ratio_search_builds_each_level_once(self, wsphere12, monkeypatch):
         from szegolab import basis
-        from szegolab.integrate import ball_points, surface_samples
+        from szegolab.integrate import ball_points
 
         x0 = wsphere12.point([0.0, 1.0])
         candidates, radii, samples, seed = [3, 4, 5], [0.3, 0.1], 20_000, 2
-        # the search as one pair of single-level bases per candidate
-        S = surface_samples(wsphere12, samples, seed)
+        # the search as one pair of single-level bases per candidate; on the
+        # torus-invariant wsphere12 their Grams come from the simplex rule
         expected = []
         for m in candidates:
-            B_low = fourier_basis(wsphere12, 2 * m, sample_set=S)
-            B_high = fourier_basis(wsphere12, 2 * (m + 1), sample_set=S)
+            B_low = fourier_basis(wsphere12, 2 * m)
+            B_high = fourier_basis(wsphere12, 2 * (m + 1))
             for radius in radii:
                 worst_r, worst_i = 0.0, 0.0
                 for x in ball_points(wsphere12, x0, radius, 10, seed=seed + m, align_orbit=True):
