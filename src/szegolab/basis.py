@@ -144,16 +144,34 @@ def monomial_values(Z: np.ndarray, indices: Sequence[MultiIndex]) -> np.ndarray:
     return V[0] if Z.ndim == 1 else V
 
 
-def monomial_jacobian(z: np.ndarray, indices: Sequence[MultiIndex]) -> np.ndarray:
-    """D[j, k] = d z^{alpha_j} / d z_k at a single point."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    A = np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, n)
-    rows, cols = np.nonzero(A)  # d z^alpha / d z_k = alpha_k z^{alpha - e_k}
-    D = np.zeros((len(indices), n), dtype=complex)
-    lowered = A[rows] - np.eye(n, dtype=np.int64)[cols]
-    D[rows, cols] = A[rows, cols] * monomial_products(z[None, :], lowered)[0]
+def derivative_table(A: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(rows, cols, factors, lowered) for the monomials z^{A_j}, A (T, n).
+
+    d z^{A_j} / d z_k = A[j, k] z^{A_j - e_k}: one entry per nonzero A[j, k],
+    at row j and column k, with factor A[j, k] and lowered exponents A_j - e_k.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    rows, cols = np.nonzero(A)
+    lowered = A[rows] - np.eye(A.shape[1], dtype=np.int64)[cols]
+    return rows, cols, A[rows, cols], lowered
+
+
+def table_jacobian(Z: np.ndarray, table: tuple[np.ndarray, ...], count: int) -> np.ndarray:
+    """D[i, k, j] = d z^{A_j} / d z_k at the points Z (P, n), for the
+    derivative_table of count monomials; one monomial_products call."""
+    rows, cols, factors, lowered = table
+    D = np.zeros((Z.shape[0], Z.shape[1], count), dtype=complex)
+    D[:, cols, rows] = factors * monomial_products(Z, lowered)
     return D
+
+
+def monomial_jacobian(z: np.ndarray, indices: Sequence[MultiIndex]) -> np.ndarray:
+    """D[..., j, k] = d z^{alpha_j} / d z_k at one point (n,) or a batch (P, n)."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    A = np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, n)
+    D = np.swapaxes(table_jacobian(z.reshape(-1, n), derivative_table(A), len(A)), 1, 2)
+    return D[0] if z.ndim == 1 else D
 
 
 class DiagonalMatrix:
@@ -176,7 +194,8 @@ class DiagonalMatrix:
 
 
 def apply_coeff(C, rows: np.ndarray) -> np.ndarray:
-    """C @ rows for a dense or diagonal coefficient matrix."""
+    """C @ rows for a dense or diagonal coefficient matrix; rows is (d,) or a
+    stack (..., d, k)."""
     if isinstance(C, DiagonalMatrix):
         return C.diagonal * rows if rows.ndim == 1 else C.diagonal[:, None] * rows
     return C @ rows
@@ -456,10 +475,11 @@ def eval_basis_batch(B: FourierBasis, Z: np.ndarray) -> np.ndarray:
 
 
 def eval_basis_jacobian(B: FourierBasis, x) -> np.ndarray:
-    """Holomorphic derivatives J[j, k] = d f_j / d z_k at a point."""
+    """Holomorphic derivatives J[..., j, k] = d f_j / d z_k at a SurfacePoint,
+    at raw coordinates (n,), or over a batch (P, n)."""
     z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
     if B.d == 0:
-        return np.zeros((0, z.shape[0]), dtype=complex)
+        return np.zeros(z.shape[:-1] + (0, z.shape[-1]), dtype=complex)
     return apply_coeff(B.coeff_matrix, monomial_jacobian(z, B.indices))
 
 

@@ -7,6 +7,12 @@ weight, so the map intertwines the manifold action with a diagonal action on
 C^N.  Immersion and point separation are certified empirically: smallest
 singular values of the real Jacobian over stratified samples, and image
 distances over stratified point pairs.
+
+The exponent vectors of all N coordinates are stacked once, so the map and
+its Jacobian over a batch of points take one monomial pass per ROW_BLOCK
+rows; each block's coefficient matrix then acts on its own column slice.
+The immersion certificate takes the spectra of all its samples from one
+stacked SVD.
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ from .basis import (
     COMPLIANT,
     ROUND_EXACT,
     FourierBasis,
-    eval_basis,
-    eval_basis_batch,
-    eval_basis_jacobian,
+    apply_coeff_right,
+    derivative_table,
     fourier_bases,
+    table_jacobian,
 )
-from .geometry import Manifold, StrataOrders, SurfacePoint
+from .geometry import ROW_BLOCK, Manifold, StrataOrders, SurfacePoint, monomial_products
 from .integrate import (
     SampleSet,
     random_surface_points,
@@ -37,12 +43,19 @@ from .integrate import (
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
-    """Concatenation of Fourier-component blocks with per-coordinate weights."""
+    """Concatenation of Fourier-component blocks with per-coordinate weights.
+
+    exponents stacks the monomial exponent vectors of all N coordinates, block
+    after block, and derivatives is their basis.derivative_table, so the map
+    and its Jacobian each take one monomial pass over all coordinates.
+    """
 
     manifold: Manifold
     blocks: tuple[tuple[int, FourierBasis], ...]
     coordinate_weights: np.ndarray  # (N,) int, the level of each coordinate
     base_level: int
+    exponents: np.ndarray  # (N, n) int
+    derivatives: tuple[np.ndarray, ...]
     warnings: tuple[str, ...] = ()
 
     @property
@@ -90,11 +103,16 @@ def embedding_from_levels(
             warnings.append(f"level {level} has no representation (empty block)")
         blocks.append((level, B))
         weights.extend([level] * B.d)
+    exponents = np.array(
+        [mi.exponents for _, B in blocks for mi in B.indices], dtype=np.int64
+    ).reshape(-1, M.n)
     return EmbeddingMap(
         M,
         tuple(blocks),
         np.asarray(weights, dtype=np.int64),
         base_level,
+        exponents,
+        derivative_table(exponents),
         tuple(warnings),
     )
 
@@ -126,13 +144,46 @@ def build_embedding(
     return embedding_from_levels(M, levels, base_level=m, measure=measure, samples=samples, seed=seed)
 
 
-def evaluate(Phi: EmbeddingMap, x: SurfacePoint) -> np.ndarray:
-    return np.concatenate([eval_basis(B, x) for _, B in Phi.blocks]) if Phi.blocks else np.zeros(0, complex)
+def _apply_blocks(Phi: EmbeddingMap, V: np.ndarray) -> np.ndarray:
+    """out[:, s] = V[:, s] @ C.T for each block's column slice s and
+    coefficient matrix C: monomial columns (P, N) to coordinate columns."""
+    out = np.empty_like(V)
+    start = 0
+    for _, B in Phi.blocks:
+        cols = slice(start, start + B.d)
+        if B.d:
+            out[:, cols] = apply_coeff_right(V[:, cols], B.coeff_matrix)
+        start += B.d
+    return out
 
 
 def evaluate_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
-    cols = [eval_basis_batch(B, Z) for _, B in Phi.blocks]
-    return np.concatenate(cols, axis=1) if cols else np.zeros((len(Z), 0), complex)
+    """Phi at the rows of Z (P, n): one monomial pass per ROW_BLOCK rows."""
+    Z = np.asarray(Z, dtype=complex)
+    out = np.empty((Z.shape[0], Phi.total_dim), dtype=complex)
+    for start in range(0, Z.shape[0], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        out[rows] = _apply_blocks(Phi, monomial_products(Z[rows], Phi.exponents))
+    return out
+
+
+def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
+    """Phi at a SurfacePoint or raw coordinates (n,): the batch of one."""
+    z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
+    return evaluate_batch(Phi, z[None, :])[0]
+
+
+def jacobian_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
+    """Holomorphic Jacobians J[i, j, k] = d Phi_j / d z_k at the rows of Z
+    (P, n): one monomial pass per ROW_BLOCK rows over all N coordinates."""
+    Z = np.asarray(Z, dtype=complex)
+    P, n = Z.shape
+    out = np.empty((P, n, Phi.total_dim), dtype=complex)
+    for start in range(0, P, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        D = table_jacobian(Z[rows], Phi.derivatives, Phi.total_dim)  # (rows, n, N)
+        out[rows] = _apply_blocks(Phi, D.reshape(-1, Phi.total_dim)).reshape(D.shape)
+    return out.transpose(0, 2, 1)
 
 
 def check_equivariance(Phi: EmbeddingMap, x: SurfacePoint, theta: float) -> float:
@@ -143,27 +194,19 @@ def check_equivariance(Phi: EmbeddingMap, x: SurfacePoint, theta: float) -> floa
     return float(np.max(np.abs(rotated - phased))) if Phi.total_dim else 0.0
 
 
-def tangent_frame_real(M: Manifold, x: SurfacePoint) -> np.ndarray:
-    """Euclidean-orthonormal real frame of T_x X as complex columns (n, 2n-1).
+def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
+    """Singular values (descending) of the real Jacobian of Phi on T_x X.
 
-    Columns: the holomorphic frame vectors, their i-rotations, and the
-    in-surface normal complement i * conj(d_z rho)/|d_z rho|.
+    x is a SurfacePoint, raw coordinates (n,), or a batch (P, n); a batch
+    gives one spectrum per row, (P, 2n-1), from one stacked SVD.
     """
-    F = M.holomorphic_tangent_frame(x)
-    rho_z = M.rho.z_gradient(x.coordinates)
-    nu = 1j * rho_z.conj() / np.linalg.norm(rho_z)
-    cols = [row for row in F] + [1j * row for row in F] + [nu]
-    return np.stack(cols, axis=1)
-
-
-def jacobian_singular_values(Phi: EmbeddingMap, x: SurfacePoint) -> np.ndarray:
-    """Singular values (descending) of the real Jacobian of Phi on T_x X."""
-    M = Phi.manifold
-    V = tangent_frame_real(M, x)  # (n, 2n-1)
-    J = np.concatenate([eval_basis_jacobian(B, x) for _, B in Phi.blocks])  # (N, n)
-    D = J @ V  # (N, 2n-1) complex; rows stay complex-linear in the frame
-    R = np.concatenate([D.real, D.imag])  # (2N, 2n-1)
-    return np.linalg.svd(R, compute_uv=False)
+    z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
+    Z = z.reshape(-1, Phi.manifold.n)
+    V = Phi.manifold.real_tangent_frames(Z)  # (P, n, 2n-1)
+    D = jacobian_batch(Phi, Z) @ V  # (P, N, 2n-1); rows stay complex-linear in the frame
+    R = np.concatenate([D.real, D.imag], axis=1)  # (P, 2N, 2n-1)
+    spectra = np.linalg.svd(R, compute_uv=False)
+    return spectra[0] if z.ndim == 1 else spectra
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,16 +225,22 @@ def immersion_report(
     failure_floor: float = 1e-9,
     strata: StrataOrders | None = None,
 ) -> ImmersionReport:
-    """Smallest singular value of d Phi over a stratified sample of X."""
-    pts = stratified_points(Phi.manifold, samples, seed=seed, strata=strata)
+    """Smallest singular value of d Phi over a stratified sample of X.
+
+    Every sample's spectrum comes from one jacobian_singular_values call on
+    the whole sample; the loop only files the records and failures.
+    """
+    M = Phi.manifold
+    pts = stratified_points(M, samples, seed=seed, strata=strata)
+    Z = np.array([x.coordinates for x, _, _ in pts]).reshape(-1, M.n)
+    spectra = jacobian_singular_values(Phi, Z)
     records = []
     failures = []
     worst = math.inf
     argmin = None
-    for i, (x, label, k) in enumerate(pts):
-        spectrum = jacobian_singular_values(Phi, x)
+    for i, ((x, label, k), spectrum) in enumerate(zip(pts, spectra)):
         s = float(spectrum[-1])
-        info = Phi.manifold.stratum_info(x)
+        info = M.stratum_info(x)
         records.append((label, k, info.near_stratum, s))
         if s < failure_floor:
             failures.append(
@@ -279,16 +328,24 @@ def separation_report(
     )
     qd, _ = M.orbit_distance_batch(X, Y)
     ambient = np.linalg.norm(X - Y, axis=1)
-    FX = evaluate_batch(Phi, X)
-    FY = evaluate_batch(Phi, Y)
-    img = np.linalg.norm(FX - FY, axis=1)
-    scale = float(np.median(np.linalg.norm(FX, axis=1))) or 1.0
+    # the images are formed ROW_BLOCK pairs at a time; only each pair's image
+    # distance and |Phi(x)| are kept
+    img = np.empty(len(X))
+    image_norm = np.empty(len(X))
+    for start in range(0, len(X), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        FX = evaluate_batch(Phi, X[rows])
+        img[rows] = np.linalg.norm(FX - evaluate_batch(Phi, Y[rows]), axis=1)
+        image_norm[rows] = np.linalg.norm(FX, axis=1)
+    scale = float(np.median(image_norm)) or 1.0
     floor = violation_floor * scale
 
     separated = qd > threshold
     same_orbit_distinct = (kinds == "same-orbit") & (ambient > threshold)
+    bad = np.flatnonzero((separated | same_orbit_distinct) & (img < floor))
+    gaps = np.abs(evaluate_batch(Phi, X[bad]) - evaluate_batch(Phi, Y[bad]))
     violations = []
-    for i in np.flatnonzero((separated | same_orbit_distinct) & (img < floor)):
+    for i, gap in zip(bad, gaps):
         violations.append(
             {
                 "kind": str(kinds[i]),
@@ -301,9 +358,7 @@ def separation_report(
                     int(M.stratum_order(M.point(X[i]))),
                     int(M.stratum_order(M.point(Y[i]))),
                 ],
-                "offending_coordinates": np.where(
-                    np.abs(FX[i] - FY[i]) == np.max(np.abs(FX[i] - FY[i]))
-                )[0].tolist(),
+                "offending_coordinates": np.flatnonzero(gap == gap.max()).tolist(),
             }
         )
     return SeparationReport(

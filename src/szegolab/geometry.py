@@ -319,6 +319,14 @@ class LeviData:
     volume_density: float
 
 
+def _holomorphic_frames(rho_z: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ker(d_z rho) per row of rho_z (P, n): (P, n-1, n)."""
+    if np.any(np.linalg.norm(rho_z, axis=1) < 1e-10):
+        raise SingularPointError("d rho vanishes at the requested point")
+    _, _, vh = np.linalg.svd(rho_z[:, None, :], full_matrices=True)
+    return vh[:, 1:].conj()
+
+
 class Manifold:
     """Circle-invariant hypersurface {rho = 0} with a diagonal action."""
 
@@ -508,11 +516,20 @@ class Manifold:
 
     def holomorphic_tangent_frame(self, x: SurfacePoint) -> np.ndarray:
         """Orthonormal rows xi with sum_j (d rho/d z_j) xi_j = 0; shape (n-1, n)."""
-        rho_z = self.rho.z_gradient(x.coordinates)
-        if np.linalg.norm(rho_z) < 1e-10:
-            raise SingularPointError("d rho vanishes at the requested point")
-        _, _, vh = np.linalg.svd(rho_z.reshape(1, self.n), full_matrices=True)
-        return vh[1:].conj()
+        return _holomorphic_frames(self.rho.z_gradient(x.coordinates)[None, :])[0]
+
+    def real_tangent_frames(self, Z: np.ndarray) -> np.ndarray:
+        """Euclidean-orthonormal real frames of T_z X at the rows of Z (P, n),
+        as complex columns; shape (P, n, 2n-1).
+
+        Columns: the holomorphic frame vectors, their i-rotations, and the
+        in-surface normal complement i * conj(d_z rho)/|d_z rho|.  One
+        z_gradient pass and one stacked SVD serve every row.
+        """
+        rho_z = self.rho.z_gradient(np.asarray(Z, dtype=complex).reshape(-1, self.n))
+        F = _holomorphic_frames(rho_z)  # (P, n-1, n)
+        nu = 1j * rho_z.conj() / np.linalg.norm(rho_z, axis=1, keepdims=True)
+        return np.concatenate([F, 1j * F, nu[:, None, :]], axis=1).transpose(0, 2, 1)
 
     def transversal_pairing(self, Z: np.ndarray) -> np.ndarray:
         """Re sum_j w_j z_j (d rho / d z_j); positive on X by transversality.

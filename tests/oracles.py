@@ -194,6 +194,29 @@ def levi_bracket_oracle(M, x, step=1e-4):
     return H
 
 
+def jacobian_spectra_loop(Phi, Z):
+    """Singular values (P, 2n-1) of the real Jacobian of Phi on T_z X, a point at a time.
+
+    The per-point loop that the batched certificate replaced: each point's
+    holomorphic frame from its own gradient and SVD, one eval_basis_jacobian
+    call per block, then one SVD of the stacked real and imaginary parts.
+    """
+    from szegolab.basis import eval_basis_jacobian
+
+    M = Phi.manifold
+    out = []
+    for z in np.asarray(Z, dtype=complex):
+        rho_z = M.rho.z_gradient(z)
+        _, _, vh = np.linalg.svd(rho_z.reshape(1, M.n), full_matrices=True)
+        F = vh[1:].conj()
+        nu = 1j * rho_z.conj() / np.linalg.norm(rho_z)
+        V = np.stack(list(F) + [1j * row for row in F] + [nu], axis=1)
+        J = np.concatenate([eval_basis_jacobian(B, z) for _, B in Phi.blocks])
+        D = J @ V
+        out.append(np.linalg.svd(np.concatenate([D.real, D.imag]), compute_uv=False))
+    return np.array(out)
+
+
 def jacobian_smallest_singular_value(Phi, x):
     """Smallest singular value of the real Jacobian of Phi on T_x X."""
     from szegolab.embedding import jacobian_singular_values

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_points
-from oracles import jacobian_smallest_singular_value, reeb_image, search_embedding
+from oracles import (
+    jacobian_smallest_singular_value,
+    jacobian_spectra_loop,
+    reeb_image,
+    search_embedding,
+)
 
-from szegolab.basis import dimension
+from szegolab import basis, embedding, geometry
+from szegolab.basis import dimension, eval_basis_jacobian, monomial_jacobian
 from szegolab.embedding import (
     build_embedding,
     check_equivariance,
@@ -14,10 +20,33 @@ from szegolab.embedding import (
     evaluate,
     evaluate_batch,
     immersion_report,
+    jacobian_singular_values,
     phase_pair_demo,
     separation_report,
 )
+from szegolab.integrate import stratified_points
 from szegolab.kernel import kernel_diagonal
+
+# (preset fixture, base level) of the maps the batched certificate is checked on
+PRESET_MAPS = [("sphere2", 2), ("wsphere12", 4), ("wsphere126", 4), ("example2", 4)]
+
+
+@pytest.fixture(scope="module")
+def example2_strata(example2):
+    return example2.strata_orders(seed=0)
+
+
+@pytest.fixture(scope="module")
+def example2_phi(example2, example2_strata):
+    """The m = 4 map on example2, its Grams from 12.5k samples."""
+    return build_embedding(example2, 4, samples=12_500, strata=example2_strata)
+
+
+def _preset_map(request, name, m):
+    M = request.getfixturevalue(name)
+    if name == "example2":
+        return M, request.getfixturevalue("example2_phi")
+    return M, build_embedding(M, m)
 
 
 class TestConstruction:
@@ -147,6 +176,78 @@ class TestImmersion:
         assert jacobian_smallest_singular_value(Phi, x6) < 1e-12
         full = build_embedding(wsphere126, 4)
         assert jacobian_smallest_singular_value(full, x6) > 1.0
+
+
+class TestBatchedJacobian:
+    """One stacked Jacobian pass and one stacked SVD against the per-point loop."""
+
+    @pytest.mark.parametrize("name, m", PRESET_MAPS)
+    def test_spectra_match_point_loop(self, request, name, m):
+        M, Phi = _preset_map(request, name, m)
+        pts = stratified_points(M, 40, seed=5)
+        if name != "sphere2":  # the only preset with a free action
+            assert {"stratum", "near-stratum"} <= {label for _, label, _ in pts}
+        Z = np.array([x.coordinates for x, _, _ in pts])
+        batched = jacobian_singular_values(Phi, Z)
+        reference = jacobian_spectra_loop(Phi, Z)
+        assert batched.shape == reference.shape == (len(Z), 2 * M.n - 1)
+        assert np.all(np.abs(batched - reference) <= 1e-12 * reference)
+        single = jacobian_singular_values(Phi, pts[0][0])
+        assert np.all(np.abs(single - reference[0]) <= 1e-12 * reference[0])
+
+    @pytest.mark.parametrize("name, m", PRESET_MAPS)
+    def test_basis_jacobians_equal_stacked_points(self, request, name, m):
+        M, Phi = _preset_map(request, name, m)
+        Z = np.array([x.coordinates for x, _, _ in stratified_points(M, 12, seed=6)])
+        for _, B in Phi.blocks:
+            stacked = np.stack([monomial_jacobian(z, B.indices) for z in Z])
+            assert np.array_equal(monomial_jacobian(Z, B.indices), stacked)
+            stacked = np.stack([eval_basis_jacobian(B, z) for z in Z])
+            assert np.array_equal(eval_basis_jacobian(B, Z), stacked)
+
+    def test_monomial_passes_bounded_by_row_blocks(
+        self, example2, example2_phi, example2_strata, monkeypatch
+    ):
+        # every monomial pass of the certificate covers a whole batch: the
+        # count does not grow with the sample (points x blocks would be 1100)
+        original = geometry.monomial_products
+        rows = []
+
+        def counted(Z, *args, **kwargs):
+            rows.append(len(Z))
+            return original(Z, *args, **kwargs)
+
+        for module in (geometry, basis, embedding):
+            monkeypatch.setattr(module, "monomial_products", counted)
+        calls = {}
+        for samples in (25, 100):
+            rows.clear()
+            rep = immersion_report(example2_phi, samples=samples, seed=1, strata=example2_strata)
+            assert len(rep.records) == samples
+            calls[samples] = len(rows)
+        assert len(example2_phi.blocks) == 11
+        assert calls[25] == calls[100] <= 16
+        assert max(rows) <= geometry.ROW_BLOCK
+
+
+    def test_m3_map_is_no_immersion_on_z3_axis(self, example2, example2_strata, example2_phi):
+        # at m = 3 no block level is = 1 mod 6, so on the order-6 stratum (the
+        # z_3 axis) every coordinate's z_1-derivative vanishes: a
+        # demonstration of why the k-indexed levels are needed, not a bug
+        Phi3 = build_embedding(example2, 3, samples=12_500, strata=example2_strata)
+        assert not any(level % 6 == 1 for level in Phi3.levels)
+        rep = immersion_report(Phi3, samples=100, seed=1, strata=example2_strata)
+        assert rep.failures
+        for failure in rep.failures:
+            assert failure["label"] == "stratum"
+            assert failure["stratum_order"] == 6
+            support = np.flatnonzero(np.abs(failure["point"]) > geometry.ZERO_TOLERANCE)
+            assert support.tolist() == [2]
+            assert failure["singular_values"][-1] < 1e-20
+        assert rep.min_singular_value == min(f["singular_values"][-1] for f in rep.failures)
+        rep4 = immersion_report(example2_phi, samples=100, seed=1, strata=example2_strata)
+        assert rep4.failures == ()
+        assert rep4.min_singular_value > 1.0
 
 
 class TestSeparation:
