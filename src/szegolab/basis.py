@@ -48,7 +48,6 @@ from .geometry import (
 from .integrate import (
     SampleSet,
     compliant_density,
-    sphere_area,
     surface_samples,
     torus_invariant,
     torus_quadrature,
@@ -395,11 +394,6 @@ def orthonormalize(
     level = indices[0].weighted_degree
     if isinstance(G, DiagonalMatrix):
         diag = G.diagonal
-    elif not np.any(G - np.diag(np.diag(G))):
-        diag = np.diag(G).real
-    else:
-        diag = None
-    if diag is not None:
         if np.any(diag <= 0):
             raise RankDeficiencyError(int(np.argmax(diag <= 0)))
         C = DiagonalMatrix((1.0 / np.sqrt(diag)).astype(complex))
@@ -481,10 +475,3 @@ def eval_basis_jacobian(B: FourierBasis, x) -> np.ndarray:
     if B.d == 0:
         return np.zeros(z.shape[:-1] + (0, z.shape[-1]), dtype=complex)
     return apply_coeff(B.coeff_matrix, monomial_jacobian(z, B.indices))
-
-
-def volume(M: Manifold) -> float:
-    """Euclidean surface area of the unit sphere model (exact for spheres)."""
-    if M.kind != "sphere":
-        raise ValueError("exact volume available for sphere kind only")
-    return sphere_area(M.n)

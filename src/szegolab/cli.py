@@ -55,13 +55,19 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
+# contract tolerances that --tolerance NAME=VALUE may override, with defaults
+TOLERANCES = {"fit": 0.01}
+
+
 def _parse_tolerances(items) -> dict[str, float]:
-    out = {}
+    out = dict(TOLERANCES)
     for item in items or []:
         if "=" not in item:
             raise ConfigError(f"tolerance override must be name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
+        name, value = (t.strip() for t in item.split("=", 1))
+        if name not in TOLERANCES:
+            raise ConfigError(f"unknown tolerance {name!r}; known: {', '.join(TOLERANCES)}")
+        out[name] = float(value)
     return out
 
 
@@ -218,8 +224,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_fit(args) -> int:
     M = resolve_manifold(args)
-    tols = _parse_tolerances(args.tolerance)
-    tol = tols.get("fit", 0.01)
+    tol = _parse_tolerances(args.tolerance)["fit"]
     if args.point:
         x = M.point(_parse_point(args.point))
     else:
@@ -404,18 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=200_000):
+    def common(p):
         p.add_argument("--preset", choices=["sphere", "example2"])
         p.add_argument("--manifold", help="path to a manifold JSON spec")
         p.add_argument("--n", type=int, help="ambient complex dimension (sphere preset)")
         p.add_argument("--weights", help="comma-separated action weights")
+        p.add_argument("--out", help="directory for CSV/JSON artifacts")
+
+    def sampled(p, samples_default=200_000):
+        """common options plus those of the subcommands that build Fourier bases"""
+        common(p)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--out", help="directory for CSV/JSON artifacts")
         p.add_argument("--measure", default="auto",
                        choices=["auto", "round-exact", "compliant-quadrature"])
-        p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                       help="override a contract tolerance")
 
     p = sub.add_parser("dims", help="component dimensions d_m as CSV")
     common(p)
@@ -428,26 +435,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func_cmd=cmd_norms)
 
     p = sub.add_parser("kernel", help="kernel values S_m(x, y)")
-    common(p)
+    sampled(p)
     p.add_argument("--m", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--point2")
     p.set_defaults(func_cmd=cmd_kernel)
 
     p = sub.add_parser("fit", help="diagonal growth fit against the Levi prediction")
-    common(p)
+    sampled(p)
+    p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                   help=f"override a contract tolerance ({', '.join(TOLERANCES)})")
     p.add_argument("--m", required=True, help="level range a..b")
     p.add_argument("--point")
     p.set_defaults(func_cmd=cmd_fit)
 
     p = sub.add_parser("vanish", help="exact vanishing certificate at a stabilized point")
-    common(p)
+    sampled(p)
     p.add_argument("--m", required=True)
     p.add_argument("--point", required=True)
     p.set_defaults(func_cmd=cmd_vanish)
 
     p = sub.add_parser("ratio", help="consecutive-level kernel ratio diagnostics")
-    common(p)
+    sampled(p)
     p.add_argument("--m", required=True, help="base level candidates (range or list)")
     p.add_argument("--point", required=True)
     p.add_argument("--radii", default="0.3,0.1,0.03")
@@ -465,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func_cmd=cmd_project)
 
     p = sub.add_parser("embed", help="equivariant embedding certificate")
-    common(p, samples_default=50_000)
+    sampled(p, samples_default=50_000)
     p.add_argument("--m", dest="m_level", type=int)
     p.add_argument("--m0", type=int, help="minimal-weight lower bound")
     p.add_argument("--extra-levels", dest="extra_levels")

@@ -99,6 +99,48 @@ def require_keys(obj: dict, keys: Sequence[str], what: str) -> None:
 # rows per block when many monomials are formed over many points
 ROW_BLOCK = 2048
 
+# Termination guard for safeguarded_newton, not a tolerance: example2 rays
+# converge in at most 8 iterations, and orbit angles in at most 7.
+_MAX_ITERS = 60
+
+# grid angles per full turn in the orbit distance scan
+ORBIT_GRID = 720
+
+
+def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root per entry in (lo, hi], where f(lo) < 0 <= f(hi): Newton with bisection.
+
+    fdf(idx, t) returns (f, f') at t for the entries idx still iterating.
+    Each entry starts from hi; the sign of f at every iterate shrinks its
+    bracket, and a Newton step that leaves the bracket is replaced by
+    bisection (rtsafe, Numerical Recipes section 9.4).  An entry stops once
+    its step or its bracket is within 4 ulp of t, or f is exactly 0 there, so
+    its root does not depend on the other entries.
+    """
+    roots = np.empty(hi.shape)
+    idx = np.arange(hi.size)
+    t = hi.copy()
+    for _ in range(_MAX_ITERS):
+        if idx.size == 0:
+            break
+        f, df = fdf(idx, t)
+        below = f < 0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - f / df
+        tol = 4.0 * np.spacing(np.abs(t))
+        converged = np.abs(newton - t) <= tol
+        done = converged | (hi - lo <= tol) | (f == 0)
+        inside = (newton > lo) & (newton < hi)
+        t = np.where(f == 0, t, np.where(converged | inside, newton, 0.5 * (lo + hi)))
+        if np.any(done):
+            roots[idx[done]] = t[done]
+            live = ~done
+            idx, lo, hi, t = idx[live], lo[live], hi[live], t[live]
+    roots[idx] = t
+    return roots
+
 
 def power_table(base: np.ndarray, e_max: int) -> np.ndarray:
     """P[e] = base**e for e = 0, ..., e_max, by repeated multiplication."""
@@ -327,6 +369,17 @@ def _holomorphic_frames(rho_z: np.ndarray) -> np.ndarray:
     return vh[:, 1:].conj()
 
 
+def _unit_sphere_terms(n: int) -> dict[tuple, Fraction]:
+    """Terms of |z|^2 - 1 in C^n."""
+    terms: dict[tuple, Fraction] = {}
+    for j in range(n):
+        e = tuple(1 if k == j else 0 for k in range(n))
+        terms[(e, e)] = Fraction(1)
+    zero = tuple([0] * n)
+    terms[(zero, zero)] = Fraction(-1)
+    return terms
+
+
 class Manifold:
     """Circle-invariant hypersurface {rho = 0} with a diagonal action."""
 
@@ -335,19 +388,13 @@ class Manifold:
         n: int,
         weights: WeightVector | Sequence[int],
         rho: DefiningPolynomial,
-        kind: str = "hypersurface",
         surface_tolerance: float = 1e-8,
     ):
         if n < 2:
             raise ValueError(f"ambient dimension must be >= 2, got {n}")
-        if kind not in ("sphere", "hypersurface"):
-            raise ValueError(f"unknown kind {kind!r}")
         self.n = n
         self.warnings: list[str] = []
-        if not isinstance(weights, WeightVector):
-            weights, divisor = WeightVector.normalized(weights)
-        else:
-            weights, divisor = WeightVector.normalized(weights.weights)
+        weights, divisor = WeightVector.normalized(weights)
         if divisor > 1:
             msg = f"weights had common factor {divisor}; normalized to {weights.weights}"
             self.warnings.append(msg)
@@ -358,8 +405,13 @@ class Manifold:
         self.weight_divisor = divisor
         self.rho = rho
         rho.check_invariance(weights)
-        self.kind = kind
         self.surface_tolerance = float(surface_tolerance)
+
+    @property
+    def kind(self) -> str:
+        """"sphere" when rho is |z|^2 - 1, else "hypersurface"; it selects the
+        exact sphere routes, so it is derived from rho and never given."""
+        return "sphere" if self.rho.terms == _unit_sphere_terms(self.n) else "hypersurface"
 
     # -- construction -----------------------------------------------------
 
@@ -367,13 +419,7 @@ class Manifold:
     def sphere(cls, n: int, weights: Sequence[int] | None = None) -> "Manifold":
         """Unit sphere |z|^2 = 1 with the given rotation weights."""
         weights = tuple(weights) if weights is not None else tuple([1] * n)
-        terms: dict[tuple, Fraction] = {}
-        for j in range(n):
-            e = tuple(1 if k == j else 0 for k in range(n))
-            terms[(e, e)] = Fraction(1)
-        zero = tuple([0] * n)
-        terms[(zero, zero)] = Fraction(-1)
-        return cls(n, weights, DefiningPolynomial(n, terms), kind="sphere")
+        return cls(n, weights, DefiningPolynomial(n, _unit_sphere_terms(n)))
 
     @classmethod
     def invariant_hypersurface_example(cls) -> "Manifold":
@@ -392,11 +438,12 @@ class Manifold:
         add(holomorphic_power_terms({(0, 3, 0): Fraction(1), (0, 0, 1): Fraction(1)}, n, 3))
         zero = (0,) * n
         add({(zero, zero): Fraction(-1)})
-        return cls(n, (1, 2, 6), DefiningPolynomial(n, terms), kind="hypersurface")
+        return cls(n, (1, 2, 6), DefiningPolynomial(n, terms))
 
     @classmethod
     def from_spec(cls, spec: dict) -> "Manifold":
-        """Build from the JSON manifold description (see README for the schema)."""
+        """Build from the JSON manifold description (see README for the schema);
+        a "kind" given there must be the one rho implies."""
         require_keys(spec, ("n", "weights", "rho"), "manifold spec")
         n = int(spec["n"])
         weights = [int(w) for w in spec["weights"]]
@@ -405,8 +452,10 @@ class Manifold:
             require_keys(t, ("z_exponents", "zbar_exponents", "coeff"), f"rho term {t}")
             key = (tuple(t["z_exponents"]), tuple(t["zbar_exponents"]))
             terms[key] = terms.get(key, Fraction(0)) + Fraction(str(t["coeff"]))
-        kind = spec.get("kind", "hypersurface")
-        return cls(n, weights, DefiningPolynomial(n, terms), kind=kind)
+        M = cls(n, weights, DefiningPolynomial(n, terms))
+        if spec.get("kind", M.kind) != M.kind:
+            raise ValueError(f"manifold spec says kind {spec['kind']!r}, but its rho makes it a {M.kind}")
+        return M
 
     def to_spec(self) -> dict:
         return {
@@ -612,76 +661,55 @@ class Manifold:
     # -- orbit distance ----------------------------------------------------
 
     def quotient_distance(self, x: SurfacePoint, y: SurfacePoint) -> float:
-        """min over theta of |x - e^{i theta}.y| (Euclidean, dense grid + refinement)."""
+        """min over theta of |x - e^{i theta}.y| (Euclidean; see orbit_distance_batch)."""
         d, _ = self.orbit_distance_batch(
             x.coordinates[None, :], y.coordinates[None, :]
         )
         return float(d[0])
 
-    def orbit_distance_batch(
-        self, X: np.ndarray, Y: np.ndarray, grid: int = 720, refine_iters: int = 64
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def orbit_distance_batch(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized orbit distance for row-paired points; returns (dist, theta*).
 
-        |x - e^{i theta}.y|^2 is a trigonometric polynomial in theta; a dense
-        grid brackets the minimum and golden-section refinement locates it to
-        ~1e-10 in theta.  The grid is scanned ROW_BLOCK pairs at a time, so
-        memory does not grow with the pair count beyond O(P n).
+        |x - e^{i theta}.y|^2 = |x|^2 + |y|^2 - 2 Re sum_j c_j e^{i w_j theta}
+        with c = conj(x) y.  A grid of ORBIT_GRID angles, scanned ROW_BLOCK
+        pairs at a time so that memory does not grow with the pair count
+        beyond O(P n), picks the best grid angle; its two neighbours bracket
+        the minimum, where safeguarded_newton solves the slope
+        2 Im sum_j w_j c_j e^{i w_j theta} = 0 to machine precision.  A pair
+        whose slope does not change sign across the bracket (c = 0, say)
+        keeps the grid angle, and so does one whose grid point is closer.
         """
         X = np.asarray(X, dtype=complex)
         Y = np.asarray(Y, dtype=complex)
+        w = self.weights.array.astype(float)
         c = X.conj() * Y  # (P, n)
-        const = np.sum(np.abs(X) ** 2 + np.abs(Y) ** 2, axis=1)
-        thetas = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-        phase = np.exp(1j * np.outer(self.weights.array.astype(float), thetas))
-
-        def sqdist(theta_arr):
-            # theta_arr: (P,) -> squared distances (P,)
-            ph = np.exp(1j * np.outer(theta_arr, self.weights.array.astype(float)))
-            return const - 2.0 * np.sum(c * ph, axis=1).real
-
+        thetas = np.linspace(0.0, 2 * np.pi, ORBIT_GRID, endpoint=False)
+        phase = np.exp(1j * np.outer(w, thetas))
         best = np.empty(c.shape[0], dtype=np.int64)
         for start in range(0, c.shape[0], ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
-            vals = const[rows, None] - 2.0 * (c[rows] @ phase).real  # (block, grid)
-            best[rows] = np.argmin(vals, axis=1)
-        h = 2 * np.pi / grid
-        a = thetas[best] - h
-        b = thetas[best] + h
-        invphi = (math.sqrt(5) - 1) / 2
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1 = sqdist(x1)
-        f2 = sqdist(x2)
-        for _ in range(refine_iters):
-            take1 = f1 < f2
-            b = np.where(take1, x2, b)
-            a = np.where(take1, a, x1)
-            x1_new = np.where(take1, b - invphi * (b - a), x2)
-            x2_new = np.where(take1, x1, a + invphi * (b - a))
-            f_new = sqdist(np.where(take1, x1_new, x2_new))
-            f1, f2 = np.where(take1, f_new, f2), np.where(take1, f1, f_new)
-            x1, x2 = x1_new, x2_new
-        theta_star = 0.5 * (a + b)
-        # Newton polish on the derivative 2 Im sum(w_j c_j e^{i w_j theta});
-        # unlike the squared distance it crosses zero linearly at the optimum,
-        # so the angle resolves to machine precision instead of ~sqrt(eps)
-        w = self.weights.array.astype(float)
-        for _ in range(4):
-            ph = np.exp(1j * np.outer(theta_star, w))
-            g = 2.0 * np.sum(c * ph * w, axis=1).imag
-            gp = 2.0 * np.sum(c * ph * w**2, axis=1).real
-            safe = np.abs(gp) > 1e-30
-            step = np.where(safe, g / np.where(safe, gp, 1.0), 0.0)
-            theta_star = np.where(np.abs(step) < h, theta_star - step, theta_star)
-        # the difference form below is free of the cancellation that floors
-        # const - 2 Re(...) at ~1e-8
-        diff = X - Y * np.exp(1j * np.outer(theta_star, w))
-        dist = np.linalg.norm(diff, axis=1)
-        diff_grid = X - Y * np.exp(1j * np.outer(thetas[best], w))
-        dist_grid = np.linalg.norm(diff_grid, axis=1)
+            best[rows] = np.argmax((c[rows] @ phase).real, axis=1)
+        theta_grid = thetas[best]
+        h = 2 * np.pi / ORBIT_GRID
+        cw, cw2 = c * w, c * w**2
+
+        def slope(idx, t):
+            ph = np.exp(1j * np.outer(t, w))
+            return (2.0 * np.sum(cw[idx] * ph, axis=1).imag,
+                    2.0 * np.sum(cw2[idx] * ph, axis=1).real)
+
+        every = np.arange(c.shape[0])
+        lo, hi = theta_grid - h, theta_grid + h
+        bracketed = np.flatnonzero((slope(every, lo)[0] < 0) & (slope(every, hi)[0] >= 0))
+        theta_star = theta_grid.copy()
+        theta_star[bracketed] = safeguarded_newton(
+            lambda idx, t: slope(bracketed[idx], t), lo[bracketed], hi[bracketed]
+        )
+        # the difference form is free of the cancellation that floors
+        # |x|^2 + |y|^2 - 2 Re(...) at ~1e-8
+        dist = np.linalg.norm(X - Y * np.exp(1j * np.outer(theta_star, w)), axis=1)
+        dist_grid = np.linalg.norm(X - Y * np.exp(1j * np.outer(theta_grid, w)), axis=1)
         use_grid = dist_grid < dist
         dist = np.where(use_grid, dist_grid, dist)
-        theta_star = np.where(use_grid, thetas[best], theta_star)
+        theta_star = np.where(use_grid, theta_grid, theta_star)
         return dist, np.mod(theta_star, 2 * np.pi)
-

@@ -21,11 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SamplingError
-from .geometry import ROW_BLOCK, Manifold, SurfacePoint
-
-# Termination guard for the per-ray iteration, not a tolerance: example2 rays
-# converge in at most 8 iterations.
-_MAX_ITERS = 60
+from .geometry import ROW_BLOCK, Manifold, SurfacePoint, safeguarded_newton
 
 
 def sphere_area(n: int) -> float:
@@ -82,15 +78,15 @@ def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
     One evaluator pass gives each ray's coefficients of the real polynomial
     t -> rho(t u).  Doubling t from 1 up to t_max brackets the first sign
     change seen at t = 1, 2, 4, ...; rays still negative at the last doubling
-    inside t_max get NaN.  Each bracketed ray then runs a safeguarded Newton
-    iteration from the bracket's upper end, where rho >= 0: the sign of rho
-    shrinks the bracket, and a Newton step that leaves it is replaced by
-    bisection.  A ray stops once its step or its bracket is within 4 ulp of
-    t, or rho is exactly 0 there, so its root does not depend on the other
-    rays of the batch, nor on the blocks of geometry.ROW_BLOCK rays that the
-    iteration runs in.  Nothing checks that a ray meets X only once:
-    crossings in pairs between grid points go unseen, and the root is a sign
-    change inside the first bracket.  rho(0) >= 0 raises SamplingError.
+    inside t_max get NaN.  Each bracketed ray's polynomial and its derivative,
+    evaluated by Horner's rule, go to geometry.safeguarded_newton, which
+    starts from the bracket's upper end, where rho >= 0, and stops a ray once
+    its step or its bracket is within 4 ulp of t, or rho is exactly 0 there.
+    So a root depends neither on the other rays of the batch nor on the
+    blocks of geometry.ROW_BLOCK rays that the iteration runs in.  Nothing
+    checks that a ray meets X only once: crossings in pairs between grid
+    points go unseen, and the root is a sign change inside the first bracket.
+    rho(0) >= 0 raises SamplingError.
     """
     U = np.asarray(U, dtype=complex)
     C = np.ascontiguousarray(M.rho.ray_coefficients(U).T)  # (degree + 1, N)
@@ -105,40 +101,17 @@ def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
         neg[grow] = _horner(C[:, grow], hi[grow]) < 0
     roots = np.full(U.shape[0], np.nan)
     bracketed = np.flatnonzero(~neg)
+    dC = C[1:] * np.arange(1, len(C))[:, None]  # coefficients of d rho(t u) / dt
     # Blocks of ROW_BLOCK rays keep the shrinking active-set copies small; one
     # pass over all rays fragments the heap enough to raise the peak RSS of an
     # example2 embed campaign by up to 2 MiB.
     for start in range(0, bracketed.size, ROW_BLOCK):
         block = bracketed[start : start + ROW_BLOCK]
-        roots[block] = _safeguarded_newton(C[:, block], lo[block], hi[block])
-    return roots
-
-
-def _safeguarded_newton(C: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Root per column of C (ascending coefficients) in (lo, hi], where f(lo) < 0 <= f(hi)."""
-    roots = np.empty(hi.shape)
-    idx = np.arange(hi.size)
-    degrees = np.arange(1, len(C))[:, None]
-    t = hi.copy()
-    for _ in range(_MAX_ITERS):
-        if idx.size == 0:
-            break
-        f = _horner(C, t)
-        below = f < 0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = t - f / _horner(C[1:] * degrees, t)
-        tol = 4.0 * np.spacing(t)
-        converged = np.abs(newton - t) <= tol
-        done = converged | (hi - lo <= tol) | (f == 0)
-        inside = (newton > lo) & (newton < hi)
-        t = np.where(f == 0, t, np.where(converged | inside, newton, 0.5 * (lo + hi)))
-        if np.any(done):
-            roots[idx[done]] = t[done]
-            live = ~done
-            idx, C, lo, hi, t = idx[live], C[:, live], lo[live], hi[live], t[live]
-    roots[idx] = t
+        roots[block] = safeguarded_newton(
+            lambda idx, t: (_horner(C[:, block[idx]], t), _horner(dC[:, block[idx]], t)),
+            lo[block],
+            hi[block],
+        )
     return roots
 
 

@@ -101,11 +101,12 @@ def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
 
 
 def orbit_distance_whole(M, X, Y, grid=720, refine_iters=64):
-    """Orbit distance (dist, theta*) with the whole (pairs, grid) scan formed at once.
+    """Orbit distance (dist, theta*) by golden section, the whole (pairs, grid) scan at once.
 
-    The formula Manifold.orbit_distance_batch used before it scanned the grid
-    in blocks of pairs: grid argmin, golden-section refinement, Newton polish
-    on the derivative, and the grid point kept where it is closer.
+    An independent route to what Manifold.orbit_distance_batch solves by
+    bracketed Newton on the slope: grid argmin, golden-section refinement of
+    the squared distance, a Newton polish on its derivative, and the grid
+    point kept where it is closer.
     """
     import math
 

@@ -218,6 +218,47 @@ def test_manifold_json_input(capsys, tmp_path):
     assert out.strip().splitlines()[1] == "4,3"
 
 
+def test_spec_kind_disagreeing_with_rho_exits_two(capsys, tmp_path):
+    from szegolab.geometry import Manifold
+
+    # 2|z1|^2 + |z2|^2 = 1 labelled a sphere would take the exact sphere norms
+    spec = Manifold.sphere(2, (1, 2)).to_spec()
+    spec["rho"][0]["coeff"] = "2"
+    path = tmp_path / "ellipsoid.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "fit", "--manifold", str(path), "--point", "0,1",
+                           "--m", "10..20")
+    assert code == 2
+    assert "configuration error" in err and "kind 'sphere'" in err
+
+
+def test_unknown_tolerance_exits_two(capsys):
+    code, _, err = run_cli(capsys, "fit", "--weights", "1,2", "--point", "0,1",
+                           "--m", "20..22", "--tolerance", "fitt=0.1")
+    assert code == 2
+    assert "unknown tolerance 'fitt'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--preset", "sphere", "--n", "2", "--m", "3", "--seed", "1"],
+        ["norms", "--preset", "sphere", "--n", "2", "--m", "3", "--samples", "10"],
+        ["project", "--weights", "1,2", "--point", "0.6,0.8", "--m", "0", "--function", "f.json",
+         "--measure", "round-exact"],
+        ["kernel", "--preset", "sphere", "--n", "2", "--m", "3", "--point", "1,0",
+         "--tolerance", "fit=0.1"],
+        ["embed", "--weights", "1,2", "--m", "4", "--tolerance", "fit=0.1"],
+    ],
+    ids=["dims-seed", "norms-samples", "project-measure", "kernel-tolerance", "embed-tolerance"],
+)
+def test_option_the_command_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_config_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "fit", "--m", "20..60")
     assert code == 2

@@ -25,6 +25,7 @@ from szegolab.geometry import (
     ROW_BLOCK,
     Manifold,
     WeightVector,
+    safeguarded_newton,
 )
 
 
@@ -36,6 +37,7 @@ class TestConstruction:
 
     def test_example_hypersurface_accepted(self, example2):
         assert example2.weights.weights == (1, 2, 6)
+        assert example2.kind == "hypersurface"
         # every term must balance its weighted bidegree; construction validates
         example2.rho.check_invariance(example2.weights)
 
@@ -68,6 +70,19 @@ class TestConstruction:
         M = Manifold.from_spec(example2.to_spec())
         assert M.content_hash == example2.content_hash
         assert M.weights.weights == example2.weights.weights
+
+    def test_kind_is_derived_from_rho(self):
+        sphere = Manifold.sphere(2, (1, 2))
+        assert Manifold.from_spec(sphere.to_spec()).kind == "sphere"
+        spec = sphere.to_spec()
+        del spec["kind"]
+        assert Manifold.from_spec(spec).kind == "sphere"
+        # the spec still carries kind, so manifold hashes are unchanged
+        assert sphere.content_hash == "0a40d1d6a2f57c48"
+        spec["rho"][0]["coeff"] = "2"  # 2|z1|^2 + |z2|^2 = 1: an ellipsoid
+        assert Manifold.from_spec(spec).kind == "hypersurface"
+        with pytest.raises(ValueError, match="kind 'sphere'"):
+            Manifold.from_spec({**spec, "kind": "sphere"})
 
     def test_point_rejects_off_surface(self, sphere2):
         with pytest.raises(NotOnSurfaceError):
@@ -316,17 +331,44 @@ class TestQuotientDistance:
             assert d <= brute + 1e-12
             assert abs(d - brute) < 1e-6
 
-    def test_blocked_scan_matches_whole_array(self, example2):
+    def test_blocked_scan_matches_whole_array(self, example2, wsphere126):
         from szegolab.integrate import surface_samples
 
         pairs = ROW_BLOCK + 300
-        Z = surface_samples(example2, 2 * pairs, seed=17).points
-        X, Y = Z[:pairs], Z[pairs:]
-        dist, theta = example2.orbit_distance_batch(X, Y)
-        dist_whole, theta_whole = orbit_distance_whole(example2, X, Y)
+        for M in (example2, wsphere126):
+            Z = surface_samples(M, 2 * pairs, seed=17).points
+            X, Y = Z[:pairs], Z[pairs:]
+            dist, theta = M.orbit_distance_batch(X, Y)
+            dist_whole, theta_whole = orbit_distance_whole(M, X, Y)
+            assert np.max(np.abs(dist - dist_whole)) <= 1e-12
+            gap = np.abs(theta - theta_whole)
+            assert np.max(np.minimum(gap, 2 * np.pi - gap)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["example2", "wsphere126"])
+    def test_matches_golden_section_on_support_patterns(self, request, name):
+        """Pairs with exact zero coordinates: c = conj(x) y may vanish, so the
+        slope never changes sign and the grid angle is kept, or be supported
+        where the weights share a factor k, so the minimum repeats with
+        period 2 pi / k and the angles agree modulo that period."""
+        from szegolab.integrate import support_pattern_points
+
+        M = request.getfixturevalue(name)
+        patterns = [support for support, _ in M.strata_orders().support_patterns]
+        k = len(patterns)  # every (x, y) pattern pair, k^2 <= 210 for n = 3
+        supports = [patterns[i % k] for i in range(210)] + [patterns[i // k % k] for i in range(210)]
+        Z = np.array([x.coordinates for x in support_pattern_points(M, supports, seed=3)])
+        X, Y = Z[:210], Z[210:]
+        dist, theta = M.orbit_distance_batch(X, Y)
+        dist_whole, theta_whole = orbit_distance_whole(M, X, Y)
         assert np.max(np.abs(dist - dist_whole)) <= 1e-12
-        gap = np.abs(theta - theta_whole)
-        assert np.max(np.minimum(gap, 2 * np.pi - gap)) <= 1e-12
+        c = X.conj() * Y
+        disjoint = ~np.any(c, axis=1)
+        assert disjoint.any() and not disjoint.all()
+        assert np.all(theta[disjoint] == 0.0)
+        for i in np.flatnonzero(~disjoint):
+            period = 2 * np.pi / math.gcd(*M.weights.array[c[i] != 0].tolist())
+            gap = np.mod(theta[i] - theta_whole[i], period)
+            assert min(gap, period - gap) <= 1e-12
 
     def test_symmetry_and_triangle_inequality(self, wsphere12):
         pts = random_points(wsphere12, 6, seed=40)
@@ -338,6 +380,48 @@ class TestQuotientDistance:
             dac = wsphere12.quotient_distance(a, c)
             dcb = wsphere12.quotient_distance(c, b)
             assert dab <= dac + dcb + 2e-9
+
+
+class TestSafeguardedNewton:
+    @staticmethod
+    def _polynomial(coeffs, counter=None):
+        """fdf for the polynomials with ascending coefficient rows coeffs[i]."""
+        P = [np.polynomial.Polynomial(c) for c in coeffs]
+
+        def fdf(idx, t):
+            if counter is not None:
+                counter.append(len(idx))
+            return (np.array([P[i](x) for i, x in zip(idx, t)]),
+                    np.array([P[i].deriv()(x) for i, x in zip(idx, t)]))
+
+        return fdf
+
+    def test_known_roots(self):
+        # t^2 - 2, t^3 - 3 and 4 t^2 - 1 with brackets f(lo) < 0 <= f(hi)
+        fdf = self._polynomial([[-2, 0, 1], [-3, 0, 0, 1], [-1, 0, 4]])
+        roots = safeguarded_newton(fdf, np.array([1.0, 1.0, 0.0]), np.array([2.0, 2.0, 1.0]))
+        expected = np.array([math.sqrt(2), 3 ** (1 / 3), 0.5])
+        assert np.all(np.abs(roots - expected) <= 4 * np.spacing(expected))
+
+    def test_bisects_when_newton_leaves_the_bracket(self):
+        # -1 + 10 t^2 - 8 t^4 falls at t = 1: Newton from there lands at 13/12 > hi
+        calls = []
+        fdf = self._polynomial([[-1, 0, 10, 0, -8]], calls)
+        root = safeguarded_newton(fdf, np.array([0.0]), np.array([1.0]))[0]
+        assert 1.0 - (-1 + 10 - 8) / (20 - 32) > 1.0
+        expected = math.sqrt((10 - math.sqrt(68)) / 16)
+        assert abs(root - expected) <= 4 * np.spacing(expected)
+        assert len(calls) < 60
+
+    def test_exact_zero_stops_at_once(self):
+        # (t - 2)^3 is 0 at hi with f' = 0, so the Newton step is NaN there;
+        # the second entry runs on alone
+        calls = []
+        fdf = self._polynomial([[-8, 12, -6, 1], [-2, 0, 1]], calls)
+        roots = safeguarded_newton(fdf, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+        assert roots[0] == 2.0
+        assert abs(roots[1] - math.sqrt(2)) <= 4 * np.spacing(math.sqrt(2))
+        assert calls[0] == 2 and all(k == 1 for k in calls[1:])
 
 
 class TestWeightVector:
