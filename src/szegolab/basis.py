@@ -14,12 +14,15 @@ the simplex of s = (|z_1|^2, ..., |z_n|^2); they come from the deterministic
 Gauss-Legendre rule of integrate.torus_quadrature, so the sample count and
 seed do not affect them.  On other manifolds, or when a sample set is
 passed, the Gram matrix is estimated by Monte Carlo with per-entry standard
-errors.  Orthonormalization is Cholesky whitening.
+errors.  Since z -> zbar preserves X and the compliant measure, that Gram
+matrix is real symmetric, and it is accumulated in real arithmetic.
+Orthonormalization is Cholesky whitening.
 
 The kernels are studied over many levels on one rule or sample set, so the
 Gram matrices of all requested levels are assembled in one pass over it
-(gram_matrices, fourier_bases).  The pass runs in blocks of rows; per block
-it evaluates the weighted compliant density once, builds one power table per
+(gram_matrices, fourier_bases).  The pass runs in blocks of rows, taken from
+the given rule or sample set or streamed from the sampler; per block it
+takes the weighted compliant density once, builds one power table per
 coordinate up to the largest exponent any level needs, gathers each level's
 monomial rows from those tables, and adds them to that level's diagonal, or
 to its matrix and second-moment accumulator.  The one-level functions
@@ -48,7 +51,8 @@ from .geometry import (
 from .integrate import (
     SampleSet,
     compliant_density,
-    surface_samples,
+    hypersurface_blocks,
+    surface_samples,  # unused here, kept importable: bench/spans.py wraps basis.surface_samples
     torus_invariant,
     torus_quadrature,
 )
@@ -232,10 +236,20 @@ def gram_matrices(
     compliant volume density.  On a torus-invariant X with no sample_set given
     the Gram matrices are diagonal, and their entries come from the
     deterministic simplex rule of torus_quadrature; samples and seed are then
-    unused.  Otherwise one sample set is drawn (or the given one is used), and
-    one pass over its rows, block by block, accumulates every level's matrix
-    and the second moments behind its per-entry standard errors.  Each result
-    is Hermitized and must be positive definite (within noise).
+    unused.  Otherwise the Gram matrices are Monte-Carlo estimates: one pass,
+    block by block, over the given sample set or over the blocks that
+    integrate.hypersurface_blocks streams for samples and seed (never
+    materialized), accumulates every level's matrix and the second moments
+    behind its per-entry standard errors.
+
+    rho has real coefficients with c(a, b) = c(b, a), so z -> zbar maps X to
+    itself and preserves its surface measure and the compliant density.  So
+    G_ab = G_ba = conj(G_ab): every compliant Gram matrix is real symmetric,
+    and the imaginary part of a complex estimate is sampling noise only.  The
+    estimate accumulates the real part alone, in real arithmetic, and is
+    symmetrized; its stderr is the complex estimate's, an upper bound on the
+    standard error of the real part.  Each result must be positive definite;
+    otherwise GramNotPositiveDefiniteError names the level and its size.
     """
     for level, indices in level_indices.items():
         degrees = {mi.weighted_degree for mi in indices}
@@ -249,7 +263,9 @@ def gram_matrices(
             raise ValueError("round-exact measure requires a sphere-kind manifold")
         return {
             level: _diagonal_estimate(
-                np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices]), measure
+                level,
+                np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices]),
+                measure,
             )
             for level, indices in level_indices.items()
         }
@@ -259,57 +275,78 @@ def gram_matrices(
         level: np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, M.n)
         for level, indices in level_indices.items()
     }
+    nonempty = any(len(A) for A in exps.values())
     if sample_set is None and torus_invariant(M):
         diag = {level: np.zeros(len(A)) for level, A in exps.items()}
-        if any(len(A) for A in exps.values()):
+        if nonempty:
             degree = max(int(A.sum(axis=1).max(initial=0)) for A in exps.values())
-            for c, powers in _weighted_power_blocks(M, torus_quadrature(M, degree), exps):
+            blocks = _compliant_blocks(M, torus_quadrature(M, degree))
+            for c, powers in _power_blocks(blocks, exps):
                 for level, A in exps.items():
                     V = gather_products(powers, A)
                     diag[level] += (V.real**2 + V.imag**2) @ c
-        return {level: _diagonal_estimate(d, measure) for level, d in diag.items()}
-    G = {level: np.zeros((len(A), len(A)), dtype=complex) for level, A in exps.items()}
+        return {level: _diagonal_estimate(level, d, measure) for level, d in diag.items()}
+    G = {level: np.zeros((len(A), len(A))) for level, A in exps.items()}
     S2 = {level: np.zeros((len(A), len(A))) for level, A in exps.items()}
     N = 0
-    if any(len(A) for A in exps.values()):
-        S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
-        N = S.count
-        for c, powers in _weighted_power_blocks(M, S, exps):
+    if nonempty:
+        if sample_set is not None:
+            N, blocks = sample_set.count, _compliant_blocks(M, sample_set)
+        else:
+            N = samples
+            blocks = ((X, w * density) for X, w, density in hypersurface_blocks(M, samples, seed))
+        for c, powers in _power_blocks(blocks, exps):
+            c2 = np.repeat(c, 2)
             Nc2 = N * c**2
             for level, A in exps.items():
-                V = gather_products(powers, A)  # V[j, i] = z_i^{alpha_j}
-                G[level] += (V * c) @ V.conj().T
-                B = V.real**2 + V.imag**2
+                # R[j, 2i] + 1j R[j, 2i + 1] = z_i^{alpha_j}: a real view, no copy
+                R = gather_products(powers, A).view(np.float64)
+                G[level] += (R * c2) @ R.T  # Re sum_i c_i z_i^{alpha_j} conj(z_i^{alpha_k})
+                R2 = R * R
+                B = R2[:, 0::2] + R2[:, 1::2]  # |z_i^{alpha_j}|^2
                 S2[level] += (B * Nc2) @ B.T
     out = {}
     for level, A in exps.items():
-        Gm = 0.5 * (G[level] + G[level].conj().T)
-        stderr = np.sqrt(np.maximum(S2[level] - np.abs(Gm) ** 2, 0.0) / max(N - 1, 1))
+        Gm = 0.5 * (G[level] + G[level].T)
+        stderr = np.sqrt(np.maximum(S2[level] - Gm**2, 0.0) / max(N - 1, 1))
         spectrum = np.linalg.eigvalsh(Gm) if len(A) else np.zeros(1)
         if len(A) and spectrum[0] <= 0:
-            raise GramNotPositiveDefiniteError(float(spectrum[0]))
+            raise _not_positive_definite(level, len(A), float(spectrum[0]))
         out[level] = GramEstimate(Gm, stderr, measure, float(spectrum[0]), float(spectrum[-1]))
     return out
 
 
-def _weighted_power_blocks(M: Manifold, S: SampleSet, exps: Mapping[int, np.ndarray]):
-    """Per block of ROW_BLOCK rows of S: (c, powers), with c the weights times
-    the compliant density and powers one table per coordinate, up to the
-    largest exponent of that coordinate in exps."""
-    e_max = np.max([A.max(axis=0, initial=0) for A in exps.values()], axis=0).tolist()
+def _compliant_blocks(M: Manifold, S: SampleSet):
+    """(Z, c) per block of ROW_BLOCK rows of S: the points and their weights
+    times the compliant density."""
     for start in range(0, S.count, ROW_BLOCK):
         Z = S.points[start : start + ROW_BLOCK]
-        c = S.weights[start : start + ROW_BLOCK] * compliant_density(M, Z)
+        yield Z, S.weights[start : start + ROW_BLOCK] * compliant_density(M, Z)
+
+
+def _power_blocks(blocks, exps: Mapping[int, np.ndarray]):
+    """(c, powers) per block (Z, c) of blocks, with powers one table per
+    coordinate of Z, up to the largest exponent of that coordinate in exps."""
+    e_max = np.max([A.max(axis=0, initial=0) for A in exps.values()], axis=0).tolist()
+    for Z, c in blocks:
         yield c, [power_table(Z[:, k], e) for k, e in enumerate(e_max)]
 
 
-def _diagonal_estimate(diag: np.ndarray, measure: str) -> GramEstimate:
+def _not_positive_definite(level: int, d: int, smallest: float) -> GramNotPositiveDefiniteError:
+    return GramNotPositiveDefiniteError(
+        smallest,
+        f"Gram matrix of level {level} ({d} monomials) not positive definite "
+        f"(smallest eigenvalue {smallest:.3e})",
+    )
+
+
+def _diagonal_estimate(level: int, diag: np.ndarray, measure: str) -> GramEstimate:
     """GramEstimate of an exactly diagonal Gram matrix (no standard errors)."""
     if len(diag) == 0:
         return GramEstimate(DiagonalMatrix(diag), None, measure, 0.0, 0.0)
     smallest = float(diag.min())
     if smallest <= 0:
-        raise GramNotPositiveDefiniteError(smallest)
+        raise _not_positive_definite(level, len(diag), smallest)
     return GramEstimate(DiagonalMatrix(diag), None, measure, smallest, float(diag.max()))
 
 

@@ -4,7 +4,13 @@ Uniform sphere sampling is exact (normalized Gaussians, equal weights).
 General invariant hypersurfaces are sampled by radial projection: draw a
 direction uniformly on the unit sphere, solve rho(t u) = 0 along the ray, and
 weight by the angular co-area Jacobian t^{2n} |grad rho| / (x . grad rho) so
-that weighted sums estimate Euclidean surface integrals.  On torus-invariant
+that weighted sums estimate Euclidean surface integrals.  The sampler also
+streams: hypersurface_blocks yields the points, weights and compliant
+densities block by block, the density taken from the gradient the co-area
+weight already needed.  rho has real coefficients with c(a, b) = c(b, a), so
+rho(zbar) = rho(z): conjugation maps X to itself and preserves its surface
+measure and the compliant density, which is why the Monte-Carlo Gram
+matrices built from these samples are real symmetric.  On torus-invariant
 hypersurfaces, integrands that depend only on (|z_1|^2, ..., |z_n|^2) are
 integrated deterministically instead: a Gauss-Legendre rule on the simplex
 of those moduli, pushed to X along the same rays with the same weights.  A
@@ -72,6 +78,17 @@ def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
     return f
 
 
+def _horner_with_derivative(C: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and first derivatives at t of the polynomials of C, in one
+    Horner recurrence: df <- df t + f, then f <- f t + c."""
+    f = C[-1]
+    df = np.zeros_like(f)
+    for c in C[-2::-1]:
+        df = df * t + f
+        f = f * t + c
+    return f, df
+
+
 def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
     """First positive root of rho(t u) per row of U; NaN where none is bracketed.
 
@@ -79,9 +96,10 @@ def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
     t -> rho(t u).  Doubling t from 1 up to t_max brackets the first sign
     change seen at t = 1, 2, 4, ...; rays still negative at the last doubling
     inside t_max get NaN.  Each bracketed ray's polynomial and its derivative,
-    evaluated by Horner's rule, go to geometry.safeguarded_newton, which
-    starts from the bracket's upper end, where rho >= 0, and stops a ray once
-    its step or its bracket is within 4 ulp of t, or rho is exactly 0 there.
+    evaluated together by one Horner recurrence, go to
+    geometry.safeguarded_newton, which starts from the bracket's upper end,
+    where rho >= 0, and stops a ray once its step or its bracket is within
+    4 ulp of t, or rho is exactly 0 there.
     So a root depends neither on the other rays of the batch nor on the
     blocks of geometry.ROW_BLOCK rays that the iteration runs in.  Nothing
     checks that a ray meets X only once: crossings in pairs between grid
@@ -101,14 +119,13 @@ def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
         neg[grow] = _horner(C[:, grow], hi[grow]) < 0
     roots = np.full(U.shape[0], np.nan)
     bracketed = np.flatnonzero(~neg)
-    dC = C[1:] * np.arange(1, len(C))[:, None]  # coefficients of d rho(t u) / dt
     # Blocks of ROW_BLOCK rays keep the shrinking active-set copies small; one
     # pass over all rays fragments the heap enough to raise the peak RSS of an
     # example2 embed campaign by up to 2 MiB.
     for start in range(0, bracketed.size, ROW_BLOCK):
         block = bracketed[start : start + ROW_BLOCK]
         roots[block] = safeguarded_newton(
-            lambda idx, t: (_horner(C[:, block[idx]], t), _horner(dC[:, block[idx]], t)),
+            lambda idx, t: _horner_with_derivative(C[:, block[idx]], t),
             lo[block],
             hi[block],
         )
@@ -123,22 +140,46 @@ def _ray_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
     return t
 
 
+def hypersurface_blocks(M: Manifold, count: int, seed: int = 0):
+    """Radial-projection samples of {rho = 0}, streamed ROW_BLOCK directions at a time.
+
+    Yields (X, w, density) per block: the points on X, their co-area weights
+    and the compliant density at them, computed from the gradient that the
+    co-area weight needed already.  All directions come from one Philox
+    stream seeded by seed.  Chunked draws equal the one-shot draw, roots are
+    found per ray, and rho's evaluator works in blocks of ROW_BLOCK rows, so
+    the blocks concatenate to sample_hypersurface(M, count, seed) bit for bit.
+    """
+    for X, w, rho_z in _projected_blocks(M, count, seed):
+        yield X, w, _density_from_gradient(M, X, rho_z)
+
+
 def sample_hypersurface(M: Manifold, count: int, seed: int = 0) -> SampleSet:
-    """Radial-projection sampling of {rho = 0} with co-area weights.
+    """Radial-projection sampling of {rho = 0} with co-area weights: the
+    points and weights of hypersurface_blocks, concatenated.
 
     On a sphere the weights reduce to the equal sphere-uniform weights.
     """
+    X, w, _ = zip(*_projected_blocks(M, count, seed))
+    return SampleSet(np.concatenate(X), np.concatenate(w), seed, "implicit-projection")
+
+
+def _projected_blocks(M: Manifold, count: int, seed: int):
+    """_coarea_rule per block of ROW_BLOCK directions drawn from one stream."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    U = _uniform_directions(M.n, count, _rng(seed))
-    return _project_rule(M, U, sphere_area(M.n) / count, seed, "implicit-projection")
+    rng = _rng(seed)
+    w = sphere_area(M.n) / count
+    for start in range(0, count, ROW_BLOCK):
+        yield _coarea_rule(M, _uniform_directions(M.n, min(ROW_BLOCK, count - start), rng), w)
 
 
-def _project_rule(M: Manifold, U: np.ndarray, w, seed: int, method: str) -> SampleSet:
+def _coarea_rule(M: Manifold, U: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A rule on X from a rule on the unit sphere: directions U (N, n) with weights w.
 
     Each direction is projected to X along its ray, and its weight is
     multiplied by the angular co-area Jacobian t^{2n} |grad rho| / (x . grad rho).
+    Returns the points, their weights and the gradient (d rho / d z_j) there.
     """
     t = _ray_roots(M, U)
     X = U * t[:, None]
@@ -147,7 +188,7 @@ def _project_rule(M: Manifold, U: np.ndarray, w, seed: int, method: str) -> Samp
     radial = 2.0 * np.sum(X * rho_z, axis=1).real  # x . grad rho
     if np.any(radial <= 0):
         raise SamplingError("ray meets the surface non-transversally")
-    return SampleSet(X, w * t ** (2 * M.n) * grad_norm / radial, seed, method)
+    return X, w * t ** (2 * M.n) * grad_norm / radial, rho_z
 
 
 def torus_invariant(M: Manifold) -> bool:
@@ -213,7 +254,8 @@ def torus_quadrature(M: Manifold, degree: int) -> SampleSet:
     U = np.sqrt(sigma).astype(complex)
     if M.kind == "sphere":
         return SampleSet(U, weights, 0, "simplex-gauss")
-    return _project_rule(M, U, weights, 0, "simplex-gauss")
+    X, weights, _ = _coarea_rule(M, U, weights)
+    return SampleSet(X, weights, 0, "simplex-gauss")
 
 
 def surface_samples(M: Manifold, count: int, seed: int = 0) -> SampleSet:
@@ -229,8 +271,14 @@ def compliant_density(M: Manifold, Z: np.ndarray) -> np.ndarray:
     Equals |d_z rho| divided by the transversal pairing; agrees with the
     Gram-determinant construction in geometry (covered by tests).
     """
-    rho_z = M.rho.z_gradient(Z)
-    denom = np.sum(M.weights.array * np.asarray(Z, dtype=complex) * rho_z, axis=-1).real
+    Z = np.asarray(Z, dtype=complex)
+    return _density_from_gradient(M, Z, M.rho.z_gradient(Z))
+
+
+def _density_from_gradient(M: Manifold, Z: np.ndarray, rho_z: np.ndarray) -> np.ndarray:
+    """compliant_density at Z from the gradient rho_z = (d rho / d z_j) there:
+    |d_z rho| / Re sum_j w_j z_j d rho / d z_j."""
+    denom = np.sum(M.weights.array * Z * rho_z, axis=-1).real
     return np.linalg.norm(rho_z, axis=-1) / denom
 
 

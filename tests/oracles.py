@@ -243,3 +243,29 @@ def search_embedding(M, m_start, m_max, pair_count=2000, threshold=0.05, seed=0,
         if not report.violations:
             return m, Phi, report
     raise RuntimeError(f"no embedding certificate up to m = {m_max}")
+
+
+def sample_hypersurface_one_shot(M, count, seed=0):
+    """(points, weights) of radial-projection sampling with every direction
+    drawn at once and projected in one pass: the sampler before it streamed."""
+    from szegolab import integrate
+
+    U = integrate._uniform_directions(M.n, count, integrate._rng(seed))
+    t = integrate.radial_roots(M, U)
+    X = U * t[:, None]
+    rho_z = M.rho.z_gradient(X)
+    grad_norm = 2.0 * np.linalg.norm(rho_z, axis=1)
+    radial = 2.0 * np.sum(X * rho_z, axis=1).real
+    return X, integrate.sphere_area(M.n) / count * t ** (2 * M.n) * grad_norm / radial
+
+
+def horner_two_pass(C, t):
+    """Values and derivatives at t of the polynomials with ascending
+    coefficient rows C: two Horner passes, one over the derivative's
+    coefficients."""
+    f, df = C[-1], C[-1] * (len(C) - 1)
+    for d in range(len(C) - 2, -1, -1):
+        f = f * t + C[d]
+        if d:
+            df = df * t + C[d] * d
+    return f, df

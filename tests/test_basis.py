@@ -209,10 +209,11 @@ class TestGramMatrices:
             assert np.max(np.abs(got.matrix - single.matrix)) <= 1e-13 * scale
             assert np.max(np.abs(got.stderr - single.stderr)) <= 1e-13 * np.max(single.stderr)
             assert got.smallest_eigenvalue == pytest.approx(single.smallest_eigenvalue, rel=1e-13)
-            # reference: one dense product over all the samples at once
+            # reference: one dense complex product over all the samples at
+            # once; the Gram is its real part (its imaginary part is noise)
             V = monomial_values(S.points, idx)
             reference = (V * c[:, None]).T @ V.conj()
-            assert np.max(np.abs(got.matrix - reference)) <= 1e-12 * scale
+            assert np.max(np.abs(got.matrix - reference.real)) <= 1e-12 * scale
 
     def test_not_positive_definite_fires(self, wsphere12):
         S = surface_samples(wsphere12, 5_000, 2)
@@ -221,6 +222,53 @@ class TestGramMatrices:
         with pytest.raises(GramNotPositiveDefiniteError) as info:
             gram_matrices(levels, wsphere12, measure=COMPLIANT, sample_set=negated)
         assert info.value.smallest_eigenvalue < 0
+        assert "level 4 (3 monomials)" in str(info.value)
+
+    @pytest.mark.parametrize("name, levels", [("wsphere12", (4, 7)), ("example2", (6, 12))])
+    def test_conjugation_closed_set_gives_the_real_gram(self, request, name, levels):
+        """On a sample set closed under z -> zbar the complex estimate is real
+        up to rounding, and gram_matrices returns its real part."""
+        M = request.getfixturevalue(name)
+        S = surface_samples(M, 4_000, 5)
+        closed = SampleSet(
+            np.concatenate([S.points, S.points.conj()]),
+            np.concatenate([S.weights, S.weights]) / 2,
+            S.seed,
+            S.method,
+        )
+        c = closed.weights * compliant_density(M, closed.points)
+        level_indices = {m: enumerate_multiindices(M.weights, m) for m in levels}
+        grams = gram_matrices(level_indices, M, measure=COMPLIANT, sample_set=closed)
+        for m, idx in level_indices.items():
+            V = monomial_values(closed.points, idx)
+            oracle = (V * c[:, None]).T @ V.conj()
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(oracle.imag)) <= 1e-15 * scale
+            G = grams[m].matrix
+            assert G.dtype == np.float64 and grams[m].stderr.dtype == np.float64
+            np.testing.assert_array_equal(G, G.T)
+            assert np.max(np.abs(G - oracle.real)) <= 1e-12 * scale
+            # stderr keeps the complex estimate's second moments
+            B = np.abs(V) ** 2
+            N = closed.count
+            S2 = (B * (N * c**2)[:, None]).T @ B
+            stderr = np.sqrt(np.maximum(S2 - oracle.real**2, 0.0) / (N - 1))
+            assert np.max(np.abs(grams[m].stderr - stderr)) <= 1e-12 * np.max(stderr)
+
+    def test_streamed_gram_equals_gram_over_the_sample_set(self, example2, monkeypatch):
+        levels = {m: enumerate_multiindices(example2.weights, m) for m in (4, 5, 12)}
+        with monkeypatch.context() as patch:
+            def refuse(*args, **kwargs):
+                raise AssertionError("sample set materialized")
+
+            for module, name in ((basis, "surface_samples"), (integrate, "sample_hypersurface")):
+                patch.setattr(module, name, refuse)
+            streamed = gram_matrices(levels, example2, measure=COMPLIANT, samples=5_000, seed=8)
+        S = integrate.sample_hypersurface(example2, 5_000, 8)
+        given = gram_matrices(levels, example2, measure=COMPLIANT, sample_set=S)
+        for m in levels:
+            np.testing.assert_array_equal(streamed[m].matrix, given[m].matrix)
+            np.testing.assert_array_equal(streamed[m].stderr, given[m].stderr)
 
     def test_round_exact_levels(self, wsphere126):
         levels = {m: enumerate_multiindices(wsphere126.weights, m) for m in (3, 6, 7)}
@@ -304,6 +352,7 @@ class TestTorusQuadrature:
         with pytest.raises(GramNotPositiveDefiniteError) as info:
             gram_matrices(levels, wsphere12, measure=COMPLIANT)
         assert info.value.smallest_eigenvalue < 0
+        assert "level 4 (3 monomials)" in str(info.value)
 
 
 class TestOrthonormalize:

@@ -8,8 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import holomorphic_derivative_fd
+from oracles import holomorphic_derivative_fd, horner_two_pass
 
+import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_jacobian, monomial_values
 from szegolab.errors import SamplingError
 from szegolab.geometry import ROW_BLOCK, DefiningPolynomial, Manifold
@@ -179,6 +180,24 @@ def test_radial_roots_of_a_ray_do_not_depend_on_the_batch(example2):
     near_block_edge = slice(ROW_BLOCK - 40, None)
     single = np.array([radial_roots(example2, u[None, :])[0] for u in U[near_block_edge]])
     np.testing.assert_allclose(single, batch[near_block_edge], rtol=1e-15, atol=0)
+
+
+def test_fused_horner_matches_two_passes(example2, monkeypatch):
+    """One recurrence for rho(t u) and d rho(t u) / dt: the same values, the
+    derivative to rounding, and no root more than 1 ulp from two passes."""
+    rng = np.random.default_rng(10)
+    U = rng.normal(size=(5000, 3)) + 1j * rng.normal(size=(5000, 3))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    fused = radial_roots(example2, U)
+    C = example2.rho.ray_coefficients(U).T
+    f, df = integrate._horner_with_derivative(C, fused)
+    f_ref, df_ref = horner_two_pass(C, fused)
+    np.testing.assert_array_equal(f, f_ref)
+    bound = horner_two_pass(np.abs(C), fused)[1]  # sum_d d |C_d| t^(d-1)
+    assert np.all(np.abs(df - df_ref) <= 1e-14 * bound)
+    monkeypatch.setattr(integrate, "_horner_with_derivative", horner_two_pass)
+    two_pass = radial_roots(example2, U)
+    assert np.all(np.abs(fused - two_pass) <= np.spacing(two_pass))
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_point
-from oracles import ball_points_loop
+from oracles import ball_points_loop, sample_hypersurface_one_shot
 
 import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_values, sphere_monomial_norm_sq
 from szegolab.errors import SamplingError
+from szegolab.geometry import ROW_BLOCK
 from szegolab.integrate import (
     ball_points,
     compliant_density,
+    hypersurface_blocks,
     integrate_surface,
     sample_hypersurface,
     sample_sphere,
@@ -68,6 +70,23 @@ def test_cross_backend_monomial_integrals(sphere2):
         e1, s1 = integrate_surface(f, S1)
         e2, s2 = integrate_surface(f, S2)
         assert abs(e1 - e2) < 5 * math.hypot(s1, s2) + 1e-12
+
+
+@pytest.mark.parametrize("count", [1, ROW_BLOCK - 1, ROW_BLOCK, 5000])
+def test_streamed_sampler_equals_one_shot_draw(example2, count):
+    S = sample_hypersurface(example2, count, seed=6)
+    X, w = sample_hypersurface_one_shot(example2, count, seed=6)
+    assert S.points.tobytes() == X.tobytes()
+    assert S.weights.tobytes() == w.tobytes()
+
+
+def test_streamed_density_is_the_compliant_density(example2):
+    sizes = []
+    for X, w, density in hypersurface_blocks(example2, 5000, seed=7):
+        sizes.append(len(X))
+        assert X.shape == (len(w), 3)
+        assert density.tobytes() == compliant_density(example2, X).tobytes()
+    assert sizes == [ROW_BLOCK, ROW_BLOCK, 5000 - 2 * ROW_BLOCK]
 
 
 def test_example2_area_stable_across_seeds(example2):
