@@ -7,7 +7,9 @@ with closed-form entries
 
     integral over S^{2n-1} of |z^alpha|^2 dS = 2 pi^n alpha! / (n - 1 + |alpha|)!
 
-carried exactly as (rational, pi-power) pairs.  Under the compliant measure
+carried exactly as (rational, pi-power) pairs.  That diagonal, the round-exact
+measure, whitens the monomials of any manifold; computations that depend only
+on the span of each component use it everywhere.  Under the compliant measure
 on a torus-invariant manifold (every term of rho is z^a zbar^a, as on every
 sphere) the Gram matrix is diagonal too, and its entries are integrals over
 the simplex of s = (|z_1|^2, ..., |z_n|^2); they come from the deterministic
@@ -231,8 +233,12 @@ def gram_matrices(
     """Gram matrices of the monomials of several levels under one measure.
 
     level_indices maps each level m to monomials of weighted degree m.
-    round-exact is available on sphere-kind manifolds only and is diagonal by
-    torus invariance.  compliant-quadrature reweights a rule on X by the
+    round-exact is the sphere-L^2 normalization of the monomials: the closed
+    form diagonal of sphere_monomial_norm_sq on the unit sphere S^{2n-1},
+    whatever the manifold.  On the standard sphere it is the Gram matrix of
+    X's own measure; elsewhere it whitens the same span by another inner
+    product, which serves every computation that depends only on the span
+    (see resolve_measure).  compliant-quadrature reweights a rule on X by the
     compliant volume density.  On a torus-invariant X with no sample_set given
     the Gram matrices are diagonal, and their entries come from the
     deterministic simplex rule of torus_quadrature; samples and seed are then
@@ -259,8 +265,6 @@ def gram_matrices(
                 f"{sorted(degrees | {level})}"
             )
     if measure == ROUND_EXACT:
-        if M.kind != "sphere":
-            raise ValueError("round-exact measure requires a sphere-kind manifold")
         return {
             level: _diagonal_estimate(
                 level,
@@ -365,13 +369,22 @@ def gram_matrix(
     )[level]
 
 
-def resolve_measure(M: Manifold, measure: str) -> str:
-    """measure="auto" is round-exact on the standard sphere, where the compliant
-    measure coincides with the round one, and compliant-quadrature otherwise."""
+def resolve_measure(M: Manifold, measure: str, span_only: bool = False) -> str:
+    """The one rule for measure="auto"; an explicit measure is returned as given.
+
+    A computation that depends only on the span of each component (span_only:
+    vanishing on a stratum, an embedding's certificates) gets round-exact on
+    every manifold: any basis of the span gives the same image up to a
+    blockwise linear change of target coordinates, and the closed-form
+    diagonal needs no Gram samples.  A kernel value depends on the inner
+    product, so it gets round-exact only on the standard sphere, where the
+    compliant measure coincides with the round one, and compliant-quadrature
+    otherwise.
+    """
     if measure != "auto":
         return measure
     standard = M.kind == "sphere" and all(w == 1 for w in M.weights)
-    return ROUND_EXACT if standard else COMPLIANT
+    return ROUND_EXACT if span_only or standard else COMPLIANT
 
 
 @dataclass(frozen=True, eq=False)

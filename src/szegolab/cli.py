@@ -267,8 +267,8 @@ def cmd_vanish(args) -> int:
     ms = [m for m in _parse_range(args.m) if m % k != 0]
     if not ms:
         raise ConfigError(f"all requested levels are divisible by the stabilizer order {k}")
-    # only the span matters for vanishing, so auto follows the embedding's rule
-    measure = embedding.default_measure(M, args.measure)
+    # only the span matters for vanishing
+    measure = basis.resolve_measure(M, args.measure, span_only=True)
     worst = 0.0
     rows = []
     bases = basis.fourier_bases(M, ms, measure=measure, samples=args.samples, seed=args.seed)

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    COMPLIANT,
-    ROUND_EXACT,
     FourierBasis,
     apply_coeff_right,
     derivative_table,
     fourier_bases,
+    resolve_measure,
     table_jacobian,
 )
 from .geometry import ROW_BLOCK, Manifold, StrataOrders, SurfacePoint, monomial_products
@@ -71,17 +70,6 @@ class EmbeddingMap:
         return int(self.coordinate_weights.min())
 
 
-def default_measure(M: Manifold, measure: str) -> str:
-    """measure="auto" for a map built from whole components: round-exact on
-    every sphere, compliant-quadrature otherwise."""
-    if measure != "auto":
-        return measure
-    # any orthonormalization of the same span gives the same image geometry up
-    # to a linear change of target coordinates, so the exact sphere measure is
-    # preferred whenever available
-    return ROUND_EXACT if M.kind == "sphere" else COMPLIANT
-
-
 def embedding_from_levels(
     M: Manifold,
     levels,
@@ -91,8 +79,12 @@ def embedding_from_levels(
     seed: int = 0,
     sample_set: SampleSet | None = None,
 ) -> EmbeddingMap:
+    """The map built from the bases of the given levels.  The certificates
+    depend only on the span of each component, so measure="auto" is
+    round-exact on every manifold and draws no Gram samples."""
     bases = fourier_bases(
-        M, sorted(set(int(m) for m in levels)), measure=default_measure(M, measure),
+        M, sorted(set(int(m) for m in levels)),
+        measure=resolve_measure(M, measure, span_only=True),
         samples=samples, seed=seed, sample_set=sample_set,
     )
     blocks = []

@@ -369,6 +369,14 @@ def _holomorphic_frames(rho_z: np.ndarray) -> np.ndarray:
     return vh[:, 1:].conj()
 
 
+def compliant_density_from_gradient(M: Manifold, Z: np.ndarray, rho_z: np.ndarray) -> np.ndarray:
+    """Compliant-metric volume density relative to Euclidean surface measure at
+    the rows of Z, from the gradient rho_z = (d rho / d z_j) there:
+    |d_z rho| / Re sum_j w_j z_j d rho / d z_j."""
+    denom = np.sum(M.weights.array * Z * rho_z, axis=-1).real
+    return np.linalg.norm(rho_z, axis=-1) / denom
+
+
 def _unit_sphere_terms(n: int) -> dict[tuple, Fraction]:
     """Terms of |z|^2 - 1 in C^n."""
     terms: dict[tuple, Fraction] = {}
@@ -612,11 +620,12 @@ class Manifold:
             raise PseudoconvexityError(
                 f"Levi eigenvalue {eigs[0]:.3e} <= 0 at {x.coordinates}"
             )
+        z = x.coordinates
         return LeviData(
             eigenvalues=tuple(float(e) for e in eigs),
             determinant=float(np.prod(eigs)),
             contact_scale=self.contact_scale(x),
-            volume_density=self.volume_density(x),
+            volume_density=float(compliant_density_from_gradient(self, z, self.rho.z_gradient(z))),
         )
 
     def levi_matrix(self, x: SurfacePoint) -> np.ndarray:
@@ -626,37 +635,6 @@ class Manifold:
         if denom <= 0:
             raise TransversalityError(f"transversal pairing {denom:.3e} <= 0")
         return frame @ hess @ frame.conj().T / denom
-
-    def volume_density(self, x: SurfacePoint) -> float:
-        """Compliant-metric volume density relative to Euclidean surface measure.
-
-        Computed as the Gram-determinant ratio over a real frame of the
-        tangent space: Euclidean inner products on one side, the compliant
-        metric (Euclidean on H, unit rotation field orthogonal to H) on the
-        other.
-        """
-        frame = self.holomorphic_tangent_frame(x)
-        T = self.reeb_vector(x)
-        rho_z = self.rho.z_gradient(x.coordinates)
-        scale = self.contact_scale(x)
-        real_frame = [row for row in frame] + [1j * row for row in frame] + [T]
-        dim = len(real_frame)
-        G_e = np.empty((dim, dim))
-        G_g = np.empty((dim, dim))
-        # T-component of a tangent vector is -omega0(v); the remainder lies in H.
-        comps = []
-        for v in real_frame:
-            a = -scale * float(np.imag(np.sum(rho_z * v)))
-            comps.append((v - a * T, a))
-        for i, (hi, ai) in enumerate(comps):
-            for j, (hj, aj) in enumerate(comps):
-                G_e[i, j] = float(np.real(np.vdot(real_frame[j], real_frame[i])))
-                G_g[i, j] = float(np.real(np.vdot(hj, hi))) + ai * aj
-        det_e = np.linalg.det(G_e)
-        det_g = np.linalg.det(G_g)
-        if det_e <= 0 or det_g <= 0:
-            raise SingularPointError("degenerate tangent frame in volume density")
-        return math.sqrt(det_g / det_e)
 
     # -- orbit distance ----------------------------------------------------
 

@@ -27,7 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SamplingError
-from .geometry import ROW_BLOCK, Manifold, SurfacePoint, safeguarded_newton
+from .geometry import (
+    ROW_BLOCK,
+    Manifold,
+    SurfacePoint,
+    compliant_density_from_gradient,
+    safeguarded_newton,
+)
 
 
 def sphere_area(n: int) -> float:
@@ -151,7 +157,7 @@ def hypersurface_blocks(M: Manifold, count: int, seed: int = 0):
     the blocks concatenate to sample_hypersurface(M, count, seed) bit for bit.
     """
     for X, w, rho_z in _projected_blocks(M, count, seed):
-        yield X, w, _density_from_gradient(M, X, rho_z)
+        yield X, w, compliant_density_from_gradient(M, X, rho_z)
 
 
 def sample_hypersurface(M: Manifold, count: int, seed: int = 0) -> SampleSet:
@@ -268,18 +274,12 @@ def surface_samples(M: Manifold, count: int, seed: int = 0) -> SampleSet:
 def compliant_density(M: Manifold, Z: np.ndarray) -> np.ndarray:
     """Compliant-metric volume density at raw coordinates, vectorized.
 
-    Equals |d_z rho| divided by the transversal pairing; agrees with the
-    Gram-determinant construction in geometry (covered by tests).
+    Equals |d_z rho| divided by the transversal pairing, as in
+    Manifold.levi_form; agrees with a Gram-determinant construction over a
+    real tangent frame (covered by tests).
     """
     Z = np.asarray(Z, dtype=complex)
-    return _density_from_gradient(M, Z, M.rho.z_gradient(Z))
-
-
-def _density_from_gradient(M: Manifold, Z: np.ndarray, rho_z: np.ndarray) -> np.ndarray:
-    """compliant_density at Z from the gradient rho_z = (d rho / d z_j) there:
-    |d_z rho| / Re sum_j w_j z_j d rho / d z_j."""
-    denom = np.sum(M.weights.array * Z * rho_z, axis=-1).real
-    return np.linalg.norm(rho_z, axis=-1) / denom
+    return compliant_density_from_gradient(M, Z, M.rho.z_gradient(Z))
 
 
 def integrate_surface(f, S: SampleSet, density=None) -> tuple[complex, float]:

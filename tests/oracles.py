@@ -269,3 +269,33 @@ def horner_two_pass(C, t):
         if d:
             df = df * t + C[d] * d
     return f, df
+
+
+def volume_density_gram_determinant(M, x):
+    """Compliant-metric volume density at a SurfacePoint x, as the
+    Gram-determinant ratio over a real frame of the tangent space: Euclidean
+    inner products on one side, the compliant metric (Euclidean on H, unit
+    rotation field orthogonal to H) on the other."""
+    import math
+
+    frame = M.holomorphic_tangent_frame(x)
+    T = M.reeb_vector(x)
+    rho_z = M.rho.z_gradient(x.coordinates)
+    scale = M.contact_scale(x)
+    real_frame = [row for row in frame] + [1j * row for row in frame] + [T]
+    dim = len(real_frame)
+    G_e = np.empty((dim, dim))
+    G_g = np.empty((dim, dim))
+    # T-component of a tangent vector is -omega0(v); the remainder lies in H.
+    comps = []
+    for v in real_frame:
+        a = -scale * float(np.imag(np.sum(rho_z * v)))
+        comps.append((v - a * T, a))
+    for i, (hi, ai) in enumerate(comps):
+        for j, (hj, aj) in enumerate(comps):
+            G_e[i, j] = float(np.real(np.vdot(real_frame[j], real_frame[i])))
+            G_g[i, j] = float(np.real(np.vdot(hj, hi))) + ai * aj
+    det_e = np.linalg.det(G_e)
+    det_g = np.linalg.det(G_g)
+    assert det_e > 0 and det_g > 0, "degenerate tangent frame"
+    return math.sqrt(det_g / det_e)

@@ -31,6 +31,7 @@ from szegolab.basis import (
     gram_matrix,
     monomial_values,
     orthonormalize,
+    resolve_measure,
     sphere_monomial_norm_sq,
 )
 from szegolab.errors import GramNotPositiveDefiniteError, RankDeficiencyError
@@ -130,12 +131,25 @@ class TestExactNorms:
 
 
 class TestGram:
-    def test_round_exact_diagonal(self, sphere2):
-        idx = enumerate_multiindices(sphere2.weights, 5)
-        G = gram_matrix(idx, sphere2, measure=ROUND_EXACT)
-        assert G.stderr is None
-        expected = [sphere_monomial_norm_sq(mi, 2).value() for mi in idx]
-        assert np.allclose(G.matrix.diagonal, expected)
+    def test_round_exact_diagonal(self, sphere2, example2):
+        # the sphere-L^2 normalization of the monomials, on a sphere or not
+        for M in (sphere2, example2):
+            idx = enumerate_multiindices(M.weights, 5)
+            G = gram_matrix(idx, M, measure=ROUND_EXACT)
+            assert G.stderr is None
+            expected = [sphere_monomial_norm_sq(mi, M.n).value() for mi in idx]
+            assert np.allclose(G.matrix.diagonal, expected)
+
+    def test_auto_rule(self, sphere2, wsphere12, example2):
+        # span-only callers get round-exact everywhere; kernel values get it
+        # only on the standard sphere
+        for M, kernel_value in ((sphere2, ROUND_EXACT), (wsphere12, COMPLIANT),
+                                (example2, COMPLIANT)):
+            assert resolve_measure(M, "auto") == kernel_value
+            assert resolve_measure(M, "auto", span_only=True) == ROUND_EXACT
+            for explicit in (ROUND_EXACT, COMPLIANT):
+                assert resolve_measure(M, explicit) == explicit
+                assert resolve_measure(M, explicit, span_only=True) == explicit
 
     def test_compliant_offdiagonal_within_noise(self, wsphere12):
         idx = enumerate_multiindices(wsphere12.weights, 6)

@@ -82,6 +82,24 @@ def test_vanish_measure(capsys, monkeypatch, measure, used):
     assert json.loads(out)["results"]["max_abs_value"] == 0.0
 
 
+def test_vanish_on_example2_draws_no_gram_samples(capsys, monkeypatch):
+    from szegolab import basis, integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gram samples drawn")
+
+    for module in (basis, integrate):
+        monkeypatch.setattr(module, "hypersurface_blocks", refuse)
+    # the z_3 axis of example2, stabilizer order 6
+    code, out, _ = run_cli(capsys, "vanish", "--preset", "example2",
+                           "--point", "0,0,0.8260313576541872", "--m", "1..11")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["stratum_order"] == 6
+    assert results["levels"] == [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]
+    assert results["max_abs_value"] == 0.0
+
+
 def test_vanish_rejects_divisible_levels(capsys):
     code, _, err = run_cli(capsys, "vanish", "--weights", "1,2", "--point", "0,1", "--m", "4")
     assert code == 2
@@ -297,3 +315,17 @@ def test_embed_certifies_strata_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["results"]["violations"] == []
     assert calls == [3]
+
+
+def test_embed_report_does_not_depend_on_samples(capsys):
+    # embed whitens by the closed-form diagonal under auto: --samples is unread
+    reports = []
+    for samples in ("1000", "12500"):
+        code, out, _ = run_cli(
+            capsys, "embed", "--preset", "example2", "--m", "4", "--m0", "3", "--pairs", "60",
+            "--immersion-samples", "30", "--samples", samples,
+        )
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["contracts"] == reports[1]["contracts"]

@@ -11,7 +11,7 @@ from oracles import (
     search_embedding,
 )
 
-from szegolab import basis, embedding, geometry
+from szegolab import basis, embedding, geometry, integrate
 from szegolab.basis import dimension, eval_basis_jacobian, monomial_jacobian
 from szegolab.embedding import (
     build_embedding,
@@ -38,8 +38,9 @@ def example2_strata(example2):
 
 @pytest.fixture(scope="module")
 def example2_phi(example2, example2_strata):
-    """The m = 4 map on example2, its Grams from 12.5k samples."""
-    return build_embedding(example2, 4, samples=12_500, strata=example2_strata)
+    """The m = 4 map on example2, whitened by the closed-form round-exact
+    diagonal (measure="auto" on a map)."""
+    return build_embedding(example2, 4, strata=example2_strata)
 
 
 def _preset_map(request, name, m):
@@ -87,6 +88,20 @@ class TestConstruction:
         Phi = build_embedding(M, 1)  # level 1 has no representation
         assert any("level 1" in w for w in Phi.warnings)
         assert 1 not in set(Phi.coordinate_weights.tolist())
+
+    def test_example2_map_draws_no_gram_samples(self, example2, monkeypatch):
+        # a map depends only on the span of each component, so auto whitens it
+        # by the closed-form round-exact diagonal and streams no sample
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gram samples drawn")
+
+        for module in (basis, integrate):
+            monkeypatch.setattr(module, "hypersurface_blocks", refuse)
+        Phi = build_embedding(example2, 4)
+        for _, B in Phi.blocks:
+            assert B.measure == basis.ROUND_EXACT
+            norms = [basis.sphere_monomial_norm_sq(mi, example2.n).value() for mi in B.indices]
+            np.testing.assert_allclose(B.coeff_matrix.diagonal, np.power(norms, -0.5), rtol=1e-15)
 
 
 class TestEvaluation:
@@ -234,7 +249,7 @@ class TestBatchedJacobian:
         # at m = 3 no block level is = 1 mod 6, so on the order-6 stratum (the
         # z_3 axis) every coordinate's z_1-derivative vanishes: a
         # demonstration of why the k-indexed levels are needed, not a bug
-        Phi3 = build_embedding(example2, 3, samples=12_500, strata=example2_strata)
+        Phi3 = build_embedding(example2, 3, strata=example2_strata)
         assert not any(level % 6 == 1 for level in Phi3.levels)
         rep = immersion_report(Phi3, samples=100, seed=1, strata=example2_strata)
         assert rep.failures
@@ -245,7 +260,11 @@ class TestBatchedJacobian:
             assert support.tolist() == [2]
             assert failure["singular_values"][-1] < 1e-20
         assert rep.min_singular_value == min(f["singular_values"][-1] for f in rep.failures)
-        rep4 = immersion_report(example2_phi, samples=100, seed=1, strata=example2_strata)
+        # the bound is on the scale of the compliant-whitened map
+        Phi4 = build_embedding(
+            example2, 4, measure="compliant-quadrature", samples=12_500, strata=example2_strata
+        )
+        rep4 = immersion_report(Phi4, samples=100, seed=1, strata=example2_strata)
         assert rep4.failures == ()
         assert rep4.min_singular_value > 1.0
 

@@ -13,6 +13,7 @@ from oracles import (
     contact_form,
     levi_bracket_oracle,
     orbit_distance_whole,
+    volume_density_gram_determinant,
 )
 
 from szegolab.errors import (
@@ -286,20 +287,25 @@ class TestTangentAndLevi:
 
 
 class TestVolumeDensity:
+    """The Gram-determinant reference of tests/oracles.py, and the closed form
+    of compliant_density and levi_form against it."""
+
     def test_sphere_density_is_one(self, sphere2):
         for seed in range(5):
-            assert abs(sphere2.volume_density(random_point(sphere2, seed)) - 1) < 1e-10
+            x = random_point(sphere2, seed)
+            assert abs(volume_density_gram_determinant(sphere2, x) - 1) < 1e-10
 
     def test_weighted_density_at_pole(self, wsphere12):
         # rotation field has Euclidean length 2 there, so the unit-field
         # metric shrinks the volume by exactly that factor
-        assert abs(wsphere12.volume_density(wsphere12.point([0.0, 1.0])) - 0.5) < 1e-12
+        x = wsphere12.point([0.0, 1.0])
+        assert abs(volume_density_gram_determinant(wsphere12, x) - 0.5) < 1e-12
 
     def test_density_constant_along_orbits(self, example2):
         x = random_point(example2, 7)
-        v0 = example2.volume_density(x)
+        v0 = volume_density_gram_determinant(example2, x)
         for theta in (0.3, 1.8, 4.4):
-            v = example2.volume_density(example2.act(theta, x))
+            v = volume_density_gram_determinant(example2, example2.act(theta, x))
             assert abs(v - v0) < 1e-9
 
     def test_density_matches_first_derivative_form(self, wsphere126, example2):
@@ -308,7 +314,8 @@ class TestVolumeDensity:
         for M in (wsphere126, example2):
             for x in random_points(M, 10, seed=13):
                 direct = compliant_density(M, x.coordinates)
-                assert abs(M.volume_density(x) - direct) < 1e-10
+                assert abs(volume_density_gram_determinant(M, x) - direct) < 1e-10
+                assert M.levi_form(x).volume_density == direct
 
 
 class TestQuotientDistance:
