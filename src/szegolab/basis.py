@@ -107,15 +107,15 @@ def enumerate_multiindices(weights: WeightVector, m: int) -> list[MultiIndex]:
 
 
 def dimension(weights: WeightVector, m: int) -> int:
-    """Count of enumerate_multiindices without materializing it."""
-    ws = weights.weights
-
-    def rec(k: int, target: int) -> int:
-        if k == 0:
-            return 1 if target % ws[0] == 0 else 0
-        return sum(rec(k - 1, target - a * ws[k]) for a in range(target // ws[k] + 1))
-
-    return rec(len(ws) - 1, m)
+    """Count of enumerate_multiindices without materializing it: the ways to
+    make m from the weights, by the coin-change recurrence in O(n m)."""
+    if m < 0:
+        return 0
+    ways = [1] + [0] * m
+    for w in weights.weights:
+        for s in range(w, m + 1):
+            ways[s] += ways[s - w]
+    return ways[m]
 
 
 @dataclass(frozen=True)

@@ -350,16 +350,12 @@ def cmd_embed(args) -> int:
         if args.m0 is None:
             raise ConfigError("embed needs --m or --m0")
         m = args.m0 + 1
-    strata = M.strata_orders(seed=args.seed)
     Phi = embedding.build_embedding(
-        M, m, extra_levels=extra, measure=args.measure, samples=args.samples, seed=args.seed,
-        strata=strata,
+        M, m, extra_levels=extra, measure=args.measure, samples=args.samples, seed=args.seed
     )
-    imm = embedding.immersion_report(
-        Phi, samples=args.immersion_samples, seed=args.seed, strata=strata
-    )
+    imm = embedding.immersion_report(Phi, samples=args.immersion_samples, seed=args.seed)
     sep = embedding.separation_report(
-        Phi, pair_count=args.pairs, threshold=args.delta, seed=args.seed, strata=strata
+        Phi, pair_count=args.pairs, threshold=args.delta, seed=args.seed
     )
     results = {
         "base_level": m,

@@ -30,7 +30,7 @@ from .basis import (
     resolve_measure,
     table_jacobian,
 )
-from .geometry import ROW_BLOCK, Manifold, StrataOrders, SurfacePoint, monomial_products
+from .geometry import ROW_BLOCK, Manifold, SurfacePoint, monomial_products
 from .integrate import (
     SampleSet,
     random_surface_points,
@@ -116,20 +116,17 @@ def build_embedding(
     measure: str = "auto",
     samples: int = 50_000,
     seed: int = 0,
-    strata: StrataOrders | None = None,
     include_paired_levels: bool = True,
 ) -> EmbeddingMap:
-    """Standard block set: levels k*m and k*(m+1) for k = 1..max stabilizer order.
+    """Standard block set: levels k*m and k*(m+1) for k = 1..M.strata.max_order.
 
     Levels k*(m+1) can be dropped (include_paired_levels=False) to reproduce
     the one-block map that fails to separate points inside a stabilized orbit.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if strata is None:
-        strata = M.strata_orders(seed=seed)
     levels = set(int(x) for x in extra_levels)
-    for k in range(1, strata.max_order + 1):
+    for k in range(1, M.strata.max_order + 1):
         levels.add(k * m)
         if include_paired_levels:
             levels.add(k * (m + 1))
@@ -201,6 +198,12 @@ def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
     return spectra[0] if z.ndim == 1 else spectra
 
 
+# a sample whose smallest singular value is below this is a rank drop
+FAILURE_FLOOR = 1e-9
+# image distances below this times the median image norm are violations
+VIOLATION_FLOOR = 1e-9
+
+
 @dataclass(frozen=True, eq=False)
 class ImmersionReport:
     min_singular_value: float
@@ -210,20 +213,15 @@ class ImmersionReport:
     failures: tuple[dict, ...]  # rank drops, with the point and its spectrum
 
 
-def immersion_report(
-    Phi: EmbeddingMap,
-    samples: int = 100,
-    seed: int = 0,
-    failure_floor: float = 1e-9,
-    strata: StrataOrders | None = None,
-) -> ImmersionReport:
+def immersion_report(Phi: EmbeddingMap, samples: int = 100, seed: int = 0) -> ImmersionReport:
     """Smallest singular value of d Phi over a stratified sample of X.
 
     Every sample's spectrum comes from one jacobian_singular_values call on
-    the whole sample; the loop only files the records and failures.
+    the whole sample; the loop only files the records and the failures, the
+    samples whose smallest singular value is below FAILURE_FLOOR.
     """
     M = Phi.manifold
-    pts = stratified_points(M, samples, seed=seed, strata=strata)
+    pts = stratified_points(M, samples, seed=seed)
     Z = np.array([x.coordinates for x, _, _ in pts]).reshape(-1, M.n)
     spectra = jacobian_singular_values(Phi, Z)
     records = []
@@ -234,7 +232,7 @@ def immersion_report(
         s = float(spectrum[-1])
         info = M.stratum_info(x)
         records.append((label, k, info.near_stratum, s))
-        if s < failure_floor:
+        if s < FAILURE_FLOOR:
             failures.append(
                 {
                     "index": i,
@@ -260,28 +258,22 @@ class SeparationReport:
 
 
 def separation_report(
-    Phi: EmbeddingMap,
-    pair_count: int = 10_000,
-    threshold: float = 0.05,
-    seed: int = 0,
-    violation_floor: float = 1e-9,
-    strata: StrataOrders | None = None,
+    Phi: EmbeddingMap, pair_count: int = 10_000, threshold: float = 0.05, seed: int = 0
 ) -> SeparationReport:
     """Certify that sampled distinct points have distinct images.
 
     Pairs are stratified: same-orbit pairs (separated by the phase pair of
     consecutive levels whenever the rotation actually moves the point),
     cross-stratum pairs, and near-stratum regular pairs.  For every pair with
-    quotient distance above the threshold the image distance must clear a
-    scale-relative floor; same-orbit pairs are held to the same floor once
-    the ambient distance is above the threshold.
+    quotient distance above the threshold the image distance must clear
+    VIOLATION_FLOOR times the median image norm; same-orbit pairs are held
+    to the same floor once the ambient distance is above the threshold.
 
     The point sets are drawn per call: same-orbit bases from
     stratified_points(seed + 1) rotated by angles drawn from seed, regular
     cross points from seed + 2 against one support_pattern_points call seeded
     seed + 3000 (seed + 3 when the action is free), and the near-stratum pool
-    from stratified_points(seed + 4).  Strata are certified with seed unless
-    given.
+    from stratified_points(seed + 4).
     """
     M = Phi.manifold
     rng = _rng(seed)
@@ -289,14 +281,12 @@ def separation_report(
     n_cross = pair_count // 3
     n_near = pair_count - n_orbit - n_cross
 
-    if strata is None:
-        strata = M.strata_orders(seed=seed)
-    singular = strata.singular_patterns()
+    singular = M.strata.singular_patterns()
 
     def coordinates(points):
         return np.array([x.coordinates for x in points]).reshape(-1, M.n)
 
-    base = stratified_points(M, n_orbit, seed=seed + 1, strata=strata)
+    base = stratified_points(M, n_orbit, seed=seed + 1)
     X_orbit = coordinates(x for x, _, _ in base[:n_orbit])
     Y_orbit = M.act_coordinates(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
 
@@ -307,7 +297,7 @@ def separation_report(
     else:
         Y_cross = coordinates(random_surface_points(M, n_cross, seed + 3))
 
-    near = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4, strata=strata)
+    near = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4)
     pool = coordinates(x for x, label, _ in near if label in ("near-stratum", "regular"))
     i = np.arange(n_near)
     X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
@@ -330,7 +320,7 @@ def separation_report(
         img[rows] = np.linalg.norm(FX - evaluate_batch(Phi, Y[rows]), axis=1)
         image_norm[rows] = np.linalg.norm(FX, axis=1)
     scale = float(np.median(image_norm)) or 1.0
-    floor = violation_floor * scale
+    floor = VIOLATION_FLOOR * scale
 
     separated = qd > threshold
     same_orbit_distinct = (kinds == "same-orbit") & (ambient > threshold)

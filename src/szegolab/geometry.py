@@ -16,6 +16,7 @@ between circle orbits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,6 +41,9 @@ from .errors import (
 # the stabilizer order is discontinuous there.
 ZERO_TOLERANCE = 1e-9
 NEAR_STRATUM_TOLERANCE = 1e-6
+
+# directions drawn per support pattern when certifying the strata
+STRATA_RAYS = 32
 
 
 @dataclass(frozen=True)
@@ -511,62 +515,59 @@ class Manifold:
         """Generator of the action at x: d/dtheta of the orbit, i * (w_j x_j)."""
         return 1j * self.weights.array * x.coordinates
 
-    def stratum_info(self, x: SurfacePoint, zero_tolerance: float = ZERO_TOLERANCE) -> StratumInfo:
+    def stratum_info(self, x: SurfacePoint) -> StratumInfo:
         mags = np.abs(x.coordinates)
-        support = tuple(int(j) for j in np.nonzero(mags > zero_tolerance)[0])
+        support = tuple(int(j) for j in np.nonzero(mags > ZERO_TOLERANCE)[0])
         if not support:
             raise NotOnSurfaceError("all coordinates vanish; the origin is not on X")
-        near = bool(np.any((mags > zero_tolerance) & (mags < NEAR_STRATUM_TOLERANCE)))
+        near = bool(np.any((mags > ZERO_TOLERANCE) & (mags < NEAR_STRATUM_TOLERANCE)))
         order = math.gcd(*(self.weights.weights[j] for j in support))
         return StratumInfo(order, support, near)
 
-    def stratum_order(self, x: SurfacePoint, zero_tolerance: float = ZERO_TOLERANCE) -> int:
+    def stratum_order(self, x: SurfacePoint) -> int:
         """Least k with e^{2 pi i / k} . x = x: the gcd of weights on the support of x."""
-        return self.stratum_info(x, zero_tolerance).order
+        return self.stratum_info(x).order
 
-    def strata_orders(self, samples: int = 32, seed: int = 0) -> StrataOrders:
+    @functools.cached_property
+    def strata(self) -> StrataOrders:
+        """The strata of X: strata_orders() on first use, then kept."""
+        return self.strata_orders()
+
+    def strata_orders(self) -> StrataOrders:
         """Stabilizer orders realized by points of X.
 
-        Candidate orders are gcds of nonempty weight subsets.  On a sphere
-        every support pattern is realizable; on a general hypersurface each
-        pattern is certified by finding a point of X supported exactly there
-        (radial root along directions in the coordinate subspace).  Patterns
-        that fail certification are reported as unconfirmed, not dropped.
+        Candidate orders are gcds of nonempty weight subsets.  Each support
+        pattern is certified by a point of X supported exactly there: the
+        pattern draws STRATA_RAYS directions in its coordinate subspace, all
+        patterns from one Philox stream seeded 0, and the directions whose
+        smallest support coordinate keeps 5% of their norm go through one
+        radial_roots call; a pattern is confirmed when one of its rays meets
+        X.  So the result belongs to the manifold, not to any seed.  Patterns
+        that fail certification are reported as unconfirmed, not dropped;
+        when rho(0) >= 0 no ray meets X and every pattern is unconfirmed.
         """
         from .integrate import radial_roots  # integrate builds on this module
 
         n = self.n
-        patterns: list[tuple[tuple[int, ...], int]] = []
-        unconfirmed_orders: set[int] = set()
-        confirmed_orders: set[int] = set()
-        rng = np.random.Generator(np.random.Philox(seed))
-        for mask in range(1, 2**n):
-            support = tuple(j for j in range(n) if mask >> j & 1)
-            k = math.gcd(*(self.weights.weights[j] for j in support))
-            if self.kind == "sphere":
-                patterns.append((support, k))
-                confirmed_orders.add(k)
-                continue
-            g = rng.normal(size=(samples, len(support), 2))
-            u = g[..., 0] + 1j * g[..., 1]
-            norm = np.linalg.norm(u, axis=1)
-            keep = (norm >= 1e-12) & (np.min(np.abs(u), axis=1) >= 0.05 * norm)
-            U = np.zeros((int(keep.sum()), n), dtype=complex)
-            U[:, list(support)] = u[keep] / norm[keep, None]
-            try:
-                found = bool(np.any(np.isfinite(radial_roots(self, U))))
-            except SamplingError:  # rho(0) >= 0: no ray from the origin meets X
-                found = False
-            if found:
-                patterns.append((support, k))
-                confirmed_orders.add(k)
-            else:
-                unconfirmed_orders.add(k)
-        unconfirmed_orders -= confirmed_orders
+        on = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)  # (2^n - 1, n)
+        g = np.random.Generator(np.random.Philox(0)).normal(size=(len(on), STRATA_RAYS, n, 2))
+        u = np.where(on[:, None, :], g[..., 0] + 1j * g[..., 1], 0.0)
+        norm = np.linalg.norm(u, axis=2)
+        smallest = np.min(np.where(on[:, None, :], np.abs(u), np.inf), axis=2)
+        keep = (norm >= 1e-12) & (smallest >= 0.05 * norm)
+        pattern = np.nonzero(keep)[0]
+        try:
+            hit = np.isfinite(radial_roots(self, u[keep] / norm[keep, None]))
+        except SamplingError:  # rho(0) >= 0: no ray from the origin meets X
+            hit = np.zeros(pattern.size, dtype=bool)
+        found = np.bincount(pattern[hit], minlength=len(on)) > 0
+        supports = [tuple(np.flatnonzero(row).tolist()) for row in on]
+        orders = [math.gcd(*(self.weights.weights[j] for j in s)) for s in supports]
+        confirmed = {k for k, certified in zip(orders, found) if certified}
         return StrataOrders(
-            tuple(sorted(confirmed_orders)),
-            tuple(sorted(unconfirmed_orders)),
-            tuple(patterns),
+            tuple(sorted(confirmed)),
+            tuple(sorted(set(orders) - confirmed)),
+            tuple((s, k) for s, k, certified in zip(supports, orders, found) if certified),
         )
 
     # -- tangent structure -------------------------------------------------

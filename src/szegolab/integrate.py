@@ -95,13 +95,17 @@ def _horner_with_derivative(C: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, n
     return f, df
 
 
-def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
+# rays still inside X at this distance from the origin get no root
+RAY_T_MAX = 8.0
+
+
+def radial_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
     """First positive root of rho(t u) per row of U; NaN where none is bracketed.
 
     One evaluator pass gives each ray's coefficients of the real polynomial
-    t -> rho(t u).  Doubling t from 1 up to t_max brackets the first sign
+    t -> rho(t u).  Doubling t from 1 up to RAY_T_MAX brackets the first sign
     change seen at t = 1, 2, 4, ...; rays still negative at the last doubling
-    inside t_max get NaN.  Each bracketed ray's polynomial and its derivative,
+    inside RAY_T_MAX get NaN.  Each bracketed ray's polynomial and its derivative,
     evaluated together by one Horner recurrence, go to
     geometry.safeguarded_newton, which starts from the bracket's upper end,
     where rho >= 0, and stops a ray once its step or its bracket is within
@@ -119,7 +123,7 @@ def radial_roots(M: Manifold, U: np.ndarray, t_max: float = 8.0) -> np.ndarray:
     lo = np.zeros(U.shape[0])
     hi = np.ones(U.shape[0])
     neg = _horner(C, hi) < 0
-    while np.any(grow := neg & (2.0 * hi <= t_max)):
+    while np.any(grow := neg & (2.0 * hi <= RAY_T_MAX)):
         lo[grow] = hi[grow]
         hi[grow] *= 2.0
         neg[grow] = _horner(C[:, grow], hi[grow]) < 0
@@ -142,7 +146,7 @@ def _ray_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
     """radial_roots, raising SamplingError if any ray has no root."""
     t = radial_roots(M, U)
     if np.any(np.isnan(t)):
-        raise SamplingError("ray root not bracketed in (0, t_max]")
+        raise SamplingError(f"ray root not bracketed in (0, {RAY_T_MAX}]")
     return t
 
 
@@ -385,28 +389,26 @@ def ball_points(
     raise SamplingError("ball sampling failed; radius too small?")
 
 
+# upper end of the step from a singular stratum to a near-stratum point
+NEAR_DISTANCE = 0.05
+
+
 def stratified_points(
-    M: Manifold,
-    count: int,
-    seed: int = 0,
-    near_distance: float = 0.05,
-    strata=None,
+    M: Manifold, count: int, seed: int = 0
 ) -> list[tuple[SurfacePoint, str, int]]:
     """Sample mix: 40% regular, 40% on singular strata, 20% near them.
 
     Returns (point, label, stratum_order) triples.  On manifolds with a free
-    action everything is regular.  The singular patterns are used in turn.
-    Regular points come from random_surface_points(seed); the on-stratum
-    points from one support_pattern_points call seeded seed + 1000; the
-    near-stratum points perturb the off-support coordinates of the points of
-    a second call, seeded seed + 5000, by a step of length between 0.18 and
-    0.9 times near_distance drawn from seed, and project the results back to
+    action everything is regular.  The singular patterns of M.strata are used
+    in turn.  Regular points come from random_surface_points(seed); the
+    on-stratum points from one support_pattern_points call seeded seed + 1000;
+    the near-stratum points perturb the off-support coordinates of the points
+    of a second call, seeded seed + 5000, by a step of length between 0.18 and
+    0.9 times NEAR_DISTANCE drawn from seed, and project the results back to
     X together.  Each of those calls redraws a ray at most a fixed number of
     rounds before raising SamplingError.
     """
-    if strata is None:
-        strata = M.strata_orders(seed=seed)
-    singular = strata.singular_patterns()
+    singular = M.strata.singular_patterns()
     if not singular:
         return [(x, "regular", M.stratum_order(x)) for x in random_surface_points(M, count, seed)]
     n_regular = max(1, int(round(0.4 * count)))
@@ -427,7 +429,7 @@ def stratified_points(
     for i, support in enumerate(near):
         off[i, list(support)] = False
     delta = np.where(off, g[..., 0] + 1j * g[..., 1], 0.0)
-    size = (0.2 + 0.8 * rng.random(n_near)) * near_distance * 0.9
+    size = (0.2 + 0.8 * rng.random(n_near)) * NEAR_DISTANCE * 0.9
     delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
     Y = M.points(project_radially(M, base + delta))
     out += [(y, "near-stratum", M.stratum_order(y)) for y in Y]

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from szegolab.geometry import Manifold
+from szegolab.geometry import DefiningPolynomial, Manifold
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +34,17 @@ def wsphere126():
 def example2():
     """The degree-(4, 6) perturbed invariant hypersurface in C^3."""
     return Manifold.invariant_hypersurface_example()
+
+
+@pytest.fixture(scope="session")
+def flat_ellipsoid():
+    """|z1|^2 + 1e-4 |z2|^2 = 1 with weights (1, 2): the z2 axis meets X at t = 100."""
+    terms = {
+        ((1, 0), (1, 0)): Fraction(1),
+        ((0, 1), (0, 1)): Fraction(1, 10_000),
+        ((0, 0), (0, 0)): Fraction(-1),
+    }
+    return Manifold(2, (1, 2), DefiningPolynomial(2, terms))
 
 
 def random_point(M, seed=0):

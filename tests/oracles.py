@@ -299,3 +299,50 @@ def volume_density_gram_determinant(M, x):
     det_g = np.linalg.det(G_g)
     assert det_e > 0 and det_g > 0, "degenerate tangent frame"
     return math.sqrt(det_g / det_e)
+
+
+def strata_orders_loop(M, samples=32, seed=0):
+    """StrataOrders of M certified one support pattern at a time.
+
+    The loop that Manifold.strata_orders replaced: every pattern draws its own
+    directions from one Philox stream seeded by seed and takes its own
+    radial_roots call, and on a sphere every pattern is taken as realized
+    without a ray.
+    """
+    import math
+
+    from szegolab.errors import SamplingError
+    from szegolab.geometry import StrataOrders
+    from szegolab.integrate import radial_roots
+
+    n = M.n
+    patterns = []
+    unconfirmed_orders = set()
+    confirmed_orders = set()
+    rng = np.random.Generator(np.random.Philox(seed))
+    for mask in range(1, 2**n):
+        support = tuple(j for j in range(n) if mask >> j & 1)
+        k = math.gcd(*(M.weights.weights[j] for j in support))
+        if M.kind == "sphere":
+            patterns.append((support, k))
+            confirmed_orders.add(k)
+            continue
+        g = rng.normal(size=(samples, len(support), 2))
+        u = g[..., 0] + 1j * g[..., 1]
+        norm = np.linalg.norm(u, axis=1)
+        keep = (norm >= 1e-12) & (np.min(np.abs(u), axis=1) >= 0.05 * norm)
+        U = np.zeros((int(keep.sum()), n), dtype=complex)
+        U[:, list(support)] = u[keep] / norm[keep, None]
+        try:
+            found = bool(np.any(np.isfinite(radial_roots(M, U))))
+        except SamplingError:
+            found = False
+        if found:
+            patterns.append((support, k))
+            confirmed_orders.add(k)
+        else:
+            unconfirmed_orders.add(k)
+    unconfirmed_orders -= confirmed_orders
+    return StrataOrders(
+        tuple(sorted(confirmed_orders)), tuple(sorted(unconfirmed_orders)), tuple(patterns)
+    )

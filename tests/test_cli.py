@@ -303,9 +303,9 @@ def test_embed_certifies_strata_once(capsys, monkeypatch):
     calls = []
     strata_orders = Manifold.strata_orders
 
-    def counting_strata_orders(self, *args, **kwargs):
-        calls.append(kwargs.get("seed"))
-        return strata_orders(self, *args, **kwargs)
+    def counting_strata_orders(self):
+        calls.append(self)
+        return strata_orders(self)
 
     monkeypatch.setattr(Manifold, "strata_orders", counting_strata_orders)
     code, out, _ = run_cli(
@@ -314,7 +314,7 @@ def test_embed_certifies_strata_once(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["results"]["violations"] == []
-    assert calls == [3]
+    assert len(calls) == 1
 
 
 def test_embed_report_does_not_depend_on_samples(capsys):

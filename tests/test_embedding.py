@@ -32,15 +32,10 @@ PRESET_MAPS = [("sphere2", 2), ("wsphere12", 4), ("wsphere126", 4), ("example2",
 
 
 @pytest.fixture(scope="module")
-def example2_strata(example2):
-    return example2.strata_orders(seed=0)
-
-
-@pytest.fixture(scope="module")
-def example2_phi(example2, example2_strata):
+def example2_phi(example2):
     """The m = 4 map on example2, whitened by the closed-form round-exact
     diagonal (measure="auto" on a map)."""
-    return build_embedding(example2, 4, strata=example2_strata)
+    return build_embedding(example2, 4)
 
 
 def _preset_map(request, name, m):
@@ -102,6 +97,25 @@ class TestConstruction:
             assert B.measure == basis.ROUND_EXACT
             norms = [basis.sphere_monomial_norm_sq(mi, example2.n).value() for mi in B.indices]
             np.testing.assert_allclose(B.coeff_matrix.diagonal, np.power(norms, -0.5), rtol=1e-15)
+
+    def test_maps_and_certificates_certify_strata_once(self, monkeypatch):
+        # the strata belong to the manifold: a fresh example2 certifies them
+        # on first use, and every later map and certificate reads them
+        M = geometry.Manifold.invariant_hypersurface_example()
+        calls = []
+        strata_orders = geometry.Manifold.strata_orders
+
+        def counting(self):
+            calls.append(self)
+            return strata_orders(self)
+
+        monkeypatch.setattr(geometry.Manifold, "strata_orders", counting)
+        Phi = build_embedding(M, 4)
+        assert immersion_report(Phi, samples=6, seed=1).failures == ()
+        assert separation_report(Phi, pair_count=12, seed=2).violations == ()
+        x0 = M.point(integrate.project_radially(M, np.array([0.0, 0.0, 1.0])))
+        assert phase_pair_demo(M, x0, 4).violation_detected
+        assert calls == [M]
 
 
 class TestEvaluation:
@@ -220,9 +234,7 @@ class TestBatchedJacobian:
             stacked = np.stack([eval_basis_jacobian(B, z) for z in Z])
             assert np.array_equal(eval_basis_jacobian(B, Z), stacked)
 
-    def test_monomial_passes_bounded_by_row_blocks(
-        self, example2, example2_phi, example2_strata, monkeypatch
-    ):
+    def test_monomial_passes_bounded_by_row_blocks(self, example2, example2_phi, monkeypatch):
         # every monomial pass of the certificate covers a whole batch: the
         # count does not grow with the sample (points x blocks would be 1100)
         original = geometry.monomial_products
@@ -237,7 +249,7 @@ class TestBatchedJacobian:
         calls = {}
         for samples in (25, 100):
             rows.clear()
-            rep = immersion_report(example2_phi, samples=samples, seed=1, strata=example2_strata)
+            rep = immersion_report(example2_phi, samples=samples, seed=1)
             assert len(rep.records) == samples
             calls[samples] = len(rows)
         assert len(example2_phi.blocks) == 11
@@ -245,13 +257,13 @@ class TestBatchedJacobian:
         assert max(rows) <= geometry.ROW_BLOCK
 
 
-    def test_m3_map_is_no_immersion_on_z3_axis(self, example2, example2_strata, example2_phi):
+    def test_m3_map_is_no_immersion_on_z3_axis(self, example2, example2_phi):
         # at m = 3 no block level is = 1 mod 6, so on the order-6 stratum (the
         # z_3 axis) every coordinate's z_1-derivative vanishes: a
         # demonstration of why the k-indexed levels are needed, not a bug
-        Phi3 = build_embedding(example2, 3, strata=example2_strata)
+        Phi3 = build_embedding(example2, 3)
         assert not any(level % 6 == 1 for level in Phi3.levels)
-        rep = immersion_report(Phi3, samples=100, seed=1, strata=example2_strata)
+        rep = immersion_report(Phi3, samples=100, seed=1)
         assert rep.failures
         for failure in rep.failures:
             assert failure["label"] == "stratum"
@@ -261,10 +273,8 @@ class TestBatchedJacobian:
             assert failure["singular_values"][-1] < 1e-20
         assert rep.min_singular_value == min(f["singular_values"][-1] for f in rep.failures)
         # the bound is on the scale of the compliant-whitened map
-        Phi4 = build_embedding(
-            example2, 4, measure="compliant-quadrature", samples=12_500, strata=example2_strata
-        )
-        rep4 = immersion_report(Phi4, samples=100, seed=1, strata=example2_strata)
+        Phi4 = build_embedding(example2, 4, measure="compliant-quadrature", samples=12_500)
+        rep4 = immersion_report(Phi4, samples=100, seed=1)
         assert rep4.failures == ()
         assert rep4.min_singular_value > 1.0
 

@@ -200,17 +200,6 @@ def test_fused_horner_matches_two_passes(example2, monkeypatch):
     assert np.all(np.abs(fused - two_pass) <= np.spacing(two_pass))
 
 
-@pytest.fixture(scope="module")
-def flat_ellipsoid():
-    """|z1|^2 + 1e-4 |z2|^2 = 1 with weights (1, 2): the z2 axis meets X at t = 100."""
-    terms = {
-        ((1, 0), (1, 0)): Fraction(1),
-        ((0, 1), (0, 1)): Fraction(1, 10_000),
-        ((0, 0), (0, 0)): Fraction(-1),
-    }
-    return Manifold(2, (1, 2), DefiningPolynomial(2, terms))
-
-
 def test_unbracketed_ray_gives_nan(flat_ellipsoid):
     t = radial_roots(flat_ellipsoid, np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
     assert t[0] == pytest.approx(1.0, abs=1e-15)

@@ -13,6 +13,7 @@ from oracles import (
     contact_form,
     levi_bracket_oracle,
     orbit_distance_whole,
+    strata_orders_loop,
     volume_density_gram_determinant,
 )
 
@@ -24,6 +25,7 @@ from szegolab.errors import (
 from szegolab.geometry import (
     DefiningPolynomial,
     ROW_BLOCK,
+    STRATA_RAYS,
     Manifold,
     WeightVector,
     safeguarded_newton,
@@ -188,12 +190,39 @@ class TestStrata:
         assert set(wsphere126.strata_orders().orders) == expected == {1, 2, 6}
 
     def test_strata_orders_example2_certified(self, example2):
-        st_orders = example2.strata_orders(seed=4)
+        st_orders = example2.strata
         assert st_orders.orders == (1, 2, 6)
         assert st_orders.unconfirmed == ()
         # the certifying patterns include the pure axes
         patterns = dict(st_orders.support_patterns)
         assert patterns[(1,)] == 2 and patterns[(2,)] == 6
+
+    @pytest.mark.parametrize(
+        "name", ["sphere2", "wsphere12", "wsphere126", "example2", "flat_ellipsoid"]
+    )
+    def test_strata_orders_match_per_pattern_loop(self, request, name):
+        # one batch from a fixed stream certifies what a loop over the
+        # patterns certifies from any of several seeds
+        M = request.getfixturevalue(name)
+        st_orders = M.strata_orders()
+        for seed in range(5):
+            assert st_orders == strata_orders_loop(M, seed=seed)
+
+    def test_strata_orders_take_one_root_call(self, example2, monkeypatch):
+        import szegolab.integrate as integrate
+
+        calls = []
+        radial_roots = integrate.radial_roots
+
+        def counting(M, U):
+            calls.append(len(U))
+            return radial_roots(M, U)
+
+        monkeypatch.setattr(integrate, "radial_roots", counting)
+        st_orders = example2.strata_orders()
+        assert len(calls) == 1
+        assert calls[0] <= 7 * STRATA_RAYS  # the 7 support patterns of C^3
+        assert st_orders == example2.strata
 
     def test_near_stratum_flag(self, wsphere12):
         z = np.array([1e-7, math.sqrt(1 - 1e-14)], dtype=complex)
