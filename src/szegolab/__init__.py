@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .basis import (
     ExactNorm,
     FourierBasis,
-    MultiIndex,
     dimension,
     enumerate_multiindices,
     eval_basis,

@@ -1,9 +1,10 @@
 """Monomial bases of the positive Fourier components and their Gram matrices.
 
 The weight-m component of the CR function space on the hypersurface model is
-spanned by restrictions of monomials z^alpha with <alpha, weights> = m.  On
-the unit sphere with Euclidean surface measure the Gram matrix is diagonal
-with closed-form entries
+spanned by restrictions of monomials z^alpha with <alpha, weights> = m; a
+level's monomials are one (d, n) int64 array of exponent rows alpha, in
+colexicographic order (enumerate_multiindices).  On the unit sphere with
+Euclidean surface measure the Gram matrix is diagonal with closed-form entries
 
     integral over S^{2n-1} of |z^alpha|^2 dS = 2 pi^n alpha! / (n - 1 + |alpha|)!
 
@@ -19,6 +20,11 @@ passed, the Gram matrix is estimated by Monte Carlo with per-entry standard
 errors.  Since z -> zbar preserves X and the compliant measure, that Gram
 matrix is real symmetric, and it is accumulated in real arithmetic.
 Orthonormalization is Cholesky whitening.
+
+A whitened basis is a map with one block.  block_values and block_jacobian
+evaluate several bases side by side, from their stacked exponent rows (or
+their derivative_table) and their coefficient matrices: a FourierBasis as
+one block, an embedding.EmbeddingMap as all of its blocks.
 
 The kernels are studied over many levels on one rule or sample set, so the
 Gram matrices of all requested levels are assembled in one pass over it
@@ -65,29 +71,12 @@ COMPLIANT = "compliant-quadrature"
 DEFAULT_GRAM_SAMPLES = 200_000
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector with its weighted and total degrees (always recomputed)."""
-
-    exponents: tuple[int, ...]
-    weighted_degree: int
-    total_degree: int
-
-    @classmethod
-    def make(cls, exponents: Sequence[int], weights: WeightVector) -> "MultiIndex":
-        e = tuple(int(a) for a in exponents)
-        if any(a < 0 for a in e):
-            raise ValueError(f"negative exponent in {e}")
-        wd = int(sum(a * w for a, w in zip(e, weights.weights)))
-        return cls(e, wd, int(sum(e)))
-
-
-def enumerate_multiindices(weights: WeightVector, m: int) -> list[MultiIndex]:
-    """All alpha >= 0 with <alpha, weights> = m, in colexicographic order."""
+def enumerate_multiindices(weights: WeightVector, m: int) -> np.ndarray:
+    """All alpha >= 0 with <alpha, weights> = m: the (d, n) int64 exponent
+    rows, in colexicographic order."""
     if m < 0:
         raise ValueError("m must be >= 0")
     ws = weights.weights
-    n = len(ws)
 
     def rec(k: int, target: int):
         # exponents for coordinates 0..k, colex order (later coordinates vary
@@ -100,10 +89,7 @@ def enumerate_multiindices(weights: WeightVector, m: int) -> list[MultiIndex]:
             for head in rec(k - 1, target - a * ws[k]):
                 yield head + (a,)
 
-    out = []
-    for e in sorted(rec(n - 1, m), key=lambda t: t[::-1]):
-        out.append(MultiIndex.make(e, weights))
-    return out
+    return np.array(list(rec(len(ws) - 1, m)), dtype=np.int64).reshape(-1, len(ws))
 
 
 def dimension(weights: WeightVector, m: int) -> int:
@@ -133,19 +119,18 @@ class ExactNorm:
         return float(self.rational_part) * math.pi**self.pi_power
 
 
-def sphere_monomial_norm_sq(alpha: MultiIndex, n: int) -> ExactNorm:
+def sphere_monomial_norm_sq(alpha: Sequence[int], n: int) -> ExactNorm:
     """Squared L^2(dS) norm of z^alpha on the unit sphere in C^n, exactly."""
-    num = 2 * math.prod(math.factorial(a) for a in alpha.exponents)
-    den = math.factorial(n - 1 + alpha.total_degree)
+    num = 2 * math.prod(math.factorial(a) for a in alpha)
+    den = math.factorial(n - 1 + sum(alpha))
     return ExactNorm(Fraction(num, den), n)
 
 
-def monomial_values(Z: np.ndarray, indices: Sequence[MultiIndex]) -> np.ndarray:
-    """Matrix V[i, j] = z_i^{alpha_j} for points Z (N, n)."""
+def monomial_values(Z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Matrix V[i, j] = z_i^{alpha_j} for points Z (N, n) and exponent rows
+    alpha_j; one point (n,) gives the row V[0]."""
     Z = np.asarray(Z, dtype=complex)
-    n = Z.shape[-1]
-    A = np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, n)
-    V = monomial_products(Z.reshape(-1, n), A)
+    V = monomial_products(Z.reshape(-1, Z.shape[-1]), exponents)
     return V[0] if Z.ndim == 1 else V
 
 
@@ -170,12 +155,11 @@ def table_jacobian(Z: np.ndarray, table: tuple[np.ndarray, ...], count: int) -> 
     return D
 
 
-def monomial_jacobian(z: np.ndarray, indices: Sequence[MultiIndex]) -> np.ndarray:
+def monomial_jacobian(z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """D[..., j, k] = d z^{alpha_j} / d z_k at one point (n,) or a batch (P, n)."""
     z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    A = np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, n)
-    D = np.swapaxes(table_jacobian(z.reshape(-1, n), derivative_table(A), len(A)), 1, 2)
+    A = np.asarray(exponents, dtype=np.int64).reshape(-1, z.shape[-1])
+    D = np.swapaxes(table_jacobian(z.reshape(-1, A.shape[1]), derivative_table(A), len(A)), 1, 2)
     return D[0] if z.ndim == 1 else D
 
 
@@ -198,19 +182,48 @@ class DiagonalMatrix:
         return np.diag(self.diagonal)
 
 
-def apply_coeff(C, rows: np.ndarray) -> np.ndarray:
-    """C @ rows for a dense or diagonal coefficient matrix; rows is (d,) or a
-    stack (..., d, k)."""
-    if isinstance(C, DiagonalMatrix):
-        return C.diagonal * rows if rows.ndim == 1 else C.diagonal[:, None] * rows
-    return C @ rows
+def _apply_blocks(coeffs: Sequence, V: np.ndarray) -> np.ndarray:
+    """out[:, s] = V[:, s] @ C.T for each dense or diagonal coefficient matrix
+    C of coeffs and its column slice s, in order: monomial columns to basis
+    columns."""
+    out = np.empty_like(V)
+    start = 0
+    for C in coeffs:
+        cols = slice(start, start + C.shape[0])
+        diagonal = isinstance(C, DiagonalMatrix)
+        out[:, cols] = V[:, cols] * C.diagonal if diagonal else V[:, cols] @ C.T
+        start = cols.stop
+    return out
 
 
-def apply_coeff_right(V: np.ndarray, C) -> np.ndarray:
-    """V @ C.T for a dense or diagonal coefficient matrix."""
-    if isinstance(C, DiagonalMatrix):
-        return V * C.diagonal[None, :]
-    return V @ C.T
+def block_values(Z: np.ndarray, exponents: np.ndarray, coeffs: Sequence) -> np.ndarray:
+    """Values of several bases side by side at the rows of Z (P, n).
+
+    exponents stacks the bases' exponent rows (N, n), block after block, and
+    coeffs holds their coefficient matrices in the same order; one
+    monomial_values pass per ROW_BLOCK rows covers every block.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    out = np.empty((Z.shape[0], len(exponents)), dtype=complex)
+    for start in range(0, Z.shape[0], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        out[rows] = _apply_blocks(coeffs, monomial_values(Z[rows], exponents))
+    return out
+
+
+def block_jacobian(Z: np.ndarray, derivatives: tuple, coeffs: Sequence) -> np.ndarray:
+    """Holomorphic Jacobians J[i, j, k] = d f_j / d z_k of several bases side
+    by side at the rows of Z (P, n), from the derivative_table of their
+    stacked exponent rows and their coefficient matrices (see block_values)."""
+    Z = np.asarray(Z, dtype=complex)
+    P, n = Z.shape
+    N = sum(C.shape[0] for C in coeffs)
+    out = np.empty((P, n, N), dtype=complex)
+    for start in range(0, P, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        D = table_jacobian(Z[rows], derivatives, N)  # (rows, n, N)
+        out[rows] = _apply_blocks(coeffs, D.reshape(-1, N)).reshape(D.shape)
+    return out.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +236,7 @@ class GramEstimate:
 
 
 def gram_matrices(
-    level_indices: Mapping[int, Sequence[MultiIndex]],
+    level_exponents: Mapping[int, np.ndarray],
     M: Manifold,
     measure: str = ROUND_EXACT,
     samples: int = DEFAULT_GRAM_SAMPLES,
@@ -232,7 +245,8 @@ def gram_matrices(
 ) -> dict[int, GramEstimate]:
     """Gram matrices of the monomials of several levels under one measure.
 
-    level_indices maps each level m to monomials of weighted degree m.
+    level_exponents maps each level m to exponent rows of weighted degree m
+    under M's weights, with no negative entry; anything else is a ValueError.
     round-exact is the sphere-L^2 normalization of the monomials: the closed
     form diagonal of sphere_monomial_norm_sq on the unit sphere S^{2n-1},
     whatever the manifold.  On the standard sphere it is the Gram matrix of
@@ -257,28 +271,28 @@ def gram_matrices(
     standard error of the real part.  Each result must be positive definite;
     otherwise GramNotPositiveDefiniteError names the level and its size.
     """
-    for level, indices in level_indices.items():
-        degrees = {mi.weighted_degree for mi in indices}
-        if degrees - {level}:
+    exps = {
+        level: np.asarray(A, dtype=np.int64).reshape(-1, M.n)
+        for level, A in level_exponents.items()
+    }
+    for level, A in exps.items():
+        if np.any(A < 0):
+            raise ValueError(f"negative exponent in level {level}")
+        degrees = A @ M.weights.array
+        if np.any(degrees != level):
             raise ValueError(
-                f"indices of level {level} span several weighted degrees: "
-                f"{sorted(degrees | {level})}"
+                f"exponents of level {level} span several weighted degrees: "
+                f"{sorted(set(degrees.tolist()) | {level})}"
             )
     if measure == ROUND_EXACT:
         return {
             level: _diagonal_estimate(
-                level,
-                np.array([sphere_monomial_norm_sq(mi, M.n).value() for mi in indices]),
-                measure,
+                level, np.array([sphere_monomial_norm_sq(a, M.n).value() for a in A.tolist()]), measure
             )
-            for level, indices in level_indices.items()
+            for level, A in exps.items()
         }
     if measure != COMPLIANT:
         raise ValueError(f"unknown measure {measure!r}")
-    exps = {
-        level: np.array([mi.exponents for mi in indices], dtype=np.int64).reshape(-1, M.n)
-        for level, indices in level_indices.items()
-    }
     nonempty = any(len(A) for A in exps.values())
     if sample_set is None and torus_invariant(M):
         diag = {level: np.zeros(len(A)) for level, A in exps.items()}
@@ -355,17 +369,18 @@ def _diagonal_estimate(level: int, diag: np.ndarray, measure: str) -> GramEstima
 
 
 def gram_matrix(
-    indices: Sequence[MultiIndex],
+    exponents: np.ndarray,
     M: Manifold,
     measure: str = ROUND_EXACT,
     samples: int = DEFAULT_GRAM_SAMPLES,
     seed: int = 0,
     sample_set: SampleSet | None = None,
 ) -> GramEstimate:
-    """Gram matrix of one level's monomials (see gram_matrices)."""
-    level = indices[0].weighted_degree if indices else 0
+    """Gram matrix of one level's exponent rows (see gram_matrices)."""
+    A = np.asarray(exponents, dtype=np.int64).reshape(-1, M.n)
+    level = int(A[0] @ M.weights.array) if len(A) else 0
     return gram_matrices(
-        {level: indices}, M, measure=measure, samples=samples, seed=seed, sample_set=sample_set
+        {level: A}, M, measure=measure, samples=samples, seed=seed, sample_set=sample_set
     )[level]
 
 
@@ -389,23 +404,22 @@ def resolve_measure(M: Manifold, measure: str, span_only: bool = False) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FourierBasis:
-    """Orthonormalized weight-m component basis.
+    """Orthonormalized weight-m component basis: a map with one block.
 
-    Rows of coeff_matrix applied to the raw monomial vector give the
-    orthonormal family; the matrix is lower triangular (inverse Cholesky
-    factor of the Gram matrix).
+    exponents holds the monomials' (d, n) exponent rows in colex order.  Rows
+    of coeff_matrix applied to the raw monomial vector give the orthonormal
+    family; the matrix is lower triangular (inverse Cholesky factor of the
+    Gram matrix).
     """
 
     level: int
-    indices: tuple[MultiIndex, ...]
+    exponents: np.ndarray  # (d, n) int
     coeff_matrix: np.ndarray
     measure: str
-    weights: WeightVector
-    gram_condition: float
 
     @property
     def d(self) -> int:
-        return len(self.indices)
+        return len(self.exponents)
 
 
 def _cholesky_with_pivot(G: np.ndarray) -> np.ndarray:
@@ -424,37 +438,31 @@ def _cholesky_with_pivot(G: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(
-    indices: Sequence[MultiIndex],
+    exponents: np.ndarray,
     gram: GramEstimate | np.ndarray,
     weights: WeightVector,
     measure: str | None = None,
 ) -> FourierBasis:
-    """Cholesky whitening of the Gram matrix into a FourierBasis."""
+    """Cholesky whitening of the Gram matrix of one level's exponent rows
+    (at least one; the level is the first row's weighted degree) into a
+    FourierBasis."""
     if isinstance(gram, GramEstimate):
         G = gram.matrix
         measure = measure or gram.measure
-        extremes = (gram.smallest_eigenvalue, gram.largest_eigenvalue)
     else:
         G = gram if isinstance(gram, DiagonalMatrix) else np.asarray(gram)
         measure = measure or "custom"
-        extremes = None
-    d = len(indices)
-    if d == 0:
-        return FourierBasis(0, (), np.zeros((0, 0), dtype=complex), measure, weights, 1.0)
-    level = indices[0].weighted_degree
+    A = np.asarray(exponents, dtype=np.int64).reshape(-1, len(weights))
+    if len(A) == 0:
+        raise ValueError("cannot orthonormalize an empty set of monomials")
     if isinstance(G, DiagonalMatrix):
         diag = G.diagonal
         if np.any(diag <= 0):
             raise RankDeficiencyError(int(np.argmax(diag <= 0)))
         C = DiagonalMatrix((1.0 / np.sqrt(diag)).astype(complex))
-        cond = float(diag.max() / diag.min())
     else:
-        L = _cholesky_with_pivot(G)
-        C = np.linalg.inv(L)
-        # a Hermitian positive definite G has 2-norm condition lambda_max / lambda_min
-        lo, hi = extremes if extremes is not None else np.linalg.eigvalsh(G)[[0, -1]]
-        cond = float(hi / lo)
-    return FourierBasis(level, tuple(indices), C, measure, weights, cond)
+        C = np.linalg.inv(_cholesky_with_pivot(G))
+    return FourierBasis(int(A[0] @ weights.array), A, C, measure)
 
 
 def fourier_bases(
@@ -471,16 +479,16 @@ def fourier_bases(
     and one pass over it.  measure="auto" is resolved by resolve_measure.
     """
     measure = resolve_measure(M, measure)
-    indices = {m: enumerate_multiindices(M.weights, m) for m in dict.fromkeys(map(int, levels))}
+    exps = {m: enumerate_multiindices(M.weights, m) for m in dict.fromkeys(map(int, levels))}
     grams = gram_matrices(
-        {m: idx for m, idx in indices.items() if idx},
+        {m: A for m, A in exps.items() if len(A)},
         M, measure=measure, samples=samples, seed=seed, sample_set=sample_set,
     )
     return {
-        m: orthonormalize(idx, grams[m], M.weights)
-        if idx
-        else FourierBasis(m, (), np.zeros((0, 0), dtype=complex), measure, M.weights, 1.0)
-        for m, idx in indices.items()
+        m: orthonormalize(A, grams[m], M.weights)
+        if len(A)
+        else FourierBasis(m, A, np.zeros((0, 0), dtype=complex), measure)
+        for m, A in exps.items()
     }
 
 
@@ -499,29 +507,19 @@ def fourier_basis(
 
 
 def eval_basis(B: FourierBasis, x) -> np.ndarray:
-    """Values (f_1(x), ..., f_d(x)) at a SurfacePoint or raw coordinates."""
+    """Values (f_1(x), ..., f_d(x)) at a SurfacePoint or raw coordinates (n,)."""
     z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
-    if B.d == 0:
-        return np.zeros(0, dtype=complex)
-    return apply_coeff(B.coeff_matrix, monomial_values(z, B.indices))
+    return block_values(z[None, :], B.exponents, [B.coeff_matrix])[0]
 
 
 def eval_basis_batch(B: FourierBasis, Z: np.ndarray) -> np.ndarray:
     """Values matrix (N, d) over raw coordinates (N, n)."""
-    if B.d == 0:
-        return np.zeros((np.asarray(Z).shape[0], 0), dtype=complex)
-    out = np.empty((np.asarray(Z).shape[0], B.d), dtype=complex)
-    Z = np.asarray(Z, dtype=complex)
-    for start in range(0, Z.shape[0], ROW_BLOCK):
-        V = monomial_values(Z[start : start + ROW_BLOCK], B.indices)
-        out[start : start + ROW_BLOCK] = apply_coeff_right(V, B.coeff_matrix)
-    return out
+    return block_values(Z, B.exponents, [B.coeff_matrix])
 
 
 def eval_basis_jacobian(B: FourierBasis, x) -> np.ndarray:
     """Holomorphic derivatives J[..., j, k] = d f_j / d z_k at a SurfacePoint,
     at raw coordinates (n,), or over a batch (P, n)."""
     z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
-    if B.d == 0:
-        return np.zeros(z.shape[:-1] + (0, z.shape[-1]), dtype=complex)
-    return apply_coeff(B.coeff_matrix, monomial_jacobian(z, B.indices))
+    J = block_jacobian(z.reshape(-1, z.shape[-1]), derivative_table(B.exponents), [B.coeff_matrix])
+    return J[0] if z.ndim == 1 else J

@@ -178,10 +178,10 @@ def cmd_norms(args) -> int:
     ms = _parse_range(args.m)
     rows = []
     for m in ms:
-        for mi in basis.enumerate_multiindices(M.weights, m):
-            norm = basis.sphere_monomial_norm_sq(mi, M.n)
+        for alpha in basis.enumerate_multiindices(M.weights, m).tolist():
+            norm = basis.sphere_monomial_norm_sq(alpha, M.n)
             rows.append(
-                (m, " ".join(map(str, mi.exponents)), str(norm.rational_part), norm.pi_power, repr(norm.value()))
+                (m, " ".join(map(str, alpha)), str(norm.rational_part), norm.pi_power, repr(norm.value()))
             )
     return emit_report(
         args, M, "norms", {"count": len(rows)}, [],

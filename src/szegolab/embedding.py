@@ -8,11 +8,12 @@ C^N.  Immersion and point separation are certified empirically: smallest
 singular values of the real Jacobian over stratified samples, and image
 distances over stratified point pairs.
 
-The exponent vectors of all N coordinates are stacked once, so the map and
-its Jacobian over a batch of points take one monomial pass per ROW_BLOCK
-rows; each block's coefficient matrix then acts on its own column slice.
-The immersion certificate takes the spectra of all its samples from one
-stacked SVD.
+The map is evaluated like a single basis, through basis.block_values and
+basis.block_jacobian: a FourierBasis is a map with one block.  The (d, n)
+exponent rows of all blocks are stacked once, so the map and its Jacobian
+over a batch of points take one monomial pass per ROW_BLOCK rows; each
+block's coefficient matrix then acts on its own column slice.  The immersion
+certificate takes the spectra of all its samples from one stacked SVD.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import numpy as np
 
 from .basis import (
     FourierBasis,
-    apply_coeff_right,
+    block_jacobian,
+    block_values,
     derivative_table,
     fourier_bases,
     resolve_measure,
-    table_jacobian,
 )
-from .geometry import ROW_BLOCK, Manifold, SurfacePoint, monomial_products
+from .geometry import ROW_BLOCK, Manifold, SurfacePoint
 from .integrate import (
     SampleSet,
     random_surface_points,
@@ -44,9 +45,9 @@ from .integrate import (
 class EmbeddingMap:
     """Concatenation of Fourier-component blocks with per-coordinate weights.
 
-    exponents stacks the monomial exponent vectors of all N coordinates, block
-    after block, and derivatives is their basis.derivative_table, so the map
-    and its Jacobian each take one monomial pass over all coordinates.
+    exponents stacks the blocks' exponent rows, (N, n) for all N coordinates,
+    and derivatives is their basis.derivative_table, so the map and its
+    Jacobian each take one monomial pass over all coordinates.
     """
 
     manifold: Manifold
@@ -87,25 +88,14 @@ def embedding_from_levels(
         measure=resolve_measure(M, measure, span_only=True),
         samples=samples, seed=seed, sample_set=sample_set,
     )
-    blocks = []
-    warnings = []
-    weights: list[int] = []
-    for level, B in bases.items():
-        if B.d == 0:
-            warnings.append(f"level {level} has no representation (empty block)")
-        blocks.append((level, B))
-        weights.extend([level] * B.d)
-    exponents = np.array(
-        [mi.exponents for _, B in blocks for mi in B.indices], dtype=np.int64
-    ).reshape(-1, M.n)
+    blocks = tuple(bases.items())
+    weights = np.repeat(np.array(list(bases), dtype=np.int64), [B.d for B in bases.values()])
+    exponents = np.vstack([B.exponents for B in bases.values()])
+    warnings = tuple(
+        f"level {level} has no representation (empty block)" for level, B in blocks if B.d == 0
+    )
     return EmbeddingMap(
-        M,
-        tuple(blocks),
-        np.asarray(weights, dtype=np.int64),
-        base_level,
-        exponents,
-        derivative_table(exponents),
-        tuple(warnings),
+        M, blocks, weights, base_level, exponents, derivative_table(exponents), warnings
     )
 
 
@@ -133,27 +123,9 @@ def build_embedding(
     return embedding_from_levels(M, levels, base_level=m, measure=measure, samples=samples, seed=seed)
 
 
-def _apply_blocks(Phi: EmbeddingMap, V: np.ndarray) -> np.ndarray:
-    """out[:, s] = V[:, s] @ C.T for each block's column slice s and
-    coefficient matrix C: monomial columns (P, N) to coordinate columns."""
-    out = np.empty_like(V)
-    start = 0
-    for _, B in Phi.blocks:
-        cols = slice(start, start + B.d)
-        if B.d:
-            out[:, cols] = apply_coeff_right(V[:, cols], B.coeff_matrix)
-        start += B.d
-    return out
-
-
 def evaluate_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
     """Phi at the rows of Z (P, n): one monomial pass per ROW_BLOCK rows."""
-    Z = np.asarray(Z, dtype=complex)
-    out = np.empty((Z.shape[0], Phi.total_dim), dtype=complex)
-    for start in range(0, Z.shape[0], ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        out[rows] = _apply_blocks(Phi, monomial_products(Z[rows], Phi.exponents))
-    return out
+    return block_values(Z, Phi.exponents, [B.coeff_matrix for _, B in Phi.blocks])
 
 
 def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
@@ -165,14 +137,7 @@ def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
 def jacobian_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
     """Holomorphic Jacobians J[i, j, k] = d Phi_j / d z_k at the rows of Z
     (P, n): one monomial pass per ROW_BLOCK rows over all N coordinates."""
-    Z = np.asarray(Z, dtype=complex)
-    P, n = Z.shape
-    out = np.empty((P, n, Phi.total_dim), dtype=complex)
-    for start in range(0, P, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        D = table_jacobian(Z[rows], Phi.derivatives, Phi.total_dim)  # (rows, n, N)
-        out[rows] = _apply_blocks(Phi, D.reshape(-1, Phi.total_dim)).reshape(D.shape)
-    return out.transpose(0, 2, 1)
+    return block_jacobian(Z, Phi.derivatives, [B.coeff_matrix for _, B in Phi.blocks])
 
 
 def check_equivariance(Phi: EmbeddingMap, x: SurfacePoint, theta: float) -> float:

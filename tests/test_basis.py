@@ -19,7 +19,6 @@ from szegolab.basis import (
     COMPLIANT,
     ROUND_EXACT,
     DiagonalMatrix,
-    MultiIndex,
     dimension,
     enumerate_multiindices,
     eval_basis,
@@ -42,16 +41,16 @@ from szegolab.integrate import SampleSet, compliant_density, surface_samples
 class TestEnumeration:
     def test_unit_weights(self):
         idx = enumerate_multiindices(WeightVector((1, 1)), 3)
-        assert [mi.exponents for mi in idx] == [(3, 0), (2, 1), (1, 2), (0, 3)]
+        assert idx.tolist() == [[3, 0], [2, 1], [1, 2], [0, 3]]
 
     def test_weights_12(self):
         idx = enumerate_multiindices(WeightVector((1, 2)), 4)
-        assert [mi.exponents for mi in idx] == [(4, 0), (2, 1), (0, 2)]
+        assert idx.tolist() == [[4, 0], [2, 1], [0, 2]]
 
     def test_weights_126_vs_exhaustive(self):
         idx = enumerate_multiindices(WeightVector((1, 2, 6)), 6)
         expected = exhaustive_multiindices((1, 2, 6), 6)
-        assert [mi.exponents for mi in idx] == expected
+        assert list(map(tuple, idx.tolist())) == expected
         assert len(idx) == 5
 
     @settings(max_examples=60, deadline=None)
@@ -62,11 +61,9 @@ class TestEnumeration:
     def test_matches_exhaustive_and_degrees(self, ws, m):
         wv = WeightVector(tuple(ws))
         idx = enumerate_multiindices(wv, m)
-        assert [mi.exponents for mi in idx] == exhaustive_multiindices(ws, m)
-        for mi in idx:
-            assert mi.weighted_degree == sum(a * w for a, w in zip(mi.exponents, ws)) == m
-            assert mi.total_degree == sum(mi.exponents)
-        assert len(idx) == dimension(wv, m)
+        assert idx.dtype == np.int64 and idx.shape == (dimension(wv, m), len(ws))
+        assert list(map(tuple, idx.tolist())) == exhaustive_multiindices(ws, m)
+        assert np.all(idx @ np.array(ws) == m)
 
     def test_dimension_bounds(self):
         # d_m <= binom(m+n-1, n-1), equality for unit weights
@@ -100,33 +97,25 @@ class TestEnumeration:
 
 class TestExactNorms:
     def test_closed_forms(self):
-        wv = WeightVector((1, 1))
-        mi = MultiIndex.make((0, 0), wv)
-        norm = sphere_monomial_norm_sq(mi, 2)
+        norm = sphere_monomial_norm_sq((0, 0), 2)
         assert norm.rational_part == Fraction(2) and norm.pi_power == 2
-        mi = MultiIndex.make((1, 0), wv)
-        assert sphere_monomial_norm_sq(mi, 2).value() == pytest.approx(math.pi**2)
-        mi3 = MultiIndex.make((2, 1), WeightVector((1, 1, 1)))
-        norm3 = sphere_monomial_norm_sq(mi3, 3)
+        assert sphere_monomial_norm_sq((1, 0), 2).value() == pytest.approx(math.pi**2)
+        norm3 = sphere_monomial_norm_sq((2, 1, 0), 3)
         assert norm3.rational_part == Fraction(2 * 2, math.factorial(5))
         assert norm3.value() == pytest.approx(math.pi**3 / 30)
 
     @pytest.mark.parametrize("exps,n", [((0, 0), 2), ((1, 0), 2), ((2, 1, 0), 3)])
     def test_against_mc_oracle(self, exps, n):
-        wv = WeightVector(tuple([1] * n))
-        mi = MultiIndex.make(exps, wv)
-        exact = sphere_monomial_norm_sq(mi, n).value()
+        exact = sphere_monomial_norm_sq(exps, n).value()
 
         def f(Z):
-            return np.abs(monomial_values(Z, [mi])[:, 0]) ** 2
+            return np.abs(monomial_values(Z, [exps])[:, 0]) ** 2
 
         est, stderr = mc_sphere_integral(f, n, samples=1_000_000, seed=77)
         assert abs(est - exact) < 5 * stderr + 1e-12
 
     def test_no_overflow_for_large_degree(self):
-        wv = WeightVector((1, 1, 1))
-        mi = MultiIndex.make((150, 100, 80), wv)
-        v = sphere_monomial_norm_sq(mi, 3).value()
+        v = sphere_monomial_norm_sq((150, 100, 80), 3).value()
         assert 0 < v < 1e-100  # tiny but representable via exact rational ratio
 
 
@@ -137,7 +126,7 @@ class TestGram:
             idx = enumerate_multiindices(M.weights, 5)
             G = gram_matrix(idx, M, measure=ROUND_EXACT)
             assert G.stderr is None
-            expected = [sphere_monomial_norm_sq(mi, M.n).value() for mi in idx]
+            expected = [sphere_monomial_norm_sq(alpha, M.n).value() for alpha in idx.tolist()]
             assert np.allclose(G.matrix.diagonal, expected)
 
     def test_auto_rule(self, sphere2, wsphere12, example2):
@@ -165,18 +154,32 @@ class TestGram:
         assert G.smallest_eigenvalue > 0
 
     def test_mixed_levels_rejected(self, sphere2):
-        wv = sphere2.weights
-        bad = [MultiIndex.make((1, 0), wv), MultiIndex.make((1, 1), wv)]
         with pytest.raises(ValueError, match="several weighted degrees"):
-            gram_matrix(bad, sphere2)
+            gram_matrix([(1, 0), (1, 1)], sphere2)
+
+    @pytest.mark.parametrize("measure", [ROUND_EXACT, COMPLIANT])
+    def test_degrees_are_read_under_the_manifolds_weights(self, wsphere12, measure):
+        # (2, 0) and (0, 2) share a degree under weights (1, 1), but under X's
+        # weights (1, 2) they are levels 2 and 4
+        with pytest.raises(ValueError, match=r"several weighted degrees: \[2, 4\]"):
+            gram_matrix([(2, 0), (0, 2)], wsphere12, measure=measure)
+        with pytest.raises(ValueError, match="several weighted degrees"):
+            gram_matrices({4: [(4, 0), (2, 1), (0, 4)]}, wsphere12, measure=measure)
+
+    @pytest.mark.parametrize("measure", [ROUND_EXACT, COMPLIANT])
+    def test_negative_exponents_rejected(self, wsphere12, measure):
+        # (4, -1) has weighted degree 2 under (1, 2), the level of (2, 0)
+        with pytest.raises(ValueError, match="negative exponent"):
+            gram_matrix([(2, 0), (4, -1)], wsphere12, measure=measure)
 
 
 def _level_set(M, keep):
     """Levels with the monomials that keep[m] accepts; None keeps all of them."""
-    return {
-        m: [mi for mi in enumerate_multiindices(M.weights, m) if rule is None or rule(mi.exponents)]
-        for m, rule in keep.items()
-    }
+    levels = {}
+    for m, rule in keep.items():
+        A = enumerate_multiindices(M.weights, m)
+        levels[m] = A[np.array([rule is None or rule(e) for e in A.tolist()], dtype=bool)]
+    return levels
 
 
 # on each manifold one level is empty and the largest exponents of the
@@ -202,8 +205,8 @@ class TestGramMatrices:
     def test_batched_equals_single_level(self, request, name, samples):
         M = request.getfixturevalue(name)
         levels = _level_set(M, LEVEL_SETS[name])
-        assert any(not idx for idx in levels.values())
-        A = {m: np.array([mi.exponents for mi in idx]) for m, idx in levels.items() if idx}
+        assert any(len(idx) == 0 for idx in levels.values())
+        A = {m: idx for m, idx in levels.items() if len(idx)}
         argmax_levels = {max(A, key=lambda m: A[m][:, k].max()) for k in range(M.n)}
         assert len(argmax_levels) > 1
 
@@ -216,7 +219,7 @@ class TestGramMatrices:
             got = batched[m]
             assert got.matrix.shape == single.matrix.shape == (len(idx), len(idx))
             assert got.stderr.shape == single.stderr.shape == (len(idx), len(idx))
-            if not idx:
+            if len(idx) == 0:
                 assert got.smallest_eigenvalue == single.smallest_eigenvalue == 0.0
                 continue
             scale = np.max(np.abs(single.matrix))
@@ -298,7 +301,7 @@ class TestGramMatrices:
         assert list(bases) == [6, 3, 5]
         for m, B in bases.items():
             assert B.level == m
-            assert B.indices == tuple(enumerate_multiindices(wsphere12.weights, m))
+            np.testing.assert_array_equal(B.exponents, enumerate_multiindices(wsphere12.weights, m))
 
 
 # |z1|^2 + |z2|^2 + |z1|^4 + |z2|^4 / 2 = 1 under weights (1, 2): torus-invariant, not a sphere
@@ -330,7 +333,7 @@ class TestTorusQuadrature:
             assert isinstance(G.matrix, DiagonalMatrix) and G.stderr is None
             assert G.measure == COMPLIANT
             exact = np.array(
-                [sphere_monomial_norm_sq(mi, n).value() for mi in enumerate_multiindices(M.weights, m)]
+                [sphere_monomial_norm_sq(a, n).value() for a in enumerate_multiindices(M.weights, m).tolist()]
             )
             assert np.max(np.abs(G.matrix.diagonal / exact - 1)) <= 1e-13
 
@@ -411,6 +414,14 @@ class TestOrthonormalize:
         with pytest.raises(RankDeficiencyError) as e:
             orthonormalize(idx, G, sphere2.weights)
         assert e.value.pivot_index == 2
+
+    def test_no_monomials_rejected(self, wsphere12):
+        # an empty level has no basis to whiten; fourier_bases builds its
+        # empty FourierBasis itself
+        empty = enumerate_multiindices(wsphere12.weights, 7)[:0]
+        for gram in (np.zeros((0, 0)), DiagonalMatrix(np.zeros(0))):
+            with pytest.raises(ValueError, match="empty"):
+                orthonormalize(empty, gram, wsphere12.weights)
 
     def test_permuted_indices_span_same_kernel(self, wsphere12):
         from szegolab.kernel import szego_kernel

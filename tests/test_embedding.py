@@ -11,8 +11,8 @@ from oracles import (
     search_embedding,
 )
 
-from szegolab import basis, embedding, geometry, integrate
-from szegolab.basis import dimension, eval_basis_jacobian, monomial_jacobian
+from szegolab import basis, geometry, integrate
+from szegolab.basis import dimension, eval_basis_batch, eval_basis_jacobian, monomial_jacobian
 from szegolab.embedding import (
     build_embedding,
     check_equivariance,
@@ -20,6 +20,7 @@ from szegolab.embedding import (
     evaluate,
     evaluate_batch,
     immersion_report,
+    jacobian_batch,
     jacobian_singular_values,
     phase_pair_demo,
     separation_report,
@@ -95,7 +96,7 @@ class TestConstruction:
         Phi = build_embedding(example2, 4)
         for _, B in Phi.blocks:
             assert B.measure == basis.ROUND_EXACT
-            norms = [basis.sphere_monomial_norm_sq(mi, example2.n).value() for mi in B.indices]
+            norms = [basis.sphere_monomial_norm_sq(a, example2.n).value() for a in B.exponents.tolist()]
             np.testing.assert_allclose(B.coeff_matrix.diagonal, np.power(norms, -0.5), rtol=1e-15)
 
     def test_maps_and_certificates_certify_strata_once(self, monkeypatch):
@@ -229,10 +230,24 @@ class TestBatchedJacobian:
         M, Phi = _preset_map(request, name, m)
         Z = np.array([x.coordinates for x, _, _ in stratified_points(M, 12, seed=6)])
         for _, B in Phi.blocks:
-            stacked = np.stack([monomial_jacobian(z, B.indices) for z in Z])
-            assert np.array_equal(monomial_jacobian(Z, B.indices), stacked)
+            stacked = np.stack([monomial_jacobian(z, B.exponents) for z in Z])
+            assert np.array_equal(monomial_jacobian(Z, B.exponents), stacked)
             stacked = np.stack([eval_basis_jacobian(B, z) for z in Z])
             assert np.array_equal(eval_basis_jacobian(B, Z), stacked)
+
+    @pytest.mark.parametrize("name, m", PRESET_MAPS)
+    def test_map_is_its_bases_side_by_side(self, request, name, m):
+        # a basis is a map with one block: the map's values and Jacobian are
+        # its blocks' eval_basis_batch and eval_basis_jacobian, bit for bit
+        M, Phi = _preset_map(request, name, m)
+        Z = np.array([x.coordinates for x, _, _ in stratified_points(M, 12, seed=7)])
+        np.testing.assert_array_equal(
+            evaluate_batch(Phi, Z), np.hstack([eval_basis_batch(B, Z) for _, B in Phi.blocks])
+        )
+        np.testing.assert_array_equal(
+            jacobian_batch(Phi, Z),
+            np.concatenate([eval_basis_jacobian(B, Z) for _, B in Phi.blocks], axis=1),
+        )
 
     def test_monomial_passes_bounded_by_row_blocks(self, example2, example2_phi, monkeypatch):
         # every monomial pass of the certificate covers a whole batch: the
@@ -244,7 +259,7 @@ class TestBatchedJacobian:
             rows.append(len(Z))
             return original(Z, *args, **kwargs)
 
-        for module in (geometry, basis, embedding):
+        for module in (geometry, basis):
             monkeypatch.setattr(module, "monomial_products", counted)
         calls = {}
         for samples in (25, 100):

@@ -53,7 +53,7 @@ class TestKernelValues:
         x, y = random_points(sphere2, 2, seed=9)
         vx = monomial_values(x.coordinates, idx)
         vy = monomial_values(y.coordinates, idx)
-        norms = np.array([sphere_monomial_norm_sq(mi, 2).value() for mi in idx])
+        norms = np.array([sphere_monomial_norm_sq(alpha, 2).value() for alpha in idx.tolist()])
         direct = np.sum(vx * vy.conj() / norms)
         B = fourier_basis(sphere2, m)
         assert abs(szego_kernel(B, x, y).value - direct) < 1e-12
@@ -107,7 +107,7 @@ class TestKernelValues:
         B1 = orthonormalize(idx, G, wsphere12.weights)
         P = np.random.default_rng(0).permutation(len(idx))
         B2 = orthonormalize(
-            [idx[p] for p in P], G.matrix[np.ix_(P, P)], wsphere12.weights, measure=COMPLIANT
+            idx[P], G.matrix[np.ix_(P, P)], wsphere12.weights, measure=COMPLIANT
         )
         x, y = random_points(wsphere12, 2, seed=21)
         v1 = szego_kernel(B1, x, y).value
