@@ -498,12 +498,9 @@ def fourier_basis(
     measure: str = "auto",
     samples: int = DEFAULT_GRAM_SAMPLES,
     seed: int = 0,
-    sample_set: SampleSet | None = None,
 ) -> FourierBasis:
     """The basis of one level (see fourier_bases)."""
-    return fourier_bases(
-        M, [m], measure=measure, samples=samples, seed=seed, sample_set=sample_set
-    )[int(m)]
+    return fourier_bases(M, [m], measure=measure, samples=samples, seed=seed)[int(m)]
 
 
 def eval_basis(B: FourierBasis, x) -> np.ndarray:

@@ -230,7 +230,7 @@ def cmd_fit(args) -> int:
     else:
         from .integrate import random_surface_points
 
-        x = random_surface_points(M, 1, args.seed)[0]
+        x = M.point(random_surface_points(M, 1, args.seed)[0])
     ms = _parse_range(args.m)
     fit = kernel.fit_expansion(
         M, x, min(ms), max(ms), measure=args.measure, samples=args.samples, seed=args.seed
@@ -350,6 +350,11 @@ def cmd_embed(args) -> int:
         if args.m0 is None:
             raise ConfigError("embed needs --m or --m0")
         m = args.m0 + 1
+    # separation_report draws pairs // 3 same-orbit and cross-stratum pairs
+    if args.pairs < 3:
+        raise ConfigError(f"--pairs must be at least 3, got {args.pairs}")
+    if args.immersion_samples < 1:
+        raise ConfigError(f"--immersion-samples must be at least 1, got {args.immersion_samples}")
     Phi = embedding.build_embedding(
         M, m, extra_levels=extra, measure=args.measure, samples=args.samples, seed=args.seed
     )

@@ -32,13 +32,7 @@ from .basis import (
     resolve_measure,
 )
 from .geometry import ROW_BLOCK, Manifold, SurfacePoint
-from .integrate import (
-    SampleSet,
-    random_surface_points,
-    stratified_points,
-    support_pattern_points,
-    _rng,
-)
+from .integrate import random_surface_points, stratified_points, support_pattern_points, _rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +72,6 @@ def embedding_from_levels(
     measure: str = "auto",
     samples: int = 50_000,
     seed: int = 0,
-    sample_set: SampleSet | None = None,
 ) -> EmbeddingMap:
     """The map built from the bases of the given levels.  The certificates
     depend only on the span of each component, so measure="auto" is
@@ -86,7 +79,7 @@ def embedding_from_levels(
     bases = fourier_bases(
         M, sorted(set(int(m) for m in levels)),
         measure=resolve_measure(M, measure, span_only=True),
-        samples=samples, seed=seed, sample_set=sample_set,
+        samples=samples, seed=seed,
     )
     blocks = tuple(bases.items())
     weights = np.repeat(np.array(list(bases), dtype=np.int64), [B.d for B in bases.values()])
@@ -172,7 +165,7 @@ VIOLATION_FLOOR = 1e-9
 @dataclass(frozen=True, eq=False)
 class ImmersionReport:
     min_singular_value: float
-    argmin_point: SurfacePoint | None
+    argmin_point: np.ndarray  # (n,), the first sample reaching the minimum
     # per sample: (label, stratum order, near-stratum flag, sigma_min)
     records: tuple[tuple[str, int, bool, float], ...]
     failures: tuple[dict, ...]  # rank drops, with the point and its spectrum
@@ -181,35 +174,28 @@ class ImmersionReport:
 def immersion_report(Phi: EmbeddingMap, samples: int = 100, seed: int = 0) -> ImmersionReport:
     """Smallest singular value of d Phi over a stratified sample of X.
 
-    Every sample's spectrum comes from one jacobian_singular_values call on
-    the whole sample; the loop only files the records and the failures, the
-    samples whose smallest singular value is below FAILURE_FLOOR.
+    Every sample's spectrum comes from one jacobian_singular_values call, and
+    its stratum from one strata_of call, on the whole sample.  The failures
+    are the samples whose smallest singular value is below FAILURE_FLOOR.
     """
     M = Phi.manifold
-    pts = stratified_points(M, samples, seed=seed)
-    Z = np.array([x.coordinates for x, _, _ in pts]).reshape(-1, M.n)
+    Z, labels = stratified_points(M, samples, seed=seed)
     spectra = jacobian_singular_values(Phi, Z)
-    records = []
-    failures = []
-    worst = math.inf
-    argmin = None
-    for i, ((x, label, k), spectrum) in enumerate(zip(pts, spectra)):
-        s = float(spectrum[-1])
-        info = M.stratum_info(x)
-        records.append((label, k, info.near_stratum, s))
-        if s < FAILURE_FLOOR:
-            failures.append(
-                {
-                    "index": i,
-                    "label": label,
-                    "stratum_order": k,
-                    "point": x.coordinates.tolist(),
-                    "singular_values": spectrum.tolist(),
-                }
-            )
-        if s < worst:
-            worst, argmin = s, x
-    return ImmersionReport(float(worst), argmin, tuple(records), tuple(failures))
+    sigma = spectra[:, -1]
+    orders, near = M.strata_of(Z)
+    records = tuple(zip(labels.tolist(), orders.tolist(), near.tolist(), sigma.tolist()))
+    failures = tuple(
+        {
+            "index": i,
+            "label": records[i][0],
+            "stratum_order": records[i][1],
+            "point": Z[i].tolist(),
+            "singular_values": spectra[i].tolist(),
+        }
+        for i in np.flatnonzero(sigma < FAILURE_FLOOR).tolist()
+    )
+    worst = int(np.argmin(sigma))
+    return ImmersionReport(float(sigma[worst]), Z[worst], records, failures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,22 +234,18 @@ def separation_report(
 
     singular = M.strata.singular_patterns()
 
-    def coordinates(points):
-        return np.array([x.coordinates for x in points]).reshape(-1, M.n)
-
-    base = stratified_points(M, n_orbit, seed=seed + 1)
-    X_orbit = coordinates(x for x, _, _ in base[:n_orbit])
+    X_orbit = stratified_points(M, n_orbit, seed=seed + 1)[0][:n_orbit]
     Y_orbit = M.act_coordinates(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
 
-    X_cross = coordinates(random_surface_points(M, n_cross, seed + 2))
+    X_cross = random_surface_points(M, n_cross, seed + 2)
     if singular:
         supports = [singular[i % len(singular)][0] for i in range(n_cross)]
-        Y_cross = coordinates(support_pattern_points(M, supports, seed + 3000))
+        Y_cross = support_pattern_points(M, supports, seed + 3000)
     else:
-        Y_cross = coordinates(random_surface_points(M, n_cross, seed + 3))
+        Y_cross = random_surface_points(M, n_cross, seed + 3)
 
-    near = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4)
-    pool = coordinates(x for x, label, _ in near if label in ("near-stratum", "regular"))
+    near, labels = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4)
+    pool = near[labels != "stratum"]
     i = np.arange(n_near)
     X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
 
@@ -291,29 +273,26 @@ def separation_report(
     same_orbit_distinct = (kinds == "same-orbit") & (ambient > threshold)
     bad = np.flatnonzero((separated | same_orbit_distinct) & (img < floor))
     gaps = np.abs(evaluate_batch(Phi, X[bad]) - evaluate_batch(Phi, Y[bad]))
-    violations = []
-    for i, gap in zip(bad, gaps):
-        violations.append(
-            {
-                "kind": str(kinds[i]),
-                "x": X[i].tolist(),
-                "y": Y[i].tolist(),
-                "quotient_distance": float(qd[i]),
-                "ambient_distance": float(ambient[i]),
-                "image_distance": float(img[i]),
-                "strata": [
-                    int(M.stratum_order(M.point(X[i]))),
-                    int(M.stratum_order(M.point(Y[i]))),
-                ],
-                "offending_coordinates": np.flatnonzero(gap == gap.max()).tolist(),
-            }
-        )
+    strata = np.column_stack([M.strata_of(X[bad])[0], M.strata_of(Y[bad])[0]]).tolist()
+    violations = tuple(
+        {
+            "kind": str(kinds[i]),
+            "x": X[i].tolist(),
+            "y": Y[i].tolist(),
+            "quotient_distance": float(qd[i]),
+            "ambient_distance": float(ambient[i]),
+            "image_distance": float(img[i]),
+            "strata": pair_strata,
+            "offending_coordinates": np.flatnonzero(gap == gap.max()).tolist(),
+        }
+        for i, gap, pair_strata in zip(bad, gaps, strata)
+    )
     return SeparationReport(
         pair_count=len(kinds),
         threshold=threshold,
         min_image_distance=float(np.min(img[separated], initial=math.inf)),
         min_same_orbit_image_distance=float(np.min(img[same_orbit_distinct], initial=math.inf)),
-        violations=tuple(violations),
+        violations=violations,
         image_scale=scale,
     )
 

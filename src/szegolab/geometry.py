@@ -81,10 +81,6 @@ class WeightVector:
     def lcm(self) -> int:
         return math.lcm(*self.weights)
 
-    def phases(self, theta: float) -> np.ndarray:
-        """Componentwise rotation factors e^{i w_j theta}."""
-        return np.exp(1j * theta * self.array)
-
 
 def _exp_tuple(e) -> tuple[int, ...]:
     t = tuple(int(k) for k in e)
@@ -333,13 +329,6 @@ class SurfacePoint:
 
 
 @dataclass(frozen=True)
-class StratumInfo:
-    order: int
-    support: tuple[int, ...]
-    near_stratum: bool
-
-
-@dataclass(frozen=True)
 class StrataOrders:
     """Stabilizer orders realized on X, with their certifying support patterns."""
 
@@ -395,13 +384,10 @@ def _unit_sphere_terms(n: int) -> dict[tuple, Fraction]:
 class Manifold:
     """Circle-invariant hypersurface {rho = 0} with a diagonal action."""
 
-    def __init__(
-        self,
-        n: int,
-        weights: WeightVector | Sequence[int],
-        rho: DefiningPolynomial,
-        surface_tolerance: float = 1e-8,
-    ):
+    # largest |rho| accepted at a point of X
+    surface_tolerance = 1e-8
+
+    def __init__(self, n: int, weights: WeightVector | Sequence[int], rho: DefiningPolynomial):
         if n < 2:
             raise ValueError(f"ambient dimension must be >= 2, got {n}")
         self.n = n
@@ -417,7 +403,6 @@ class Manifold:
         self.weight_divisor = divisor
         self.rho = rho
         rho.check_invariance(weights)
-        self.surface_tolerance = float(surface_tolerance)
 
     @property
     def kind(self) -> str:
@@ -485,24 +470,29 @@ class Manifold:
     # -- points and the action --------------------------------------------
 
     def point(self, coordinates) -> SurfacePoint:
-        Z = np.asarray(coordinates, dtype=complex)
-        if Z.shape != (self.n,):
-            raise ValueError(f"expected {self.n} coordinates, got shape {Z.shape}")
-        return self.points(Z[None, :])[0]
+        z = np.asarray(coordinates, dtype=complex)
+        if z.shape != (self.n,):
+            raise ValueError(f"expected {self.n} coordinates, got shape {z.shape}")
+        return SurfacePoint(z, float(self._residuals(z[None, :])[0]))
 
-    def points(self, Z: np.ndarray) -> list[SurfacePoint]:
-        """A SurfacePoint per row of Z (N, n), all residuals from one rho pass."""
+    def points(self, Z: np.ndarray) -> np.ndarray:
+        """Z (N, n) as a complex array, after one rho pass has checked every row lies on X."""
         Z = np.asarray(Z, dtype=complex)
+        self._residuals(Z)
+        return Z
+
+    def _residuals(self, Z: np.ndarray) -> np.ndarray:
+        """|rho| at the rows of Z; NotOnSurfaceError names the first row off X."""
         residuals = np.abs(self.rho.value(Z))
         off = np.flatnonzero(residuals > self.surface_tolerance)
         if off.size:
             raise NotOnSurfaceError(
                 f"|rho(x)| = {residuals[off[0]]:.3e} exceeds tolerance {self.surface_tolerance:.1e}"
             )
-        return [SurfacePoint(z, float(r)) for z, r in zip(Z, residuals)]
+        return residuals
 
     def act(self, theta: float, x: SurfacePoint) -> SurfacePoint:
-        Z = x.coordinates * self.weights.phases(theta)
+        Z = self.act_coordinates(theta, x.coordinates)
         return SurfacePoint(Z, abs(float(self.rho.value(Z))))
 
     def act_coordinates(self, theta, Z: np.ndarray) -> np.ndarray:
@@ -515,18 +505,25 @@ class Manifold:
         """Generator of the action at x: d/dtheta of the orbit, i * (w_j x_j)."""
         return 1j * self.weights.array * x.coordinates
 
-    def stratum_info(self, x: SurfacePoint) -> StratumInfo:
-        mags = np.abs(x.coordinates)
-        support = tuple(int(j) for j in np.nonzero(mags > ZERO_TOLERANCE)[0])
-        if not support:
+    def strata_of(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, near) per row of Z (P, n).
+
+        The stabilizer order of a point is the least k with
+        e^{2 pi i / k} . z = z: the gcd of the weights on its support, the
+        coordinates above ZERO_TOLERANCE in modulus.  near flags the rows with
+        a support coordinate below NEAR_STRATUM_TOLERANCE, where the order
+        jumps.  A row without support raises NotOnSurfaceError.
+        """
+        mags = np.abs(np.asarray(Z, dtype=complex))
+        on = mags > ZERO_TOLERANCE
+        if not np.all(np.any(on, axis=1)):
             raise NotOnSurfaceError("all coordinates vanish; the origin is not on X")
-        near = bool(np.any((mags > ZERO_TOLERANCE) & (mags < NEAR_STRATUM_TOLERANCE)))
-        order = math.gcd(*(self.weights.weights[j] for j in support))
-        return StratumInfo(order, support, near)
+        orders = np.gcd.reduce(np.where(on, self.weights.array, 0), axis=1)
+        return orders, np.any(on & (mags < NEAR_STRATUM_TOLERANCE), axis=1)
 
     def stratum_order(self, x: SurfacePoint) -> int:
-        """Least k with e^{2 pi i / k} . x = x: the gcd of weights on the support of x."""
-        return self.stratum_info(x).order
+        """The stabilizer order of x (see strata_of)."""
+        return int(self.strata_of(x.coordinates[None, :])[0][0])
 
     @functools.cached_property
     def strata(self) -> StrataOrders:
@@ -562,7 +559,7 @@ class Manifold:
             hit = np.zeros(pattern.size, dtype=bool)
         found = np.bincount(pattern[hit], minlength=len(on)) > 0
         supports = [tuple(np.flatnonzero(row).tolist()) for row in on]
-        orders = [math.gcd(*(self.weights.weights[j] for j in s)) for s in supports]
+        orders = self.strata_of(on)[0].tolist()
         confirmed = {k for k, certified in zip(orders, found) if certified}
         return StrataOrders(
             tuple(sorted(confirmed)),

@@ -318,14 +318,15 @@ def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:
     return U * _ray_roots(M, U.reshape(-1, M.n)).reshape(U.shape[:-1] + (1,))
 
 
-def random_surface_points(M: Manifold, count: int, seed: int = 0) -> list[SurfacePoint]:
+def random_surface_points(M: Manifold, count: int, seed: int = 0) -> np.ndarray:
+    """The (count, n) points of surface_samples(M, count, seed), validated on X."""
     return M.points(surface_samples(M, count, seed).points)
 
 
 def support_pattern_points(
     M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0
-) -> list[SurfacePoint]:
-    """One point of X per support tuple in supports, nonzero exactly on that tuple.
+) -> np.ndarray:
+    """Points of X (len(supports), n), row i nonzero exactly on supports[i].
 
     The whole call draws from one generator seeded by seed.  In each round
     every pending point draws a direction with zeros off its support;
@@ -361,8 +362,8 @@ def ball_points(
     count: int,
     seed: int = 0,
     align_orbit: bool = False,
-) -> list[SurfacePoint]:
-    """Points of X within ambient distance `radius` of x0.
+) -> np.ndarray:
+    """Points of X (count, n) within ambient distance `radius` of x0.
 
     Each round projects `count` candidate steps around x0 at once and keeps
     those within the radius; the first `count` kept over the rounds are
@@ -393,33 +394,36 @@ def ball_points(
 NEAR_DISTANCE = 0.05
 
 
-def stratified_points(
-    M: Manifold, count: int, seed: int = 0
-) -> list[tuple[SurfacePoint, str, int]]:
+def stratified_points(M: Manifold, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sample mix: 40% regular, 40% on singular strata, 20% near them.
 
-    Returns (point, label, stratum_order) triples.  On manifolds with a free
-    action everything is regular.  The singular patterns of M.strata are used
-    in turn.  Regular points come from random_surface_points(seed); the
-    on-stratum points from one support_pattern_points call seeded seed + 1000;
-    the near-stratum points perturb the off-support coordinates of the points
-    of a second call, seeded seed + 5000, by a step of length between 0.18 and
-    0.9 times NEAR_DISTANCE drawn from seed, and project the results back to
-    X together.  Each of those calls redraws a ray at most a fixed number of
+    Returns the points of X (P, n) and a label per row, "regular", "stratum"
+    or "near-stratum"; M.strata_of gives their stabilizer orders.  P is count
+    unless count is too small for one regular point, one point per singular
+    pattern and one near point; a count below 1 raises ValueError.  On
+    manifolds with a free action every point is regular.  The singular
+    patterns of M.strata are used in turn.  Regular points come from
+    random_surface_points(seed); the on-stratum points from one
+    support_pattern_points call seeded seed + 1000; the near-stratum points
+    perturb the off-support coordinates of the points of a second call,
+    seeded seed + 5000, by a step of length between 0.18 and 0.9 times
+    NEAR_DISTANCE drawn from seed, and project the results back to X
+    together.  Each of those calls redraws a ray at most a fixed number of
     rounds before raising SamplingError.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     singular = M.strata.singular_patterns()
     if not singular:
-        return [(x, "regular", M.stratum_order(x)) for x in random_surface_points(M, count, seed)]
+        return random_surface_points(M, count, seed), np.full(count, "regular")
     n_regular = max(1, int(round(0.4 * count)))
     n_singular = max(len(singular), int(round(0.4 * count)))
     n_near = max(1, count - n_regular - n_singular)
-    out = [(x, "regular", M.stratum_order(x)) for x in random_surface_points(M, n_regular, seed)]
-    on_stratum = [singular[i % len(singular)] for i in range(n_singular)]
-    points = support_pattern_points(M, [support for support, _ in on_stratum], seed + 1000)
-    out += [(x, "stratum", k) for x, (_, k) in zip(points, on_stratum)]
+    regular = random_surface_points(M, n_regular, seed)
+    on_stratum = [singular[i % len(singular)][0] for i in range(n_singular)]
+    stratum = support_pattern_points(M, on_stratum, seed + 1000)
     near = [singular[i % len(singular)][0] for i in range(n_near)]
-    base = np.array([x.coordinates for x in support_pattern_points(M, near, seed + 5000)])
+    base = support_pattern_points(M, near, seed + 5000)
     rng = _rng(seed)
     g = rng.normal(size=(n_near, M.n, 2))
     # a singular pattern never covers every coordinate; perturbing only the
@@ -431,6 +435,6 @@ def stratified_points(
     delta = np.where(off, g[..., 0] + 1j * g[..., 1], 0.0)
     size = (0.2 + 0.8 * rng.random(n_near)) * NEAR_DISTANCE * 0.9
     delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
-    Y = M.points(project_radially(M, base + delta))
-    out += [(y, "near-stratum", M.stratum_order(y)) for y in Y]
-    return out
+    Z = np.concatenate([regular, stratum, M.points(project_radially(M, base + delta))])
+    labels = np.repeat(["regular", "stratum", "near-stratum"], [n_regular, n_singular, n_near])
+    return Z, labels

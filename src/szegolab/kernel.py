@@ -28,7 +28,7 @@ from .basis import (
 )
 from .errors import InsufficientLevelsError, UndefinedRatioError
 from .geometry import Manifold, SurfacePoint
-from .integrate import SampleSet, surface_samples, torus_invariant
+from .integrate import surface_samples, torus_invariant
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,6 @@ def fit_expansion(
     measure: str = "auto",
     samples: int = 200_000,
     seed: int = 0,
-    sample_set: SampleSet | None = None,
 ) -> ExpansionFit:
     """Fit the diagonal growth law at x over levels in [m_min, m_max].
 
@@ -134,7 +133,7 @@ def fit_expansion(
             f"only {len(levels)} admissible levels in [{m_min}, {m_max}] with {k} | m"
         )
     measure = resolve_measure(M, measure)
-    bases = fourier_bases(M, levels, measure=measure, samples=samples, seed=seed, sample_set=sample_set)
+    bases = fourier_bases(M, levels, measure=measure, samples=samples, seed=seed)
     values = [kernel_diagonal(bases[m], x) for m in levels]
     n = M.n
     A = np.column_stack(
@@ -225,24 +224,26 @@ def decay_profile(
     )
 
 
-def ratio_diagnostic(
-    B_low: FourierBasis,
-    B_high: FourierBasis,
-    x: SurfacePoint,
-    x0: SurfacePoint,
-    floor: float = 1e-14,
-) -> tuple[float, float]:
-    """(Re, Im) of S_high(x, x0) / S_low(x, x0) for consecutive block levels.
+# |S_low(x, x0)| below this times sqrt(S_low(x, x) S_low(x0, x0)) leaves the
+# consecutive-level ratio undefined
+RATIO_FLOOR = 1e-14
 
-    The denominator must clear a scale-relative floor; otherwise x is outside
-    the neighborhood where the ratio is meaningful.
+
+def ratio_diagnostic(
+    B_low: FourierBasis, B_high: FourierBasis, x, x0: SurfacePoint
+) -> tuple[float, float]:
+    """(Re, Im) of S_high(x, x0) / S_low(x, x0) for consecutive block levels,
+    x a SurfacePoint or raw coordinates (n,).
+
+    The denominator must clear RATIO_FLOOR times its scale; otherwise x is
+    outside the neighborhood where the ratio is meaningful.
     """
     low = szego_kernel(B_low, x, x0).value
     high = szego_kernel(B_high, x, x0).value
     scale = math.sqrt(max(kernel_diagonal(B_low, x) * kernel_diagonal(B_low, x0), 1e-300))
-    if abs(low) < floor * scale:
+    if abs(low) < RATIO_FLOOR * scale:
         raise UndefinedRatioError(
-            f"|S_low(x, x0)| = {abs(low):.3e} below {floor:.1e} * scale"
+            f"|S_low(x, x0)| = {abs(low):.3e} below {RATIO_FLOOR:.1e} * scale"
         )
     r = high / low
     return float(r.real), float(r.imag)
@@ -271,14 +272,13 @@ def ratio_search(
     measure: str = "auto",
     samples: int = 200_000,
     seed: int = 0,
-    align_orbit: bool = True,
 ) -> RatioReport:
     """Scan base levels and ball radii for the ratio bounds around x0.
 
     For each candidate m the blocks are k*m and k*(m+1) with k the stabilizer
-    order of x0; points are sampled in the ambient ball (orbit-aligned by
-    default, probing the transverse neighborhood) and both bounds are checked
-    at every point.
+    order of x0; points are sampled in the ambient ball, orbit-aligned to
+    probe the transverse neighborhood, and both bounds are checked at every
+    point.
     """
     from .integrate import ball_points
 
@@ -301,12 +301,12 @@ def ratio_search(
             ))
         B_low, B_high = bases[k * m], bases[k * (m + 1)]
         for radius in radii:
-            pts = ball_points(M, x0, radius, points_per_ball, seed=seed + m, align_orbit=align_orbit)
+            Z = ball_points(M, x0, radius, points_per_ball, seed=seed + m, align_orbit=True)
             worst_r, worst_i = 0.0, 0.0
             ok = True
-            for x in pts:
+            for z in Z:
                 try:
-                    R, I = ratio_diagnostic(B_low, B_high, x, x0)
+                    R, I = ratio_diagnostic(B_low, B_high, z, x0)
                 except UndefinedRatioError:
                     ok = False
                     worst_r, worst_i = float("inf"), float("inf")

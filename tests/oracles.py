@@ -346,3 +346,24 @@ def strata_orders_loop(M, samples=32, seed=0):
     return StrataOrders(
         tuple(sorted(confirmed_orders)), tuple(sorted(unconfirmed_orders)), tuple(patterns)
     )
+
+
+def stratum_info(M, z):
+    """(order, support, near_stratum) of one point z (n,), coordinate by coordinate.
+
+    The per-point rule that Manifold.strata_of vectorizes: the support is
+    the coordinates above ZERO_TOLERANCE in modulus, the order is the gcd of
+    the weights there, and a support coordinate below NEAR_STRATUM_TOLERANCE
+    makes the point near-stratum.
+    """
+    import math
+
+    from szegolab.errors import NotOnSurfaceError
+    from szegolab.geometry import NEAR_STRATUM_TOLERANCE, ZERO_TOLERANCE
+
+    mags = np.abs(np.asarray(z, dtype=complex))
+    support = tuple(int(j) for j in np.nonzero(mags > ZERO_TOLERANCE)[0])
+    if not support:
+        raise NotOnSurfaceError("all coordinates vanish; the origin is not on X")
+    near = bool(np.any((mags > ZERO_TOLERANCE) & (mags < NEAR_STRATUM_TOLERANCE)))
+    return math.gcd(*(M.weights.weights[j] for j in support)), support, near

@@ -329,3 +329,21 @@ def test_embed_report_does_not_depend_on_samples(capsys):
         reports.append(json.loads(out))
     assert reports[0]["results"] == reports[1]["results"]
     assert reports[0]["contracts"] == reports[1]["contracts"]
+
+
+@pytest.mark.parametrize(
+    "manifold, option, value, bound",
+    [
+        (("--weights", "1,2,6"), "--pairs", "2", 3),
+        (("--weights", "1,2,6"), "--immersion-samples", "0", 1),
+        (("--preset", "sphere", "--n", "2"), "--pairs", "2", 3),
+        (("--preset", "sphere", "--n", "2"), "--immersion-samples", "0", 1),
+    ],
+)
+def test_embed_rejects_counts_it_cannot_certify(capsys, manifold, option, value, bound):
+    # a certificate over no same-orbit pair or no immersion sample certifies nothing
+    argv = ["embed", *manifold, "--m", "4", "--pairs", "30", "--immersion-samples", "6"]
+    code, out, err = run_cli(capsys, *argv, option, value)
+    assert code == 2
+    assert out == ""
+    assert f"{option} must be at least {bound}, got {value}" in err

@@ -9,6 +9,7 @@ from oracles import (
     jacobian_spectra_loop,
     reeb_image,
     search_embedding,
+    stratum_info,
 )
 
 from szegolab import basis, geometry, integrate
@@ -214,21 +215,20 @@ class TestBatchedJacobian:
     @pytest.mark.parametrize("name, m", PRESET_MAPS)
     def test_spectra_match_point_loop(self, request, name, m):
         M, Phi = _preset_map(request, name, m)
-        pts = stratified_points(M, 40, seed=5)
+        Z, labels = stratified_points(M, 40, seed=5)
         if name != "sphere2":  # the only preset with a free action
-            assert {"stratum", "near-stratum"} <= {label for _, label, _ in pts}
-        Z = np.array([x.coordinates for x, _, _ in pts])
+            assert {"stratum", "near-stratum"} <= set(labels)
         batched = jacobian_singular_values(Phi, Z)
         reference = jacobian_spectra_loop(Phi, Z)
         assert batched.shape == reference.shape == (len(Z), 2 * M.n - 1)
         assert np.all(np.abs(batched - reference) <= 1e-12 * reference)
-        single = jacobian_singular_values(Phi, pts[0][0])
+        single = jacobian_singular_values(Phi, M.point(Z[0]))
         assert np.all(np.abs(single - reference[0]) <= 1e-12 * reference[0])
 
     @pytest.mark.parametrize("name, m", PRESET_MAPS)
     def test_basis_jacobians_equal_stacked_points(self, request, name, m):
         M, Phi = _preset_map(request, name, m)
-        Z = np.array([x.coordinates for x, _, _ in stratified_points(M, 12, seed=6)])
+        Z, _ = stratified_points(M, 12, seed=6)
         for _, B in Phi.blocks:
             stacked = np.stack([monomial_jacobian(z, B.exponents) for z in Z])
             assert np.array_equal(monomial_jacobian(Z, B.exponents), stacked)
@@ -240,7 +240,7 @@ class TestBatchedJacobian:
         # a basis is a map with one block: the map's values and Jacobian are
         # its blocks' eval_basis_batch and eval_basis_jacobian, bit for bit
         M, Phi = _preset_map(request, name, m)
-        Z = np.array([x.coordinates for x, _, _ in stratified_points(M, 12, seed=7)])
+        Z, _ = stratified_points(M, 12, seed=7)
         np.testing.assert_array_equal(
             evaluate_batch(Phi, Z), np.hstack([eval_basis_batch(B, Z) for _, B in Phi.blocks])
         )
@@ -270,6 +270,21 @@ class TestBatchedJacobian:
         assert len(example2_phi.blocks) == 11
         assert calls[25] == calls[100] <= 16
         assert max(rows) <= geometry.ROW_BLOCK
+
+    def test_records_match_the_per_point_rule(self, example2, example2_phi):
+        # the records' strata from one strata_of call, their sigma from the
+        # stacked spectra, rebuilt point by point from the oracle's rule
+        Z, labels = stratified_points(example2, 30, seed=0)
+        sigma = jacobian_singular_values(example2_phi, Z)[:, -1]
+        expected = []
+        for z, label, s in zip(Z, labels, sigma):
+            order, _, near = stratum_info(example2, z)
+            expected.append((str(label), order, near, float(s)))
+        rep = immersion_report(example2_phi, 30)
+        assert rep.records == tuple(expected)
+        assert {label for label, *_ in rep.records} == {"regular", "stratum", "near-stratum"}
+        assert np.array_equal(rep.argmin_point, Z[int(np.argmin(sigma))])
+        assert rep.min_singular_value == float(np.min(sigma))
 
 
     def test_m3_map_is_no_immersion_on_z3_axis(self, example2, example2_phi):

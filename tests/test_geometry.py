@@ -14,6 +14,7 @@ from oracles import (
     levi_bracket_oracle,
     orbit_distance_whole,
     strata_orders_loop,
+    stratum_info,
     volume_density_gram_determinant,
 )
 
@@ -96,11 +97,12 @@ class TestConstruction:
 
         Z = sample_hypersurface(example2, 300, seed=3).points
         batch = example2.points(Z)
-        assert len(batch) == len(Z)
-        for z, x in zip(Z, batch):
+        assert np.array_equal(batch, Z)
+        residuals = np.abs(example2.rho.value(Z))
+        for z, r in zip(Z, residuals):
             single = example2.point(z)
-            assert np.array_equal(x.coordinates, z)
-            assert abs(x.residual - single.residual) <= 1e-15
+            assert np.array_equal(single.coordinates, z)
+            assert abs(r - single.residual) <= 1e-15
 
     def test_points_reject_an_off_surface_row(self, example2):
         from szegolab.integrate import sample_hypersurface
@@ -226,11 +228,43 @@ class TestStrata:
 
     def test_near_stratum_flag(self, wsphere12):
         z = np.array([1e-7, math.sqrt(1 - 1e-14)], dtype=complex)
-        info = wsphere12.stratum_info(wsphere12.point(z))
-        assert info.near_stratum and info.order == 1
+        orders, near = wsphere12.strata_of(wsphere12.points(z[None, :]))
+        assert near[0] and orders[0] == 1
         z2 = np.array([1e-10, 1.0], dtype=complex)
-        info2 = wsphere12.stratum_info(wsphere12.point(z2))
-        assert info2.order == 2 and not info2.near_stratum
+        orders, near = wsphere12.strata_of(wsphere12.points(z2[None, :]))
+        assert orders[0] == 2 and not near[0]
+
+    @pytest.mark.parametrize("name", ["sphere2", "sphere3", "wsphere12", "wsphere126", "example2"])
+    def test_strata_of_matches_per_point_rule(self, request, name):
+        from szegolab.integrate import stratified_points
+
+        M = request.getfixturevalue(name)
+        Z, _ = stratified_points(M, 60, seed=2)
+        orders, near = M.strata_of(Z)
+        assert orders.shape == near.shape == (len(Z),)
+        reference = [stratum_info(M, z) for z in Z]
+        assert orders.tolist() == [k for k, _, _ in reference]
+        assert near.tolist() == [flag for _, _, flag in reference]
+        assert [M.stratum_order(M.point(z)) for z in Z] == orders.tolist()
+
+    def test_strata_of_at_the_band_edges(self, wsphere126):
+        # z_1 (weight 1) at moduli on both sides of ZERO_TOLERANCE and
+        # NEAR_STRATUM_TOLERANCE, beside (z_2, z_3) of order 2 or z_3 of order 6
+        moduli = [0.0, 1e-10, 1e-7, 1e-5]
+        Z = np.array([[r, 0.6, 0.8] for r in moduli] + [[r, 0.0, 1.0] for r in moduli], dtype=complex)
+        orders, near = wsphere126.strata_of(Z)
+        assert orders.tolist() == [2, 2, 1, 1, 6, 6, 1, 1]
+        assert near.tolist() == [False, False, True, False] * 2
+        reference = [stratum_info(wsphere126, z) for z in Z]
+        assert orders.tolist() == [k for k, _, _ in reference]
+        assert near.tolist() == [flag for _, _, flag in reference]
+
+    def test_strata_of_rejects_a_zero_row(self, wsphere126):
+        Z = np.array([[0.0, 0.0, 1.0], [0.0, 1e-10, 0.0]], dtype=complex)
+        with pytest.raises(NotOnSurfaceError, match="origin"):
+            wsphere126.strata_of(Z)
+        with pytest.raises(NotOnSurfaceError):
+            stratum_info(wsphere126, Z[1])
 
 
 class TestTangentAndLevi:
@@ -392,7 +426,7 @@ class TestQuotientDistance:
         patterns = [support for support, _ in M.strata_orders().support_patterns]
         k = len(patterns)  # every (x, y) pattern pair, k^2 <= 210 for n = 3
         supports = [patterns[i % k] for i in range(210)] + [patterns[i // k % k] for i in range(210)]
-        Z = np.array([x.coordinates for x in support_pattern_points(M, supports, seed=3)])
+        Z = support_pattern_points(M, supports, seed=3)
         X, Y = Z[:210], Z[210:]
         dist, theta = M.orbit_distance_batch(X, Y)
         dist_whole, theta_whole = orbit_distance_whole(M, X, Y)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point
-from oracles import ball_points_loop, sample_hypersurface_one_shot
+from oracles import ball_points_loop, sample_hypersurface_one_shot, stratum_info
 
 import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_values, sphere_monomial_norm_sq
@@ -169,18 +169,23 @@ def test_star_shape_violation_detected():
 
 
 def test_stratified_points_cover_patterns(wsphere126):
-    pts = stratified_points(wsphere126, 50, seed=6)
-    labels = {label for _, label, _ in pts}
-    assert labels == {"regular", "stratum", "near-stratum"}
-    orders = {k for _, label, k in pts if label == "stratum"}
-    assert {2, 6} <= orders
-    for x, label, k in pts:
-        assert x.residual <= wsphere126.surface_tolerance
+    Z, labels = stratified_points(wsphere126, 50, seed=6)
+    assert set(labels) == {"regular", "stratum", "near-stratum"}
+    orders, _ = wsphere126.strata_of(Z)
+    assert {2, 6} <= set(orders[labels == "stratum"].tolist())
+    assert np.all(np.abs(wsphere126.rho.value(Z)) <= wsphere126.surface_tolerance)
 
 
 def test_stratified_points_free_action(sphere3):
-    pts = stratified_points(sphere3, 20, seed=1)
-    assert all(label == "regular" for _, label, _ in pts)
+    Z, labels = stratified_points(sphere3, 20, seed=1)
+    assert Z.shape == (20, 3)
+    assert all(label == "regular" for label in labels)
+
+
+@pytest.mark.parametrize("name", ["sphere3", "wsphere126"])
+def test_stratified_points_reject_an_empty_count(request, name):
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        stratified_points(request.getfixturevalue(name), 0)
 
 
 def test_stratified_points_root_calls_do_not_grow_with_count(example2, monkeypatch):
@@ -196,18 +201,18 @@ def test_stratified_points_root_calls_do_not_grow_with_count(example2, monkeypat
     counts = []
     for count in (30, 300):
         calls.clear()
-        pts = stratified_points(example2, count, seed=0)
-        assert len(pts) == count
+        Z, labels = stratified_points(example2, count, seed=0)
+        assert Z.shape == (count, 3) and labels.shape == (count,)
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
 
 
 def test_support_pattern_points_realize_each_support(example2):
     supports = [(2,), (1, 2), (1,), (2,)] * 5
-    pts = support_pattern_points(example2, supports, seed=9)
-    for x, support in zip(pts, supports):
-        assert example2.stratum_info(x).support == support
-        assert x.residual <= example2.surface_tolerance
+    Z = support_pattern_points(example2, supports, seed=9)
+    for z, support in zip(Z, supports):
+        assert stratum_info(example2, z)[1] == support
+    assert np.all(np.abs(example2.rho.value(Z)) <= example2.surface_tolerance)
 
 
 def test_support_pattern_points_name_an_unrealizable_pattern():
@@ -231,9 +236,7 @@ def test_support_pattern_points_name_an_unrealizable_pattern():
 def test_ball_points_match_per_try_loop(request, preset, radius, align_orbit):
     M = request.getfixturevalue(preset)
     x0 = random_point(M, 5)
-    got = np.array(
-        [x.coordinates for x in ball_points(M, x0, radius, 50, seed=8, align_orbit=align_orbit)]
-    )
+    got = ball_points(M, x0, radius, 50, seed=8, align_orbit=align_orbit)
     ref = ball_points_loop(M, x0, radius, 50, seed=8, align_orbit=align_orbit)
     assert got.shape == ref.shape == (50, M.n)
     assert np.max(np.abs(got - ref)) <= 1e-15
