@@ -27,12 +27,11 @@ from .embedding import (
     separation_report,
 )
 from .fourier import OrbitQuadrature, check_T_eigen, circle_average, component_orthogonality, default_quadrature
-from .geometry import LeviData, Manifold, SurfacePoint, WeightVector
+from .geometry import LeviData, Manifold, WeightVector
 from .integrate import SampleSet, integrate_surface, sample_hypersurface, sample_sphere
 from .kernel import (
     DecayProfile,
     ExpansionFit,
-    KernelEvaluation,
     decay_profile,
     fit_expansion,
     ratio_diagnostic,

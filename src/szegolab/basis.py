@@ -50,7 +50,6 @@ from .errors import GramNotPositiveDefiniteError, RankDeficiencyError
 from .geometry import (
     ROW_BLOCK,
     Manifold,
-    SurfacePoint,
     WeightVector,
     gather_products,
     monomial_products,
@@ -504,9 +503,8 @@ def fourier_basis(
 
 
 def eval_basis(B: FourierBasis, x) -> np.ndarray:
-    """Values (f_1(x), ..., f_d(x)) at a SurfacePoint or raw coordinates (n,)."""
-    z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
-    return block_values(z[None, :], B.exponents, [B.coeff_matrix])[0]
+    """Values (f_1(x), ..., f_d(x)) at one point (n,)."""
+    return block_values(np.asarray(x, dtype=complex)[None, :], B.exponents, [B.coeff_matrix])[0]
 
 
 def eval_basis_batch(B: FourierBasis, Z: np.ndarray) -> np.ndarray:
@@ -515,8 +513,8 @@ def eval_basis_batch(B: FourierBasis, Z: np.ndarray) -> np.ndarray:
 
 
 def eval_basis_jacobian(B: FourierBasis, x) -> np.ndarray:
-    """Holomorphic derivatives J[..., j, k] = d f_j / d z_k at a SurfacePoint,
-    at raw coordinates (n,), or over a batch (P, n)."""
-    z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
+    """Holomorphic derivatives J[..., j, k] = d f_j / d z_k at one point (n,)
+    or over a batch (P, n)."""
+    z = np.asarray(x, dtype=complex)
     J = block_jacobian(z.reshape(-1, z.shape[-1]), derivative_table(B.exponents), [B.coeff_matrix])
     return J[0] if z.ndim == 1 else J

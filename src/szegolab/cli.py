@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, basis, embedding, fourier, kernel
 from .errors import SzegolabError
 from .geometry import Manifold, monomial_products, require_keys
+from .integrate import random_surface_points, stratified_minimum
 
 SCHEMA_VERSION = 1
 
@@ -196,27 +197,23 @@ def cmd_kernel(args) -> int:
     y = M.point(_parse_point(args.point2)) if args.point2 else x
     ms = _parse_range(args.m)
     k = M.stratum_order(x)
-    rows, results = [], {}
-    hermitian_ok, diagonal_ok = True, True
-    worst_h = 0.0
     bases = basis.fourier_bases(M, ms, measure=args.measure, samples=args.samples, seed=args.seed)
-    for m in ms:
-        B = bases[m]
-        v_xy = kernel.szego_kernel(B, x, y).value
-        v_yx = kernel.szego_kernel(B, y, x).value
-        diag = kernel.kernel_diagonal(B, x)
-        scale = max(diag, 1.0)
-        worst_h = max(worst_h, abs(v_xy - v_yx.conjugate()) / scale)
-        if abs(v_xy - v_yx.conjugate()) > 1e-12 * scale:
-            hermitian_ok = False
-        if diag < 0:
-            diagonal_ok = False
-        rows.append((m, repr(v_xy.real), repr(v_xy.imag), repr(diag)))
-    results["stratum_order_x"] = k
-    results["hermitian_max_relative_defect"] = worst_h
+    level_bases = [bases[m] for m in ms]
+    diag = kernel.kernel_diagonal(level_bases, x)
+    if args.point2:
+        v_xy, v_yx = kernel.szego_kernel(level_bases, np.stack([x, y]), np.stack([y, x]))
+    else:  # S_m(x, x) is the diagonal
+        v_xy = v_yx = diag.astype(complex)
+    scale = np.maximum(diag, 1.0)
+    defect = np.abs(v_xy - v_yx.conj())
+    worst_h = float(np.max(defect / scale))
+    rows = [(m, repr(v.real), repr(v.imag), repr(d))
+            for m, v, d in zip(ms, v_xy.tolist(), diag.tolist())]
+    results = {"stratum_order_x": k, "hermitian_max_relative_defect": worst_h}
     contracts = [
-        {"name": "hermitian-symmetry", "passed": hermitian_ok, "detail": f"max defect {worst_h:.2e}"},
-        {"name": "diagonal-nonnegative", "passed": diagonal_ok, "detail": ""},
+        {"name": "hermitian-symmetry", "passed": not np.any(defect > 1e-12 * scale),
+         "detail": f"max defect {worst_h:.2e}"},
+        {"name": "diagonal-nonnegative", "passed": not np.any(diag < 0), "detail": ""},
     ]
     return emit_report(args, M, "kernel", results, contracts,
                        csv_rows=rows, csv_header=("m", "re", "im", "diag_x"))
@@ -225,12 +222,7 @@ def cmd_kernel(args) -> int:
 def cmd_fit(args) -> int:
     M = resolve_manifold(args)
     tol = _parse_tolerances(args.tolerance)["fit"]
-    if args.point:
-        x = M.point(_parse_point(args.point))
-    else:
-        from .integrate import random_surface_points
-
-        x = M.point(random_surface_points(M, 1, args.seed)[0])
+    x = M.point(_parse_point(args.point)) if args.point else random_surface_points(M, 1, args.seed)[0]
     ms = _parse_range(args.m)
     fit = kernel.fit_expansion(
         M, x, min(ms), max(ms), measure=args.measure, samples=args.samples, seed=args.seed
@@ -269,14 +261,10 @@ def cmd_vanish(args) -> int:
         raise ConfigError(f"all requested levels are divisible by the stabilizer order {k}")
     # only the span matters for vanishing
     measure = basis.resolve_measure(M, args.measure, span_only=True)
-    worst = 0.0
-    rows = []
     bases = basis.fourier_bases(M, ms, measure=measure, samples=args.samples, seed=args.seed)
-    for m in ms:
-        B = bases[m]
-        v = kernel.stratum_vanishing_check(B, M, x0)
-        worst = max(worst, v)
-        rows.append((m, repr(v)))
+    values = kernel.stratum_vanishing_check([bases[m] for m in ms], M, x0).tolist()
+    worst = max([0.0] + values)
+    rows = [(m, repr(v)) for m, v in zip(ms, values)]
     contracts = [
         {
             "name": "stratum-vanishing",
@@ -353,8 +341,9 @@ def cmd_embed(args) -> int:
     # separation_report draws pairs // 3 same-orbit and cross-stratum pairs
     if args.pairs < 3:
         raise ConfigError(f"--pairs must be at least 3, got {args.pairs}")
-    if args.immersion_samples < 1:
-        raise ConfigError(f"--immersion-samples must be at least 1, got {args.immersion_samples}")
+    minimum = stratified_minimum(M)  # one regular, one per singular pattern, one near
+    if args.immersion_samples < minimum:
+        raise ConfigError(f"--immersion-samples must be at least {minimum}, got {args.immersion_samples}")
     Phi = embedding.build_embedding(
         M, m, extra_levels=extra, measure=args.measure, samples=args.samples, seed=args.seed
     )

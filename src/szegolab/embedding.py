@@ -31,8 +31,10 @@ from .basis import (
     fourier_bases,
     resolve_measure,
 )
-from .geometry import ROW_BLOCK, Manifold, SurfacePoint
-from .integrate import random_surface_points, stratified_points, support_pattern_points, _rng
+from .geometry import ROW_BLOCK, Manifold
+from .integrate import (
+    _rng, random_surface_points, stratified_minimum, stratified_points, support_pattern_points,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +124,8 @@ def evaluate_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
 
 
 def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
-    """Phi at a SurfacePoint or raw coordinates (n,): the batch of one."""
-    z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
-    return evaluate_batch(Phi, z[None, :])[0]
+    """Phi at one point (n,): the batch of one."""
+    return evaluate_batch(Phi, np.asarray(x, dtype=complex)[None, :])[0]
 
 
 def jacobian_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
@@ -133,7 +134,7 @@ def jacobian_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
     return block_jacobian(Z, Phi.derivatives, [B.coeff_matrix for _, B in Phi.blocks])
 
 
-def check_equivariance(Phi: EmbeddingMap, x: SurfacePoint, theta: float) -> float:
+def check_equivariance(Phi: EmbeddingMap, x: np.ndarray, theta: float) -> float:
     """Max componentwise |Phi_j(e^{i theta}.x) - e^{i w_j theta} Phi_j(x)|."""
     M = Phi.manifold
     rotated = evaluate(Phi, M.act(theta, x))
@@ -144,10 +145,10 @@ def check_equivariance(Phi: EmbeddingMap, x: SurfacePoint, theta: float) -> floa
 def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
     """Singular values (descending) of the real Jacobian of Phi on T_x X.
 
-    x is a SurfacePoint, raw coordinates (n,), or a batch (P, n); a batch
-    gives one spectrum per row, (P, 2n-1), from one stacked SVD.
+    x is one point (n,) or a batch (P, n); a batch gives one spectrum per
+    row, (P, 2n-1), from one stacked SVD.
     """
-    z = x.coordinates if isinstance(x, SurfacePoint) else np.asarray(x, dtype=complex)
+    z = np.asarray(x, dtype=complex)
     Z = z.reshape(-1, Phi.manifold.n)
     V = Phi.manifold.real_tangent_frames(Z)  # (P, n, 2n-1)
     D = jacobian_batch(Phi, Z) @ V  # (P, N, 2n-1); rows stay complex-linear in the frame
@@ -233,9 +234,10 @@ def separation_report(
     n_near = pair_count - n_orbit - n_cross
 
     singular = M.strata.singular_patterns()
+    minimum = stratified_minimum(M)
 
-    X_orbit = stratified_points(M, n_orbit, seed=seed + 1)[0][:n_orbit]
-    Y_orbit = M.act_coordinates(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
+    X_orbit = stratified_points(M, max(n_orbit, minimum), seed=seed + 1)[0][:n_orbit]
+    Y_orbit = M.act(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
 
     X_cross = random_surface_points(M, n_cross, seed + 2)
     if singular:
@@ -244,7 +246,7 @@ def separation_report(
     else:
         Y_cross = random_surface_points(M, n_cross, seed + 3)
 
-    near, labels = stratified_points(M, max(3 * n_near // 2, 3), seed=seed + 4)
+    near, labels = stratified_points(M, max(3 * n_near // 2, 3, minimum), seed=seed + 4)
     pool = near[labels != "stratum"]
     i = np.arange(n_near)
     X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
@@ -315,7 +317,7 @@ class PhasePairDemo:
 
 
 def phase_pair_demo(
-    M: Manifold, x0: SurfacePoint, m: int, measure: str = "auto", seed: int = 0
+    M: Manifold, x0: np.ndarray, m: int, measure: str = "auto", seed: int = 0
 ) -> PhasePairDemo:
     """Show why paired levels are needed: for x0 with stabilizer order k and
     even m, the rotation by pi/k moves x0 but every coordinate of the
@@ -331,10 +333,10 @@ def phase_pair_demo(
     d_km = float(np.linalg.norm(evaluate(Phi_km, x0) - evaluate(Phi_km, y0)))
     d_full = float(np.linalg.norm(evaluate(Phi_full, x0) - evaluate(Phi_full, y0)))
     return PhasePairDemo(
-        point=x0.coordinates,
-        rotated=y0.coordinates,
+        point=x0,
+        rotated=y0,
         stratum_order=k,
-        ambient_distance=float(np.linalg.norm(x0.coordinates - y0.coordinates)),
+        ambient_distance=float(np.linalg.norm(x0 - y0)),
         distance_without_paired_levels=d_km,
         distance_with_paired_levels=d_full,
     )

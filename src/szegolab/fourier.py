@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FourierBasis, eval_basis, eval_basis_batch, eval_basis_jacobian
-from .geometry import Manifold, SurfacePoint
+from .geometry import Manifold
 from .integrate import SampleSet, compliant_density, surface_samples
 
 
@@ -40,7 +40,7 @@ def default_quadrature(max_level: int) -> OrbitQuadrature:
     return OrbitQuadrature(2 * max_level + 8)
 
 
-def circle_average(M: Manifold, u, x: SurfacePoint, m: int, Q: OrbitQuadrature) -> complex:
+def circle_average(M: Manifold, u, x: np.ndarray, m: int, Q: OrbitQuadrature) -> complex:
     """Orbit Fourier coefficient (1/M) sum_s u(e^{i theta_s}.x) e^{-i m theta_s}.
 
     u maps an (M, n) coordinate array to an (M,) array.  For u of pure orbit
@@ -48,12 +48,12 @@ def circle_average(M: Manifold, u, x: SurfacePoint, m: int, Q: OrbitQuadrature) 
     the node count exceeds |p| + |m|.
     """
     thetas = Q.nodes
-    orbit = M.act_coordinates(thetas, x.coordinates[None, :])
+    orbit = M.act(thetas, x)
     vals = np.asarray(u(orbit))
     return complex(np.mean(vals * np.exp(-1j * m * thetas)))
 
 
-def check_T_eigen(B: FourierBasis, M: Manifold, x: SurfacePoint) -> np.ndarray:
+def check_T_eigen(B: FourierBasis, M: Manifold, x: np.ndarray) -> np.ndarray:
     """Residuals |T f_j - i m f_j| at x via the holomorphic chain rule."""
     J = eval_basis_jacobian(B, x)
     f = eval_basis(B, x)

@@ -315,19 +315,6 @@ def holomorphic_power_terms(poly: dict[tuple, Fraction], n: int, power: int) -> 
     return terms
 
 
-@dataclass(frozen=True, eq=False)
-class SurfacePoint:
-    """A validated point of X; coordinates in C^n plus |rho| residual."""
-
-    coordinates: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coordinates", np.asarray(self.coordinates, dtype=complex)
-        )
-
-
 @dataclass(frozen=True)
 class StrataOrders:
     """Stabilizer orders realized on X, with their certifying support patterns."""
@@ -469,11 +456,13 @@ class Manifold:
 
     # -- points and the action --------------------------------------------
 
-    def point(self, coordinates) -> SurfacePoint:
+    def point(self, coordinates) -> np.ndarray:
+        """coordinates as a complex (n,) array, after checking it lies on X."""
         z = np.asarray(coordinates, dtype=complex)
         if z.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates, got shape {z.shape}")
-        return SurfacePoint(z, float(self._residuals(z[None, :])[0]))
+        self._residuals(z[None, :])
+        return z
 
     def points(self, Z: np.ndarray) -> np.ndarray:
         """Z (N, n) as a complex array, after one rho pass has checked every row lies on X."""
@@ -491,19 +480,16 @@ class Manifold:
             )
         return residuals
 
-    def act(self, theta: float, x: SurfacePoint) -> SurfacePoint:
-        Z = self.act_coordinates(theta, x.coordinates)
-        return SurfacePoint(Z, abs(float(self.rho.value(Z))))
-
-    def act_coordinates(self, theta, Z: np.ndarray) -> np.ndarray:
-        """Rotate raw coordinates; theta may be scalar or an array broadcast over rows."""
+    def act(self, theta, Z: np.ndarray) -> np.ndarray:
+        """e^{i theta} . Z for a point (n,) or rows (P, n); theta may be scalar
+        or an array broadcast over rows."""
         theta = np.asarray(theta, dtype=float)
         phases = np.exp(1j * np.multiply.outer(theta, self.weights.array.astype(float)))
-        return Z * phases
+        return np.asarray(Z, dtype=complex) * phases
 
-    def reeb_vector(self, x: SurfacePoint) -> np.ndarray:
+    def reeb_vector(self, x: np.ndarray) -> np.ndarray:
         """Generator of the action at x: d/dtheta of the orbit, i * (w_j x_j)."""
-        return 1j * self.weights.array * x.coordinates
+        return 1j * self.weights.array * np.asarray(x, dtype=complex)
 
     def strata_of(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(orders, near) per row of Z (P, n).
@@ -521,9 +507,9 @@ class Manifold:
         orders = np.gcd.reduce(np.where(on, self.weights.array, 0), axis=1)
         return orders, np.any(on & (mags < NEAR_STRATUM_TOLERANCE), axis=1)
 
-    def stratum_order(self, x: SurfacePoint) -> int:
-        """The stabilizer order of x (see strata_of)."""
-        return int(self.strata_of(x.coordinates[None, :])[0][0])
+    def stratum_order(self, x: np.ndarray) -> int:
+        """The stabilizer order of the point x (n,) (see strata_of)."""
+        return int(self.strata_of(np.reshape(x, (1, self.n)))[0][0])
 
     @functools.cached_property
     def strata(self) -> StrataOrders:
@@ -569,9 +555,9 @@ class Manifold:
 
     # -- tangent structure -------------------------------------------------
 
-    def holomorphic_tangent_frame(self, x: SurfacePoint) -> np.ndarray:
+    def holomorphic_tangent_frame(self, x: np.ndarray) -> np.ndarray:
         """Orthonormal rows xi with sum_j (d rho/d z_j) xi_j = 0; shape (n-1, n)."""
-        return _holomorphic_frames(self.rho.z_gradient(x.coordinates)[None, :])[0]
+        return _holomorphic_frames(self.rho.z_gradient(x)[None, :])[0]
 
     def real_tangent_frames(self, Z: np.ndarray) -> np.ndarray:
         """Euclidean-orthonormal real frames of T_z X at the rows of Z (P, n),
@@ -596,15 +582,15 @@ class Manifold:
         val = np.sum(self.weights.array * np.asarray(Z, dtype=complex) * rho_z, axis=-1)
         return val.real
 
-    def contact_scale(self, x: SurfacePoint) -> float:
-        denom = float(self.transversal_pairing(x.coordinates))
+    def contact_scale(self, x: np.ndarray) -> float:
+        denom = float(self.transversal_pairing(x))
         if denom <= 0:
             raise TransversalityError(
                 f"rotation field degenerate against d rho (pairing {denom:.3e})"
             )
         return -1.0 / denom
 
-    def levi_form(self, x: SurfacePoint) -> LeviData:
+    def levi_form(self, x: np.ndarray) -> LeviData:
         """Levi form eigenvalues at x with respect to the compliant metric.
 
         The matrix is the mixed Hessian of rho restricted to an orthonormal
@@ -616,31 +602,28 @@ class Manifold:
         eigs = np.linalg.eigvalsh(M)
         if eigs[0] <= 0:
             raise PseudoconvexityError(
-                f"Levi eigenvalue {eigs[0]:.3e} <= 0 at {x.coordinates}"
+                f"Levi eigenvalue {eigs[0]:.3e} <= 0 at {x}"
             )
-        z = x.coordinates
         return LeviData(
             eigenvalues=tuple(float(e) for e in eigs),
             determinant=float(np.prod(eigs)),
             contact_scale=self.contact_scale(x),
-            volume_density=float(compliant_density_from_gradient(self, z, self.rho.z_gradient(z))),
+            volume_density=float(compliant_density_from_gradient(self, x, self.rho.z_gradient(x))),
         )
 
-    def levi_matrix(self, x: SurfacePoint) -> np.ndarray:
+    def levi_matrix(self, x: np.ndarray) -> np.ndarray:
         frame = self.holomorphic_tangent_frame(x)
-        hess = self.rho.zz_hessian(x.coordinates)
-        denom = float(self.transversal_pairing(x.coordinates))
+        hess = self.rho.zz_hessian(x)
+        denom = float(self.transversal_pairing(x))
         if denom <= 0:
             raise TransversalityError(f"transversal pairing {denom:.3e} <= 0")
         return frame @ hess @ frame.conj().T / denom
 
     # -- orbit distance ----------------------------------------------------
 
-    def quotient_distance(self, x: SurfacePoint, y: SurfacePoint) -> float:
+    def quotient_distance(self, x: np.ndarray, y: np.ndarray) -> float:
         """min over theta of |x - e^{i theta}.y| (Euclidean; see orbit_distance_batch)."""
-        d, _ = self.orbit_distance_batch(
-            x.coordinates[None, :], y.coordinates[None, :]
-        )
+        d, _ = self.orbit_distance_batch(np.reshape(x, (1, self.n)), np.reshape(y, (1, self.n)))
         return float(d[0])
 
     def orbit_distance_batch(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

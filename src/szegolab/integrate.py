@@ -30,7 +30,6 @@ from .errors import SamplingError
 from .geometry import (
     ROW_BLOCK,
     Manifold,
-    SurfacePoint,
     compliant_density_from_gradient,
     safeguarded_newton,
 )
@@ -357,7 +356,7 @@ def support_pattern_points(
 
 def ball_points(
     M: Manifold,
-    x0: SurfacePoint,
+    x0: np.ndarray,
     radius: float,
     count: int,
     seed: int = 0,
@@ -372,7 +371,7 @@ def ball_points(
     orbit, and the radius test is applied again.
     """
     rng = _rng(seed)
-    z0 = x0.coordinates
+    z0 = np.asarray(x0, dtype=complex)
     kept: list[np.ndarray] = []
     found = 0
     for _ in range(_MAX_ROUNDS):
@@ -381,7 +380,7 @@ def ball_points(
         Z = Z[np.linalg.norm(Z - z0, axis=1) <= radius]
         if align_orbit:
             _, theta = M.orbit_distance_batch(np.broadcast_to(z0, Z.shape), Z)
-            Z = M.act_coordinates(theta, Z)
+            Z = M.act(theta, Z)
             Z = Z[np.linalg.norm(Z - z0, axis=1) <= radius]
         kept.append(Z)
         found += len(Z)
@@ -394,13 +393,21 @@ def ball_points(
 NEAR_DISTANCE = 0.05
 
 
+def stratified_minimum(M: Manifold) -> int:
+    """The least count stratified_points accepts: one regular point, one per
+    singular pattern of M.strata and one near point; 1 when the action is free."""
+    singular = M.strata.singular_patterns()
+    return len(singular) + 2 if singular else 1
+
+
 def stratified_points(M: Manifold, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sample mix: 40% regular, 40% on singular strata, 20% near them.
 
-    Returns the points of X (P, n) and a label per row, "regular", "stratum"
-    or "near-stratum"; M.strata_of gives their stabilizer orders.  P is count
-    unless count is too small for one regular point, one point per singular
-    pattern and one near point; a count below 1 raises ValueError.  On
+    Returns count points of X (count, n) and a label per row, "regular",
+    "stratum" or "near-stratum"; M.strata_of gives their stabilizer orders.
+    Every singular pattern gets a point and there is at least one near
+    point; where that and the 40% shares exceed count, the regular share
+    gives way.  A count below stratified_minimum(M) raises ValueError.  On
     manifolds with a free action every point is regular.  The singular
     patterns of M.strata are used in turn.  Regular points come from
     random_surface_points(seed); the on-stratum points from one
@@ -411,14 +418,15 @@ def stratified_points(M: Manifold, count: int, seed: int = 0) -> tuple[np.ndarra
     together.  Each of those calls redraws a ray at most a fixed number of
     rounds before raising SamplingError.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    minimum = stratified_minimum(M)
+    if count < minimum:
+        raise ValueError(f"count must be >= {minimum}, got {count}")
     singular = M.strata.singular_patterns()
     if not singular:
         return random_surface_points(M, count, seed), np.full(count, "regular")
-    n_regular = max(1, int(round(0.4 * count)))
     n_singular = max(len(singular), int(round(0.4 * count)))
-    n_near = max(1, count - n_regular - n_singular)
+    n_near = max(1, count - max(1, int(round(0.4 * count))) - n_singular)
+    n_regular = count - n_singular - n_near
     regular = random_surface_points(M, n_regular, seed)
     on_stratum = [singular[i % len(singular)][0] for i in range(n_singular)]
     stratum = support_pattern_points(M, on_stratum, seed + 1000)

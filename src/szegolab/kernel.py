@@ -10,47 +10,64 @@ in the compliant-metric normalization (k divides m, other levels vanish at
 stabilized points).  This module fits that law, certifies the exact
 vanishing, measures off-diagonal decay, and computes the consecutive-level
 kernel ratio used by the embedding construction.
+
+A point is a complex (n,) array and a point set a (P, n) array.  The kernel
+functions take one basis per level and evaluate all levels at all points in
+one basis.block_values pass over the stacked exponent rows; a level's value
+is a row sum over its own columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .basis import (
     COMPLIANT,
+    DEFAULT_GRAM_SAMPLES,
     FourierBasis,
-    eval_basis,
+    block_values,
     fourier_bases,
     resolve_measure,
 )
 from .errors import InsufficientLevelsError, UndefinedRatioError
-from .geometry import Manifold, SurfacePoint
-from .integrate import surface_samples, torus_invariant
+from .geometry import Manifold
+from .integrate import ball_points, surface_samples, torus_invariant
 
 
-@dataclass(frozen=True)
-class KernelEvaluation:
-    level: int
-    value: complex
-    x: SurfacePoint
-    y: SurfacePoint
+def _level_values(bases: Sequence[FourierBasis], Z: np.ndarray) -> tuple[np.ndarray, list[slice]]:
+    """Values of every basis at the rows of Z (P, n), side by side, from one
+    block_values call, and each basis's column slice."""
+    stops = np.cumsum([B.d for B in bases]).tolist()
+    F = block_values(Z, np.vstack([B.exponents for B in bases]), [B.coeff_matrix for B in bases])
+    return F, [slice(stop - B.d, stop) for B, stop in zip(bases, stops)]
 
 
-def szego_kernel(B: FourierBasis, x: SurfacePoint, y: SurfacePoint) -> KernelEvaluation:
-    """Kernel value at (x, y); real non-negative by construction on the diagonal."""
-    fx = eval_basis(B, x)
-    if x is y:
-        value = complex(np.sum(np.abs(fx) ** 2))
-    else:
-        value = complex(np.sum(fx * eval_basis(B, y).conj()))
-    return KernelEvaluation(B.level, value, x, y)
+def _level_sums(T: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """Row sums of T (P, N) over each level's columns: (P, L)."""
+    return np.stack([np.sum(T[:, s], axis=-1) for s in slices], axis=-1)
 
 
-def kernel_diagonal(B: FourierBasis, x: SurfacePoint) -> float:
-    return float(np.sum(np.abs(eval_basis(B, x)) ** 2))
+def szego_kernel(bases: Sequence[FourierBasis], X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """S_m(x_i, y_i) for each basis (level m) and each row pair of X and Y
+    (P, n): shape (P, L), or (L,) for one point pair (n,)."""
+    X = np.asarray(X, dtype=complex)
+    rows = X.reshape(-1, X.shape[-1])
+    F, slices = _level_values(bases, np.vstack([rows, np.reshape(Y, rows.shape)]))
+    S = _level_sums(F[: len(rows)] * F[len(rows) :].conj(), slices)
+    return S[0] if X.ndim == 1 else S
+
+
+def kernel_diagonal(bases: Sequence[FourierBasis], X: np.ndarray) -> np.ndarray:
+    """S_m(x_i, x_i) = sum_j |f_j(x_i)|^2, real, for each basis and each row
+    of X (P, n): shape (P, L), or (L,) for one point (n,)."""
+    X = np.asarray(X, dtype=complex)
+    F, slices = _level_values(bases, X.reshape(-1, X.shape[-1]))
+    S = _level_sums(np.abs(F) ** 2, slices)
+    return S[0] if X.ndim == 1 else S
 
 
 def root_of_unity_selector(k: int, m: int) -> int:
@@ -79,26 +96,29 @@ def root_of_unity_selector(k: int, m: int) -> int:
     return 0
 
 
-def stratum_vanishing_check(B: FourierBasis, M: Manifold, x0: SurfacePoint) -> float:
-    """Max |f_j(x0)| over the basis, for a stabilized point whose order
-    does not divide the level.  The value is forced to zero exactly: applying
-    the stabilizing rotation multiplies every f_j(x0) by a nontrivial root of
-    unity while fixing x0.
+def stratum_vanishing_check(
+    bases: Sequence[FourierBasis], M: Manifold, x0: np.ndarray
+) -> np.ndarray:
+    """Max |f_j(x0)| over each basis, (L,), for a stabilized point x0 (n,)
+    whose order divides none of the levels.  Each value is forced to zero
+    exactly: applying the stabilizing rotation multiplies every f_j(x0) by a
+    nontrivial root of unity while fixing x0.
     """
     k = M.stratum_order(x0)
     if k <= 1:
         raise ValueError("x0 must lie on a singular stratum (order > 1)")
-    if B.level % k == 0:
-        raise ValueError(f"level {B.level} is divisible by stabilizer order {k}")
-    vals = eval_basis(B, x0)
-    return float(np.max(np.abs(vals))) if B.d else 0.0
+    for B in bases:
+        if B.level % k == 0:
+            raise ValueError(f"level {B.level} is divisible by stabilizer order {k}")
+    F, slices = _level_values(bases, np.reshape(x0, (1, M.n)))
+    return np.array([np.max(np.abs(F[0, s]), initial=0.0) for s in slices])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionFit:
     """Two-term diagonal fit S_m(x,x) ~ c_lead m^{n-1} + c_next m^{n-2}."""
 
-    point: SurfacePoint
+    point: np.ndarray
     stratum_order: int
     levels: tuple[int, ...]
     values: tuple[float, ...]
@@ -113,11 +133,11 @@ class ExpansionFit:
 
 def fit_expansion(
     M: Manifold,
-    x: SurfacePoint,
+    x: np.ndarray,
     m_min: int,
     m_max: int,
     measure: str = "auto",
-    samples: int = 200_000,
+    samples: int = DEFAULT_GRAM_SAMPLES,
     seed: int = 0,
 ) -> ExpansionFit:
     """Fit the diagonal growth law at x over levels in [m_min, m_max].
@@ -134,13 +154,13 @@ def fit_expansion(
         )
     measure = resolve_measure(M, measure)
     bases = fourier_bases(M, levels, measure=measure, samples=samples, seed=seed)
-    values = [kernel_diagonal(bases[m], x) for m in levels]
+    values = kernel_diagonal([bases[m] for m in levels], x)
     n = M.n
     A = np.column_stack(
         [np.asarray(levels, float) ** (n - 1), np.asarray(levels, float) ** (n - 2)]
     )
-    coef, *_ = np.linalg.lstsq(A, np.asarray(values), rcond=None)
-    resid = A @ coef - np.asarray(values)
+    coef, *_ = np.linalg.lstsq(A, values, rcond=None)
+    resid = A @ coef - values
     levi = M.levi_form(x)
     predicted = (k / (2 * math.pi)) * math.pi ** (-(n - 1)) * abs(levi.determinant)
     rel = abs(coef[0] - predicted) / predicted
@@ -148,7 +168,7 @@ def fit_expansion(
         point=x,
         stratum_order=k,
         levels=tuple(levels),
-        values=tuple(float(v) for v in values),
+        values=tuple(values.tolist()),
         c_lead=float(coef[0]),
         c_next=float(coef[1]),
         predicted=float(predicted),
@@ -174,12 +194,12 @@ class DecayProfile:
 
 def decay_profile(
     M: Manifold,
-    x: SurfacePoint,
-    y: SurfacePoint,
+    x: np.ndarray,
+    y: np.ndarray,
     levels,
     bases: dict[int, FourierBasis] | None = None,
     measure: str = "auto",
-    samples: int = 200_000,
+    samples: int = DEFAULT_GRAM_SAMPLES,
     seed: int = 0,
 ) -> DecayProfile:
     """Off-diagonal decay rate at fixed separation.
@@ -194,32 +214,28 @@ def decay_profile(
     levels = list(levels)
     if bases is None:
         bases = fourier_bases(M, levels, measure=measure, samples=samples, seed=seed)
-    used, logs = [], []
-    truncated = False
-    for m in levels:
-        B = bases[m]
-        num = abs(szego_kernel(B, x, y).value)
-        den = kernel_diagonal(B, x)
-        if num <= 0 or den <= 0 or num / den < 1e-280:
-            truncated = True
-            continue
-        used.append(m)
-        logs.append(math.log(num) - math.log(den))
+    level_bases = [bases[m] for m in levels]
+    num = np.abs(szego_kernel(level_bases, x, y))
+    den = kernel_diagonal(level_bases, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        usable = (num > 0) & (den > 0) & (num / den >= 1e-280)
+    used = np.asarray(levels)[usable]
+    logs = np.log(num[usable]) - np.log(den[usable])
     if len(used) < 3:
         raise InsufficientLevelsError("fewer than 3 usable levels in decay fit")
-    A = np.column_stack([np.asarray(used, float), np.ones(len(used))])
-    coef, *_ = np.linalg.lstsq(A, np.asarray(logs), rcond=None)
+    A = np.column_stack([used.astype(float), np.ones(len(used))])
+    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
     fitted = A @ coef
-    ss_res = float(np.sum((np.asarray(logs) - fitted) ** 2))
-    ss_tot = float(np.sum((np.asarray(logs) - np.mean(logs)) ** 2))
+    ss_res = float(np.sum((logs - fitted) ** 2))
+    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayProfile(
-        levels=tuple(used),
-        log_ratios=tuple(float(v) for v in logs),
+        levels=tuple(used.tolist()),
+        log_ratios=tuple(logs.tolist()),
         slope=float(coef[0]),
         intercept=float(coef[1]),
         r_squared=r2,
-        truncated=truncated,
+        truncated=not np.all(usable),
         quotient_distance=float(qd),
     )
 
@@ -230,23 +246,32 @@ RATIO_FLOOR = 1e-14
 
 
 def ratio_diagnostic(
-    B_low: FourierBasis, B_high: FourierBasis, x, x0: SurfacePoint
-) -> tuple[float, float]:
-    """(Re, Im) of S_high(x, x0) / S_low(x, x0) for consecutive block levels,
-    x a SurfacePoint or raw coordinates (n,).
+    B_low: FourierBasis, B_high: FourierBasis, Z: np.ndarray, x0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | tuple[float, float]:
+    """(Re, Im) of S_high(z, x0) / S_low(z, x0) for consecutive block levels,
+    as arrays over the rows of Z (R, n), or floats for one point z (n,).
 
-    The denominator must clear RATIO_FLOOR times its scale; otherwise x is
-    outside the neighborhood where the ratio is meaningful.
+    The denominator must clear RATIO_FLOOR times its scale
+    sqrt(S_low(z, z) S_low(x0, x0)); otherwise z is outside the neighborhood
+    where the ratio is meaningful, and UndefinedRatioError names the first
+    such row.  Both levels at every row and at x0 come from one evaluation.
     """
-    low = szego_kernel(B_low, x, x0).value
-    high = szego_kernel(B_high, x, x0).value
-    scale = math.sqrt(max(kernel_diagonal(B_low, x) * kernel_diagonal(B_low, x0), 1e-300))
-    if abs(low) < RATIO_FLOOR * scale:
+    Z = np.asarray(Z, dtype=complex)
+    rows = Z.reshape(-1, Z.shape[-1])
+    F, slices = _level_values([B_low, B_high], np.vstack([rows, np.reshape(x0, (1, -1))]))
+    low, high = _level_sums(F[:-1] * F[-1].conj(), slices).T
+    d_low = np.sum(np.abs(F[:, slices[0]]) ** 2, axis=-1)  # S_low(z, z), then S_low(x0, x0)
+    scale = np.sqrt(np.maximum(d_low[:-1] * d_low[-1], 1e-300))
+    undefined = np.flatnonzero(np.abs(low) < RATIO_FLOOR * scale)
+    if undefined.size:
+        i = undefined[0]
         raise UndefinedRatioError(
-            f"|S_low(x, x0)| = {abs(low):.3e} below {RATIO_FLOOR:.1e} * scale"
+            f"row {i}: |S_low(x, x0)| = {abs(low[i]):.3e} below {RATIO_FLOOR:.1e} * scale"
         )
     r = high / low
-    return float(r.real), float(r.imag)
+    if Z.ndim == 1:
+        return float(r[0].real), float(r[0].imag)
+    return r.real, r.imag
 
 
 @dataclass(frozen=True)
@@ -263,14 +288,14 @@ class RatioReport:
 
 def ratio_search(
     M: Manifold,
-    x0: SurfacePoint,
+    x0: np.ndarray,
     m_candidates,
     radii,
     sigma: float = 0.05,
     imag_bound: float = 0.01,
     points_per_ball: int = 50,
     measure: str = "auto",
-    samples: int = 200_000,
+    samples: int = DEFAULT_GRAM_SAMPLES,
     seed: int = 0,
 ) -> RatioReport:
     """Scan base levels and ball radii for the ratio bounds around x0.
@@ -278,10 +303,9 @@ def ratio_search(
     For each candidate m the blocks are k*m and k*(m+1) with k the stabilizer
     order of x0; points are sampled in the ambient ball, orbit-aligned to
     probe the transverse neighborhood, and both bounds are checked at every
-    point.
+    point, all from one ratio_diagnostic call per (m, radius); a ball with a
+    point where the ratio is undefined scores (inf, inf).
     """
-    from .integrate import ball_points
-
     k = M.stratum_order(x0)
     measure = resolve_measure(M, measure)
     # one sample set for every candidate; torus-invariant manifolds draw none,
@@ -302,18 +326,13 @@ def ratio_search(
         B_low, B_high = bases[k * m], bases[k * (m + 1)]
         for radius in radii:
             Z = ball_points(M, x0, radius, points_per_ball, seed=seed + m, align_orbit=True)
-            worst_r, worst_i = 0.0, 0.0
-            ok = True
-            for z in Z:
-                try:
-                    R, I = ratio_diagnostic(B_low, B_high, z, x0)
-                except UndefinedRatioError:
-                    ok = False
-                    worst_r, worst_i = float("inf"), float("inf")
-                    break
-                worst_r = max(worst_r, abs(1.0 - R))
-                worst_i = max(worst_i, abs(I))
+            try:
+                R, I = ratio_diagnostic(B_low, B_high, Z, x0)
+                worst_r = float(np.max(np.abs(1.0 - R), initial=0.0))
+                worst_i = float(np.max(np.abs(I), initial=0.0))
+            except UndefinedRatioError:
+                worst_r, worst_i = math.inf, math.inf
             attempts.append((m, radius, worst_r, worst_i))
-            if ok and worst_r < sigma and worst_i < imag_bound:
+            if worst_r < sigma and worst_i < imag_bound:
                 return RatioReport(k, sigma, imag_bound, m, radius, tuple(attempts))
     return RatioReport(k, sigma, imag_bound, None, None, tuple(attempts))

@@ -83,7 +83,7 @@ def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
     from szegolab.integrate import project_radially
 
     rng = np.random.Generator(np.random.Philox(seed))
-    z0 = x0.coordinates
+    z0 = x0
     out = []
     while len(out) < count:
         g = rng.normal(size=(M.n, 2))
@@ -93,7 +93,7 @@ def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
             continue
         if align_orbit:
             _, theta = M.orbit_distance_batch(z0[None, :], z[None, :])
-            z = M.act_coordinates(float(theta[0]), z[None, :])[0]
+            z = M.act(float(theta[0]), z[None, :])[0]
             if np.linalg.norm(z - z0) > radius:
                 continue
         out.append(z)
@@ -151,7 +151,7 @@ def orbit_distance_whole(M, X, Y, grid=720, refine_iters=64):
 
 def contact_form(M, x, v):
     """Contact form at x on a real tangent vector v (complex representation)."""
-    rho_z = M.rho.z_gradient(x.coordinates)
+    rho_z = M.rho.z_gradient(x)
     return M.contact_scale(x) * float(np.imag(np.sum(rho_z * np.asarray(v))))
 
 
@@ -164,7 +164,7 @@ def levi_bracket_oracle(M, x, step=1e-4):
     paired with the contact form.  Independent of the Hessian route except for
     first derivatives of rho.
     """
-    z0 = x.coordinates
+    z0 = x
     n = M.n
     frame = M.holomorphic_tangent_frame(x)
     rho_z0 = M.rho.z_gradient(z0)
@@ -272,7 +272,7 @@ def horner_two_pass(C, t):
 
 
 def volume_density_gram_determinant(M, x):
-    """Compliant-metric volume density at a SurfacePoint x, as the
+    """Compliant-metric volume density at a point x (n,), as the
     Gram-determinant ratio over a real frame of the tangent space: Euclidean
     inner products on one side, the compliant metric (Euclidean on H, unit
     rotation field orthogonal to H) on the other."""
@@ -280,7 +280,7 @@ def volume_density_gram_determinant(M, x):
 
     frame = M.holomorphic_tangent_frame(x)
     T = M.reeb_vector(x)
-    rho_z = M.rho.z_gradient(x.coordinates)
+    rho_z = M.rho.z_gradient(x)
     scale = M.contact_scale(x)
     real_frame = [row for row in frame] + [1j * row for row in frame] + [T]
     dim = len(real_frame)
@@ -367,3 +367,32 @@ def stratum_info(M, z):
         raise NotOnSurfaceError("all coordinates vanish; the origin is not on X")
     near = bool(np.any((mags > ZERO_TOLERANCE) & (mags < NEAR_STRATUM_TOLERANCE)))
     return math.gcd(*(M.weights.weights[j] for j in support)), support, near
+
+
+def ratio_worst_loop(B_low, B_high, Z, x0):
+    """(max |1 - R|, max |I|) of R + iI = S_high(z, x0) / S_low(z, x0) over
+    the rows z of Z, one point at a time; (inf, inf) at the first point whose
+    ratio is undefined (|S_low(z, x0)| below RATIO_FLOOR times its scale).
+
+    The per-point loop that kernel.ratio_search replaced by one batched
+    ratio_diagnostic call: each kernel value is a sum of one point's
+    eval_basis products, divided in Python complex arithmetic.
+    """
+    import math
+
+    from szegolab.basis import eval_basis
+    from szegolab.kernel import RATIO_FLOOR
+
+    f0_low, f0_high = eval_basis(B_low, x0), eval_basis(B_high, x0)
+    d0 = float(np.sum(np.abs(f0_low) ** 2))
+    worst_r, worst_i = 0.0, 0.0
+    for z in Z:
+        f_low = eval_basis(B_low, z)
+        low = complex(np.sum(f_low * f0_low.conj()))
+        high = complex(np.sum(eval_basis(B_high, z) * f0_high.conj()))
+        scale = math.sqrt(max(float(np.sum(np.abs(f_low) ** 2)) * d0, 1e-300))
+        if abs(low) < RATIO_FLOOR * scale:
+            return math.inf, math.inf
+        r = high / low
+        worst_r, worst_i = max(worst_r, abs(1.0 - r.real)), max(worst_i, abs(r.imag))
+    return worst_r, worst_i

@@ -335,7 +335,8 @@ def test_embed_report_does_not_depend_on_samples(capsys):
     "manifold, option, value, bound",
     [
         (("--weights", "1,2,6"), "--pairs", "2", 3),
-        (("--weights", "1,2,6"), "--immersion-samples", "0", 1),
+        # one regular sample, one per singular pattern (3) and one near sample
+        (("--weights", "1,2,6"), "--immersion-samples", "0", 5),
         (("--preset", "sphere", "--n", "2"), "--pairs", "2", 3),
         (("--preset", "sphere", "--n", "2"), "--immersion-samples", "0", 1),
     ],
@@ -347,3 +348,20 @@ def test_embed_rejects_counts_it_cannot_certify(capsys, manifold, option, value,
     assert code == 2
     assert out == ""
     assert f"{option} must be at least {bound}, got {value}" in err
+
+
+@pytest.mark.parametrize("samples", [4, 5, 6, 7, 30])
+def test_embed_csv_has_one_row_per_immersion_sample(capsys, tmp_path, samples):
+    # on (1,2,6) the fewest stratified samples are 1 regular + 3 patterns + 1 near
+    code, out, err = run_cli(
+        capsys, "embed", "--weights", "1,2,6", "--m", "4", "--pairs", "30",
+        "--immersion-samples", str(samples), "--out", str(tmp_path),
+    )
+    if samples < 5:
+        assert code == 2 and out == ""
+        assert f"--immersion-samples must be at least 5, got {samples}" in err
+        return
+    assert code == 0
+    rows = (tmp_path / "embed.csv").read_text().splitlines()
+    assert rows[0] == "sample,label,stratum_order,near_stratum,sigma_min"
+    assert len(rows) - 1 == samples

@@ -124,7 +124,7 @@ class TestEvaluation:
     def test_norm_is_sum_of_diagonals(self, wsphere12):
         Phi = build_embedding(wsphere12, 4)
         x = random_point(wsphere12, 3)
-        total = sum(kernel_diagonal(B, x) for _, B in Phi.blocks)
+        total = np.sum(kernel_diagonal([B for _, B in Phi.blocks], x))
         assert np.linalg.norm(evaluate(Phi, x)) ** 2 == pytest.approx(total, rel=1e-12)
 
     def test_norm_constant_on_orbits(self, wsphere126):
@@ -142,7 +142,7 @@ class TestEvaluation:
 
     def test_batch_matches_single(self, wsphere12):
         Phi = build_embedding(wsphere12, 4)
-        pts = np.stack([random_point(wsphere12, s).coordinates for s in range(3)])
+        pts = np.stack([random_point(wsphere12, s) for s in range(3)])
         batch = evaluate_batch(Phi, pts)
         for i in range(3):
             assert np.allclose(batch[i], evaluate(Phi, pts[i]))
@@ -326,7 +326,7 @@ class TestSeparation:
     def test_antipodal_points_separated(self, sphere2):
         Phi = build_embedding(sphere2, 2)
         x = random_point(sphere2, 4)
-        y = sphere2.point(-x.coordinates)
+        y = sphere2.point(-x)
         # the odd-level block flips sign: distance = 2 sqrt(S_3(x, x))
         d = np.linalg.norm(evaluate(Phi, x) - evaluate(Phi, y))
         assert d > 0.5

@@ -52,7 +52,7 @@ class TestCircleAverage:
         # z1 z2^2 has orbit degree 1 + 2*2 = 5
         u = monomial_fn((1, 2))
         val = circle_average(wsphere12, u, x, 5, Q)
-        expected = u(x.coordinates[None, :])[0]
+        expected = u(x[None, :])[0]
         assert abs(val - expected) < 1e-12 * max(1, abs(expected))
         for m in (0, 1, 4, 6, 10):
             assert abs(circle_average(wsphere12, u, x, m, Q)) < 1e-12
@@ -62,7 +62,7 @@ class TestCircleAverage:
         x = random_point(wsphere12, 2)
         u = monomial_fn((1, 0), (1, 0))  # |z1|^2
         v0 = circle_average(wsphere12, u, x, 0, Q)
-        assert abs(v0 - abs(x.coordinates[0]) ** 2) < 1e-13
+        assert abs(v0 - abs(x[0]) ** 2) < 1e-13
         assert abs(circle_average(wsphere12, u, x, 3, Q)) < 1e-13
 
     def test_mixed_term_orbit_degree(self, wsphere12):
@@ -71,7 +71,7 @@ class TestCircleAverage:
         x = random_point(wsphere12, 3)
         u = monomial_fn((0, 2), (1, 0))
         val = circle_average(wsphere12, u, x, 3, Q)
-        z = x.coordinates
+        z = x
         expected = np.conj(z[0]) * z[1] ** 2
         assert abs(val - expected) < 1e-12
         assert abs(circle_average(wsphere12, u, x, -3, Q)) < 1e-12
@@ -103,7 +103,7 @@ class TestCircleAverage:
             b = rng.integers(0, 3, size=3)
             p = int(np.dot(a, w) - np.dot(b, w))
             u = monomial_fn(a, b)
-            expected = u(x.coordinates[None, :])[0]
+            expected = u(x[None, :])[0]
             got = circle_average(wsphere126, u, x, p, Q)
             assert abs(got - expected) < 1e-12 * max(1, abs(expected))
             assert abs(circle_average(wsphere126, u, x, p + 1, Q)) < 1e-12
@@ -175,8 +175,8 @@ class TestTEigen:
         def u(z):
             return np.conj(z[0]) ** 2 * np.conj(z[1])  # orbit degree -4
 
-        d = (u(wsphere12.act(h, x).coordinates) - u(wsphere12.act(-h, x).coordinates)) / (2 * h)
-        val = u(x.coordinates)
+        d = (u(wsphere12.act(h, x)) - u(wsphere12.act(-h, x))) / (2 * h)
+        val = u(x)
         assert abs(d + 1j * m * val) < 1e-6  # eigenvalue -i m
         assert abs(d - 1j * m * val) > 0.1 * abs(val)  # not +i m
 

@@ -18,6 +18,7 @@ from szegolab.integrate import (
     sample_hypersurface,
     sample_sphere,
     sphere_area,
+    stratified_minimum,
     stratified_points,
     support_pattern_points,
     surface_samples,
@@ -136,7 +137,7 @@ def test_action_invariance_of_estimates(wsphere126):
         return np.abs(Z[:, 0] + Z[:, 2] ** 2) ** 2
 
     def f_rot(Z):
-        return f(wsphere126.act_coordinates(0.7, Z))
+        return f(wsphere126.act(0.7, Z))
 
     e1, s1 = integrate_surface(f, S, density=lambda Z: compliant_density(wsphere126, Z))
     e2, s2 = integrate_surface(f_rot, S, density=lambda Z: compliant_density(wsphere126, Z))
@@ -184,8 +185,9 @@ def test_stratified_points_free_action(sphere3):
 
 @pytest.mark.parametrize("name", ["sphere3", "wsphere126"])
 def test_stratified_points_reject_an_empty_count(request, name):
-    with pytest.raises(ValueError, match="count must be >= 1"):
-        stratified_points(request.getfixturevalue(name), 0)
+    M = request.getfixturevalue(name)
+    with pytest.raises(ValueError, match=f"count must be >= {stratified_minimum(M)}, got 0"):
+        stratified_points(M, 0)
 
 
 def test_stratified_points_root_calls_do_not_grow_with_count(example2, monkeypatch):

@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_points
-from oracles import sphere2_kernel_closed_form
+from oracles import ratio_worst_loop, sphere2_kernel_closed_form
 
 from szegolab.basis import (
     COMPLIANT,
     ROUND_EXACT,
     enumerate_multiindices,
     eval_basis_batch,
+    fourier_bases,
     fourier_basis,
     monomial_values,
     sphere_monomial_norm_sq,
 )
 from szegolab.errors import InsufficientLevelsError, UndefinedRatioError
-from szegolab.integrate import integrate_surface, sample_sphere
+from szegolab.integrate import ball_points, integrate_surface, sample_sphere, surface_samples
 from szegolab.kernel import (
     decay_profile,
     fit_expansion,
@@ -30,33 +31,58 @@ from szegolab.kernel import (
 )
 
 
+def direct_summation(M, m, x, y):
+    """sum_alpha z^alpha(x) conj(z^alpha(y)) / ||z^alpha||^2 over the level-m
+    monomials: the round-exact kernel, without any basis or Gram matrix."""
+    idx = enumerate_multiindices(M.weights, m)
+    norms = np.array([sphere_monomial_norm_sq(alpha, M.n).value() for alpha in idx.tolist()])
+    return np.sum(monomial_values(x, idx) * monomial_values(y, idx).conj() / norms)
+
+
 class TestKernelValues:
     def test_sphere_diagonal_closed_form(self, sphere2):
-        for m in (1, 5, 12):
-            B = fourier_basis(sphere2, m)
-            for seed in (0, 1):
-                x = random_point(sphere2, seed)
-                val = kernel_diagonal(B, x)
-                assert val == pytest.approx((m + 1) / (2 * math.pi**2), rel=1e-10)
+        levels = np.array([1, 5, 12])
+        bases = [fourier_basis(sphere2, m) for m in levels]
+        X = np.stack([random_point(sphere2, seed) for seed in (0, 1)])
+        vals = kernel_diagonal(bases, X)
+        assert vals.shape == (2, 3)
+        expected = np.broadcast_to((levels + 1) / (2 * math.pi**2), vals.shape)
+        assert vals == pytest.approx(expected, rel=1e-10)
 
     def test_sphere_offdiagonal_closed_form(self, sphere2):
         B = fourier_basis(sphere2, 7)
         x, y = random_points(sphere2, 2, seed=5)
-        got = szego_kernel(B, x, y).value
-        expected = sphere2_kernel_closed_form(7, x.coordinates, y.coordinates)
+        (got,) = szego_kernel([B], x, y)
+        expected = sphere2_kernel_closed_form(7, x, y)
         assert abs(got - expected) < 1e-12 * abs(expected)
 
     def test_direct_summation_oracle(self, sphere2):
         # independent route: sum_alpha z^alpha(x) conj(z^alpha(y)) / ||z^alpha||^2
         m = 6
-        idx = enumerate_multiindices(sphere2.weights, m)
         x, y = random_points(sphere2, 2, seed=9)
-        vx = monomial_values(x.coordinates, idx)
-        vy = monomial_values(y.coordinates, idx)
-        norms = np.array([sphere_monomial_norm_sq(alpha, 2).value() for alpha in idx.tolist()])
-        direct = np.sum(vx * vy.conj() / norms)
         B = fourier_basis(sphere2, m)
-        assert abs(szego_kernel(B, x, y).value - direct) < 1e-12
+        assert abs(szego_kernel([B], x, y)[0] - direct_summation(sphere2, m, x, y)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["sphere2", "wsphere126", "example2"])
+    def test_stacked_levels_and_points_match_direct_summation(self, request, name):
+        M = request.getfixturevalue(name)
+        levels = [0, 3, 4, 7]
+        bases = list(fourier_bases(M, levels, measure=ROUND_EXACT).values())
+        X = np.stack(random_points(M, 3, seed=31))
+        Y = np.stack(random_points(M, 3, seed=47))
+        S = szego_kernel(bases, X, Y)
+        D = kernel_diagonal(bases, X)
+        assert S.shape == D.shape == (3, len(levels))
+        assert D.dtype == float
+        for i in range(3):
+            for j, m in enumerate(levels):
+                want = direct_summation(M, m, X[i], Y[i])
+                assert abs(S[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+                want = direct_summation(M, m, X[i], X[i])
+                assert abs(D[i, j] - want) <= 1e-12 * max(1.0, abs(want))
+        # one pair (n,) gives the row of the batch, (L,)
+        np.testing.assert_allclose(szego_kernel(bases, X[1], Y[1]), S[1], rtol=1e-14)
+        np.testing.assert_allclose(kernel_diagonal(bases, X[1]), D[1], rtol=1e-14)
 
     def test_reproducing_property_mc(self, sphere2):
         m = 4
@@ -66,28 +92,28 @@ class TestKernelValues:
 
         def f(Z):
             vals = eval_basis_batch(B, Z)
-            kern = eval_basis_batch(B, x.coordinates[None, :])[0]
+            kern = eval_basis_batch(B, x[None, :])[0]
             # S_m(x, y) g(y) with g the first basis element
             return (kern[None, :] @ vals.conj().T)[0] * vals[:, 0]
 
         est, stderr = integrate_surface(f, S)
-        target = complex(np.asarray(eval_basis_batch(B, x.coordinates[None, :]))[0, 0])
+        target = complex(np.asarray(eval_basis_batch(B, x[None, :]))[0, 0])
         assert abs(est - target) < 5 * stderr
 
     def test_equivariance_exact(self, wsphere126):
         B = fourier_basis(wsphere126, 8, measure=ROUND_EXACT)
         x, y = random_points(wsphere126, 2, seed=2)
-        base = szego_kernel(B, x, y).value
-        for theta in (0.4, 2.2):
-            xt, yt = wsphere126.act(theta, x), wsphere126.act(theta, y)
-            assert abs(szego_kernel(B, xt, yt).value - base) < 1e-12 * max(1, abs(base))
+        (base,) = szego_kernel([B], x, y)
+        thetas = np.array([0.4, 2.2])
+        rotated = szego_kernel([B], wsphere126.act(thetas, x), wsphere126.act(thetas, y))[:, 0]
+        assert np.all(np.abs(rotated - base) < 1e-12 * max(1, abs(base)))
 
     def test_hermitian_positivity_cauchy_schwarz(self, sphere2, wsphere12, wsphere126):
         # all pairs of 40 points per manifold (1600 >= 1000 sampled pairs)
         for M in (sphere2, wsphere12, wsphere126):
             B = fourier_basis(M, 10, measure=ROUND_EXACT)
             pts = np.stack(
-                [random_point(M, 50 + 3 * s).coordinates for s in range(40)]
+                [random_point(M, 50 + 3 * s) for s in range(40)]
             )
             F = eval_basis_batch(B, pts)
             K = F @ F.conj().T  # K[i, j] = S_m(x_i, x_j)
@@ -110,42 +136,39 @@ class TestKernelValues:
             idx[P], G.matrix[np.ix_(P, P)], wsphere12.weights, measure=COMPLIANT
         )
         x, y = random_points(wsphere12, 2, seed=21)
-        v1 = szego_kernel(B1, x, y).value
-        v2 = szego_kernel(B2, x, y).value
+        v1, v2 = szego_kernel([B1, B2], x, y)
         assert abs(v1 - v2) < 1e-10 * max(1, abs(v1))
 
 
 class TestStratumVanishing:
     def test_weights_12(self, wsphere12):
         x0 = wsphere12.point([0.0, 1.0])
-        for m in (1, 3, 5, 7, 9):
-            B = fourier_basis(wsphere12, m, measure=ROUND_EXACT)
-            assert stratum_vanishing_check(B, wsphere12, x0) == 0.0
+        bases = [fourier_basis(wsphere12, m, measure=ROUND_EXACT) for m in (1, 3, 5, 7, 9)]
+        assert stratum_vanishing_check(bases, wsphere12, x0).tolist() == [0.0] * 5
 
     def test_weights_126(self, wsphere126):
         x0 = wsphere126.point([0.0, 0.0, 1.0])
         B = fourier_basis(wsphere126, 8, measure=ROUND_EXACT)
-        assert stratum_vanishing_check(B, wsphere126, x0) == 0.0
+        assert stratum_vanishing_check([B], wsphere126, x0).tolist() == [0.0]
 
     def test_divisible_level_rejected(self, wsphere12):
         x0 = wsphere12.point([0.0, 1.0])
-        B = fourier_basis(wsphere12, 4, measure=ROUND_EXACT)
-        with pytest.raises(ValueError, match="divisible"):
-            stratum_vanishing_check(B, wsphere12, x0)
+        bases = [fourier_basis(wsphere12, m, measure=ROUND_EXACT) for m in (3, 4)]
+        with pytest.raises(ValueError, match="level 4 is divisible"):
+            stratum_vanishing_check(bases, wsphere12, x0)
 
     def test_regular_point_rejected(self, wsphere12):
         x = random_point(wsphere12, 1)
         B = fourier_basis(wsphere12, 3, measure=ROUND_EXACT)
         with pytest.raises(ValueError, match="singular"):
-            stratum_vanishing_check(B, wsphere12, x)
+            stratum_vanishing_check([B], wsphere12, x)
 
     def test_vanishing_forces_kernel_row_zero(self, wsphere12):
         # S_m(x, x0) = 0 for every x once all basis values vanish at x0
         x0 = wsphere12.point([0.0, 1.0])
         B = fourier_basis(wsphere12, 7, measure=ROUND_EXACT)
-        for seed in range(3):
-            x = random_point(wsphere12, seed)
-            assert szego_kernel(B, x, x0).value == 0
+        X = np.stack([random_point(wsphere12, seed) for seed in range(3)])
+        assert np.all(szego_kernel([B], X, np.broadcast_to(x0, X.shape)) == 0)
 
 
 class TestRootOfUnity:
@@ -184,20 +207,32 @@ class TestFitExpansion:
         assert fit.levels == tuple(range(10, 17))
         for m, value in zip(fit.levels, fit.values):
             B = fourier_basis(wsphere12, m, samples=30_000, seed=6)
-            assert value == pytest.approx(kernel_diagonal(B, x), rel=1e-12)
+            assert value == pytest.approx(kernel_diagonal([B], x)[0], rel=1e-12)
+
+    def test_one_block_pass_for_all_levels(self, wsphere12, monkeypatch):
+        from szegolab import kernel
+
+        calls = []
+        block_values = kernel.block_values
+
+        def counting(Z, exponents, coeffs):
+            calls.append(len(coeffs))
+            return block_values(Z, exponents, coeffs)
+
+        monkeypatch.setattr(kernel, "block_values", counting)
+        fit = fit_expansion(wsphere12, wsphere12.point([0.0, 1.0]), 20, 60)
+        assert len(fit.levels) == 21
+        assert calls == [21]
 
     def test_diagonal_growth_bounded(self, wsphere126):
         # S_m(x, x) / m^{n-1} stays within fixed positive bounds, at regular
         # and stabilized points alike (admissible levels only)
         x_reg = random_point(wsphere126, 12)
         x_sing = wsphere126.point([0.0, 0.0, 1.0])
-        for x, k in ((x_reg, 1), (x_sing, 6)):
-            ratios = []
-            for m in range(24, 61, 6):
-                if m % k:
-                    continue
-                B = fourier_basis(wsphere126, m, measure=ROUND_EXACT)
-                ratios.append(kernel_diagonal(B, x) / m**2)
+        levels = np.arange(24, 61, 6)  # every level divisible by 6
+        bases = list(fourier_bases(wsphere126, levels, measure=ROUND_EXACT).values())
+        for x in (x_reg, x_sing):
+            ratios = kernel_diagonal(bases, x) / levels**2
             assert min(ratios) > 0
             assert max(ratios) / min(ratios) < 10
 
@@ -207,7 +242,7 @@ class TestDecay:
         bases = {m: fourier_basis(sphere2, m) for m in range(5, 41)}
         for seed in range(5):
             x, y = random_points(sphere2, 2, seed=60 + seed * 3)
-            inner = abs(np.sum(x.coordinates * y.coordinates.conj()))
+            inner = abs(np.sum(x * y.conj()))
             if inner < 0.15:
                 continue
             prof = decay_profile(sphere2, x, y, range(5, 41), bases=bases)
@@ -289,7 +324,6 @@ class TestRatio:
 
     def test_ratio_search_builds_each_level_once(self, wsphere12, monkeypatch):
         from szegolab import basis
-        from szegolab.integrate import ball_points
 
         x0 = wsphere12.point([0.0, 1.0])
         candidates, radii, samples, seed = [3, 4, 5], [0.3, 0.1], 20_000, 2
@@ -300,15 +334,8 @@ class TestRatio:
             B_low = fourier_basis(wsphere12, 2 * m)
             B_high = fourier_basis(wsphere12, 2 * (m + 1))
             for radius in radii:
-                worst_r, worst_i = 0.0, 0.0
-                for x in ball_points(wsphere12, x0, radius, 10, seed=seed + m, align_orbit=True):
-                    try:
-                        R, I = ratio_diagnostic(B_low, B_high, x, x0)
-                    except UndefinedRatioError:
-                        worst_r, worst_i = float("inf"), float("inf")
-                        break
-                    worst_r, worst_i = max(worst_r, abs(1.0 - R)), max(worst_i, abs(I))
-                expected.append((m, radius, worst_r, worst_i))
+                Z = ball_points(wsphere12, x0, radius, 10, seed=seed + m, align_orbit=True)
+                expected.append((m, radius, *ratio_worst_loop(B_low, B_high, Z, x0)))
 
         built = []
         grams = basis.gram_matrices
@@ -327,3 +354,48 @@ class TestRatio:
         assert [a[:2] for a in rep.attempts] == [a[:2] for a in expected]
         for got, want in zip(rep.attempts, expected):
             assert got[2:] == pytest.approx(want[2:], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, point, candidates, radii",
+        [
+            # a dense compliant Monte-Carlo basis pair on the only non-sphere
+            ("example2", [0.0, 0.0, 0.8260313576541872], [1, 2], [0.3, 0.1]),
+            # the wide ball holds points where S_60(z, x0) underflows the floor
+            ("sphere2", [1.0, 0.0], [60], [1.2, 0.05]),
+        ],
+    )
+    def test_ratio_search_matches_per_point_loop(self, request, name, point, candidates, radii):
+        M = request.getfixturevalue(name)
+        x0 = M.point(point)
+        k = M.stratum_order(x0)
+        samples, seed, count = 4000, 3, 20
+        measure = "auto" if name == "sphere2" else COMPLIANT
+        sample_set = surface_samples(M, samples, seed) if name == "example2" else None
+        rep = ratio_search(
+            M, x0, m_candidates=candidates, radii=radii, sigma=1e-9,
+            points_per_ball=count, measure=measure, samples=samples, seed=seed,
+        )
+        expected = []
+        for m in candidates:
+            bases = fourier_bases(M, [k * m, k * (m + 1)], measure=measure, sample_set=sample_set)
+            for radius in radii:
+                Z = ball_points(M, x0, radius, count, seed=seed + m, align_orbit=True)
+                expected.append((m, radius, *ratio_worst_loop(*bases.values(), Z, x0)))
+        assert [a[:2] for a in rep.attempts] == [a[:2] for a in expected]
+        for got, want in zip(rep.attempts, expected):
+            # the batch divides in numpy complex arithmetic, the loop in Python's
+            assert got[2:] == pytest.approx(want[2:], rel=1e-12, abs=1e-14)
+        if name == "sphere2":
+            assert rep.attempts[0][2:] == (math.inf, math.inf)
+            assert math.isfinite(rep.attempts[1][2])
+
+    def test_batched_ratio_names_the_first_undefined_row(self, sphere2):
+        B1, B2 = fourier_bases(sphere2, [60, 61]).values()
+        x = sphere2.point([1.0, 0.0])
+        near = sphere2.point([math.cos(0.05), math.sin(0.05)])
+        far = sphere2.point([0.3, math.sqrt(1 - 0.09)])
+        R, I = ratio_diagnostic(B1, B2, np.stack([near, near]), x)
+        assert R.shape == I.shape == (2,)
+        assert (R[0], I[0]) == ratio_diagnostic(B1, B2, near, x)
+        with pytest.raises(UndefinedRatioError, match="row 1:"):
+            ratio_diagnostic(B1, B2, np.stack([near, far, far]), x)
