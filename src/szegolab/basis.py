@@ -125,6 +125,18 @@ def sphere_monomial_norm_sq(alpha: Sequence[int], n: int) -> ExactNorm:
     return ExactNorm(Fraction(num, den), n)
 
 
+def _round_exact_diagonal(A: np.ndarray, n: int) -> np.ndarray:
+    """sphere_monomial_norm_sq(alpha, n).value() per exponent row alpha of A,
+    bit for bit: the int/int true division is correctly rounded, as
+    float(Fraction) is, and no Fraction is built."""
+    factorial = [1]
+    for k in range(1, n + int(A.sum(axis=1).max(initial=0))):
+        factorial.append(factorial[-1] * k)
+    return np.array(
+        [2 * math.prod(factorial[a] for a in alpha) / factorial[n - 1 + sum(alpha)] for alpha in A.tolist()]
+    ) * math.pi**n
+
+
 def monomial_values(Z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Matrix V[i, j] = z_i^{alpha_j} for points Z (N, n) and exponent rows
     alpha_j; one point (n,) gives the row V[0]."""
@@ -285,9 +297,7 @@ def gram_matrices(
             )
     if measure == ROUND_EXACT:
         return {
-            level: _diagonal_estimate(
-                level, np.array([sphere_monomial_norm_sq(a, M.n).value() for a in A.tolist()]), measure
-            )
+            level: _diagonal_estimate(level, _round_exact_diagonal(A, M.n), measure)
             for level, A in exps.items()
         }
     if measure != COMPLIANT:

@@ -321,10 +321,8 @@ def cmd_project(args) -> int:
     ms = _parse_range(args.m)
     max_orbit_degree = int(np.max(np.abs((A - B) @ M.weights.array), initial=0))
     Q = fourier.default_quadrature(max(max(ms), max_orbit_degree))
-    rows = []
-    for m in ms:
-        val = fourier.circle_average(M, u, x, m, Q)
-        rows.append((m, repr(val.real), repr(val.imag)))
+    values = fourier.circle_average(M, u, x, ms, Q).tolist()
+    rows = [(m, repr(v.real), repr(v.imag)) for m, v in zip(ms, values)]
     return emit_report(args, M, "project",
                        {"node_count": Q.node_count, "levels": ms}, [],
                        csv_rows=rows, csv_header=("m", "re", "im"), primary="csv")
@@ -392,93 +390,123 @@ def cmd_embed(args) -> int:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="szegolab",
-        description="verification campaigns for Fourier-component kernels and equivariant embeddings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p):
+    p.add_argument("--preset", choices=["sphere", "example2"])
+    p.add_argument("--manifold", help="path to a manifold JSON spec")
+    p.add_argument("--n", type=int, help="ambient complex dimension (sphere preset)")
+    p.add_argument("--weights", help="comma-separated action weights")
+    p.add_argument("--out", help="directory for CSV/JSON artifacts")
 
-    def common(p):
-        p.add_argument("--preset", choices=["sphere", "example2"])
-        p.add_argument("--manifold", help="path to a manifold JSON spec")
-        p.add_argument("--n", type=int, help="ambient complex dimension (sphere preset)")
-        p.add_argument("--weights", help="comma-separated action weights")
-        p.add_argument("--out", help="directory for CSV/JSON artifacts")
 
-    def sampled(p, samples_default=200_000):
-        """common options plus those of the subcommands that build Fourier bases"""
-        common(p)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--measure", default="auto",
-                       choices=["auto", "round-exact", "compliant-quadrature"])
+def _sampled(p, samples_default=200_000):
+    """common options plus those of the subcommands that build Fourier bases"""
+    _common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=samples_default)
+    p.add_argument("--measure", default="auto",
+                   choices=["auto", "round-exact", "compliant-quadrature"])
 
-    p = sub.add_parser("dims", help="component dimensions d_m as CSV")
-    common(p)
+
+def _dims_options(p):
+    _common(p)
     p.add_argument("--m", required=True, help="level or range a..b")
-    p.set_defaults(func_cmd=cmd_dims)
 
-    p = sub.add_parser("norms", help="exact sphere monomial norm table")
-    common(p)
+
+def _norms_options(p):
+    _common(p)
     p.add_argument("--m", required=True)
-    p.set_defaults(func_cmd=cmd_norms)
 
-    p = sub.add_parser("kernel", help="kernel values S_m(x, y)")
-    sampled(p)
+
+def _kernel_options(p):
+    _sampled(p)
     p.add_argument("--m", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--point2")
-    p.set_defaults(func_cmd=cmd_kernel)
 
-    p = sub.add_parser("fit", help="diagonal growth fit against the Levi prediction")
-    sampled(p)
+
+def _fit_options(p):
+    _sampled(p)
     p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                    help=f"override a contract tolerance ({', '.join(TOLERANCES)})")
     p.add_argument("--m", required=True, help="level range a..b")
     p.add_argument("--point")
-    p.set_defaults(func_cmd=cmd_fit)
 
-    p = sub.add_parser("vanish", help="exact vanishing certificate at a stabilized point")
-    sampled(p)
+
+def _vanish_options(p):
+    _sampled(p)
     p.add_argument("--m", required=True)
     p.add_argument("--point", required=True)
-    p.set_defaults(func_cmd=cmd_vanish)
 
-    p = sub.add_parser("ratio", help="consecutive-level kernel ratio diagnostics")
-    sampled(p)
+
+def _ratio_options(p):
+    _sampled(p)
     p.add_argument("--m", required=True, help="base level candidates (range or list)")
     p.add_argument("--point", required=True)
     p.add_argument("--radii", default="0.3,0.1,0.03")
     p.add_argument("--sigma", type=float, default=0.05)
     p.add_argument("--i-bound", type=float, default=0.01)
     p.add_argument("--points", type=int, default=50)
-    p.set_defaults(func_cmd=cmd_ratio)
 
-    p = sub.add_parser("project", help="orbit Fourier coefficients of a polynomial")
-    common(p)
+
+def _project_options(p):
+    _common(p)
     p.add_argument("--m", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--function", dest="func", required=True,
                    help="JSON file with polynomial terms")
-    p.set_defaults(func_cmd=cmd_project)
 
-    p = sub.add_parser("embed", help="equivariant embedding certificate")
-    sampled(p, samples_default=50_000)
+
+def _embed_options(p):
+    _sampled(p, samples_default=50_000)
     p.add_argument("--m", dest="m_level", type=int)
     p.add_argument("--m0", type=int, help="minimal-weight lower bound")
     p.add_argument("--extra-levels", dest="extra_levels")
     p.add_argument("--pairs", type=int, default=10_000)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--immersion-samples", type=int, default=100)
-    p.set_defaults(func_cmd=cmd_embed)
 
+
+# name -> (help text, options, command), in the order help lists them
+COMMANDS = {
+    "dims": ("component dimensions d_m as CSV", _dims_options, cmd_dims),
+    "norms": ("exact sphere monomial norm table", _norms_options, cmd_norms),
+    "kernel": ("kernel values S_m(x, y)", _kernel_options, cmd_kernel),
+    "fit": ("diagonal growth fit against the Levi prediction", _fit_options, cmd_fit),
+    "vanish": ("exact vanishing certificate at a stabilized point", _vanish_options, cmd_vanish),
+    "ratio": ("consecutive-level kernel ratio diagnostics", _ratio_options, cmd_ratio),
+    "project": ("orbit Fourier coefficients of a polynomial", _project_options, cmd_project),
+    "embed": ("equivariant embedding certificate", _embed_options, cmd_embed),
+}
+
+
+def build_parser(commands=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser of the named subcommands, all of them by default.
+
+    A parser of some commands only still shows every command name in its
+    usage line, so the errors it prints read as the full parser's do.
+    """
+    parser = argparse.ArgumentParser(
+        prog="szegolab",
+        description="verification campaigns for Fourier-component kernels and equivariant embeddings",
+    )
+    # the default metavar lists the registered commands; a set metavar would
+    # also rename the command in the full parser's "required" error
+    metavar = None if set(commands) == set(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in commands:
+        help_text, options, command = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        options(p)
+        p.set_defaults(func_cmd=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the invoked command's parser; help, a missing or an unknown
+    # command get the full one
+    commands = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    args = build_parser(commands).parse_args(argv)
     try:
         return args.func_cmd(args)
     except (

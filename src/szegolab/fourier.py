@@ -40,17 +40,20 @@ def default_quadrature(max_level: int) -> OrbitQuadrature:
     return OrbitQuadrature(2 * max_level + 8)
 
 
-def circle_average(M: Manifold, u, x: np.ndarray, m: int, Q: OrbitQuadrature) -> complex:
+def circle_average(M: Manifold, u, x: np.ndarray, m, Q: OrbitQuadrature):
     """Orbit Fourier coefficient (1/M) sum_s u(e^{i theta_s}.x) e^{-i m theta_s}.
 
     u maps an (M, n) coordinate array to an (M,) array.  For u of pure orbit
     degree p this returns u(x) when p = m and 0 otherwise, exactly, provided
-    the node count exceeds |p| + |m|.
+    the node count exceeds |p| + |m|.  m is one level, giving a complex, or a
+    sequence of levels, giving an array of their coefficients from one
+    evaluation of u on the orbit and one (levels, nodes) phase product.
     """
     thetas = Q.nodes
-    orbit = M.act(thetas, x)
-    vals = np.asarray(u(orbit))
-    return complex(np.mean(vals * np.exp(-1j * m * thetas)))
+    vals = np.asarray(u(M.act(thetas, x)))
+    levels = np.asarray(m)
+    coeffs = np.mean(vals * np.exp(-1j * np.multiply.outer(levels, thetas)), axis=-1)
+    return complex(coeffs) if levels.ndim == 0 else coeffs
 
 
 def check_T_eigen(B: FourierBasis, M: Manifold, x: np.ndarray) -> np.ndarray:

@@ -572,34 +572,24 @@ class Manifold:
         nu = 1j * rho_z.conj() / np.linalg.norm(rho_z, axis=1, keepdims=True)
         return np.concatenate([F, 1j * F, nu[:, None, :]], axis=1).transpose(0, 2, 1)
 
-    def transversal_pairing(self, Z: np.ndarray) -> np.ndarray:
-        """Re sum_j w_j z_j (d rho / d z_j); positive on X by transversality.
-
-        This is the pairing of Im(d_z rho) with the rotation field, i.e. the
-        reciprocal of the contact normalization.
-        """
-        rho_z = self.rho.z_gradient(Z)
-        val = np.sum(self.weights.array * np.asarray(Z, dtype=complex) * rho_z, axis=-1)
-        return val.real
-
-    def contact_scale(self, x: np.ndarray) -> float:
-        denom = float(self.transversal_pairing(x))
-        if denom <= 0:
-            raise TransversalityError(
-                f"rotation field degenerate against d rho (pairing {denom:.3e})"
-            )
-        return -1.0 / denom
-
     def levi_form(self, x: np.ndarray) -> LeviData:
         """Levi form eigenvalues at x with respect to the compliant metric.
 
         The matrix is the mixed Hessian of rho restricted to an orthonormal
-        frame of H, divided by the transversal pairing.  That normalization
-        makes the contact form evaluate to -1 on the rotation field, and on
-        the standard sphere every eigenvalue equals 1.
+        frame of H, divided by the transversal pairing
+        Re sum_j w_j x_j (d rho / d z_j), the pairing of Im(d_z rho) with the
+        rotation field.  That normalization makes the contact form, scaled by
+        contact_scale = -1 / pairing, evaluate to -1 on the rotation field,
+        and on the standard sphere every eigenvalue equals 1.  One gradient
+        and one Hessian evaluation serve every field.
         """
-        M = self.levi_matrix(x)
-        eigs = np.linalg.eigvalsh(M)
+        z = np.asarray(x, dtype=complex)
+        rho_z = self.rho.z_gradient(z[None, :])
+        frame = _holomorphic_frames(rho_z)[0]
+        pairing = float(np.sum(self.weights.array * z * rho_z[0]).real)
+        if pairing <= 0:
+            raise TransversalityError(f"transversal pairing {pairing:.3e} <= 0")
+        eigs = np.linalg.eigvalsh(frame @ self.rho.zz_hessian(z) @ frame.conj().T / pairing)
         if eigs[0] <= 0:
             raise PseudoconvexityError(
                 f"Levi eigenvalue {eigs[0]:.3e} <= 0 at {x}"
@@ -607,17 +597,9 @@ class Manifold:
         return LeviData(
             eigenvalues=tuple(float(e) for e in eigs),
             determinant=float(np.prod(eigs)),
-            contact_scale=self.contact_scale(x),
-            volume_density=float(compliant_density_from_gradient(self, x, self.rho.z_gradient(x))),
+            contact_scale=-1.0 / pairing,
+            volume_density=float(compliant_density_from_gradient(self, z, rho_z[0])),
         )
-
-    def levi_matrix(self, x: np.ndarray) -> np.ndarray:
-        frame = self.holomorphic_tangent_frame(x)
-        hess = self.rho.zz_hessian(x)
-        denom = float(self.transversal_pairing(x))
-        if denom <= 0:
-            raise TransversalityError(f"transversal pairing {denom:.3e} <= 0")
-        return frame @ hess @ frame.conj().T / denom
 
     # -- orbit distance ----------------------------------------------------
 

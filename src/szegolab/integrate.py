@@ -206,22 +206,34 @@ def torus_invariant(M: Manifold) -> bool:
     return all(a == b for a, b in M.rho.terms)
 
 
-def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1].
-
-    The nodes are numpy's.  The weights 2 / ((1 - x^2) P_q'(x)^2) are
-    recomputed from the three-term recurrence, with P_q'(x) written through
-    P_q(x) so that a node's rounding error cancels to first order.  Against
-    50-digit weights at q = 38..80 they are good to 3.1e-14 relative, where
-    numpy's are off by up to 1.6e-12 near the ends of the interval.
-    """
-    # numpy.polynomial is loaded here, not when szegolab is imported
-    from numpy.polynomial.legendre import leggauss
-
-    x, _ = leggauss(q)
-    p_prev, p = np.ones(q), x
+def _legendre_pair(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P_{q-1}(x), P_q(x)) by the three-term recurrence, for q >= 1."""
+    p_prev, p = np.ones_like(x), x
     for k in range(2, q + 1):
         p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p_prev, p
+
+
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], nodes ascending.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix,
+    off-diagonal k / sqrt(4 k^2 - 1) (Golub and Welsch, Math. Comp. 23, 1969),
+    polished by one Newton step through the three-term recurrence and made
+    symmetric about 0.  The weights 2 / ((1 - x^2) P_q'(x)^2) come from the
+    same recurrence, with P_q'(x) = q (P_{q-1}(x) - x P_q(x)) / (1 - x^2).
+    Against 40-digit rules the nodes are good to 9e-17 at every q <= 80.  The
+    weights are good to 3.1e-14 relative at q = 2, 3, 10, 39 and 80, and to
+    1.3e-13 at every q <= 80: an end node's rounding error alone moves its
+    weight by 2 |x| / (1 - x^2) times that error, relative.
+    """
+    k = np.arange(1, q)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    p_prev, p = _legendre_pair(x, q)
+    x = x - p * (1.0 - x) * (1.0 + x) / (q * (p_prev - x * p))  # P_q / P_q'
+    x = 0.5 * (x - x[::-1])
+    p_prev, p = _legendre_pair(x, q)
     one_minus_x2 = (1.0 - x) * (1.0 + x)
     dp = q * (p_prev - x * p) / one_minus_x2  # P_q'(x)
     return x, 2.0 / (one_minus_x2 * dp**2)

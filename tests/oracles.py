@@ -149,10 +149,31 @@ def orbit_distance_whole(M, X, Y, grid=720, refine_iters=64):
     return np.where(use_grid, dist_grid, dist), np.mod(np.where(use_grid, thetas[best], theta), 2 * np.pi)
 
 
+def transversal_pairing(M, x):
+    """Re sum_j w_j x_j (d rho / d z_j) at a point x (n,), from its own gradient pass."""
+    return float(np.sum(M.weights.array * x * M.rho.z_gradient(x)).real)
+
+
 def contact_form(M, x, v):
     """Contact form at x on a real tangent vector v (complex representation)."""
     rho_z = M.rho.z_gradient(x)
-    return M.contact_scale(x) * float(np.imag(np.sum(rho_z * np.asarray(v))))
+    return -float(np.imag(np.sum(rho_z * np.asarray(v)))) / transversal_pairing(M, x)
+
+
+def levi_form_passes(M, x):
+    """Manifold.levi_form's fields at x, each from a gradient pass of its own
+    (the frame, the pairing and the density), as levi_form once computed them."""
+    from szegolab.geometry import LeviData
+    from szegolab.integrate import compliant_density
+
+    frame = M.holomorphic_tangent_frame(x)
+    eigs = np.linalg.eigvalsh(frame @ M.rho.zz_hessian(x) @ frame.conj().T / transversal_pairing(M, x))
+    return LeviData(
+        eigenvalues=tuple(float(e) for e in eigs),
+        determinant=float(np.prod(eigs)),
+        contact_scale=-1.0 / transversal_pairing(M, x),
+        volume_density=float(compliant_density(M, x)),
+    )
 
 
 def levi_bracket_oracle(M, x, step=1e-4):
@@ -168,7 +189,7 @@ def levi_bracket_oracle(M, x, step=1e-4):
     n = M.n
     frame = M.holomorphic_tangent_frame(x)
     rho_z0 = M.rho.z_gradient(z0)
-    denom = float(M.transversal_pairing(z0))
+    denom = transversal_pairing(M, z0)
 
     def field(zpt: np.ndarray) -> np.ndarray:
         # rows: projection of each frame vector onto ker d_z rho at zpt
@@ -281,7 +302,7 @@ def volume_density_gram_determinant(M, x):
     frame = M.holomorphic_tangent_frame(x)
     T = M.reeb_vector(x)
     rho_z = M.rho.z_gradient(x)
-    scale = M.contact_scale(x)
+    scale = -1.0 / transversal_pairing(M, x)
     real_frame = [row for row in frame] + [1j * row for row in frame] + [T]
     dim = len(real_frame)
     G_e = np.empty((dim, dim))

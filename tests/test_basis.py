@@ -296,6 +296,15 @@ class TestGramMatrices:
                 grams[m].matrix.diagonal, gram_matrix(idx, wsphere126).matrix.diagonal
             )
 
+    def test_round_exact_diagonal_is_the_exact_norms(self, sphere2, wsphere12, wsphere126):
+        # the int/int division rounds as float(Fraction) does: equal bit for bit
+        for M in (sphere2, wsphere12, wsphere126):
+            levels = {m: enumerate_multiindices(M.weights, m) for m in range(61)}
+            grams = gram_matrices(levels, M, measure=ROUND_EXACT)
+            for m, idx in levels.items():
+                expected = [sphere_monomial_norm_sq(alpha, M.n).value() for alpha in idx.tolist()]
+                np.testing.assert_array_equal(grams[m].matrix.diagonal, np.array(expected))
+
     def test_fourier_bases_keeps_first_occurrence_order(self, wsphere12):
         bases = fourier_bases(wsphere12, [6, 3, 6, 5], samples=2_000, seed=1)
         assert list(bases) == [6, 3, 5]

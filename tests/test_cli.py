@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from test_readme import readme_commands
+
 from szegolab.cli import main
 
 
@@ -127,6 +129,21 @@ def test_project_polynomial(capsys, tmp_path):
     assert abs(rows[1] - 0.6) < 1e-12
     assert abs(rows[3] - 0.6 * 0.8**2) < 1e-12
     assert abs(rows[0]) < 1e-12 and abs(rows[2]) < 1e-12 and abs(rows[4]) < 1e-12
+
+
+def test_project_evaluates_the_function_once(capsys, tmp_path, monkeypatch):
+    import szegolab.cli as cli
+
+    func = tmp_path / "func.json"
+    func.write_text(json.dumps([{"coeff": "1", "z_exponents": [1, 0], "zbar_exponents": [0, 1]}]))
+    calls = []
+    products = cli.monomial_products
+    monkeypatch.setattr(cli, "monomial_products", lambda *a: calls.append(1) or products(*a))
+    code, out, _ = run_cli(capsys, "project", "--weights", "1,2", "--point", "0.6,0.8",
+                           "--m", "0..40", "--function", str(func))
+    assert code == 0
+    assert len(calls) == 1
+    assert len(out.strip().splitlines()) == 42
 
 
 @pytest.mark.parametrize("z_exponents", [[1, 0, 0], [0, 0, 1], [1], [-1, 0], [1.5, 0]])
@@ -365,3 +382,65 @@ def test_embed_csv_has_one_row_per_immersion_sample(capsys, tmp_path, samples):
     rows = (tmp_path / "embed.csv").read_text().splitlines()
     assert rows[0] == "sample,label,stratum_order,near_stratum,sigma_min"
     assert len(rows) - 1 == samples
+
+
+# -- the lean parser main builds for one command -----------------------------
+
+PARITY_ARGVS = [words[1:] for words in readme_commands()] + [
+    ["dims", "--weights", "1,2", "--m", "3"],
+    ["norms", "--preset", "sphere", "--n", "3", "--m", "0..2", "--out", "o"],
+    ["kernel", "--preset", "example2", "--m", "2", "--point", "0,0,0.826", "--samples", "10"],
+    ["fit", "--manifold", "spec.json", "--m", "4..8", "--tolerance", "fit=0.5",
+     "--tolerance", "fit=0.2", "--measure", "round-exact"],
+    ["vanish", "--weights", "1,2,6", "--point", "0,0,1", "--m", "1..5", "--seed", "3"],
+    ["ratio", "--weights", "1,2", "--point", "0,1", "--m", "4,6", "--i-bound", "0.2",
+     "--sigma", "0.1", "--points", "7"],
+    ["project", "--weights", "1,2", "--point", "0.6,0.8", "--m", "0", "--function", "f.json"],
+    ["embed", "--preset", "example2", "--m0", "3", "--extra-levels", "7,9", "--delta", "0.1",
+     "--immersion-samples", "12", "--pairs", "30"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=[" ".join(a) for a in PARITY_ARGVS])
+def test_lean_parser_namespace_equals_full_parser(monkeypatch, argv):
+    import szegolab.cli as cli
+
+    seen, built = [], []
+    for name, (help_text, options, _) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            (help_text, options, lambda args: seen.append(args) or 0))
+    full_parser = cli.build_parser
+
+    def recording(commands=tuple(cli.COMMANDS)):
+        built.append(tuple(commands))
+        return full_parser(commands)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(argv) == 0
+    assert built == [(argv[0],)]
+    assert vars(seen[0]) == vars(full_parser().parse_args(argv))
+
+
+def _exit_of(call, capsys):
+    try:
+        code = call()
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], [], ["bogus"], ["fit", "-h"], ["fit", "--bogus"], ["embed", "--pairs", "x"],
+     ["fit", "--m", "3", "--bogus"], ["-h", "fit"]],
+    ids=["help", "no-argv", "bogus", "fit-help", "fit-bogus", "embed-pairs-x", "fit-unrecognized",
+         "help-before-command"],
+)
+def test_lean_parser_prints_what_the_full_parser_prints(capsys, argv):
+    from szegolab.cli import build_parser
+
+    lean = _exit_of(lambda: main(argv), capsys)
+    full = _exit_of(lambda: build_parser().parse_args(argv), capsys)
+    assert lean == full
+    assert lean[0] in (0, 2) and lean[1] + lean[2]

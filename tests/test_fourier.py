@@ -57,6 +57,25 @@ class TestCircleAverage:
         for m in (0, 1, 4, 6, 10):
             assert abs(circle_average(wsphere12, u, x, m, Q)) < 1e-12
 
+    def test_many_levels_in_one_call(self, wsphere126):
+        # one evaluation of u on the orbit serves every level, and each
+        # coefficient equals the one-level call's, bit for bit
+        Q = default_quadrature(20)
+        x = random_point(wsphere126, 6)
+        calls = []
+        u = monomial_fn((1, 0, 2), (0, 1, 0))
+
+        def counted(Z):
+            calls.append(1)
+            return u(Z)
+
+        levels = [-3, 0, 11, 12, 20]
+        got = circle_average(wsphere126, counted, x, levels, Q)
+        assert len(calls) == 1
+        assert got.shape == (len(levels),)
+        for m, v in zip(levels, got.tolist()):
+            assert v == circle_average(wsphere126, u, x, m, Q)
+
     def test_orbit_degree_zero_functions(self, wsphere12):
         Q = default_quadrature(6)
         x = random_point(wsphere12, 2)

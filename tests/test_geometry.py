@@ -12,6 +12,7 @@ from oracles import (
     central_difference,
     contact_form,
     levi_bracket_oracle,
+    levi_form_passes,
     orbit_distance_whole,
     strata_orders_loop,
     stratum_info,
@@ -311,20 +312,36 @@ class TestTangentAndLevi:
         for M in (sphere2, wsphere12, wsphere126, example2):
             S = surface_samples(M, 1000, seed=9)
             for z in S.points:
-                eigs = np.linalg.eigvalsh(M.levi_matrix(M.point(z)))
-                assert eigs[0] > 0
+                assert M.levi_form(M.point(z)).eigenvalues[0] > 0
 
     def test_hessian_vs_bracket_oracle(self, sphere2, wsphere12, example2):
         rel_tol = 1e-4
         for M, count in ((sphere2, 15), (wsphere12, 15), (example2, 20)):
             for x in random_points(M, count, seed=31):
-                H = M.levi_matrix(x)
                 B = levi_bracket_oracle(M, x)
-                eh = np.linalg.eigvalsh(H)
+                eh = np.array(M.levi_form(x).eigenvalues)
                 eb = np.linalg.eigvalsh(B)
                 assert np.max(np.abs(eh - eb)) < 1e-5 * max(1.0, np.max(np.abs(eh)))
                 det_h, det_b = np.prod(eh), np.prod(eb)
                 assert abs(det_h - det_b) <= rel_tol * abs(det_h)
+
+    def test_levi_form_takes_one_gradient(self, monkeypatch, sphere2, wsphere12, wsphere126, example2):
+        # one z_gradient pass gives the frame, the pairing and the density;
+        # each field equals the one of a pass per field, bit for bit
+        x0 = np.array([0.0, 0.0, 0.8260313576541872])
+        cases = [(sphere2, random_point(sphere2, 1)), (wsphere12, wsphere12.point([0.0, 1.0])),
+                 (wsphere126, random_point(wsphere126, 2)), (example2, example2.point(x0)),
+                 (example2, random_point(example2, 3))]
+        gradient = DefiningPolynomial.z_gradient
+        for M, x in cases:
+            expected = levi_form_passes(M, x)
+            calls = []
+            monkeypatch.setattr(DefiningPolynomial, "z_gradient",
+                                lambda rho, Z: calls.append(1) or gradient(rho, Z))
+            got = M.levi_form(x)
+            monkeypatch.setattr(DefiningPolynomial, "z_gradient", gradient)
+            assert len(calls) == 1
+            assert got == expected
 
     def test_weighted_levi_at_stabilized_point(self, wsphere12):
         ld = wsphere12.levi_form(wsphere12.point([0.0, 1.0]))

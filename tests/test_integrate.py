@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -256,3 +257,19 @@ def test_torus_quadrature_weights_sum_to_area(sphere2, wsphere126):
         S = torus_quadrature(M, 10)
         assert S.weights.sum() == pytest.approx(sphere_area(M.n), rel=1e-14)
         assert np.max(np.abs(np.linalg.norm(S.points, axis=1) - 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("q", [2, 3, 10, 39, 80])
+def test_gauss_legendre_against_mpmath(q):
+    # 40-digit roots of P_q, polished from the float nodes, and the weights
+    # 2 / ((1 - x^2) P_q'(x)^2) there
+    x, w = integrate._gauss_legendre(q)
+    assert np.all(np.diff(x) > 0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    with mpmath.workdps(40):
+        for xi, wi in zip(x.tolist(), w.tolist()):
+            r = mpmath.findroot(lambda t: mpmath.legendre(q, t), mpmath.mpf(xi))
+            dp = q * (mpmath.legendre(q - 1, r) - r * mpmath.legendre(q, r)) / (1 - r * r)
+            exact = 2 / ((1 - r * r) * dp * dp)
+            assert abs(xi - r) <= 2e-16
+            assert abs((wi - exact) / exact) <= 3.1e-14

@@ -24,11 +24,16 @@ def test_library_example_runs_and_its_comments_hold():
     assert Phi.total_dim == 17
 
 
-def test_command_line_block_runs(tmp_path, capsys):
-    # the fenced block under "## Command line" that lists szegolab invocations
+def readme_commands() -> list[list[str]]:
+    """The words of each szegolab invocation in the fenced block under
+    "## Command line"."""
     section = README.read_text().split("## Command line", 1)[1]
     block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
-    lines = [line.split() for line in block.splitlines() if line.startswith("szegolab ")]
+    return [line.split() for line in block.splitlines() if line.startswith("szegolab ")]
+
+
+def test_command_line_block_runs(tmp_path, capsys):
+    lines = readme_commands()
     assert len(lines) >= 9
     # the project line reads a --function file: the polynomial z1 zbar2
     (tmp_path / "func.json").write_text(json.dumps(
