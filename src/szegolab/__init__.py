@@ -26,9 +26,9 @@ from .embedding import (
     immersion_report,
     separation_report,
 )
-from .fourier import OrbitQuadrature, check_T_eigen, circle_average, component_orthogonality, default_quadrature
+from .fourier import OrbitQuadrature, check_T_eigen, circle_average, default_quadrature
 from .geometry import LeviData, Manifold, WeightVector
-from .integrate import SampleSet, integrate_surface, sample_hypersurface, sample_sphere
+from .integrate import SampleSet, sample_hypersurface, sample_sphere
 from .kernel import (
     DecayProfile,
     ExpansionFit,

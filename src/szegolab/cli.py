@@ -346,6 +346,7 @@ def cmd_embed(args) -> int:
         M, m, extra_levels=extra, measure=args.measure, samples=args.samples, seed=args.seed
     )
     imm = embedding.immersion_report(Phi, samples=args.immersion_samples, seed=args.seed)
+    worst = min(range(len(imm.records)), key=lambda i: imm.records[i][3])
     sep = embedding.separation_report(
         Phi, pair_count=args.pairs, threshold=args.delta, seed=args.seed
     )
@@ -364,7 +365,8 @@ def cmd_embed(args) -> int:
         {
             "name": "immersion-floor",
             "passed": imm.min_singular_value > 1e-6,
-            "detail": f"min singular value {imm.min_singular_value:.3e}",
+            "detail": f"min singular value {imm.min_singular_value:.3e} at sample {worst} "
+                      f"({imm.records[worst][0]}, stratum order {imm.records[worst][1]})",
         },
         {
             "name": "separation",

@@ -5,8 +5,9 @@ k = 1, ..., l where l is the largest stabilizer order on X (optionally
 augmented by extra levels).  Each coordinate carries its level as a rotation
 weight, so the map intertwines the manifold action with a diagonal action on
 C^N.  Immersion and point separation are certified empirically: smallest
-singular values of the real Jacobian over stratified samples, and image
-distances over stratified point pairs.
+singular values of the holomorphic (N, n) Jacobian over stratified samples,
+which are those of d Phi on the tangent spaces of X, and image distances
+over stratified point pairs.
 
 The map is evaluated like a single basis, through basis.block_values and
 basis.block_jacobian: a FourierBasis is a map with one block.  The (d, n)
@@ -143,17 +144,19 @@ def check_equivariance(Phi: EmbeddingMap, x: np.ndarray, theta: float) -> float:
 
 
 def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
-    """Singular values (descending) of the real Jacobian of Phi on T_x X.
+    """Singular values (descending) of the holomorphic Jacobian d Phi at x.
 
+    The real Jacobian of Phi has each of these values twice, and by Cauchy
+    interlacing its restriction to the real hyperplane T_x X keeps one of
+    each, so the last one is the smallest singular value of d Phi on T_x X.
     x is one point (n,) or a batch (P, n); a batch gives one spectrum per
-    row, (P, 2n-1), from one stacked SVD.
+    row, (P, n), from one stacked SVD.  A map into C^N with N < n has rank
+    at most N, so its last n - N values are 0.
     """
     z = np.asarray(x, dtype=complex)
     Z = z.reshape(-1, Phi.manifold.n)
-    V = Phi.manifold.real_tangent_frames(Z)  # (P, n, 2n-1)
-    D = jacobian_batch(Phi, Z) @ V  # (P, N, 2n-1); rows stay complex-linear in the frame
-    R = np.concatenate([D.real, D.imag], axis=1)  # (P, 2N, 2n-1)
-    spectra = np.linalg.svd(R, compute_uv=False)
+    spectra = np.linalg.svd(jacobian_batch(Phi, Z), compute_uv=False)
+    spectra = np.pad(spectra, ((0, 0), (0, Phi.manifold.n - spectra.shape[1])))
     return spectra[0] if z.ndim == 1 else spectra
 
 

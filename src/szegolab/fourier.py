@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FourierBasis, eval_basis, eval_basis_batch, eval_basis_jacobian
+from .basis import FourierBasis, eval_basis, eval_basis_jacobian
 from .geometry import Manifold
-from .integrate import SampleSet, compliant_density, surface_samples
 
 
 @dataclass(frozen=True)
@@ -62,29 +61,3 @@ def check_T_eigen(B: FourierBasis, M: Manifold, x: np.ndarray) -> np.ndarray:
     f = eval_basis(B, x)
     T = M.reeb_vector(x)
     return np.abs(J @ T - 1j * B.level * f)
-
-
-def component_orthogonality(
-    M: Manifold,
-    B1: FourierBasis,
-    B2: FourierBasis,
-    samples: int = 50_000,
-    seed: int = 0,
-    sample_set: SampleSet | None = None,
-) -> tuple[float, float]:
-    """Max |<f, g>| Monte-Carlo estimate across the two levels, with max stderr.
-
-    Levels must differ; distinct Fourier components are orthogonal for any
-    invariant measure.
-    """
-    if B1.level == B2.level:
-        raise ValueError("components at equal levels are not orthogonal")
-    S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
-    F = eval_basis_batch(B1, S.points)
-    G = eval_basis_batch(B2, S.points)
-    c = S.weights * compliant_density(M, S.points)
-    inner = (F * c[:, None]).T @ G.conj()
-    t2 = (np.abs(F) ** 2 * (S.count * c**2)[:, None]).T @ (np.abs(G) ** 2)
-    var = np.maximum(t2 - np.abs(inner) ** 2, 0.0)
-    stderr = np.sqrt(var / max(S.count - 1, 1))
-    return float(np.abs(inner).max()), float(stderr.max())

@@ -559,19 +559,6 @@ class Manifold:
         """Orthonormal rows xi with sum_j (d rho/d z_j) xi_j = 0; shape (n-1, n)."""
         return _holomorphic_frames(self.rho.z_gradient(x)[None, :])[0]
 
-    def real_tangent_frames(self, Z: np.ndarray) -> np.ndarray:
-        """Euclidean-orthonormal real frames of T_z X at the rows of Z (P, n),
-        as complex columns; shape (P, n, 2n-1).
-
-        Columns: the holomorphic frame vectors, their i-rotations, and the
-        in-surface normal complement i * conj(d_z rho)/|d_z rho|.  One
-        z_gradient pass and one stacked SVD serve every row.
-        """
-        rho_z = self.rho.z_gradient(np.asarray(Z, dtype=complex).reshape(-1, self.n))
-        F = _holomorphic_frames(rho_z)  # (P, n-1, n)
-        nu = 1j * rho_z.conj() / np.linalg.norm(rho_z, axis=1, keepdims=True)
-        return np.concatenate([F, 1j * F, nu[:, None, :]], axis=1).transpose(0, 2, 1)
-
     def levi_form(self, x: np.ndarray) -> LeviData:
         """Levi form eigenvalues at x with respect to the compliant metric.
 

@@ -1,4 +1,4 @@
-"""Surface sampling and Monte-Carlo integration backends.
+"""Surface sampling and quadrature backends.
 
 Uniform sphere sampling is exact (normalized Gaussians, equal weights).
 General invariant hypersurfaces are sampled by radial projection: draw a
@@ -13,9 +13,7 @@ measure and the compliant density, which is why the Monte-Carlo Gram
 matrices built from these samples are real symmetric.  On torus-invariant
 hypersurfaces, integrands that depend only on (|z_1|^2, ..., |z_n|^2) are
 integrated deterministically instead: a Gauss-Legendre rule on the simplex
-of those moduli, pushed to X along the same rays with the same weights.  A
-pointwise density hook carries measure reweightings such as the compliant
-volume density.
+of those moduli, pushed to X along the same rays with the same weights.
 """
 
 from __future__ import annotations
@@ -295,21 +293,6 @@ def compliant_density(M: Manifold, Z: np.ndarray) -> np.ndarray:
     """
     Z = np.asarray(Z, dtype=complex)
     return compliant_density_from_gradient(M, Z, M.rho.z_gradient(Z))
-
-
-def integrate_surface(f, S: SampleSet, density=None) -> tuple[complex, float]:
-    """Weighted Monte-Carlo mean of f over X; returns (estimate, stderr).
-
-    f maps an (N, n) coordinate array to an (N,) array.  The optional density
-    reweights the surface measure pointwise.
-    """
-    vals = np.asarray(f(S.points))
-    c = S.weights if density is None else S.weights * np.asarray(density(S.points))
-    contrib = c * vals
-    estimate = np.sum(contrib)
-    per_draw = contrib * S.count  # single-draw unbiased estimates
-    stderr = float(np.std(per_draw) / math.sqrt(S.count))
-    return estimate, stderr
 
 
 # -- structured point generators ------------------------------------------

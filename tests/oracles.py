@@ -3,10 +3,17 @@
 Everything here deliberately avoids the production code paths it checks:
 Monte-Carlo surface integrals for exact norms, central differences for
 derivatives, dense grids for orbit distances, and exhaustive enumeration for
-lattice counts.
+lattice counts.  It also holds the Monte-Carlo helpers that only the tests
+use: integrate_surface and component_orthogonality.
 """
 
+import math
+
 import numpy as np
+
+from szegolab.basis import FourierBasis, eval_basis_batch
+from szegolab.geometry import Manifold
+from szegolab.integrate import SampleSet, compliant_density, surface_samples
 
 
 def mc_sphere_integral(f, n, samples=1_000_000, seed=123):
@@ -219,8 +226,10 @@ def levi_bracket_oracle(M, x, step=1e-4):
 def jacobian_spectra_loop(Phi, Z):
     """Singular values (P, 2n-1) of the real Jacobian of Phi on T_z X, a point at a time.
 
-    The per-point loop that the batched certificate replaced: each point's
-    holomorphic frame from its own gradient and SVD, one eval_basis_jacobian
+    The real-frame reference for the certificate's complex spectra, which
+    are its odd-indexed values [:, 0::2]: each point's real orthonormal frame
+    of T_z X (its holomorphic frame from its own gradient and SVD, their
+    i-rotations and i * conj(d_z rho) / |d_z rho|), one eval_basis_jacobian
     call per block, then one SVD of the stacked real and imaginary parts.
     """
     from szegolab.basis import eval_basis_jacobian
@@ -417,3 +426,44 @@ def ratio_worst_loop(B_low, B_high, Z, x0):
         r = high / low
         worst_r, worst_i = max(worst_r, abs(1.0 - r.real)), max(worst_i, abs(r.imag))
     return worst_r, worst_i
+
+
+def integrate_surface(f, S: SampleSet, density=None) -> tuple[complex, float]:
+    """Weighted Monte-Carlo mean of f over X; returns (estimate, stderr).
+
+    f maps an (N, n) coordinate array to an (N,) array.  The optional density
+    reweights the surface measure pointwise.
+    """
+    vals = np.asarray(f(S.points))
+    c = S.weights if density is None else S.weights * np.asarray(density(S.points))
+    contrib = c * vals
+    estimate = np.sum(contrib)
+    per_draw = contrib * S.count  # single-draw unbiased estimates
+    stderr = float(np.std(per_draw) / math.sqrt(S.count))
+    return estimate, stderr
+
+
+def component_orthogonality(
+    M: Manifold,
+    B1: FourierBasis,
+    B2: FourierBasis,
+    samples: int = 50_000,
+    seed: int = 0,
+    sample_set: SampleSet | None = None,
+) -> tuple[float, float]:
+    """Max |<f, g>| Monte-Carlo estimate across the two levels, with max stderr.
+
+    Levels must differ; distinct Fourier components are orthogonal for any
+    invariant measure.
+    """
+    if B1.level == B2.level:
+        raise ValueError("components at equal levels are not orthogonal")
+    S = sample_set if sample_set is not None else surface_samples(M, samples, seed)
+    F = eval_basis_batch(B1, S.points)
+    G = eval_basis_batch(B2, S.points)
+    c = S.weights * compliant_density(M, S.points)
+    inner = (F * c[:, None]).T @ G.conj()
+    t2 = (np.abs(F) ** 2 * (S.count * c**2)[:, None]).T @ (np.abs(G) ** 2)
+    var = np.maximum(t2 - np.abs(inner) ** 2, 0.0)
+    stderr = np.sqrt(var / max(S.count - 1, 1))
+    return float(np.abs(inner).max()), float(stderr.max())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_points
+from oracles import integrate_surface
 
 from szegolab.basis import (
     COMPLIANT,
@@ -28,7 +29,7 @@ from szegolab.embedding import (
     separation_report,
 )
 from szegolab.fourier import circle_average, default_quadrature
-from szegolab.integrate import integrate_surface, project_radially, sample_sphere
+from szegolab.integrate import project_radially, sample_sphere
 from szegolab.kernel import (
     fit_expansion,
     ratio_search,

@@ -211,7 +211,17 @@ def test_embed_certificate(capsys, tmp_path):
     assert r["immersion_floor"] > 1e-6
     assert r["violations"] == []
     assert (out_dir / "embed.json").exists()
-    assert (out_dir / "embed.csv").read_text().startswith("sample,label,")
+    csv = (out_dir / "embed.csv").read_text()
+    assert csv.startswith("sample,label,")
+    # the floor's detail names the sample reaching it, as its CSV row does
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    sample, label, order, _, sigma = min(rows, key=lambda row: float(row[4]))
+    assert float(sigma) == r["immersion_floor"]
+    (floor,) = [c for c in report["contracts"] if c["name"] == "immersion-floor"]
+    assert floor["detail"] == (
+        f"min singular value {r['immersion_floor']:.3e} at sample {sample} "
+        f"({label}, stratum order {order})"
+    )
 
 
 def test_embed_extra_levels(capsys):

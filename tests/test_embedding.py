@@ -210,20 +210,48 @@ class TestImmersion:
 
 
 class TestBatchedJacobian:
-    """One stacked Jacobian pass and one stacked SVD against the per-point loop."""
+    """One stacked Jacobian pass and one stacked SVD against the real-frame route."""
 
     @pytest.mark.parametrize("name, m", PRESET_MAPS)
     def test_spectra_match_point_loop(self, request, name, m):
+        # the real Jacobian on T_z X has 2n - 1 singular values; by
+        # interlacing, its odd-indexed ones are the n of the complex Jacobian
         M, Phi = _preset_map(request, name, m)
         Z, labels = stratified_points(M, 40, seed=5)
         if name != "sphere2":  # the only preset with a free action
             assert {"stratum", "near-stratum"} <= set(labels)
         batched = jacobian_singular_values(Phi, Z)
         reference = jacobian_spectra_loop(Phi, Z)
-        assert batched.shape == reference.shape == (len(Z), 2 * M.n - 1)
-        assert np.all(np.abs(batched - reference) <= 1e-12 * reference)
+        assert reference.shape == (len(Z), 2 * M.n - 1)
+        assert batched.shape == (len(Z), M.n)
+        odd = reference[:, 0::2]
+        assert np.all(np.abs(batched - odd) <= 1e-12 * odd)
+        assert np.all(np.abs(batched[:, -1] - odd[:, -1]) <= 1e-14 * odd[:, -1])
         single = jacobian_singular_values(Phi, M.point(Z[0]))
-        assert np.all(np.abs(single - reference[0]) <= 1e-12 * reference[0])
+        assert single.shape == (M.n,)
+        assert np.all(np.abs(single - odd[0]) <= 1e-12 * odd[0])
+
+    @pytest.mark.parametrize("name, m", PRESET_MAPS)
+    def test_spectra_constant_on_orbits(self, request, name, m):
+        # Phi is equivariant, so J(e^{i theta}.z) = U J(z) V* with unitary
+        # diagonals U and V: the rotation leaves every singular value alone
+        M, Phi = _preset_map(request, name, m)
+        Z, _ = stratified_points(M, 20, seed=8)
+        spectra = jacobian_singular_values(Phi, Z)
+        for theta in (0.3, 1.7, 4.0):
+            rotated = jacobian_singular_values(Phi, M.act(theta, Z))
+            assert np.all(np.abs(rotated - spectra) <= 1e-13 * spectra)
+
+    def test_map_with_fewer_coordinates_than_n_is_no_immersion(self, wsphere126):
+        # a map into C^1 has rank at most 1 < n = 3: every sample fails, and
+        # each spectrum lists n values, the last n - N of them 0
+        Phi = embedding_from_levels(wsphere126, [1])
+        assert Phi.total_dim == 1
+        rep = immersion_report(Phi, samples=50)
+        assert rep.min_singular_value == 0.0
+        assert len(rep.failures) == len(rep.records) == 50
+        for failure in rep.failures:
+            assert failure["singular_values"][1:] == [0.0, 0.0]
 
     @pytest.mark.parametrize("name, m", PRESET_MAPS)
     def test_basis_jacobians_equal_stacked_points(self, request, name, m):
@@ -300,6 +328,7 @@ class TestBatchedJacobian:
             assert failure["stratum_order"] == 6
             support = np.flatnonzero(np.abs(failure["point"]) > geometry.ZERO_TOLERANCE)
             assert support.tolist() == [2]
+            assert len(failure["singular_values"]) == example2.n
             assert failure["singular_values"][-1] < 1e-20
         assert rep.min_singular_value == min(f["singular_values"][-1] for f in rep.failures)
         # the bound is on the scale of the compliant-whitened map

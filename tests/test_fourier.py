@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point
+from oracles import component_orthogonality, integrate_surface
 
 from szegolab.basis import (
     ROUND_EXACT,
@@ -17,10 +18,9 @@ from szegolab.fourier import (
     OrbitQuadrature,
     check_T_eigen,
     circle_average,
-    component_orthogonality,
     default_quadrature,
 )
-from szegolab.integrate import integrate_surface, sample_sphere
+from szegolab.integrate import sample_sphere
 
 
 def monomial_fn(a, b=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point
-from oracles import ball_points_loop, sample_hypersurface_one_shot, stratum_info
+from oracles import ball_points_loop, integrate_surface, sample_hypersurface_one_shot, stratum_info
 
 import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_values, sphere_monomial_norm_sq
@@ -15,7 +15,6 @@ from szegolab.integrate import (
     ball_points,
     compliant_density,
     hypersurface_blocks,
-    integrate_surface,
     sample_hypersurface,
     sample_sphere,
     sphere_area,

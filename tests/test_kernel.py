@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_points
-from oracles import ratio_worst_loop, sphere2_kernel_closed_form
+from oracles import integrate_surface, ratio_worst_loop, sphere2_kernel_closed_form
 
 from szegolab.basis import (
     COMPLIANT,
@@ -18,7 +18,7 @@ from szegolab.basis import (
     sphere_monomial_norm_sq,
 )
 from szegolab.errors import InsufficientLevelsError, UndefinedRatioError
-from szegolab.integrate import ball_points, integrate_surface, sample_sphere, surface_samples
+from szegolab.integrate import ball_points, sample_sphere, surface_samples
 from szegolab.kernel import (
     decay_profile,
     fit_expansion,
