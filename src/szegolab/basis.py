@@ -233,7 +233,7 @@ def block_jacobian(Z: np.ndarray, derivatives: tuple, coeffs: Sequence) -> np.nd
     for start in range(0, P, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         D = table_jacobian(Z[rows], derivatives, N)  # (rows, n, N)
-        out[rows] = _apply_blocks(coeffs, D.reshape(-1, N)).reshape(D.shape)
+        out[rows] = _apply_blocks(coeffs, D.reshape(D.shape[0] * n, N)).reshape(D.shape)
     return out.transpose(0, 2, 1)
 
 

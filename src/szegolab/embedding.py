@@ -65,7 +65,8 @@ class EmbeddingMap:
 
     @property
     def min_weight(self) -> int:
-        return int(self.coordinate_weights.min())
+        """Smallest coordinate level; 0 for a map with no coordinates."""
+        return min(self.coordinate_weights.tolist(), default=0)
 
 
 def embedding_from_levels(
@@ -288,7 +289,7 @@ def separation_report(
             "ambient_distance": float(ambient[i]),
             "image_distance": float(img[i]),
             "strata": pair_strata,
-            "offending_coordinates": np.flatnonzero(gap == gap.max()).tolist(),
+            "offending_coordinates": np.flatnonzero(gap == gap.max(initial=0.0)).tolist(),
         }
         for i, gap, pair_strata in zip(bad, gaps, strata)
     )

@@ -110,20 +110,21 @@ ORBIT_GRID = 720
 def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Root per entry in (lo, hi], where f(lo) < 0 <= f(hi): Newton with bisection.
 
-    fdf(idx, t) returns (f, f') at t for the entries idx still iterating.
-    Each entry starts from hi; the sign of f at every iterate shrinks its
-    bracket, and a Newton step that leaves the bracket is replaced by
-    bisection (rtsafe, Numerical Recipes section 9.4).  An entry stops once
-    its step or its bracket is within 4 ulp of t, or f is exactly 0 there, so
-    its root does not depend on the other entries.
+    fdf(t) returns (f, f') at every entry of the iterate array t.  Each entry
+    starts from hi; the sign of f at every iterate shrinks its bracket, and a
+    Newton step that leaves the bracket is replaced by bisection (rtsafe,
+    Numerical Recipes section 9.4).  An entry freezes once its step or its
+    bracket is within 4 ulp of t, or f is exactly 0 there; fdf still sees it,
+    but its iterate no longer moves.  So when fdf works entry by entry, an
+    entry runs the same iterates in any batch and its root does not depend
+    on the other entries.
     """
-    roots = np.empty(hi.shape)
-    idx = np.arange(hi.size)
     t = hi.copy()
+    live = np.ones(t.shape, dtype=bool)
     for _ in range(_MAX_ITERS):
-        if idx.size == 0:
+        if not live.any():
             break
-        f, df = fdf(idx, t)
+        f, df = fdf(t)
         below = f < 0
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
@@ -131,15 +132,11 @@ def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             newton = t - f / df
         tol = 4.0 * np.spacing(np.abs(t))
         converged = np.abs(newton - t) <= tol
-        done = converged | (hi - lo <= tol) | (f == 0)
         inside = (newton > lo) & (newton < hi)
-        t = np.where(f == 0, t, np.where(converged | inside, newton, 0.5 * (lo + hi)))
-        if np.any(done):
-            roots[idx[done]] = t[done]
-            live = ~done
-            idx, lo, hi, t = idx[live], lo[live], hi[live], t[live]
-    roots[idx] = t
-    return roots
+        step = np.where(f == 0, t, np.where(converged | inside, newton, 0.5 * (lo + hi)))
+        t = np.where(live, step, t)
+        live &= ~(converged | (hi - lo <= tol) | (f == 0))
+    return t
 
 
 def power_table(base: np.ndarray, e_max: int) -> np.ndarray:
@@ -621,17 +618,17 @@ class Manifold:
         h = 2 * np.pi / ORBIT_GRID
         cw, cw2 = c * w, c * w**2
 
-        def slope(idx, t):
+        def slope(rows, t):
             ph = np.exp(1j * np.outer(t, w))
-            return (2.0 * np.sum(cw[idx] * ph, axis=1).imag,
-                    2.0 * np.sum(cw2[idx] * ph, axis=1).real)
+            return (2.0 * np.sum(cw[rows] * ph, axis=1).imag,
+                    2.0 * np.sum(cw2[rows] * ph, axis=1).real)
 
         every = np.arange(c.shape[0])
         lo, hi = theta_grid - h, theta_grid + h
         bracketed = np.flatnonzero((slope(every, lo)[0] < 0) & (slope(every, hi)[0] >= 0))
         theta_star = theta_grid.copy()
         theta_star[bracketed] = safeguarded_newton(
-            lambda idx, t: slope(bracketed[idx], t), lo[bracketed], hi[bracketed]
+            lambda t: slope(bracketed, t), lo[bracketed], hi[bracketed]
         )
         # the difference form is free of the cancellation that floors
         # |x|^2 + |y|^2 - 2 Re(...) at ~1e-8

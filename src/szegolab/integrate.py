@@ -73,14 +73,6 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SampleSet:
     return SampleSet(u, w, seed, "sphere-uniform")
 
 
-def _horner(C: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Values at t of the polynomials with ascending coefficient rows C (degree + 1, N)."""
-    f = C[-1]
-    for c in C[-2::-1]:
-        f = f * t + c
-    return f
-
-
 def _horner_with_derivative(C: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and first derivatives at t of the polynomials of C, in one
     Horner recurrence: df <- df t + f, then f <- f t + c."""
@@ -102,16 +94,16 @@ def radial_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
     One evaluator pass gives each ray's coefficients of the real polynomial
     t -> rho(t u).  Doubling t from 1 up to RAY_T_MAX brackets the first sign
     change seen at t = 1, 2, 4, ...; rays still negative at the last doubling
-    inside RAY_T_MAX get NaN.  Each bracketed ray's polynomial and its derivative,
-    evaluated together by one Horner recurrence, go to
-    geometry.safeguarded_newton, which starts from the bracket's upper end,
-    where rho >= 0, and stops a ray once its step or its bracket is within
-    4 ulp of t, or rho is exactly 0 there.
-    So a root depends neither on the other rays of the batch nor on the
-    blocks of geometry.ROW_BLOCK rays that the iteration runs in.  Nothing
-    checks that a ray meets X only once: crossings in pairs between grid
-    points go unseen, and the root is a sign change inside the first bracket.
-    rho(0) >= 0 raises SamplingError.
+    inside RAY_T_MAX get NaN.  The bracketed rays' polynomials and their
+    derivatives, evaluated together by one Horner recurrence, go to one
+    geometry.safeguarded_newton call, which starts each ray from its bracket's
+    upper end, where rho >= 0, and freezes it once its step or its bracket is
+    within 4 ulp of t, or rho is exactly 0 there.  The iteration is per ray,
+    but the coefficients come from a BLAS contraction whose rounding depends
+    on the batch size, so a ray's root can differ from its one-ray root in
+    the last bit.  Nothing checks that a ray meets X only once: crossings in
+    pairs between grid points go unseen, and the root is a sign change inside
+    the first bracket.  rho(0) >= 0 raises SamplingError.
     """
     U = np.asarray(U, dtype=complex)
     C = np.ascontiguousarray(M.rho.ray_coefficients(U).T)  # (degree + 1, N)
@@ -119,23 +111,17 @@ def radial_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
         raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
     lo = np.zeros(U.shape[0])
     hi = np.ones(U.shape[0])
-    neg = _horner(C, hi) < 0
+    neg = _horner_with_derivative(C, hi)[0] < 0
     while np.any(grow := neg & (2.0 * hi <= RAY_T_MAX)):
         lo[grow] = hi[grow]
         hi[grow] *= 2.0
-        neg[grow] = _horner(C[:, grow], hi[grow]) < 0
+        neg[grow] = _horner_with_derivative(C[:, grow], hi[grow])[0] < 0
     roots = np.full(U.shape[0], np.nan)
     bracketed = np.flatnonzero(~neg)
-    # Blocks of ROW_BLOCK rays keep the shrinking active-set copies small; one
-    # pass over all rays fragments the heap enough to raise the peak RSS of an
-    # example2 embed campaign by up to 2 MiB.
-    for start in range(0, bracketed.size, ROW_BLOCK):
-        block = bracketed[start : start + ROW_BLOCK]
-        roots[block] = safeguarded_newton(
-            lambda idx, t: _horner_with_derivative(C[:, block[idx]], t),
-            lo[block],
-            hi[block],
-        )
+    Cb = C[:, bracketed]
+    roots[bracketed] = safeguarded_newton(
+        lambda t: _horner_with_derivative(Cb, t), lo[bracketed], hi[bracketed]
+    )
     return roots
 
 

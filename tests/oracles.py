@@ -78,6 +78,27 @@ def sphere2_kernel_closed_form(m, x, y):
     return (m + 1) / (2 * np.pi**2) * inner**m
 
 
+def weighted_sphere_kernel_closed_form(weights, m_max, x, y):
+    """S_m(x, y) for m = 0..m_max on the unit sphere in C^n with action weights w.
+
+    The q^m coefficients of (n-1)!/(2 pi^n) (1 - sum_j x_j conj(y_j) q^{w_j})^{-n},
+    the Fourier components of the sphere's Szego kernel along the action, by
+    the recurrence m g_m = sum_{k>=1} p_k g_{m-k} (m + (n-1) k), g_0 = 1,
+    with p_k = sum_{w_j = k} x_j conj(y_j).
+    """
+    w = np.asarray(weights)
+    n = len(w)
+    c = np.asarray(x, dtype=complex) * np.asarray(y, dtype=complex).conj()
+    p = np.zeros(m_max + 1, dtype=complex)
+    np.add.at(p, w[w <= m_max], c[w <= m_max])
+    g = np.zeros(m_max + 1, dtype=complex)
+    g[0] = 1.0
+    for m in range(1, m_max + 1):
+        k = np.arange(1, m + 1)
+        g[m] = np.sum(p[k] * g[m - k] * (m + (n - 1) * k)) / m
+    return math.factorial(n - 1) / (2 * math.pi**n) * g
+
+
 def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
     """Coordinates (count, n) of ball_points drawn one candidate at a time.
 
@@ -249,10 +270,9 @@ def jacobian_spectra_loop(Phi, Z):
 
 
 def jacobian_smallest_singular_value(Phi, x):
-    """Smallest singular value of the real Jacobian of Phi on T_x X."""
-    from szegolab.embedding import jacobian_singular_values
-
-    return float(jacobian_singular_values(Phi, x)[-1])
+    """Smallest singular value of the real Jacobian of Phi on T_x X, by the
+    real-frame route of jacobian_spectra_loop."""
+    return float(jacobian_spectra_loop(Phi, np.reshape(x, (1, -1)))[0, -1])
 
 
 def reeb_image(Phi, x):

@@ -253,6 +253,25 @@ class TestBatchedJacobian:
         for failure in rep.failures:
             assert failure["singular_values"][1:] == [0.0, 0.0]
 
+    def test_map_with_no_coordinates_fails_both_certificates(self):
+        # level 1 has no representation on the (2, 3) sphere, so N = 0: every
+        # spectrum is n zeros and no pair has distinct images
+        from szegolab.geometry import Manifold
+
+        Phi = embedding_from_levels(Manifold.sphere(2, (2, 3)), [1])
+        assert Phi.total_dim == 0 and Phi.min_weight == 0
+        rep = immersion_report(Phi, samples=20)
+        assert len(rep.failures) == len(rep.records) == 20
+        for failure in rep.failures:
+            assert failure["singular_values"] == [0.0, 0.0]
+        sep = separation_report(Phi, pair_count=30)
+        assert len(sep.violations) == sep.pair_count == 30
+        for v in sep.violations:
+            assert v["quotient_distance"] > sep.threshold or (
+                v["kind"] == "same-orbit" and v["ambient_distance"] > sep.threshold
+            )
+            assert v["image_distance"] == 0.0 and v["offending_coordinates"] == []
+
     @pytest.mark.parametrize("name, m", PRESET_MAPS)
     def test_basis_jacobians_equal_stacked_points(self, request, name, m):
         M, Phi = _preset_map(request, name, m)

@@ -173,6 +173,8 @@ def test_radial_roots_bisect_when_newton_leaves_bracket():
 
 
 def test_radial_roots_of_a_ray_do_not_depend_on_the_batch(example2):
+    # the Newton iteration is per ray, but the ray coefficients come from a
+    # BLAS contraction whose rounding depends on the batch size, hence rtol
     rng = np.random.default_rng(9)
     U = rng.normal(size=(ROW_BLOCK + 40, 3)) + 1j * rng.normal(size=(ROW_BLOCK + 40, 3))
     U /= np.linalg.norm(U, axis=1, keepdims=True)

@@ -472,11 +472,11 @@ class TestSafeguardedNewton:
         """fdf for the polynomials with ascending coefficient rows coeffs[i]."""
         P = [np.polynomial.Polynomial(c) for c in coeffs]
 
-        def fdf(idx, t):
+        def fdf(t):
             if counter is not None:
-                counter.append(len(idx))
-            return (np.array([P[i](x) for i, x in zip(idx, t)]),
-                    np.array([P[i].deriv()(x) for i, x in zip(idx, t)]))
+                counter.append(t.copy())
+            return (np.array([p(x) for p, x in zip(P, t)]),
+                    np.array([p.deriv()(x) for p, x in zip(P, t)]))
 
         return fdf
 
@@ -499,13 +499,25 @@ class TestSafeguardedNewton:
 
     def test_exact_zero_stops_at_once(self):
         # (t - 2)^3 is 0 at hi with f' = 0, so the Newton step is NaN there;
-        # the second entry runs on alone
+        # the first entry freezes at 2 while the second runs on
         calls = []
         fdf = self._polynomial([[-8, 12, -6, 1], [-2, 0, 1]], calls)
         roots = safeguarded_newton(fdf, np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         assert roots[0] == 2.0
         assert abs(roots[1] - math.sqrt(2)) <= 4 * np.spacing(math.sqrt(2))
-        assert calls[0] == 2 and all(k == 1 for k in calls[1:])
+        assert len(calls) > 1
+        assert all(t.shape == (2,) and t[0] == 2.0 for t in calls)
+
+    def test_root_in_a_batch_equals_its_root_alone(self):
+        # a bisecting polynomial, an exact zero at hi and two plain Newton
+        # cases; t^2 - 2 would move by an ulp if it kept iterating after
+        # converging while 4 t^2 - 1 still runs
+        coeffs = [[-1, 0, 10, 0, -8], [-8, 12, -6, 1], [-2, 0, 1], [-1, 0, 4]]
+        lo, hi = np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 2.0, 2.0, 1.0])
+        batch = safeguarded_newton(self._polynomial(coeffs), lo, hi)
+        for i, c in enumerate(coeffs):
+            alone = safeguarded_newton(self._polynomial([c]), lo[i : i + 1], hi[i : i + 1])
+            assert batch[i].tobytes() == alone[0].tobytes()
 
 
 class TestWeightVector:

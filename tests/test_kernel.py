@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_point, random_points
-from oracles import integrate_surface, ratio_worst_loop, sphere2_kernel_closed_form
+from oracles import (
+    integrate_surface,
+    ratio_worst_loop,
+    sphere2_kernel_closed_form,
+    weighted_sphere_kernel_closed_form,
+)
 
 from szegolab.basis import (
     COMPLIANT,
@@ -18,7 +23,7 @@ from szegolab.basis import (
     sphere_monomial_norm_sq,
 )
 from szegolab.errors import InsufficientLevelsError, UndefinedRatioError
-from szegolab.integrate import ball_points, sample_sphere, surface_samples
+from szegolab.integrate import ball_points, sample_sphere, stratified_points, surface_samples
 from szegolab.kernel import (
     decay_profile,
     fit_expansion,
@@ -99,6 +104,27 @@ class TestKernelValues:
         est, stderr = integrate_surface(f, S)
         target = complex(np.asarray(eval_basis_batch(B, x[None, :]))[0, 0])
         assert abs(est - target) < 5 * stderr
+
+    @pytest.mark.parametrize("name", ["sphere2", "sphere3", "wsphere12", "wsphere126"])
+    def test_weighted_sphere_closed_form_to_level_200(self, request, name):
+        # the diagonal to 1e-13 relative, exactly 0 where the closed form is
+        # (odd levels at the z2 axis of (1, 2), say), and the off-diagonal to
+        # 1e-13 sqrt(S_m(x, x) S_m(y, y)); ten levels a time bound the memory
+        M = request.getfixturevalue(name)
+        Z, _ = stratified_points(M, 10, seed=4)
+        X, Y = Z[:5], Z[5:]
+        w = M.weights.array
+        diag = np.array([weighted_sphere_kernel_closed_form(w, 200, z, z).real for z in Z])
+        off = np.array([weighted_sphere_kernel_closed_form(w, 200, x, y) for x, y in zip(X, Y)])
+        scale = np.sqrt(diag[:5] * diag[5:])
+        for start in range(1, 201, 10):
+            levels = range(start, start + 10)
+            bases = list(fourier_bases(M, levels, measure=ROUND_EXACT).values())
+            D = kernel_diagonal(bases, Z)
+            ref = diag[:, levels]
+            assert np.all(np.abs(D - ref) <= 1e-13 * ref)
+            S = szego_kernel(bases, X, Y)
+            assert np.all(np.abs(S - off[:, levels]) <= 1e-13 * scale[:, levels])
 
     def test_equivariance_exact(self, wsphere126):
         B = fourier_basis(wsphere126, 8, measure=ROUND_EXACT)
