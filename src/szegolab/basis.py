@@ -72,23 +72,22 @@ DEFAULT_GRAM_SAMPLES = 200_000
 
 def enumerate_multiindices(weights: WeightVector, m: int) -> np.ndarray:
     """All alpha >= 0 with <alpha, weights> = m: the (d, n) int64 exponent
-    rows, in colexicographic order."""
+    rows, in colexicographic order, built a coordinate at a time from the last."""
     if m < 0:
         raise ValueError("m must be >= 0")
     ws = weights.weights
-
-    def rec(k: int, target: int):
-        # exponents for coordinates 0..k, colex order (later coordinates vary
-        # slowest and ascend first)
-        if k == 0:
-            if target % ws[0] == 0:
-                yield (target // ws[0],)
-            return
-        for a in range(target // ws[k] + 1):
-            for head in rec(k - 1, target - a * ws[k]):
-                yield head + (a,)
-
-    return np.array(list(rec(len(ws) - 1, m)), dtype=np.int64).reshape(-1, len(ws))
+    rest = np.array([m])  # what each partial row leaves of m
+    columns: list[np.ndarray] = []
+    for w in ws[:0:-1]:
+        left = rest[:, None] - np.arange(0, m + 1, w)
+        fits = left >= 0
+        parent, a = np.nonzero(fits)
+        rest = left[fits]
+        columns = [a] + [c[parent] for c in columns]
+    if ws[0] > 1:
+        fits = rest % ws[0] == 0
+        rest, columns = rest[fits] // ws[0], [c[fits] for c in columns]
+    return np.stack([rest] + columns, axis=1, dtype=np.int64)
 
 
 def dimension(weights: WeightVector, m: int) -> int:

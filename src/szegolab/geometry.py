@@ -119,23 +119,24 @@ def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     entry runs the same iterates in any batch and its root does not depend
     on the other entries.
     """
-    t = hi.copy()
+    t, lo, hi = hi.copy(), lo.copy(), hi.copy()
     live = np.ones(t.shape, dtype=bool)
-    for _ in range(_MAX_ITERS):
-        if not live.any():
-            break
-        f, df = fdf(t)
-        below = f < 0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITERS):
+            if not live.any():
+                break
+            f, df = fdf(t)
+            below = f < 0
+            np.copyto(lo, t, where=below)
+            np.copyto(hi, t, where=~below)
             newton = t - f / df
-        tol = 4.0 * np.spacing(np.abs(t))
-        converged = np.abs(newton - t) <= tol
-        inside = (newton > lo) & (newton < hi)
-        step = np.where(f == 0, t, np.where(converged | inside, newton, 0.5 * (lo + hi)))
-        t = np.where(live, step, t)
-        live &= ~(converged | (hi - lo <= tol) | (f == 0))
+            tol = 4.0 * np.spacing(np.abs(t))
+            converged = np.abs(newton - t) <= tol
+            zero = f == 0
+            step = 0.5 * (lo + hi)
+            np.copyto(step, newton, where=converged | ((newton > lo) & (newton < hi)))
+            np.copyto(t, step, where=live & ~zero)
+            live &= ~(converged | (hi - lo <= tol) | zero)
     return t
 
 
@@ -144,7 +145,7 @@ def power_table(base: np.ndarray, e_max: int) -> np.ndarray:
     P = np.empty((e_max + 1,) + base.shape, dtype=complex)
     P[0] = 1.0
     for e in range(1, e_max + 1):
-        P[e] = P[e - 1] * base
+        np.multiply(P[e - 1], base, out=P[e])
     return P
 
 
@@ -157,25 +158,29 @@ def gather_products(powers: Sequence[np.ndarray], exps: np.ndarray) -> np.ndarra
     return W
 
 
-def monomial_products(Z: np.ndarray, A, B=None) -> np.ndarray:
-    """Matrix V[i, t] = z_i^{A_t} zbar_i^{B_t} for points Z (N, n).
+def monomial_products(Z: np.ndarray, A, B=None, real: bool = False) -> np.ndarray:
+    """Matrix V[i, t] = z_i^{A_t} zbar_i^{B_t} for points Z (N, n); Re(V) if real.
 
     A and B are (T, n) non-negative exponent arrays; B=None means holomorphic
-    monomials.  One power table per coordinate (and per conjugate coordinate),
-    combined by gather_products.  V is returned C-ordered: a matrix product
-    against a transposed operand can round differently.
+    monomials.  In passes of rows that stay in cache, gather_products combines
+    a power table per coordinate and its conjugate, the table of zbar exactly.
+    V is C-ordered: a product against a transposed operand can round otherwise.
     """
     Z = np.asarray(Z, dtype=complex)
     n = Z.shape[1]
     exps = np.asarray(A, dtype=np.int64).reshape(-1, n)
-    bases = [Z[:, k] for k in range(n)]
     if B is not None:
         exps = np.hstack([exps, np.asarray(B, dtype=np.int64).reshape(-1, n)])
-        Zc = Z.conj()
-        bases += [Zc[:, k] for k in range(n)]
-    e_maxes = exps.max(axis=0, initial=0).tolist()
-    powers = [power_table(base, e_max) for base, e_max in zip(bases, e_maxes)]
-    return np.ascontiguousarray(gather_products(powers, exps).T)
+    e_maxes = exps.reshape(-1, n).max(axis=0, initial=0).tolist()
+    V = np.empty((Z.shape[0], len(exps)), dtype=float if real else complex)
+    rows = max(1, 16_384 // max(len(exps), 1))
+    for start in range(0, Z.shape[0], rows):
+        powers = [power_table(Z[start : start + rows, k], e) for k, e in enumerate(e_maxes)]
+        if B is not None:
+            powers += [P.conj() for P in powers]
+        W = gather_products(powers, exps)
+        V[start : start + rows] = (W.real if real else W).T
+    return V
 
 
 def _lower(e: tuple[int, ...], j):
@@ -189,20 +194,22 @@ def _derivative_table(terms: dict, n: int, z_vars, zbar_vars):
     """(A, B, C) with d rho = monomial_products(Z, A, B) @ C.
 
     Column j * len(zbar_vars) + k of C holds the derivative by z_j and zbar_k,
-    where a None variable means no derivative on that side.
+    where a None variable means no derivative on that side.  Lowering an
+    exponent is one-to-one, so no entry is a sum: each is one term's c fa fb,
+    rounded once by int/int division, exactly as float(Fraction(c fa fb)) is.
     """
     columns = [(j, k) for j in z_vars for k in zbar_vars]
-    rows: dict[tuple, list[Fraction]] = {}
+    rows: dict[tuple, list[float]] = {}
     for (a, b), c in terms.items():
         for col, (j, k) in enumerate(columns):
             fa, da = _lower(a, j)
             fb, db = _lower(b, k)
             if fa and fb:
-                rows.setdefault((da, db), [Fraction(0)] * len(columns))[col] += c * fa * fb
+                row = rows.setdefault((da, db), [0.0] * len(columns))
+                row[col] = c.numerator * fa * fb / c.denominator
     A = np.array([a for a, _ in rows], dtype=np.int64).reshape(-1, n)
     B = np.array([b for _, b in rows], dtype=np.int64).reshape(-1, n)
-    C = np.array([[float(c) for c in row] for row in rows.values()]).reshape(-1, len(columns))
-    return A, B, C
+    return A, B, np.array(list(rows.values())).reshape(-1, len(columns))
 
 
 class DefiningPolynomial:
@@ -230,16 +237,19 @@ class DefiningPolynomial:
                     f"rho is not real: coefficient of z^{a} zbar^{b} is {c} "
                     f"but coefficient of z^{b} zbar^{a} is {self.terms.get((b, a))}"
                 )
-        # float tables contracted against monomial_products
+        # float tables contracted against monomial_products; _hessian on first use
         self._value = _derivative_table(self.terms, n, [None], [None])
         self._gradient = _derivative_table(self.terms, n, range(n), [None])
-        self._hessian = _derivative_table(self.terms, n, range(n), range(n))
         # rho(t u) = sum_d t^d (sum of the terms of total degree d at u)
         A, B, C = self._value
         degree = A.sum(axis=1) + B.sum(axis=1)
         by_degree = np.zeros((len(C), int(degree.max(initial=0)) + 1))
         by_degree[np.arange(len(C)), degree] = C[:, 0]
         self._ray = (A, B, by_degree)
+
+    @functools.cached_property
+    def _hessian(self):
+        return _derivative_table(self.terms, self.n, range(self.n), range(self.n))
 
     def check_invariance(self, weights: WeightVector) -> None:
         w = weights.array
@@ -258,8 +268,8 @@ class DefiningPolynomial:
         A, B, C = table
         out = np.empty((Z.shape[0], C.shape[1]), dtype=float if real else complex)
         for start in range(0, Z.shape[0], ROW_BLOCK):
-            V = monomial_products(Z[start : start + ROW_BLOCK], A, B)
-            out[start : start + ROW_BLOCK] = (V.real if real else V) @ C
+            rows = slice(start, start + ROW_BLOCK)
+            np.matmul(monomial_products(Z[rows], A, B, real), C, out=out[rows])
         return out
 
     def value(self, Z: np.ndarray) -> np.ndarray:

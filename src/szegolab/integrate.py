@@ -18,6 +18,7 @@ of those moduli, pushed to X along the same rays with the same weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,54 +74,44 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SampleSet:
     return SampleSet(u, w, seed, "sphere-uniform")
 
 
-def _horner_with_derivative(C: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives at t of the polynomials of C, in one
-    Horner recurrence: df <- df t + f, then f <- f t + c."""
-    f = C[-1]
-    df = np.zeros_like(f)
-    for c in C[-2::-1]:
-        df = df * t + f
-        f = f * t + c
-    return f, df
-
-
 # rays still inside X at this distance from the origin get no root
 RAY_T_MAX = 8.0
+# the bracketing grid t = 0, 1, 2, 4, ..., RAY_T_MAX
+_RAY_GRID = np.append(0.0, 2.0 ** np.arange(int(math.log2(RAY_T_MAX)) + 1))
+
+
+def _ray_values(C: np.ndarray, D: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f') at t (N,) of the polynomials with coefficient rows C (N, d+1) and
+    derivative rows D (N, d), from one power table T[i, k] = t_i^k and row sums."""
+    T = np.power(t[:, None], np.arange(C.shape[1], dtype=float))
+    return np.einsum("ij,ij->i", C, T), np.einsum("ij,ij->i", D, T[:, :-1])
 
 
 def radial_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
     """First positive root of rho(t u) per row of U; NaN where none is bracketed.
 
-    One evaluator pass gives each ray's coefficients of the real polynomial
-    t -> rho(t u).  Doubling t from 1 up to RAY_T_MAX brackets the first sign
-    change seen at t = 1, 2, 4, ...; rays still negative at the last doubling
-    inside RAY_T_MAX get NaN.  The bracketed rays' polynomials and their
-    derivatives, evaluated together by one Horner recurrence, go to one
-    geometry.safeguarded_newton call, which starts each ray from its bracket's
-    upper end, where rho >= 0, and freezes it once its step or its bracket is
-    within 4 ulp of t, or rho is exactly 0 there.  The iteration is per ray,
-    but the coefficients come from a BLAS contraction whose rounding depends
-    on the batch size, so a ray's root can differ from its one-ray root in
-    the last bit.  Nothing checks that a ray meets X only once: crossings in
-    pairs between grid points go unseen, and the root is a sign change inside
-    the first bracket.  rho(0) >= 0 raises SamplingError.
+    One evaluator pass gives each ray's polynomial t -> rho(t u), and one
+    product with the powers of the grid t = 1, 2, 4, ..., RAY_T_MAX brackets
+    every ray: its upper end is the first grid point where rho >= 0, and rays
+    still negative at RAY_T_MAX get NaN.  One geometry.safeguarded_newton call
+    on _ray_values starts each ray there, so a root on the grid comes back
+    exactly.  The coefficients come from a BLAS contraction whose rounding
+    depends on the batch size, so a ray's root can differ from its one-ray
+    root in the last bits.  Nothing checks that a ray meets X only once:
+    crossings in pairs between grid points go unseen, and the root is a sign
+    change inside the first bracket.  rho(0) >= 0 raises SamplingError.
     """
-    U = np.asarray(U, dtype=complex)
-    C = np.ascontiguousarray(M.rho.ray_coefficients(U).T)  # (degree + 1, N)
-    if np.any(C[0] >= 0):
+    C = M.rho.ray_coefficients(U)  # (N, degree + 1)
+    if np.any(C[:, 0] >= 0):
         raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
-    lo = np.zeros(U.shape[0])
-    hi = np.ones(U.shape[0])
-    neg = _horner_with_derivative(C, hi)[0] < 0
-    while np.any(grow := neg & (2.0 * hi <= RAY_T_MAX)):
-        lo[grow] = hi[grow]
-        hi[grow] *= 2.0
-        neg[grow] = _horner_with_derivative(C[:, grow], hi[grow])[0] < 0
-    roots = np.full(U.shape[0], np.nan)
-    bracketed = np.flatnonzero(~neg)
-    Cb = C[:, bracketed]
+    k = np.arange(C.shape[1])
+    nonneg = C @ _RAY_GRID[None, 1:] ** k[:, None] >= 0  # (N, grid points past 0)
+    bracketed = np.flatnonzero(nonneg.any(axis=1))
+    first = np.argmax(nonneg[bracketed], axis=1)
+    roots = np.full(len(C), np.nan)
+    C = C[bracketed]
     roots[bracketed] = safeguarded_newton(
-        lambda t: _horner_with_derivative(Cb, t), lo[bracketed], hi[bracketed]
+        functools.partial(_ray_values, C, C[:, 1:] * k[1:]), _RAY_GRID[first], _RAY_GRID[first + 1]
     )
     return roots
 

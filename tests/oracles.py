@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the production code paths it checks:
 Monte-Carlo surface integrals for exact norms, central differences for
-derivatives, dense grids for orbit distances, and exhaustive enumeration for
-lattice counts.  It also holds the Monte-Carlo helpers that only the tests
-use: integrate_surface and component_orthogonality.
+derivatives, dense grids for orbit distances, exhaustive enumeration for
+lattice counts, and the earlier pure-Python forms of rewritten routines.
+It also holds the Monte-Carlo helpers that only the tests use:
+integrate_surface and component_orthogonality.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,6 +72,23 @@ def exhaustive_multiindices(weights, m):
         if sum(a * w for a, w in zip(alpha, weights)) == m:
             out.append(alpha)
     return sorted(out, key=lambda t: t[::-1])
+
+
+def multiindices_recursive(weights, m):
+    """The (d, n) int64 exponent rows of <alpha, weights> = m in colex order,
+    from a recursive generator (later coordinates vary slowest and ascend
+    first): basis.enumerate_multiindices before it was built with numpy."""
+
+    def rec(k, target):
+        if k == 0:
+            if target % weights[0] == 0:
+                yield (target // weights[0],)
+            return
+        for a in range(target // weights[k] + 1):
+            for head in rec(k - 1, target - a * weights[k]):
+                yield head + (a,)
+
+    return np.array(list(rec(len(weights) - 1, m)), dtype=np.int64).reshape(-1, len(weights))
 
 
 def sphere2_kernel_closed_form(m, x, y):
@@ -319,6 +338,30 @@ def horner_two_pass(C, t):
         if d:
             df = df * t + C[d] * d
     return f, df
+
+
+def derivative_table_fractions(terms, n, z_vars, zbar_vars):
+    """(A, B, C) of geometry._derivative_table with every entry summed as a
+    Fraction and converted to float once: the table before its entries were
+    written as floats directly."""
+
+    def lower(e, j):
+        if j is None:
+            return 1, e
+        return e[j], e[:j] + (e[j] - 1,) + e[j + 1 :]
+
+    columns = [(j, k) for j in z_vars for k in zbar_vars]
+    rows = {}
+    for (a, b), c in terms.items():
+        for col, (j, k) in enumerate(columns):
+            fa, da = lower(a, j)
+            fb, db = lower(b, k)
+            if fa and fb:
+                rows.setdefault((da, db), [Fraction(0)] * len(columns))[col] += c * fa * fb
+    A = np.array([a for a, _ in rows], dtype=np.int64).reshape(-1, n)
+    B = np.array([b for _, b in rows], dtype=np.int64).reshape(-1, n)
+    C = np.array([[float(c) for c in row] for row in rows.values()]).reshape(-1, len(columns))
+    return A, B, C
 
 
 def volume_density_gram_determinant(M, x):

@@ -11,6 +11,7 @@ from oracles import (
     exhaustive_multiindices,
     holomorphic_derivative_fd,
     mc_sphere_integral,
+    multiindices_recursive,
 )
 
 import szegolab.basis as basis
@@ -46,6 +47,16 @@ class TestEnumeration:
     def test_weights_12(self):
         idx = enumerate_multiindices(WeightVector((1, 2)), 4)
         assert idx.tolist() == [[4, 0], [2, 1], [0, 2]]
+
+    @pytest.mark.parametrize(
+        "ws", [(1, 2, 6), (1, 1), (1, 2), (2, 3, 5), (1, 1, 1, 1), (3, 1, 2), (2, 1), (1,), (5, 3)]
+    )
+    def test_matches_recursive_generator(self, ws):
+        for m in range(61):
+            idx = enumerate_multiindices(WeightVector(ws), m)
+            ref = multiindices_recursive(ws, m)
+            assert idx.dtype == ref.dtype and idx.shape == ref.shape
+            np.testing.assert_array_equal(idx, ref)
 
     def test_weights_126_vs_exhaustive(self):
         idx = enumerate_multiindices(WeightVector((1, 2, 6)), 6)

@@ -1,6 +1,6 @@
 """The shared monomial evaluator and the ray-root finder against independent
-references: term-by-term mpmath sums, central differences, and mpmath roots
-of each ray's polynomial."""
+references: term-by-term mpmath sums, central differences, mpmath roots of
+each ray's polynomial, and Fraction-summed derivative tables."""
 
 from fractions import Fraction
 
@@ -8,12 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import holomorphic_derivative_fd, horner_two_pass
+from oracles import derivative_table_fractions, holomorphic_derivative_fd, horner_two_pass
 
 import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_jacobian, monomial_values
 from szegolab.errors import SamplingError
-from szegolab.geometry import ROW_BLOCK, DefiningPolynomial, Manifold
+from szegolab.geometry import ROW_BLOCK, DefiningPolynomial, Manifold, monomial_products
 from szegolab.integrate import radial_roots, sample_hypersurface
 
 
@@ -95,6 +95,16 @@ def test_rho_hessian_matches_mpmath_and_finite_differences(example2):
                 assert _close(H[j, k], _mp_hessian(terms, z, j, k), 1e-13)
                 fd = np.conj(holomorphic_derivative_fd(conj_rho_j, z, k))
                 assert abs(H[j, k] - fd) <= 1e-6 * max(1.0, abs(H[j, k]))
+
+
+def test_monomial_products_do_not_depend_on_the_batch(example2):
+    # rows go through in cache-sized passes; every entry is formed the same way
+    A, B, _ = example2.rho._ray
+    Z = _points(3, 1500, seed=11)
+    V = monomial_products(Z, A, B)
+    single = np.concatenate([monomial_products(z[None, :], A, B) for z in Z[::7]])
+    assert V[::7].tobytes() == single.tobytes()
+    assert monomial_products(Z, A, B, real=True).tobytes() == np.ascontiguousarray(V.real).tobytes()
 
 
 def test_monomial_jacobian_matches_mpmath_and_finite_differences(example2):
@@ -184,22 +194,106 @@ def test_radial_roots_of_a_ray_do_not_depend_on_the_batch(example2):
     np.testing.assert_allclose(single, batch[near_block_edge], rtol=1e-15, atol=0)
 
 
-def test_fused_horner_matches_two_passes(example2, monkeypatch):
-    """One recurrence for rho(t u) and d rho(t u) / dt: the same values, the
-    derivative to rounding, and no root more than 1 ulp from two passes."""
+def test_ray_evaluator_matches_two_passes(example2, monkeypatch):
+    """One power table for rho(t u) and d rho(t u) / dt: both within rounding
+    of two Horner passes, and no root more than 4 ulp, the solver's freeze
+    tolerance, from the roots found with the two passes."""
     rng = np.random.default_rng(10)
     U = rng.normal(size=(5000, 3)) + 1j * rng.normal(size=(5000, 3))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    fused = radial_roots(example2, U)
-    C = example2.rho.ray_coefficients(U).T
-    f, df = integrate._horner_with_derivative(C, fused)
-    f_ref, df_ref = horner_two_pass(C, fused)
-    np.testing.assert_array_equal(f, f_ref)
-    bound = horner_two_pass(np.abs(C), fused)[1]  # sum_d d |C_d| t^(d-1)
+    roots = radial_roots(example2, U)
+    C = example2.rho.ray_coefficients(U)
+    f, df = integrate._ray_values(C, C[:, 1:] * np.arange(1, C.shape[1]), roots)
+    f_ref, df_ref = horner_two_pass(C.T, roots)
+    # sum_d |C_d| t^d and sum_d d |C_d| t^(d-1)
+    scale, bound = horner_two_pass(np.abs(C.T), roots)
+    assert np.all(np.abs(f - f_ref) <= 1e-14 * scale)
     assert np.all(np.abs(df - df_ref) <= 1e-14 * bound)
-    monkeypatch.setattr(integrate, "_horner_with_derivative", horner_two_pass)
+    monkeypatch.setattr(integrate, "_ray_values", lambda C, D, t: horner_two_pass(C.T, t))
     two_pass = radial_roots(example2, U)
-    assert np.all(np.abs(fused - two_pass) <= np.spacing(two_pass))
+    assert np.all(np.abs(roots - two_pass) <= 4 * np.spacing(roots))
+
+
+@pytest.fixture(scope="module")
+def three_axes():
+    """|z1|^2/4 + |z2|^2/36 + |z3|^2/10^4 = 1: the axes meet X at t = 2, a
+    point of the bracketing grid, at t = 6 and at t = 100 > RAY_T_MAX."""
+    terms = {
+        ((1, 0, 0), (1, 0, 0)): Fraction(1, 4),
+        ((0, 1, 0), (0, 1, 0)): Fraction(1, 36),
+        ((0, 0, 1), (0, 0, 1)): Fraction(1, 10_000),
+        ((0, 0, 0), (0, 0, 0)): Fraction(-1),
+    }
+    return Manifold(3, (1, 1, 1), DefiningPolynomial(3, terms))
+
+
+def test_radial_roots_on_grid_points_are_exact(three_axes):
+    # rho is exactly 0 at the bracket's upper end, so Newton freezes there
+    U = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, 1j]])
+    assert np.all(radial_roots(Manifold.sphere(2), U) == 1.0)
+    radius2 = {
+        ((1, 0), (1, 0)): Fraction(1),
+        ((0, 1), (0, 1)): Fraction(1),
+        ((0, 0), (0, 0)): Fraction(-4),
+    }
+    assert np.all(radial_roots(Manifold(2, (1, 1), DefiningPolynomial(2, radius2)), U) == 2.0)
+    assert radial_roots(three_axes, np.eye(3)[:1])[0] == 2.0
+
+
+def test_mixed_bracket_batch_gives_single_ray_roots(three_axes):
+    U = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1], [0, 1, 0]],
+                 dtype=complex)
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    batch = radial_roots(three_axes, U)
+    # roots on the grid (t = 2) and in the last bracket (t = 6); (0, 0, 1) and
+    # (0, 1, 1) / sqrt(2) meet X at t = 100 and 8.47, past RAY_T_MAX
+    assert batch[0] == 2.0 and 4.0 < batch[1] <= integrate.RAY_T_MAX
+    assert abs(batch[1] - _mp_first_ray_root(three_axes, U[1])) <= 1e-14 * batch[1]
+    assert np.isnan(batch).tolist() == [False, False, True, False, True, False, False]
+    assert np.all(three_axes.rho.value(integrate.RAY_T_MAX * U[np.isnan(batch)]) < 0)
+    single = [radial_roots(three_axes, u[None, :])[0] for u in U]
+    np.testing.assert_array_equal(batch, single)
+
+
+def _non_dyadic():
+    """A (1, 2)-invariant rho with coefficients 1/3, 1/50, 7/10^4, 1/7 and 1/10,
+    none dyadic; the last meets factors of 3, and float(1/10) * 3 is not 3/10."""
+    term = lambda c, a, b: {"coeff": c, "z_exponents": a, "zbar_exponents": b}  # noqa: E731
+    return Manifold.from_spec({"n": 2, "weights": [1, 2], "rho": [
+        term("1/3", [1, 0], [1, 0]),
+        term("1/50", [0, 1], [0, 1]),
+        term("7/10000", [2, 0], [2, 0]),
+        term("1/7", [2, 0], [0, 1]),
+        term("1/7", [0, 1], [2, 0]),
+        term("1/10", [3, 0], [3, 0]),
+        term("-1", [0, 0], [0, 0]),
+    ]})
+
+
+@pytest.mark.parametrize("name", ["example2", "sphere3", "wsphere126", "non_dyadic"])
+def test_derivative_tables_equal_fraction_sums(name, request):
+    M = _non_dyadic() if name == "non_dyadic" else request.getfixturevalue(name)
+    rho, n = M.rho, M.n
+    for table, z_vars, zbar_vars in [
+        (rho._value, [None], [None]),
+        (rho._gradient, range(n), [None]),
+        (rho._hessian, range(n), range(n)),
+    ]:
+        for new, ref in zip(table, derivative_table_fractions(rho.terms, n, z_vars, zbar_vars)):
+            assert new.dtype == ref.dtype and new.shape == ref.shape
+            assert new.tobytes() == ref.tobytes()
+
+
+def test_hessian_table_is_built_by_the_first_levi_form():
+    M = Manifold.invariant_hypersurface_example()
+    M.strata_orders()
+    assert "_hessian" not in M.rho.__dict__
+    x = M.point([0.0, 0.0, 0.8260313576541872])
+    levi = M.levi_form(x)
+    assert "_hessian" in M.rho.__dict__
+    ref = Manifold.invariant_hypersurface_example()
+    ref.rho.__dict__["_hessian"] = derivative_table_fractions(ref.rho.terms, 3, range(3), range(3))
+    assert levi == ref.levi_form(x)
 
 
 def test_unbracketed_ray_gives_nan(flat_ellipsoid):
