@@ -346,7 +346,7 @@ def cmd_embed(args) -> int:
         M, m, extra_levels=extra, measure=args.measure, samples=args.samples, seed=args.seed
     )
     imm = embedding.immersion_report(Phi, samples=args.immersion_samples, seed=args.seed)
-    worst = min(range(len(imm.records)), key=lambda i: imm.records[i][3])
+    worst = imm.argmin_index
     sep = embedding.separation_report(
         Phi, pair_count=args.pairs, threshold=args.delta, seed=args.seed
     )

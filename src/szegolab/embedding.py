@@ -34,7 +34,8 @@ from .basis import (
 )
 from .geometry import ROW_BLOCK, Manifold
 from .integrate import (
-    _rng, random_surface_points, stratified_minimum, stratified_points, support_pattern_points,
+    _rng, pattern_job, regular_job, solve_rays, stratified_job, stratified_minimum,
+    stratified_points,
 )
 
 
@@ -167,10 +168,17 @@ FAILURE_FLOOR = 1e-9
 VIOLATION_FLOOR = 1e-9
 
 
+# samples whose smallest singular value is within this relative distance of
+# the minimum count as reaching it: on an orbit sigma_min is constant up to
+# rounding, so the exact argmin would move with the last bits of the points
+ARGMIN_RTOL = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class ImmersionReport:
     min_singular_value: float
-    argmin_point: np.ndarray  # (n,), the first sample reaching the minimum
+    argmin_index: int  # the first sample with sigma_min <= min * (1 + ARGMIN_RTOL)
+    argmin_point: np.ndarray  # (n,), that sample
     # per sample: (label, stratum order, near-stratum flag, sigma_min)
     records: tuple[tuple[str, int, bool, float], ...]
     failures: tuple[dict, ...]  # rank drops, with the point and its spectrum
@@ -182,6 +190,9 @@ def immersion_report(Phi: EmbeddingMap, samples: int = 100, seed: int = 0) -> Im
     Every sample's spectrum comes from one jacobian_singular_values call, and
     its stratum from one strata_of call, on the whole sample.  The failures
     are the samples whose smallest singular value is below FAILURE_FLOOR.
+    min_singular_value is the exact minimum, and argmin_index names the
+    first sample within ARGMIN_RTOL of it, so that ties on an orbit do not
+    move the named sample when the points move by rounding.
     """
     M = Phi.manifold
     Z, labels = stratified_points(M, samples, seed=seed)
@@ -199,8 +210,9 @@ def immersion_report(Phi: EmbeddingMap, samples: int = 100, seed: int = 0) -> Im
         }
         for i in np.flatnonzero(sigma < FAILURE_FLOOR).tolist()
     )
-    worst = int(np.argmin(sigma))
-    return ImmersionReport(float(sigma[worst]), Z[worst], records, failures)
+    floor = float(np.min(sigma))
+    worst = int(np.argmax(sigma <= floor * (1.0 + ARGMIN_RTOL)))
+    return ImmersionReport(floor, worst, Z[worst], records, failures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +239,11 @@ def separation_report(
 
     The point sets are drawn per call: same-orbit bases from
     stratified_points(seed + 1) rotated by angles drawn from seed, regular
-    cross points from seed + 2 against one support_pattern_points call seeded
-    seed + 3000 (seed + 3 when the action is free), and the near-stratum pool
-    from stratified_points(seed + 4).
+    cross points from seed + 2 against support_pattern_points seeded
+    seed + 3000 (regular points from seed + 3 when the action is free), and
+    the near-stratum pool from stratified_points(seed + 4).  The four sets
+    are solved in lockstep by one integrate.solve_rays call, which takes two
+    radial_roots calls when every ray meets X.
     """
     M = Phi.manifold
     rng = _rng(seed)
@@ -240,17 +254,21 @@ def separation_report(
     singular = M.strata.singular_patterns()
     minimum = stratified_minimum(M)
 
-    X_orbit = stratified_points(M, max(n_orbit, minimum), seed=seed + 1)[0][:n_orbit]
-    Y_orbit = M.act(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
-
-    X_cross = random_surface_points(M, n_cross, seed + 2)
     if singular:
         supports = [singular[i % len(singular)][0] for i in range(n_cross)]
-        Y_cross = support_pattern_points(M, supports, seed + 3000)
+        cross = pattern_job(M, supports, seed + 3000)
     else:
-        Y_cross = random_surface_points(M, n_cross, seed + 3)
-
-    near, labels = stratified_points(M, max(3 * n_near // 2, 3, minimum), seed=seed + 4)
+        cross = regular_job(M, n_cross, seed + 3)
+    (X_orbit, _), X_cross, Y_cross, (near, labels) = solve_rays(
+        M,
+        stratified_job(M, max(n_orbit, minimum), seed + 1),
+        regular_job(M, n_cross, seed + 2),
+        cross,
+        stratified_job(M, max(3 * n_near // 2, 3, minimum), seed + 4),
+    )
+    X_cross, Y_cross = M.points(X_cross), M.points(Y_cross)
+    X_orbit = X_orbit[:n_orbit]
+    Y_orbit = M.act(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
     pool = near[labels != "stratum"]
     i = np.arange(n_near)
     X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]

@@ -398,10 +398,11 @@ class Manifold:
         self.rho = rho
         rho.check_invariance(weights)
 
-    @property
+    @functools.cached_property
     def kind(self) -> str:
         """"sphere" when rho is |z|^2 - 1, else "hypersurface"; it selects the
-        exact sphere routes, so it is derived from rho and never given."""
+        exact sphere routes, so it is derived from rho and never given.
+        Computed on first use, then kept."""
         return "sphere" if self.rho.terms == _unit_sphere_terms(self.n) else "hypersurface"
 
     # -- construction -----------------------------------------------------

@@ -14,6 +14,15 @@ matrices built from these samples are real symmetric.  On torus-invariant
 hypersurfaces, integrands that depend only on (|z_1|^2, ..., |z_n|^2) are
 integrated deterministically instead: a Gauss-Legendre rule on the simplex
 of those moduli, pushed to X along the same rays with the same weights.
+
+Every root on a ray is found by a ray job: a generator that yields the unit
+directions it needs, is sent their roots (NaN where a ray meets no point of
+X) and returns its result.  solve_rays runs any number of jobs in lockstep
+with one radial_roots call per step, so the point sets of a certificate
+share their calls.  Each job draws from its own seeded stream, so its points
+are the ones it finds alone, up to the last bits that the batch size moves.
+Jobs return their points as solved; stratified_job and the public point
+generators check theirs on X (Manifold.points).
 """
 
 from __future__ import annotations
@@ -116,14 +125,6 @@ def radial_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _ray_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
-    """radial_roots, raising SamplingError if any ray has no root."""
-    t = radial_roots(M, U)
-    if np.any(np.isnan(t)):
-        raise SamplingError(f"ray root not bracketed in (0, {RAY_T_MAX}]")
-    return t
-
-
 def hypersurface_blocks(M: Manifold, count: int, seed: int = 0):
     """Radial-projection samples of {rho = 0}, streamed ROW_BLOCK directions at a time.
 
@@ -155,17 +156,19 @@ def _projected_blocks(M: Manifold, count: int, seed: int):
     rng = _rng(seed)
     w = sphere_area(M.n) / count
     for start in range(0, count, ROW_BLOCK):
-        yield _coarea_rule(M, _uniform_directions(M.n, min(ROW_BLOCK, count - start), rng), w)
+        U = _uniform_directions(M.n, min(ROW_BLOCK, count - start), rng)
+        yield solve_rays(M, _coarea_rule(M, U, w))[0]
 
 
-def _coarea_rule(M: Manifold, U: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A rule on X from a rule on the unit sphere: directions U (N, n) with weights w.
+def _coarea_rule(M: Manifold, U: np.ndarray, w):
+    """Ray job: a rule on X from a rule on the unit sphere, directions U (N, n)
+    with weights w.
 
     Each direction is projected to X along its ray, and its weight is
     multiplied by the angular co-area Jacobian t^{2n} |grad rho| / (x . grad rho).
     Returns the points, their weights and the gradient (d rho / d z_j) there.
     """
-    t = _ray_roots(M, U)
+    t = yield from _roots(U)
     X = U * t[:, None]
     rho_z = M.rho.z_gradient(X)
     grad_norm = 2.0 * np.linalg.norm(rho_z, axis=1)
@@ -250,7 +253,7 @@ def torus_quadrature(M: Manifold, degree: int) -> SampleSet:
     U = np.sqrt(sigma).astype(complex)
     if M.kind == "sphere":
         return SampleSet(U, weights, 0, "simplex-gauss")
-    X, weights, _ = _coarea_rule(M, U, weights)
+    [(X, weights, _)] = solve_rays(M, _coarea_rule(M, U, weights))
     return SampleSet(X, weights, 0, "simplex-gauss")
 
 
@@ -272,7 +275,7 @@ def compliant_density(M: Manifold, Z: np.ndarray) -> np.ndarray:
     return compliant_density_from_gradient(M, Z, M.rho.z_gradient(Z))
 
 
-# -- structured point generators ------------------------------------------
+# -- ray jobs and structured point generators ------------------------------
 
 # Rounds of redraws before a structured point generator gives up; a guard, not
 # a tuning knob: certified support patterns and balls around points of X are
@@ -280,31 +283,76 @@ def compliant_density(M: Manifold, Z: np.ndarray) -> np.ndarray:
 _MAX_ROUNDS = 200
 
 
-def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:
-    """Map ambient points, one (n,) or a batch (N, n), to X along rays from the origin."""
-    Z = np.asarray(Z, dtype=complex)
-    U = Z / np.linalg.norm(Z, axis=-1, keepdims=True)
-    if M.kind == "sphere":
-        return U
-    return U * _ray_roots(M, U.reshape(-1, M.n)).reshape(U.shape[:-1] + (1,))
+def _together(*jobs):
+    """The ray job of jobs run in lockstep: each step yields the requests of
+    every live job as one array, and it returns the list of their results.
+    Jobs may finish at different steps."""
+    results = [None] * len(jobs)
+    requests = {}  # index of each live job -> the directions it asked for
+
+    def advance(i, t):
+        try:
+            requests[i] = jobs[i].send(t)
+        except StopIteration as stop:
+            requests.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(jobs)):
+        advance(i, None)
+    while requests:
+        live = list(requests)
+        t = yield np.concatenate([requests[i] for i in live])
+        ends = np.cumsum([len(requests[i]) for i in live])[:-1]
+        for i, roots in zip(live, np.split(t, ends)):
+            advance(i, roots)
+    return results
 
 
-def random_surface_points(M: Manifold, count: int, seed: int = 0) -> np.ndarray:
-    """The (count, n) points of surface_samples(M, count, seed), validated on X."""
-    return M.points(surface_samples(M, count, seed).points)
+def solve_rays(M: Manifold, *jobs) -> list:
+    """The results of ray jobs run in lockstep on M, with one radial_roots call
+    per step; on the unit sphere every root is 1 and no call is made."""
+    job = _together(*jobs)
+    try:
+        U = next(job)
+        while True:
+            U = job.send(np.ones(len(U)) if M.kind == "sphere" else radial_roots(M, U))
+    except StopIteration as stop:
+        return stop.value
 
 
-def support_pattern_points(
-    M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0
-) -> np.ndarray:
-    """Points of X (len(supports), n), row i nonzero exactly on supports[i].
+def _roots(U: np.ndarray):
+    """Ray job: the roots on the rays U (N, n); SamplingError where one has none."""
+    t = yield U
+    if np.any(np.isnan(t)):
+        raise SamplingError(f"ray root not bracketed in (0, {RAY_T_MAX}]")
+    return t
 
-    The whole call draws from one generator seeded by seed.  In each round
-    every pending point draws a direction with zeros off its support;
+
+def projection_job(Z: np.ndarray):
+    """Ray job: the ambient points Z (N, n) mapped to X along rays from the origin."""
+    U = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+    t = yield from _roots(U)
+    return U * t[:, None]
+
+
+def regular_job(M: Manifold, count: int, seed: int = 0):
+    """Ray job: the (count, n) points of sample_hypersurface(M, count, seed),
+    in one step."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    X, _, _ = yield from _coarea_rule(M, _uniform_directions(M.n, count, _rng(seed)), 1.0)
+    return X
+
+
+def pattern_job(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0):
+    """Ray job: points of X (len(supports), n), row i nonzero exactly on supports[i].
+
+    It draws from one generator seeded by seed, one round per step.  In each
+    round every pending point draws a direction with zeros off its support;
     directions with a support coordinate below 1e-3 in modulus are redrawn,
-    and the rest go through one radial_roots call.  Rays without a root are
-    redrawn in the next round.  A point still pending after _MAX_ROUNDS
-    rounds raises SamplingError naming its pattern.
+    and the rest are yielded.  Rays without a root are redrawn in the next
+    round.  A point still pending after _MAX_ROUNDS rounds raises
+    SamplingError naming its pattern.
     """
     rng = _rng(seed)
     on = np.zeros((len(supports), M.n), dtype=bool)
@@ -317,13 +365,75 @@ def support_pattern_points(
         U = np.where(on[pending], g[..., 0] + 1j * g[..., 1], 0.0)
         drawn = np.flatnonzero(np.all((np.abs(U) >= 1e-3) | ~on[pending], axis=1))
         U = U[drawn] / np.linalg.norm(U[drawn], axis=1, keepdims=True)
-        t = np.ones(drawn.size) if M.kind == "sphere" else radial_roots(M, U)
+        t = yield U
         hit = np.isfinite(t)
         X[pending[drawn[hit]]] = U[hit] * t[hit, None]
         pending = np.delete(pending, drawn[hit])
         if pending.size == 0:
-            return M.points(X)
+            return X
     raise SamplingError(f"could not realize support pattern {tuple(supports[pending[0]])}")
+
+
+def stratified_job(M: Manifold, count: int, seed: int = 0):
+    """Ray job: stratified_points(M, count, seed), in two steps when every ray
+    meets X: its three point sets together, then the near points' projection."""
+    minimum = stratified_minimum(M)
+    if count < minimum:
+        raise ValueError(f"count must be >= {minimum}, got {count}")
+    singular = M.strata.singular_patterns()
+    if not singular:
+        Z = yield from regular_job(M, count, seed)
+        return M.points(Z), np.full(count, "regular")
+    n_singular = max(len(singular), int(round(0.4 * count)))
+    n_near = max(1, count - max(1, int(round(0.4 * count))) - n_singular)
+    n_regular = count - n_singular - n_near
+    on_stratum = [singular[i % len(singular)][0] for i in range(n_singular)]
+    near = [singular[i % len(singular)][0] for i in range(n_near)]
+    regular, stratum, base = yield from _together(
+        regular_job(M, n_regular, seed),
+        pattern_job(M, on_stratum, seed + 1000),
+        pattern_job(M, near, seed + 5000),
+    )
+    rng = _rng(seed)
+    g = rng.normal(size=(n_near, M.n, 2))
+    # a singular pattern never covers every coordinate; perturbing only the
+    # off-support ones keeps the distance to the stratum locus controlled by
+    # the perturbation size
+    off = np.ones((n_near, M.n), dtype=bool)
+    for i, support in enumerate(near):
+        off[i, list(support)] = False
+    delta = np.where(off, g[..., 0] + 1j * g[..., 1], 0.0)
+    size = (0.2 + 0.8 * rng.random(n_near)) * NEAR_DISTANCE * 0.9
+    delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
+    near_points = yield from projection_job(base + delta)
+    Z = np.concatenate([regular, stratum, near_points])
+    labels = np.repeat(["regular", "stratum", "near-stratum"], [n_regular, n_singular, n_near])
+    return M.points(Z), labels
+
+
+def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:
+    """Map ambient points, one (n,) or a batch (N, n), to X along rays from the
+    origin: projection_job solved alone.  A ray that meets no point of X
+    raises SamplingError."""
+    Z = np.asarray(Z, dtype=complex)
+    [X] = solve_rays(M, projection_job(Z.reshape(-1, M.n)))
+    return X.reshape(Z.shape)
+
+
+def random_surface_points(M: Manifold, count: int, seed: int = 0) -> np.ndarray:
+    """The (count, n) points of surface_samples(M, count, seed), validated on
+    X: regular_job solved alone."""
+    [X] = solve_rays(M, regular_job(M, count, seed))
+    return M.points(X)
+
+
+def support_pattern_points(
+    M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0
+) -> np.ndarray:
+    """Points of X (len(supports), n), row i nonzero exactly on supports[i],
+    validated on X: pattern_job solved alone, one radial_roots call a round."""
+    [X] = solve_rays(M, pattern_job(M, supports, seed))
+    return M.points(X)
 
 
 def ball_points(
@@ -381,40 +491,15 @@ def stratified_points(M: Manifold, count: int, seed: int = 0) -> tuple[np.ndarra
     point; where that and the 40% shares exceed count, the regular share
     gives way.  A count below stratified_minimum(M) raises ValueError.  On
     manifolds with a free action every point is regular.  The singular
-    patterns of M.strata are used in turn.  Regular points come from
-    random_surface_points(seed); the on-stratum points from one
-    support_pattern_points call seeded seed + 1000; the near-stratum points
-    perturb the off-support coordinates of the points of a second call,
-    seeded seed + 5000, by a step of length between 0.18 and 0.9 times
-    NEAR_DISTANCE drawn from seed, and project the results back to X
-    together.  Each of those calls redraws a ray at most a fixed number of
-    rounds before raising SamplingError.
+    patterns of M.strata are used in turn.  Regular points are those of
+    random_surface_points(seed); the on-stratum points those of
+    support_pattern_points seeded seed + 1000; the near-stratum points
+    perturb the off-support coordinates of the points of a second pattern
+    set, seeded seed + 5000, by a step of length between 0.18 and 0.9 times
+    NEAR_DISTANCE drawn from seed, and project the results back to X.  The
+    three sets are solved in lockstep (stratified_job), so the whole call
+    takes two radial_roots calls when every ray meets X; a pattern redraws a
+    ray at most _MAX_ROUNDS rounds before raising SamplingError.
     """
-    minimum = stratified_minimum(M)
-    if count < minimum:
-        raise ValueError(f"count must be >= {minimum}, got {count}")
-    singular = M.strata.singular_patterns()
-    if not singular:
-        return random_surface_points(M, count, seed), np.full(count, "regular")
-    n_singular = max(len(singular), int(round(0.4 * count)))
-    n_near = max(1, count - max(1, int(round(0.4 * count))) - n_singular)
-    n_regular = count - n_singular - n_near
-    regular = random_surface_points(M, n_regular, seed)
-    on_stratum = [singular[i % len(singular)][0] for i in range(n_singular)]
-    stratum = support_pattern_points(M, on_stratum, seed + 1000)
-    near = [singular[i % len(singular)][0] for i in range(n_near)]
-    base = support_pattern_points(M, near, seed + 5000)
-    rng = _rng(seed)
-    g = rng.normal(size=(n_near, M.n, 2))
-    # a singular pattern never covers every coordinate; perturbing only the
-    # off-support ones keeps the distance to the stratum locus controlled by
-    # the perturbation size
-    off = np.ones((n_near, M.n), dtype=bool)
-    for i, support in enumerate(near):
-        off[i, list(support)] = False
-    delta = np.where(off, g[..., 0] + 1j * g[..., 1], 0.0)
-    size = (0.2 + 0.8 * rng.random(n_near)) * NEAR_DISTANCE * 0.9
-    delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
-    Z = np.concatenate([regular, stratum, M.points(project_radially(M, base + delta))])
-    labels = np.repeat(["regular", "stratum", "near-stratum"], [n_regular, n_singular, n_near])
+    [(Z, labels)] = solve_rays(M, stratified_job(M, count, seed))
     return Z, labels

@@ -6,6 +6,7 @@ import pytest
 from test_readme import readme_commands
 
 from szegolab.cli import main
+from szegolab.embedding import ARGMIN_RTOL
 
 
 def run_cli(capsys, *argv):
@@ -213,10 +214,13 @@ def test_embed_certificate(capsys, tmp_path):
     assert (out_dir / "embed.json").exists()
     csv = (out_dir / "embed.csv").read_text()
     assert csv.startswith("sample,label,")
-    # the floor's detail names the sample reaching it, as its CSV row does
+    # the floor is the least sigma of the CSV rows, and its detail names the
+    # first row within ARGMIN_RTOL of it
     rows = [line.split(",") for line in csv.splitlines()[1:]]
-    sample, label, order, _, sigma = min(rows, key=lambda row: float(row[4]))
-    assert float(sigma) == r["immersion_floor"]
+    assert min(float(row[4]) for row in rows) == r["immersion_floor"]
+    sample, label, order, _, _ = next(
+        row for row in rows if float(row[4]) <= r["immersion_floor"] * (1 + ARGMIN_RTOL)
+    )
     (floor,) = [c for c in report["contracts"] if c["name"] == "immersion-floor"]
     assert floor["detail"] == (
         f"min singular value {r['immersion_floor']:.3e} at sample {sample} "
@@ -342,6 +346,31 @@ def test_embed_certifies_strata_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["results"]["violations"] == []
     assert len(calls) == 1
+
+
+def test_embed_makes_four_root_calls_once_strata_are_certified(capsys, monkeypatch):
+    # the immersion certificate's points take two radial_roots calls and the
+    # separation certificate's four point sets two more, at any count
+    import szegolab.integrate as integrate
+    from szegolab.geometry import Manifold
+
+    M = Manifold.invariant_hypersurface_example()
+    M.strata
+    monkeypatch.setattr(Manifold, "invariant_hypersurface_example", classmethod(lambda cls: M))
+    calls = []
+    radial_roots = integrate.radial_roots
+
+    def counting(M, U):
+        calls.append(len(U))
+        return radial_roots(M, U)
+
+    monkeypatch.setattr(integrate, "radial_roots", counting)
+    code, _, _ = run_cli(
+        capsys, "embed", "--preset", "example2", "--m", "4", "--m0", "3", "--pairs", "60",
+        "--immersion-samples", "30",
+    )
+    assert code == 0
+    assert len(calls) == 4, calls
 
 
 def test_embed_report_does_not_depend_on_samples(capsys):

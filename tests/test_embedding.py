@@ -12,9 +12,10 @@ from oracles import (
     stratum_info,
 )
 
-from szegolab import basis, geometry, integrate
+from szegolab import basis, embedding, geometry, integrate
 from szegolab.basis import dimension, eval_basis_batch, eval_basis_jacobian, monomial_jacobian
 from szegolab.embedding import (
+    ARGMIN_RTOL,
     build_embedding,
     check_equivariance,
     embedding_from_levels,
@@ -330,9 +331,37 @@ class TestBatchedJacobian:
         rep = immersion_report(example2_phi, 30)
         assert rep.records == tuple(expected)
         assert {label for label, *_ in rep.records} == {"regular", "stratum", "near-stratum"}
-        assert np.array_equal(rep.argmin_point, Z[int(np.argmin(sigma))])
         assert rep.min_singular_value == float(np.min(sigma))
+        first = int(np.flatnonzero(sigma <= np.min(sigma) * (1 + ARGMIN_RTOL))[0])
+        assert rep.argmin_index == first
+        assert np.array_equal(rep.argmin_point, Z[first])
 
+
+    def test_named_sample_does_not_move_with_the_last_bits(self, example2_phi, monkeypatch):
+        # sigma_min is constant on an orbit, and the order-6 stratum of
+        # example2 (the z_3 axis) is one orbit: its samples tie to rounding
+        rep = immersion_report(example2_phi, samples=30, seed=0)
+        sigma = np.array([record[3] for record in rep.records])
+        tied = np.flatnonzero(sigma <= rep.min_singular_value * (1 + ARGMIN_RTOL))
+        assert len(tied) >= 4 and rep.argmin_index == tied[0]
+        spectra = embedding.jacobian_singular_values
+        exact_argmins = set()
+        for seed in range(8):
+            ulps = np.random.default_rng(seed).integers(-4, 5, size=len(tied))
+
+            def perturbed(Phi, Z):
+                S = spectra(Phi, Z)
+                S[tied, -1] *= 1 + ulps * np.finfo(float).eps
+                exact_argmins.add(int(np.argmin(S[:, -1])))
+                return S
+
+            monkeypatch.setattr(embedding, "jacobian_singular_values", perturbed)
+            moved = immersion_report(example2_phi, samples=30, seed=0)
+            assert moved.min_singular_value == min(record[3] for record in moved.records)
+            assert moved.argmin_index == rep.argmin_index
+            assert np.array_equal(moved.argmin_point, rep.argmin_point)
+        # the exact argmin moves with the last bits; the named sample does not
+        assert len(exact_argmins) > 1, exact_argmins
 
     def test_m3_map_is_no_immersion_on_z3_axis(self, example2, example2_phi):
         # at m = 3 no block level is = 1 mod 6, so on the order-6 stratum (the

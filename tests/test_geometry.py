@@ -89,6 +89,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="kind 'sphere'"):
             Manifold.from_spec({**spec, "kind": "sphere"})
 
+    def test_kind_is_computed_once(self, monkeypatch):
+        import szegolab.geometry as geometry
+
+        built = [
+            (Manifold.sphere(2), "sphere"),
+            (Manifold.invariant_hypersurface_example(), "hypersurface"),
+            (Manifold.from_spec(Manifold.sphere(3).to_spec()), "sphere"),
+        ]
+        calls = []
+        unit_sphere_terms = geometry._unit_sphere_terms
+        monkeypatch.setattr(
+            geometry, "_unit_sphere_terms", lambda n: calls.append(n) or unit_sphere_terms(n)
+        )
+        for M, kind in built:
+            assert [M.kind for _ in range(10)] == [kind] * 10
+        # from_spec read its kind while checking the spec: only the first two
+        # compare rho with the unit sphere's terms here, once each
+        assert calls == [2, 3]
+
     def test_point_rejects_off_surface(self, sphere2):
         with pytest.raises(NotOnSurfaceError):
             sphere2.point([1.0, 1.0])

@@ -17,7 +17,12 @@ from szegolab.integrate import (
     hypersurface_blocks,
     sample_hypersurface,
     sample_sphere,
+    pattern_job,
+    projection_job,
+    regular_job,
+    solve_rays,
     sphere_area,
+    stratified_job,
     stratified_minimum,
     stratified_points,
     support_pattern_points,
@@ -231,6 +236,127 @@ def test_support_pattern_points_name_an_unrealizable_pattern():
     M = Manifold(2, (1, 2), DefiningPolynomial(2, terms))
     with pytest.raises(SamplingError, match=r"support pattern \(1,\)"):
         support_pattern_points(M, [(0,), (1,)], seed=0)
+
+
+@pytest.fixture
+def two_radii():
+    """|z1|^2 / 4 + |z2|^2 = 1: the z1 axis meets X at t = 2, the z2 axis at t = 1."""
+    from fractions import Fraction
+
+    from szegolab.geometry import DefiningPolynomial, Manifold
+
+    terms = {
+        ((1, 0), (1, 0)): Fraction(1, 4),
+        ((0, 1), (0, 1)): Fraction(1),
+        ((0, 0), (0, 0)): Fraction(-1),
+    }
+    return Manifold(2, (1, 1), DefiningPolynomial(2, terms))
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """The ray count of every radial_roots call, in order."""
+    calls = []
+    real = integrate.radial_roots
+
+    def counting(M, U):
+        calls.append(len(U))
+        return real(M, U)
+
+    monkeypatch.setattr(integrate, "radial_roots", counting)
+    return calls
+
+
+def _axis_job(axis, sizes):
+    """Fake ray job: sizes[k] rays along one coordinate axis of C^2 at step k;
+    returns the roots it was sent."""
+    sent = []
+    for k in sizes:
+        U = np.zeros((k, 2), dtype=complex)
+        U[:, axis] = 1.0
+        sent.append((yield U))
+    return sent
+
+
+def test_lockstep_jobs_share_one_root_call_per_step(two_radii, root_calls):
+    a, b, c = solve_rays(two_radii, _axis_job(0, [2, 0, 3]), _axis_job(1, [1, 4]), _axis_job(1, []))
+    # a job may ask for no rays in a step, and jobs end at different steps
+    assert root_calls == [3, 4, 3]
+    assert [t.tolist() for t in a] == [[2.0, 2.0], [], [2.0, 2.0, 2.0]]
+    assert [t.tolist() for t in b] == [[1.0], [1.0] * 4]
+    assert c == []
+    root_calls.clear()
+    [(t,)] = solve_rays(two_radii, _axis_job(0, [0]))
+    assert root_calls == [0] and t.shape == (0,)
+
+
+def test_lockstep_error_names_its_pattern(flat_ellipsoid, root_calls):
+    # the z2 axis meets X beyond RAY_T_MAX: the pattern job raises after its
+    # last round, when the axis job beside it has long finished
+    with pytest.raises(SamplingError, match=r"support pattern \(1,\)"):
+        solve_rays(flat_ellipsoid, _axis_job(0, [2, 1]), pattern_job(flat_ellipsoid, [(0,), (1,)], 0))
+    assert len(root_calls) == integrate._MAX_ROUNDS
+    assert root_calls[:2] == [4, 2]
+
+
+def test_a_ray_meeting_x_tangentially_raises():
+    # rho = -(|z|^2 - 1)^2 touches 0 on the unit sphere without changing sign:
+    # the axis rays find the root t = 1 exactly, where x . grad rho = 0
+    from fractions import Fraction
+
+    from szegolab.geometry import DefiningPolynomial, Manifold
+
+    terms = {
+        ((2, 0), (2, 0)): Fraction(-1),
+        ((1, 1), (1, 1)): Fraction(-2),
+        ((0, 2), (0, 2)): Fraction(-1),
+        ((1, 0), (1, 0)): Fraction(2),
+        ((0, 1), (0, 1)): Fraction(2),
+        ((0, 0), (0, 0)): Fraction(-1),
+    }
+    M = Manifold(2, (1, 1), DefiningPolynomial(2, terms))
+    with pytest.raises(SamplingError, match="non-transversally"):
+        solve_rays(M, integrate._coarea_rule(M, np.eye(2, dtype=complex), 1.0))
+
+
+def test_jobs_together_equal_jobs_alone(example2):
+    # each job draws from its own stream; only the batch a ray is solved in
+    # differs, whose rounding can move a root by the last bits
+    example2.strata
+    rng = np.random.default_rng(4)
+    Z = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    supports = [(2,), (1, 2), (1,), (0, 1, 2)] * 3
+
+    def jobs(seed):
+        return [
+            regular_job(example2, 25, seed),
+            pattern_job(example2, supports, seed + 1000),
+            stratified_job(example2, 30, seed),
+            projection_job(Z),
+        ]
+
+    for seed in range(4):
+        together = solve_rays(example2, *jobs(seed))
+        alone = [solve_rays(example2, job)[0] for job in jobs(seed)]
+        for mixed, solo in zip(together, alone):
+            if isinstance(solo, tuple):  # stratified_job: (points, labels)
+                assert np.array_equal(mixed[1], solo[1])
+                mixed, solo = mixed[0], solo[0]
+            np.testing.assert_allclose(mixed, solo, rtol=1e-15, atol=0)
+            if seed == 0:
+                assert np.array_equal(mixed, solo)
+
+
+def test_public_wrappers_are_their_jobs_alone(example2):
+    supports = [(2,), (1, 2)] * 3
+    [X] = solve_rays(example2, regular_job(example2, 12, 3))
+    assert np.array_equal(integrate.random_surface_points(example2, 12, 3), X)
+    assert np.array_equal(sample_hypersurface(example2, 12, 3).points, X)
+    [X] = solve_rays(example2, pattern_job(example2, supports, 5))
+    assert np.array_equal(support_pattern_points(example2, supports, 5), X)
+    [(X, labels)] = solve_rays(example2, stratified_job(example2, 20, 1))
+    Z, labels2 = stratified_points(example2, 20, 1)
+    assert np.array_equal(Z, X) and np.array_equal(labels, labels2)
 
 
 @pytest.mark.parametrize("align_orbit", [False, True])
