@@ -26,7 +26,7 @@ from .embedding import (
     immersion_report,
     separation_report,
 )
-from .fourier import OrbitQuadrature, check_T_eigen, circle_average, default_quadrature
+from .fourier import check_T_eigen, circle_average, default_quadrature
 from .geometry import LeviData, Manifold, WeightVector
 from .integrate import SampleSet, sample_hypersurface, sample_sphere
 from .kernel import (

@@ -242,7 +242,6 @@ class GramEstimate:
     stderr: np.ndarray | None  # None for exact measures
     measure: str
     smallest_eigenvalue: float
-    largest_eigenvalue: float
 
 
 def gram_matrices(
@@ -338,7 +337,7 @@ def gram_matrices(
         spectrum = np.linalg.eigvalsh(Gm) if len(A) else np.zeros(1)
         if len(A) and spectrum[0] <= 0:
             raise _not_positive_definite(level, len(A), float(spectrum[0]))
-        out[level] = GramEstimate(Gm, stderr, measure, float(spectrum[0]), float(spectrum[-1]))
+        out[level] = GramEstimate(Gm, stderr, measure, float(spectrum[0]))
     return out
 
 
@@ -369,11 +368,11 @@ def _not_positive_definite(level: int, d: int, smallest: float) -> GramNotPositi
 def _diagonal_estimate(level: int, diag: np.ndarray, measure: str) -> GramEstimate:
     """GramEstimate of an exactly diagonal Gram matrix (no standard errors)."""
     if len(diag) == 0:
-        return GramEstimate(DiagonalMatrix(diag), None, measure, 0.0, 0.0)
+        return GramEstimate(DiagonalMatrix(diag), None, measure, 0.0)
     smallest = float(diag.min())
     if smallest <= 0:
         raise _not_positive_definite(level, len(diag), smallest)
-    return GramEstimate(DiagonalMatrix(diag), None, measure, smallest, float(diag.max()))
+    return GramEstimate(DiagonalMatrix(diag), None, measure, smallest)
 
 
 def gram_matrix(

@@ -41,7 +41,10 @@ def _parse_range(text: str) -> list[int]:
             raise ConfigError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     if "," in text:
-        return [int(t) for t in text.split(",") if t.strip()]
+        levels = [int(t) for t in text.split(",") if t.strip()]
+        if not levels:
+            raise ConfigError(f"no levels in {text!r}")
+        return levels
     return [int(text)]
 
 
@@ -320,11 +323,11 @@ def cmd_project(args) -> int:
 
     ms = _parse_range(args.m)
     max_orbit_degree = int(np.max(np.abs((A - B) @ M.weights.array), initial=0))
-    Q = fourier.default_quadrature(max(max(ms), max_orbit_degree))
-    values = fourier.circle_average(M, u, x, ms, Q).tolist()
+    nodes = fourier.default_quadrature(max(max(ms), max_orbit_degree))
+    values = fourier.circle_average(M, u, x, ms, nodes).tolist()
     rows = [(m, repr(v.real), repr(v.imag)) for m, v in zip(ms, values)]
     return emit_report(args, M, "project",
-                       {"node_count": Q.node_count, "levels": ms}, [],
+                       {"node_count": nodes, "levels": ms}, [],
                        csv_rows=rows, csv_header=("m", "re", "im"), primary="csv")
 
 
@@ -409,14 +412,9 @@ def _sampled(p, samples_default=200_000):
                    choices=["auto", "round-exact", "compliant-quadrature"])
 
 
-def _dims_options(p):
+def _levels_options(p):
     _common(p)
     p.add_argument("--m", required=True, help="level or range a..b")
-
-
-def _norms_options(p):
-    _common(p)
-    p.add_argument("--m", required=True)
 
 
 def _kernel_options(p):
@@ -470,8 +468,8 @@ def _embed_options(p):
 
 # name -> (help text, options, command), in the order help lists them
 COMMANDS = {
-    "dims": ("component dimensions d_m as CSV", _dims_options, cmd_dims),
-    "norms": ("exact sphere monomial norm table", _norms_options, cmd_norms),
+    "dims": ("component dimensions d_m as CSV", _levels_options, cmd_dims),
+    "norms": ("exact sphere monomial norm table", _levels_options, cmd_norms),
     "kernel": ("kernel values S_m(x, y)", _kernel_options, cmd_kernel),
     "fit": ("diagonal growth fit against the Levi prediction", _fit_options, cmd_fit),
     "vanish": ("exact vanishing certificate at a stabilized point", _vanish_options, cmd_vanish),

@@ -51,7 +51,6 @@ class EmbeddingMap:
     manifold: Manifold
     blocks: tuple[tuple[int, FourierBasis], ...]
     coordinate_weights: np.ndarray  # (N,) int, the level of each coordinate
-    base_level: int
     exponents: np.ndarray  # (N, n) int
     derivatives: tuple[np.ndarray, ...]
     warnings: tuple[str, ...] = ()
@@ -73,7 +72,6 @@ class EmbeddingMap:
 def embedding_from_levels(
     M: Manifold,
     levels,
-    base_level: int = 0,
     measure: str = "auto",
     samples: int = 50_000,
     seed: int = 0,
@@ -92,9 +90,7 @@ def embedding_from_levels(
     warnings = tuple(
         f"level {level} has no representation (empty block)" for level, B in blocks if B.d == 0
     )
-    return EmbeddingMap(
-        M, blocks, weights, base_level, exponents, derivative_table(exponents), warnings
-    )
+    return EmbeddingMap(M, blocks, weights, exponents, derivative_table(exponents), warnings)
 
 
 def build_embedding(
@@ -118,7 +114,7 @@ def build_embedding(
         levels.add(k * m)
         if include_paired_levels:
             levels.add(k * (m + 1))
-    return embedding_from_levels(M, levels, base_level=m, measure=measure, samples=samples, seed=seed)
+    return embedding_from_levels(M, levels, measure=measure, samples=samples, seed=seed)
 
 
 def evaluate_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:

@@ -7,40 +7,20 @@ so with enough nodes the projector is exact on trigonometric polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import FourierBasis, eval_basis, eval_basis_jacobian
 from .geometry import Manifold
 
 
-@dataclass(frozen=True)
-class OrbitQuadrature:
-    """Equispaced circle nodes theta_s = 2 pi s / M."""
-
-    node_count: int
-
-    def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.node_count) / self.node_count
-
-    @property
-    def exactness_degree(self) -> int:
-        return self.node_count - 1
+def default_quadrature(max_level: int) -> int:
+    """Node count of the orbit rule, exact for every trigonometric degree the suite touches."""
+    return 2 * max_level + 8
 
 
-def default_quadrature(max_level: int) -> OrbitQuadrature:
-    # exact for every trigonometric degree the suite touches
-    return OrbitQuadrature(2 * max_level + 8)
-
-
-def circle_average(M: Manifold, u, x: np.ndarray, m, Q: OrbitQuadrature):
-    """Orbit Fourier coefficient (1/M) sum_s u(e^{i theta_s}.x) e^{-i m theta_s}.
+def circle_average(M: Manifold, u, x: np.ndarray, m, nodes: int):
+    """Orbit Fourier coefficient (1/M) sum_s u(e^{i theta_s}.x) e^{-i m theta_s}
+    by the trapezoid rule on M = nodes equispaced angles theta_s = 2 pi s / M.
 
     u maps an (M, n) coordinate array to an (M,) array.  For u of pure orbit
     degree p this returns u(x) when p = m and 0 otherwise, exactly, provided
@@ -48,7 +28,9 @@ def circle_average(M: Manifold, u, x: np.ndarray, m, Q: OrbitQuadrature):
     sequence of levels, giving an array of their coefficients from one
     evaluation of u on the orbit and one (levels, nodes) phase product.
     """
-    thetas = Q.nodes
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
+    thetas = 2.0 * np.pi * np.arange(nodes) / nodes
     vals = np.asarray(u(M.act(thetas, x)))
     levels = np.asarray(m)
     coeffs = np.mean(vals * np.exp(-1j * np.multiply.outer(levels, thetas)), axis=-1)

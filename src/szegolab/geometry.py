@@ -469,24 +469,23 @@ class Manifold:
         z = np.asarray(coordinates, dtype=complex)
         if z.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates, got shape {z.shape}")
-        self._residuals(z[None, :])
+        self._require_on_surface(z[None, :])
         return z
 
     def points(self, Z: np.ndarray) -> np.ndarray:
         """Z (N, n) as a complex array, after one rho pass has checked every row lies on X."""
         Z = np.asarray(Z, dtype=complex)
-        self._residuals(Z)
+        self._require_on_surface(Z)
         return Z
 
-    def _residuals(self, Z: np.ndarray) -> np.ndarray:
-        """|rho| at the rows of Z; NotOnSurfaceError names the first row off X."""
+    def _require_on_surface(self, Z: np.ndarray) -> None:
+        """NotOnSurfaceError naming |rho| at the first row of Z off X, if any."""
         residuals = np.abs(self.rho.value(Z))
         off = np.flatnonzero(residuals > self.surface_tolerance)
         if off.size:
             raise NotOnSurfaceError(
                 f"|rho(x)| = {residuals[off[0]]:.3e} exceeds tolerance {self.surface_tolerance:.1e}"
             )
-        return residuals
 
     def act(self, theta, Z: np.ndarray) -> np.ndarray:
         """e^{i theta} . Z for a point (n,) or rows (P, n); theta may be scalar

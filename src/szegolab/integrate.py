@@ -54,8 +54,6 @@ class SampleSet:
 
     points: np.ndarray  # (N, n) complex
     weights: np.ndarray  # (N,) positive
-    seed: int
-    method: str
 
     @property
     def count(self) -> int:
@@ -80,7 +78,7 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SampleSet:
         raise ValueError("count must be >= 1")
     u = _uniform_directions(n, count, _rng(seed))
     w = np.full(count, sphere_area(n) / count)
-    return SampleSet(u, w, seed, "sphere-uniform")
+    return SampleSet(u, w)
 
 
 # rays still inside X at this distance from the origin get no root
@@ -146,7 +144,7 @@ def sample_hypersurface(M: Manifold, count: int, seed: int = 0) -> SampleSet:
     On a sphere the weights reduce to the equal sphere-uniform weights.
     """
     X, w, _ = zip(*_projected_blocks(M, count, seed))
-    return SampleSet(np.concatenate(X), np.concatenate(w), seed, "implicit-projection")
+    return SampleSet(np.concatenate(X), np.concatenate(w))
 
 
 def _projected_blocks(M: Manifold, count: int, seed: int):
@@ -232,7 +230,7 @@ def torus_quadrature(M: Manifold, degree: int) -> SampleSet:
     (density and co-area weight).  The directions are sqrt(sigma), projected to
     X with the co-area weights of sample_hypersurface; on a sphere they lie on
     X already and keep the simplex weights.  The weights sum to the area of
-    the unit sphere, as a sample set's do.  Nothing is drawn: seed is 0.
+    the unit sphere, as a sample set's do.  Nothing is drawn.
     """
     if not torus_invariant(M):
         raise ValueError("torus_quadrature needs a torus-invariant rho")
@@ -252,9 +250,9 @@ def torus_quadrature(M: Manifold, degree: int) -> SampleSet:
     weights *= sphere_area(n) * math.factorial(n - 1)
     U = np.sqrt(sigma).astype(complex)
     if M.kind == "sphere":
-        return SampleSet(U, weights, 0, "simplex-gauss")
+        return SampleSet(U, weights)
     [(X, weights, _)] = solve_rays(M, _coarea_rule(M, U, weights))
-    return SampleSet(X, weights, 0, "simplex-gauss")
+    return SampleSet(X, weights)
 
 
 def surface_samples(M: Manifold, count: int, seed: int = 0) -> SampleSet:
@@ -442,15 +440,13 @@ def ball_points(
     radius: float,
     count: int,
     seed: int = 0,
-    align_orbit: bool = False,
 ) -> np.ndarray:
     """Points of X (count, n) within ambient distance `radius` of x0.
 
-    Each round projects `count` candidate steps around x0 at once and keeps
-    those within the radius; the first `count` kept over the rounds are
-    returned.  With align_orbit=True each candidate is rotated to the orbit
-    representative closest to x0, probing the transverse neighborhood of the
-    orbit, and the radius test is applied again.
+    Each round projects `count` candidate steps around x0 at once, rotates
+    each to the orbit representative closest to x0, probing the transverse
+    neighborhood of the orbit, and keeps those within the radius after both
+    steps; the first `count` kept over the rounds are returned.
     """
     rng = _rng(seed)
     z0 = np.asarray(x0, dtype=complex)
@@ -460,10 +456,9 @@ def ball_points(
         g = rng.normal(size=(count, M.n, 2))
         Z = project_radially(M, z0 + (g[..., 0] + 1j * g[..., 1]) * radius / math.sqrt(2 * M.n))
         Z = Z[np.linalg.norm(Z - z0, axis=1) <= radius]
-        if align_orbit:
-            _, theta = M.orbit_distance_batch(np.broadcast_to(z0, Z.shape), Z)
-            Z = M.act(theta, Z)
-            Z = Z[np.linalg.norm(Z - z0, axis=1) <= radius]
+        _, theta = M.orbit_distance_batch(np.broadcast_to(z0, Z.shape), Z)
+        Z = M.act(theta, Z)
+        Z = Z[np.linalg.norm(Z - z0, axis=1) <= radius]
         kept.append(Z)
         found += len(Z)
         if found >= count:

@@ -73,27 +73,15 @@ def kernel_diagonal(bases: Sequence[FourierBasis], X: np.ndarray) -> np.ndarray:
 def root_of_unity_selector(k: int, m: int) -> int:
     """sum_{s=1}^{k} e^{2 pi i (s-1) m / k}, evaluated exactly as an integer.
 
-    The exponents (s-1) m mod k sweep the multiples of gcd(m, k), each hit
-    gcd(m, k) times; the full cycle of q-th roots sums to zero for q > 1.
-    Both facts are verified with integer arithmetic, so the returned value
-    (k if k | m else 0) is exact.
+    When k | m every term is e^{2 pi i * integer} = 1 and the sum is k.
+    Otherwise, with g = gcd(m, k) < k, the exponents (s-1) m mod k sweep the
+    multiples of g, each hit g times, so the terms are g copies of the full
+    set of (k/g)-th roots of unity, whose sum vanishes because
+    x^{k/g} - 1 = (x - 1)(x^{k/g - 1} + ... + 1) and e^{2 pi i g / k} != 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    g = math.gcd(m % k if m % k else k, k)
-    counts: dict[int, int] = {}
-    for s in range(k):
-        counts[(s * m) % k] = counts.get((s * m) % k, 0) + 1
-    expected = {r: g for r in range(0, k, g)}
-    if counts != expected:
-        raise AssertionError(f"exponent cycle structure violated for k={k}, m={m}")
-    if m % k == 0:
-        return k  # every term is e^{2 pi i * integer} = 1
-    # g < k: the distinct exponents are a full set of (k/g)-th roots of unity,
-    # whose sum vanishes because x^{k/g} - 1 = (x - 1)(x^{k/g - 1} + ... + 1)
-    # and e^{2 pi i g / k} != 1.
-    assert g < k
-    return 0
+    return k if m % k == 0 else 0
 
 
 def stratum_vanishing_check(
@@ -304,8 +292,15 @@ def ratio_search(
     order of x0; points are sampled in the ambient ball, orbit-aligned to
     probe the transverse neighborhood, and both bounds are checked at every
     point, all from one ratio_diagnostic call per (m, radius); a ball with a
-    point where the ratio is undefined scores (inf, inf).
+    point where the ratio is undefined scores (inf, inf).  A ball needs at
+    least one point and a positive radius, else ValueError: an empty ball or
+    one that holds only x0 would pass on no evidence.
     """
+    radii = list(radii)
+    if points_per_ball < 1:
+        raise ValueError(f"points_per_ball must be >= 1, got {points_per_ball}")
+    if any(radius <= 0 for radius in radii):
+        raise ValueError(f"every radius must be > 0, got {radii}")
     k = M.stratum_order(x0)
     measure = resolve_measure(M, measure)
     # one sample set for every candidate; torus-invariant manifolds draw none,
@@ -325,7 +320,7 @@ def ratio_search(
             ))
         B_low, B_high = bases[k * m], bases[k * (m + 1)]
         for radius in radii:
-            Z = ball_points(M, x0, radius, points_per_ball, seed=seed + m, align_orbit=True)
+            Z = ball_points(M, x0, radius, points_per_ball, seed=seed + m)
             try:
                 R, I = ratio_diagnostic(B_low, B_high, Z, x0)
                 worst_r = float(np.max(np.abs(1.0 - R), initial=0.0))

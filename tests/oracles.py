@@ -118,7 +118,7 @@ def weighted_sphere_kernel_closed_form(weights, m_max, x, y):
     return math.factorial(n - 1) / (2 * math.pi**n) * g
 
 
-def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
+def ball_points_loop(M, x0, radius, count, seed=0):
     """Coordinates (count, n) of ball_points drawn one candidate at a time.
 
     The per-try loop that the batched generator replaced: one direction, one
@@ -138,11 +138,10 @@ def ball_points_loop(M, x0, radius, count, seed=0, align_orbit=False):
         z = project_radially(M, z0 + step)
         if np.linalg.norm(z - z0) > radius:
             continue
-        if align_orbit:
-            _, theta = M.orbit_distance_batch(z0[None, :], z[None, :])
-            z = M.act(float(theta[0]), z[None, :])[0]
-            if np.linalg.norm(z - z0) > radius:
-                continue
+        _, theta = M.orbit_distance_batch(z0[None, :], z[None, :])
+        z = M.act(float(theta[0]), z[None, :])[0]
+        if np.linalg.norm(z - z0) > radius:
+            continue
         out.append(z)
     return np.array(out)
 

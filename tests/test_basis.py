@@ -245,7 +245,7 @@ class TestGramMatrices:
 
     def test_not_positive_definite_fires(self, wsphere12):
         S = surface_samples(wsphere12, 5_000, 2)
-        negated = SampleSet(S.points, -S.weights, S.seed, S.method)
+        negated = SampleSet(S.points, -S.weights)
         levels = {m: enumerate_multiindices(wsphere12.weights, m) for m in (4, 5)}
         with pytest.raises(GramNotPositiveDefiniteError) as info:
             gram_matrices(levels, wsphere12, measure=COMPLIANT, sample_set=negated)
@@ -261,8 +261,6 @@ class TestGramMatrices:
         closed = SampleSet(
             np.concatenate([S.points, S.points.conj()]),
             np.concatenate([S.weights, S.weights]) / 2,
-            S.seed,
-            S.method,
         )
         c = closed.weights * compliant_density(M, closed.points)
         level_indices = {m: enumerate_multiindices(M.weights, m) for m in levels}

@@ -247,6 +247,32 @@ def test_ratio_search_cli(capsys):
     assert report["results"]["passing_m"] == 30
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--points", "0", "points_per_ball must be >= 1"),
+        ("--radii", "0.1,0", "every radius must be > 0"),
+    ],
+    ids=["no-points", "zero-radius"],
+)
+def test_ratio_rejects_a_ball_that_holds_no_evidence(capsys, option, value, message):
+    # an empty ball scores 0 and a zero radius holds only copies of x0: both would pass
+    code, out, err = run_cli(capsys, "ratio", "--weights", "1,2", "--point", "0,1",
+                             "--m", "30", option, value)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["ratio", "vanish"])
+@pytest.mark.parametrize("levels", [",", "5..3"])
+def test_empty_level_list_exits_two(capsys, command, levels):
+    code, out, err = run_cli(capsys, command, "--weights", "1,2", "--point", "0,1", "--m", levels)
+    assert code == 2
+    assert out == ""
+    assert "configuration error: " in err and repr(levels) in err
+
+
 def test_kernel_values(capsys):
     code, out, _ = run_cli(
         capsys, "kernel", "--preset", "sphere", "--n", "2", "--m", "3..5",

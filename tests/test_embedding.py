@@ -203,7 +203,7 @@ class TestImmersion:
     def test_small_blocks_degenerate_at_stratum(self, wsphere126):
         # without a level = 1 mod 6, the differential loses the z1 direction
         # on the order-6 stratum: the k-indexed pairs exist for a reason
-        Phi = embedding_from_levels(wsphere126, [6, 12, 24], base_level=6)
+        Phi = embedding_from_levels(wsphere126, [6, 12, 24])
         x6 = wsphere126.point([0.0, 0.0, 1.0])
         assert jacobian_smallest_singular_value(Phi, x6) < 1e-12
         full = build_embedding(wsphere126, 4)

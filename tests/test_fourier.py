@@ -15,7 +15,6 @@ from szegolab.basis import (
     sphere_monomial_norm_sq,
 )
 from szegolab.fourier import (
-    OrbitQuadrature,
     check_T_eigen,
     circle_average,
     default_quadrature,
@@ -41,10 +40,10 @@ def monomial_fn(a, b=None):
 
 
 class TestCircleAverage:
-    def test_quadrature_exactness_degree(self):
-        Q = OrbitQuadrature(16)
-        assert Q.exactness_degree == 15
-        assert len(Q.nodes) == 16 and Q.nodes[0] == 0.0
+    def test_zero_nodes_rejected(self, wsphere12):
+        x = random_point(wsphere12, 1)
+        with pytest.raises(ValueError, match="nodes must be >= 1"):
+            circle_average(wsphere12, monomial_fn((1, 0)), x, 1, 0)
 
     def test_reproduces_matching_degree_exactly(self, wsphere12):
         Q = default_quadrature(10)

@@ -359,13 +359,12 @@ def test_public_wrappers_are_their_jobs_alone(example2):
     assert np.array_equal(Z, X) and np.array_equal(labels, labels2)
 
 
-@pytest.mark.parametrize("align_orbit", [False, True])
 @pytest.mark.parametrize("preset, radius", [("wsphere12", 0.1), ("example2", 0.3)])
-def test_ball_points_match_per_try_loop(request, preset, radius, align_orbit):
+def test_ball_points_match_per_try_loop(request, preset, radius):
     M = request.getfixturevalue(preset)
     x0 = random_point(M, 5)
-    got = ball_points(M, x0, radius, 50, seed=8, align_orbit=align_orbit)
-    ref = ball_points_loop(M, x0, radius, 50, seed=8, align_orbit=align_orbit)
+    got = ball_points(M, x0, radius, 50, seed=8)
+    ref = ball_points_loop(M, x0, radius, 50, seed=8)
     assert got.shape == ref.shape == (50, M.n)
     assert np.max(np.abs(got - ref)) <= 1e-15
 

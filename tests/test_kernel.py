@@ -206,6 +206,10 @@ class TestRootOfUnity:
                 fl = sum(cmath.exp(2j * cmath.pi * s * m / k) for s in range(k))
                 assert abs(fl - v) < 1e-9
 
+    def test_selector_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            root_of_unity_selector(0, 3)
+
 
 class TestFitExpansion:
     def test_sphere2_exact(self, sphere2):
@@ -360,7 +364,7 @@ class TestRatio:
             B_low = fourier_basis(wsphere12, 2 * m)
             B_high = fourier_basis(wsphere12, 2 * (m + 1))
             for radius in radii:
-                Z = ball_points(wsphere12, x0, radius, 10, seed=seed + m, align_orbit=True)
+                Z = ball_points(wsphere12, x0, radius, 10, seed=seed + m)
                 expected.append((m, radius, *ratio_worst_loop(B_low, B_high, Z, x0)))
 
         built = []
@@ -405,7 +409,7 @@ class TestRatio:
         for m in candidates:
             bases = fourier_bases(M, [k * m, k * (m + 1)], measure=measure, sample_set=sample_set)
             for radius in radii:
-                Z = ball_points(M, x0, radius, count, seed=seed + m, align_orbit=True)
+                Z = ball_points(M, x0, radius, count, seed=seed + m)
                 expected.append((m, radius, *ratio_worst_loop(*bases.values(), Z, x0)))
         assert [a[:2] for a in rep.attempts] == [a[:2] for a in expected]
         for got, want in zip(rep.attempts, expected):
