@@ -21,10 +21,10 @@ errors.  Since z -> zbar preserves X and the compliant measure, that Gram
 matrix is real symmetric, and it is accumulated in real arithmetic.
 Orthonormalization is Cholesky whitening.
 
-A whitened basis is a map with one block.  block_values and block_jacobian
-evaluate several bases side by side, from their stacked exponent rows (or
-their derivative_table) and their coefficient matrices: a FourierBasis as
-one block, an embedding.EmbeddingMap as all of its blocks.
+A whitened basis is exponent rows and one coefficient array, 1-D for a
+diagonal Gram matrix (so no d x d matrix is formed) and 2-D otherwise.  It
+is a map with one block: block_values and block_jacobian evaluate a sequence
+of bases side by side, one alone or an embedding.EmbeddingMap's blocks.
 
 The kernels are studied over many levels on one rule or sample set, so the
 Gram matrices of all requested levels are assembled in one pass over it
@@ -173,72 +173,51 @@ def monomial_jacobian(z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return D[0] if z.ndim == 1 else D
 
 
-class DiagonalMatrix:
-    """Diagonal matrix stored as its diagonal (Gram or coefficient matrix).
-
-    Keeps large exact-measure components memory-safe (a level with d ~ 10^4
-    monomials would otherwise materialize a d x d dense matrix).
-    """
-
-    def __init__(self, diagonal):
-        self.diagonal = np.asarray(diagonal)
-
-    @property
-    def shape(self):
-        d = self.diagonal.shape[0]
-        return (d, d)
-
-    def toarray(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
-def _apply_blocks(coeffs: Sequence, V: np.ndarray) -> np.ndarray:
-    """out[:, s] = V[:, s] @ C.T for each dense or diagonal coefficient matrix
-    C of coeffs and its column slice s, in order: monomial columns to basis
-    columns."""
+def _apply_blocks(bases: Sequence[FourierBasis], V: np.ndarray) -> np.ndarray:
+    """out[:, s] = V[:, s] @ C.T for the coefficient array C of each basis and
+    its column slice s, in order (V[:, s] * C for a 1-D diagonal C): monomial
+    columns to basis columns."""
     out = np.empty_like(V)
     start = 0
-    for C in coeffs:
+    for C in (B.coeff_matrix for B in bases):
         cols = slice(start, start + C.shape[0])
-        diagonal = isinstance(C, DiagonalMatrix)
-        out[:, cols] = V[:, cols] * C.diagonal if diagonal else V[:, cols] @ C.T
+        out[:, cols] = V[:, cols] * C if C.ndim == 1 else V[:, cols] @ C.T
         start = cols.stop
     return out
 
 
-def block_values(Z: np.ndarray, exponents: np.ndarray, coeffs: Sequence) -> np.ndarray:
-    """Values of several bases side by side at the rows of Z (P, n).
-
-    exponents stacks the bases' exponent rows (N, n), block after block, and
-    coeffs holds their coefficient matrices in the same order; one
-    monomial_values pass per ROW_BLOCK rows covers every block.
-    """
+def block_values(Z: np.ndarray, bases: Sequence[FourierBasis]) -> np.ndarray:
+    """Values of several bases side by side at the rows of Z (P, n): one
+    monomial_values pass per ROW_BLOCK rows over their stacked exponent rows,
+    then each coefficient array on its own column slice."""
     Z = np.asarray(Z, dtype=complex)
+    exponents = np.vstack([B.exponents for B in bases])
     out = np.empty((Z.shape[0], len(exponents)), dtype=complex)
     for start in range(0, Z.shape[0], ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        out[rows] = _apply_blocks(coeffs, monomial_values(Z[rows], exponents))
+        out[rows] = _apply_blocks(bases, monomial_values(Z[rows], exponents))
     return out
 
 
-def block_jacobian(Z: np.ndarray, derivatives: tuple, coeffs: Sequence) -> np.ndarray:
+def block_jacobian(Z: np.ndarray, bases: Sequence[FourierBasis]) -> np.ndarray:
     """Holomorphic Jacobians J[i, j, k] = d f_j / d z_k of several bases side
     by side at the rows of Z (P, n), from the derivative_table of their
-    stacked exponent rows and their coefficient matrices (see block_values)."""
+    stacked exponent rows (see block_values)."""
     Z = np.asarray(Z, dtype=complex)
     P, n = Z.shape
-    N = sum(C.shape[0] for C in coeffs)
+    derivatives = derivative_table(np.vstack([B.exponents for B in bases]))
+    N = sum(B.d for B in bases)
     out = np.empty((P, n, N), dtype=complex)
     for start in range(0, P, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         D = table_jacobian(Z[rows], derivatives, N)  # (rows, n, N)
-        out[rows] = _apply_blocks(coeffs, D.reshape(D.shape[0] * n, N)).reshape(D.shape)
+        out[rows] = _apply_blocks(bases, D.reshape(D.shape[0] * n, N)).reshape(D.shape)
     return out.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class GramEstimate:
-    matrix: "np.ndarray | DiagonalMatrix"
+    matrix: np.ndarray  # (d,), the diagonal, when exactly diagonal; else (d, d)
     stderr: np.ndarray | None  # None for exact measures
     measure: str
     smallest_eigenvalue: float
@@ -367,12 +346,10 @@ def _not_positive_definite(level: int, d: int, smallest: float) -> GramNotPositi
 
 def _diagonal_estimate(level: int, diag: np.ndarray, measure: str) -> GramEstimate:
     """GramEstimate of an exactly diagonal Gram matrix (no standard errors)."""
-    if len(diag) == 0:
-        return GramEstimate(DiagonalMatrix(diag), None, measure, 0.0)
-    smallest = float(diag.min())
-    if smallest <= 0:
+    smallest = float(diag.min()) if len(diag) else 0.0
+    if len(diag) and smallest <= 0:
         raise _not_positive_definite(level, len(diag), smallest)
-    return GramEstimate(DiagonalMatrix(diag), None, measure, smallest)
+    return GramEstimate(diag, None, measure, smallest)
 
 
 def gram_matrix(
@@ -416,7 +393,7 @@ class FourierBasis:
     exponents holds the monomials' (d, n) exponent rows in colex order.  Rows
     of coeff_matrix applied to the raw monomial vector give the orthonormal
     family; the matrix is lower triangular (inverse Cholesky factor of the
-    Gram matrix).
+    Gram matrix), or its (d,) diagonal when the Gram matrix is diagonal.
     """
 
     level: int
@@ -444,32 +421,21 @@ def _cholesky_with_pivot(G: np.ndarray) -> np.ndarray:
         raise RankDeficiencyError(lo - 1)
 
 
-def orthonormalize(
-    exponents: np.ndarray,
-    gram: GramEstimate | np.ndarray,
-    weights: WeightVector,
-    measure: str | None = None,
-) -> FourierBasis:
+def orthonormalize(exponents: np.ndarray, gram: GramEstimate, weights: WeightVector) -> FourierBasis:
     """Cholesky whitening of the Gram matrix of one level's exponent rows
     (at least one; the level is the first row's weighted degree) into a
-    FourierBasis."""
-    if isinstance(gram, GramEstimate):
-        G = gram.matrix
-        measure = measure or gram.measure
-    else:
-        G = gram if isinstance(gram, DiagonalMatrix) else np.asarray(gram)
-        measure = measure or "custom"
+    FourierBasis: a 1-D Gram diagonal gives the 1-D coefficient diagonal."""
     A = np.asarray(exponents, dtype=np.int64).reshape(-1, len(weights))
     if len(A) == 0:
         raise ValueError("cannot orthonormalize an empty set of monomials")
-    if isinstance(G, DiagonalMatrix):
-        diag = G.diagonal
-        if np.any(diag <= 0):
-            raise RankDeficiencyError(int(np.argmax(diag <= 0)))
-        C = DiagonalMatrix((1.0 / np.sqrt(diag)).astype(complex))
+    G = gram.matrix
+    if G.ndim == 1:
+        if np.any(G <= 0):
+            raise RankDeficiencyError(int(np.argmax(G <= 0)))
+        C = (1.0 / np.sqrt(G)).astype(complex)
     else:
         C = np.linalg.inv(_cholesky_with_pivot(G))
-    return FourierBasis(int(A[0] @ weights.array), A, C, measure)
+    return FourierBasis(int(A[0] @ weights.array), A, C, gram.measure)
 
 
 def fourier_bases(
@@ -512,17 +478,17 @@ def fourier_basis(
 
 def eval_basis(B: FourierBasis, x) -> np.ndarray:
     """Values (f_1(x), ..., f_d(x)) at one point (n,)."""
-    return block_values(np.asarray(x, dtype=complex)[None, :], B.exponents, [B.coeff_matrix])[0]
+    return block_values(np.asarray(x, dtype=complex)[None, :], [B])[0]
 
 
 def eval_basis_batch(B: FourierBasis, Z: np.ndarray) -> np.ndarray:
     """Values matrix (N, d) over raw coordinates (N, n)."""
-    return block_values(Z, B.exponents, [B.coeff_matrix])
+    return block_values(Z, [B])
 
 
 def eval_basis_jacobian(B: FourierBasis, x) -> np.ndarray:
     """Holomorphic derivatives J[..., j, k] = d f_j / d z_k at one point (n,)
     or over a batch (P, n)."""
     z = np.asarray(x, dtype=complex)
-    J = block_jacobian(z.reshape(-1, z.shape[-1]), derivative_table(B.exponents), [B.coeff_matrix])
+    J = block_jacobian(z.reshape(-1, z.shape[-1]), [B])
     return J[0] if z.ndim == 1 else J

@@ -72,6 +72,8 @@ def _parse_tolerances(items) -> dict[str, float]:
         if name not in TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}; known: {', '.join(TOLERANCES)}")
         out[name] = float(value)
+        if not 0 <= out[name] < np.inf:
+            raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value!r}")
     return out
 
 

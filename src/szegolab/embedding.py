@@ -9,12 +9,12 @@ singular values of the holomorphic (N, n) Jacobian over stratified samples,
 which are those of d Phi on the tangent spaces of X, and image distances
 over stratified point pairs.
 
-The map is evaluated like a single basis, through basis.block_values and
-basis.block_jacobian: a FourierBasis is a map with one block.  The (d, n)
-exponent rows of all blocks are stacked once, so the map and its Jacobian
-over a batch of points take one monomial pass per ROW_BLOCK rows; each
-block's coefficient matrix then acts on its own column slice.  The immersion
-certificate takes the spectra of all its samples from one stacked SVD.
+The map holds its blocks' bases and is evaluated like one basis, by
+basis.block_values and basis.block_jacobian on those bases.  They stack the
+exponent rows of all blocks, so the map and its Jacobian over a batch of
+points take one monomial pass per ROW_BLOCK rows; each block's coefficient
+array then acts on its own column slice.  The immersion certificate takes
+the spectra of all its samples from one stacked SVD.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .basis import (
     FourierBasis,
     block_jacobian,
     block_values,
-    derivative_table,
     fourier_bases,
     resolve_measure,
 )
@@ -41,18 +40,12 @@ from .integrate import (
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
-    """Concatenation of Fourier-component blocks with per-coordinate weights.
-
-    exponents stacks the blocks' exponent rows, (N, n) for all N coordinates,
-    and derivatives is their basis.derivative_table, so the map and its
-    Jacobian each take one monomial pass over all coordinates.
-    """
+    """Concatenation of Fourier-component blocks with per-coordinate weights:
+    one basis per block, in increasing level."""
 
     manifold: Manifold
-    blocks: tuple[tuple[int, FourierBasis], ...]
+    blocks: tuple[FourierBasis, ...]
     coordinate_weights: np.ndarray  # (N,) int, the level of each coordinate
-    exponents: np.ndarray  # (N, n) int
-    derivatives: tuple[np.ndarray, ...]
     warnings: tuple[str, ...] = ()
 
     @property
@@ -61,7 +54,7 @@ class EmbeddingMap:
 
     @property
     def levels(self) -> tuple[int, ...]:
-        return tuple(level for level, _ in self.blocks)
+        return tuple(B.level for B in self.blocks)
 
     @property
     def min_weight(self) -> int:
@@ -84,13 +77,12 @@ def embedding_from_levels(
         measure=resolve_measure(M, measure, span_only=True),
         samples=samples, seed=seed,
     )
-    blocks = tuple(bases.items())
-    weights = np.repeat(np.array(list(bases), dtype=np.int64), [B.d for B in bases.values()])
-    exponents = np.vstack([B.exponents for B in bases.values()])
+    blocks = tuple(bases.values())
+    weights = np.repeat(np.array(list(bases), dtype=np.int64), [B.d for B in blocks])
     warnings = tuple(
-        f"level {level} has no representation (empty block)" for level, B in blocks if B.d == 0
+        f"level {B.level} has no representation (empty block)" for B in blocks if B.d == 0
     )
-    return EmbeddingMap(M, blocks, weights, exponents, derivative_table(exponents), warnings)
+    return EmbeddingMap(M, blocks, weights, warnings)
 
 
 def build_embedding(
@@ -100,26 +92,19 @@ def build_embedding(
     measure: str = "auto",
     samples: int = 50_000,
     seed: int = 0,
-    include_paired_levels: bool = True,
 ) -> EmbeddingMap:
-    """Standard block set: levels k*m and k*(m+1) for k = 1..M.strata.max_order.
-
-    Levels k*(m+1) can be dropped (include_paired_levels=False) to reproduce
-    the one-block map that fails to separate points inside a stabilized orbit.
-    """
+    """Standard block set: levels k*m and k*(m+1) for k = 1..M.strata.max_order."""
     if m < 1:
         raise ValueError("m must be >= 1")
     levels = set(int(x) for x in extra_levels)
     for k in range(1, M.strata.max_order + 1):
-        levels.add(k * m)
-        if include_paired_levels:
-            levels.add(k * (m + 1))
+        levels.update((k * m, k * (m + 1)))
     return embedding_from_levels(M, levels, measure=measure, samples=samples, seed=seed)
 
 
 def evaluate_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
     """Phi at the rows of Z (P, n): one monomial pass per ROW_BLOCK rows."""
-    return block_values(Z, Phi.exponents, [B.coeff_matrix for _, B in Phi.blocks])
+    return block_values(Z, Phi.blocks)
 
 
 def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
@@ -130,7 +115,7 @@ def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
 def jacobian_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
     """Holomorphic Jacobians J[i, j, k] = d Phi_j / d z_k at the rows of Z
     (P, n): one monomial pass per ROW_BLOCK rows over all N coordinates."""
-    return block_jacobian(Z, Phi.derivatives, [B.coeff_matrix for _, B in Phi.blocks])
+    return block_jacobian(Z, Phi.blocks)
 
 
 def check_equivariance(Phi: EmbeddingMap, x: np.ndarray, theta: float) -> float:
@@ -346,8 +331,9 @@ def phase_pair_demo(
     if k <= 1:
         raise ValueError("x0 must have stabilizer order > 1")
     y0 = M.act(math.pi / k, x0)
-    Phi_km = build_embedding(M, m, measure=measure, seed=seed, include_paired_levels=False)
     Phi_full = build_embedding(M, m, measure=measure, seed=seed)
+    levels = [j * m for j in range(1, M.strata.max_order + 1)]  # Phi_full without k*(m+1)
+    Phi_km = embedding_from_levels(M, levels, measure=measure, seed=seed)
     d_km = float(np.linalg.norm(evaluate(Phi_km, x0) - evaluate(Phi_km, y0)))
     d_full = float(np.linalg.norm(evaluate(Phi_full, x0) - evaluate(Phi_full, y0)))
     return PhasePairDemo(

@@ -13,8 +13,8 @@ kernel ratio used by the embedding construction.
 
 A point is a complex (n,) array and a point set a (P, n) array.  The kernel
 functions take one basis per level and evaluate all levels at all points in
-one basis.block_values pass over the stacked exponent rows; a level's value
-is a row sum over its own columns.
+one basis.block_values call on those bases; a level's value is a row sum
+over its own columns.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _level_values(bases: Sequence[FourierBasis], Z: np.ndarray) -> tuple[np.ndar
     """Values of every basis at the rows of Z (P, n), side by side, from one
     block_values call, and each basis's column slice."""
     stops = np.cumsum([B.d for B in bases]).tolist()
-    F = block_values(Z, np.vstack([B.exponents for B in bases]), [B.coeff_matrix for B in bases])
+    F = block_values(Z, bases)
     return F, [slice(stop - B.d, stop) for B, stop in zip(bases, stops)]
 
 

@@ -281,7 +281,7 @@ def jacobian_spectra_loop(Phi, Z):
         F = vh[1:].conj()
         nu = 1j * rho_z.conj() / np.linalg.norm(rho_z)
         V = np.stack(list(F) + [1j * row for row in F] + [nu], axis=1)
-        J = np.concatenate([eval_basis_jacobian(B, z) for _, B in Phi.blocks])
+        J = np.concatenate([eval_basis_jacobian(B, z) for B in Phi.blocks])
         D = J @ V
         out.append(np.linalg.svd(np.concatenate([D.real, D.imag]), compute_uv=False))
     return np.array(out)
@@ -297,7 +297,7 @@ def reeb_image(Phi, x):
     """d Phi (T) computed geometrically; equals i * (w_j Phi_j(x)) exactly."""
     from szegolab.basis import eval_basis_jacobian
 
-    J = np.concatenate([eval_basis_jacobian(B, x) for _, B in Phi.blocks])
+    J = np.concatenate([eval_basis_jacobian(B, x) for B in Phi.blocks])
     return J @ Phi.manifold.reeb_vector(x)
 
 

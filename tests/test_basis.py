@@ -19,7 +19,7 @@ import szegolab.integrate as integrate
 from szegolab.basis import (
     COMPLIANT,
     ROUND_EXACT,
-    DiagonalMatrix,
+    GramEstimate,
     dimension,
     enumerate_multiindices,
     eval_basis,
@@ -138,7 +138,7 @@ class TestGram:
             G = gram_matrix(idx, M, measure=ROUND_EXACT)
             assert G.stderr is None
             expected = [sphere_monomial_norm_sq(alpha, M.n).value() for alpha in idx.tolist()]
-            assert np.allclose(G.matrix.diagonal, expected)
+            assert np.allclose(G.matrix, expected)
 
     def test_auto_rule(self, sphere2, wsphere12, example2):
         # span-only callers get round-exact everywhere; kernel values get it
@@ -302,7 +302,7 @@ class TestGramMatrices:
         for m, idx in levels.items():
             assert grams[m].stderr is None
             np.testing.assert_array_equal(
-                grams[m].matrix.diagonal, gram_matrix(idx, wsphere126).matrix.diagonal
+                grams[m].matrix, gram_matrix(idx, wsphere126).matrix
             )
 
     def test_round_exact_diagonal_is_the_exact_norms(self, sphere2, wsphere12, wsphere126):
@@ -312,7 +312,7 @@ class TestGramMatrices:
             grams = gram_matrices(levels, M, measure=ROUND_EXACT)
             for m, idx in levels.items():
                 expected = [sphere_monomial_norm_sq(alpha, M.n).value() for alpha in idx.tolist()]
-                np.testing.assert_array_equal(grams[m].matrix.diagonal, np.array(expected))
+                np.testing.assert_array_equal(grams[m].matrix, np.array(expected))
 
     def test_fourier_bases_keeps_first_occurrence_order(self, wsphere12):
         bases = fourier_bases(wsphere12, [6, 3, 6, 5], samples=2_000, seed=1)
@@ -348,12 +348,12 @@ class TestTorusQuadrature:
         )
         for m in levels:
             G = grams[m]
-            assert isinstance(G.matrix, DiagonalMatrix) and G.stderr is None
+            assert G.matrix.ndim == 1 and G.stderr is None
             assert G.measure == COMPLIANT
             exact = np.array(
                 [sphere_monomial_norm_sq(a, n).value() for a in enumerate_multiindices(M.weights, m).tolist()]
             )
-            assert np.max(np.abs(G.matrix.diagonal / exact - 1)) <= 1e-13
+            assert np.max(np.abs(G.matrix / exact - 1)) <= 1e-13
 
     @pytest.mark.parametrize("weights", [(1, 2), (1, 2, 6)])
     def test_doubling_the_nodes_changes_nothing(self, weights, monkeypatch):
@@ -363,7 +363,7 @@ class TestTorusQuadrature:
         monkeypatch.setattr(basis, "torus_quadrature", _doubled_nodes)
         doubled = gram_matrices(levels, M, measure=COMPLIANT)
         for m in levels:
-            change = grams[m].matrix.diagonal / doubled[m].matrix.diagonal - 1
+            change = grams[m].matrix / doubled[m].matrix - 1
             assert np.max(np.abs(change)) <= 1e-12
 
     @pytest.mark.parametrize("name, levels", [("wsphere126", (6, 12)), ("spec", (4, 7))])
@@ -376,13 +376,13 @@ class TestTorusQuadrature:
         )
         for m in levels:
             assert mc[m].stderr is not None and exact[m].stderr is None
-            diff = np.abs(exact[m].matrix.toarray() - mc[m].matrix)
+            diff = np.abs(np.diag(exact[m].matrix) - mc[m].matrix)
             assert np.all(diff <= 5 * mc[m].stderr)
 
     def test_empty_level_and_non_positive_entry(self, wsphere12, monkeypatch):
         levels = {m: enumerate_multiindices(wsphere12.weights, m) for m in (4, 5)}
         grams = gram_matrices({**levels, 7: []}, wsphere12, measure=COMPLIANT)
-        assert grams[7].matrix.shape == (0, 0) and grams[7].smallest_eigenvalue == 0.0
+        assert grams[7].matrix.shape == (0,) and grams[7].smallest_eigenvalue == 0.0
         monkeypatch.setattr(basis, "compliant_density", lambda M, Z: -np.ones(len(Z)))
         with pytest.raises(GramNotPositiveDefiniteError) as info:
             gram_matrices(levels, wsphere12, measure=COMPLIANT)
@@ -395,13 +395,13 @@ class TestOrthonormalize:
         idx = enumerate_multiindices(sphere2.weights, 3)
         G = gram_matrix(idx, sphere2, measure=ROUND_EXACT)
         B = orthonormalize(idx, G, sphere2.weights)
-        assert isinstance(B.coeff_matrix, DiagonalMatrix)
+        assert B.coeff_matrix.ndim == 1
         assert np.allclose(
-            B.coeff_matrix.diagonal, 1 / np.sqrt(G.matrix.diagonal)
+            B.coeff_matrix, 1 / np.sqrt(G.matrix)
         )
         # orthonormality residual of the exact-measure basis
-        C = B.coeff_matrix.toarray()
-        W = C @ G.matrix.toarray() @ C.conj().T
+        C = np.diag(B.coeff_matrix)
+        W = C @ np.diag(G.matrix) @ C.conj().T
         assert np.max(np.abs(W - np.eye(len(idx)))) <= 1e-10
 
     def test_whitened_gram_is_identity(self, wsphere12):
@@ -430,16 +430,16 @@ class TestOrthonormalize:
         G = np.eye(3, dtype=complex)
         G[2, 2] = 0.0  # exact rank drop at the last pivot
         with pytest.raises(RankDeficiencyError) as e:
-            orthonormalize(idx, G, sphere2.weights)
+            orthonormalize(idx, GramEstimate(G, None, COMPLIANT, 0.0), sphere2.weights)
         assert e.value.pivot_index == 2
 
     def test_no_monomials_rejected(self, wsphere12):
         # an empty level has no basis to whiten; fourier_bases builds its
         # empty FourierBasis itself
         empty = enumerate_multiindices(wsphere12.weights, 7)[:0]
-        for gram in (np.zeros((0, 0)), DiagonalMatrix(np.zeros(0))):
+        for matrix in (np.zeros((0, 0)), np.zeros(0)):
             with pytest.raises(ValueError, match="empty"):
-                orthonormalize(empty, gram, wsphere12.weights)
+                orthonormalize(empty, GramEstimate(matrix, None, COMPLIANT, 0.0), wsphere12.weights)
 
     def test_permuted_indices_span_same_kernel(self, wsphere12):
         from szegolab.kernel import szego_kernel
@@ -451,7 +451,8 @@ class TestOrthonormalize:
         P = np.arange(len(idx))[::-1]
         G2m = G1.matrix[np.ix_(P, P)]
         B1 = orthonormalize(idx, G1, wsphere12.weights)
-        B2 = orthonormalize(perm, G2m, wsphere12.weights, measure=COMPLIANT)
+        G2 = GramEstimate(G2m, None, COMPLIANT, G1.smallest_eigenvalue)
+        B2 = orthonormalize(perm, G2, wsphere12.weights)
         x = random_point(wsphere12, 1)
         y = random_point(wsphere12, 2)
         v1, v2 = szego_kernel([B1, B2], x, y)
@@ -494,6 +495,20 @@ class TestEvaluation:
         batch = eval_basis_batch(B, pts)
         for i in range(4):
             assert np.allclose(batch[i], eval_basis(B, pts[i]))
+
+    def test_diagonal_and_dense_bases_side_by_side(self, wsphere12):
+        # one call over a 1-D (round-exact) and a 2-D (Monte-Carlo) coefficient
+        # array equals each basis alone, column slice by column slice, bit for bit
+        diagonal = fourier_basis(wsphere12, 6, measure=ROUND_EXACT)
+        S = surface_samples(wsphere12, 20_000, 3)
+        dense = fourier_bases(wsphere12, [5], measure=COMPLIANT, sample_set=S)[5]
+        assert diagonal.coeff_matrix.ndim == 1 and dense.coeff_matrix.ndim == 2
+        Z = np.stack([random_point(wsphere12, s) for s in range(9)])
+        F = basis.block_values(Z, [diagonal, dense])
+        J = basis.block_jacobian(Z, [diagonal, dense])
+        for B, cols in ((diagonal, slice(0, diagonal.d)), (dense, slice(diagonal.d, None))):
+            np.testing.assert_array_equal(F[:, cols], basis.block_values(Z, [B]))
+            np.testing.assert_array_equal(J[:, cols], basis.block_jacobian(Z, [B]))
 
     def test_empty_level(self):
         from szegolab.geometry import Manifold

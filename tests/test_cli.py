@@ -307,11 +307,50 @@ def test_spec_kind_disagreeing_with_rho_exits_two(capsys, tmp_path):
     assert "configuration error" in err and "kind 'sphere'" in err
 
 
+# |z|^2 - 1 under weights (1, 2), plus a non-invariant term or with rho(0) > 0
+SPHERE12_RHO = [
+    {"coeff": c, "z_exponents": list(e), "zbar_exponents": list(e)}
+    for c, e in (("-1", (0, 0)), ("1", (1, 0)), ("1", (0, 1)))
+]
+MIXED_TERMS = [
+    {"coeff": "1", "z_exponents": a, "zbar_exponents": b}
+    for a, b in (([1, 0], [0, 1]), ([0, 1], [1, 0]))
+]
+
+
+@pytest.mark.parametrize(
+    "rho, argv, message",
+    [
+        (SPHERE12_RHO + MIXED_TERMS, ["dims", "--m", "3"],
+         "rho is not invariant: term z^(0, 1) zbar^(1, 0) has weighted bidegree (2, 1)"),
+        ([{**SPHERE12_RHO[0], "coeff": "1"}] + SPHERE12_RHO[1:], ["fit", "--m", "20..30"],
+         "rho(0) >= 0: surface is not star-shaped about 0"),
+    ],
+    ids=["non-invariant-term", "not-star-shaped"],
+)
+def test_spec_rho_errors_exit_two(capsys, tmp_path, rho, argv, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 2, "weights": [1, 2], "rho": rho}))
+    code, _, err = run_cli(capsys, *argv, "--manifold", str(path))
+    assert code == 2
+    assert f"configuration error: {message}" in err
+
+
 def test_unknown_tolerance_exits_two(capsys):
     code, _, err = run_cli(capsys, "fit", "--weights", "1,2", "--point", "0,1",
                            "--m", "20..22", "--tolerance", "fitt=0.1")
     assert code == 2
     assert "unknown tolerance 'fitt'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, value):
+    # nan and -1 would fail the fit's contract and inf would switch it off:
+    # each is a configuration error instead
+    code, _, err = run_cli(capsys, "fit", "--weights", "1,2", "--point", "0,1",
+                           "--m", "20..30", "--tolerance", f"fit={value}")
+    assert code == 2
+    assert f"tolerance fit must be finite and >= 0, got '{value}'" in err
 
 
 @pytest.mark.parametrize(

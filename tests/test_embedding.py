@@ -96,10 +96,10 @@ class TestConstruction:
         for module in (basis, integrate):
             monkeypatch.setattr(module, "hypersurface_blocks", refuse)
         Phi = build_embedding(example2, 4)
-        for _, B in Phi.blocks:
+        for B in Phi.blocks:
             assert B.measure == basis.ROUND_EXACT
             norms = [basis.sphere_monomial_norm_sq(a, example2.n).value() for a in B.exponents.tolist()]
-            np.testing.assert_allclose(B.coeff_matrix.diagonal, np.power(norms, -0.5), rtol=1e-15)
+            np.testing.assert_allclose(B.coeff_matrix, np.power(norms, -0.5), rtol=1e-15)
 
     def test_maps_and_certificates_certify_strata_once(self, monkeypatch):
         # the strata belong to the manifold: a fresh example2 certifies them
@@ -125,7 +125,7 @@ class TestEvaluation:
     def test_norm_is_sum_of_diagonals(self, wsphere12):
         Phi = build_embedding(wsphere12, 4)
         x = random_point(wsphere12, 3)
-        total = np.sum(kernel_diagonal([B for _, B in Phi.blocks], x))
+        total = np.sum(kernel_diagonal(Phi.blocks, x))
         assert np.linalg.norm(evaluate(Phi, x)) ** 2 == pytest.approx(total, rel=1e-12)
 
     def test_norm_constant_on_orbits(self, wsphere126):
@@ -277,7 +277,7 @@ class TestBatchedJacobian:
     def test_basis_jacobians_equal_stacked_points(self, request, name, m):
         M, Phi = _preset_map(request, name, m)
         Z, _ = stratified_points(M, 12, seed=6)
-        for _, B in Phi.blocks:
+        for B in Phi.blocks:
             stacked = np.stack([monomial_jacobian(z, B.exponents) for z in Z])
             assert np.array_equal(monomial_jacobian(Z, B.exponents), stacked)
             stacked = np.stack([eval_basis_jacobian(B, z) for z in Z])
@@ -290,11 +290,11 @@ class TestBatchedJacobian:
         M, Phi = _preset_map(request, name, m)
         Z, _ = stratified_points(M, 12, seed=7)
         np.testing.assert_array_equal(
-            evaluate_batch(Phi, Z), np.hstack([eval_basis_batch(B, Z) for _, B in Phi.blocks])
+            evaluate_batch(Phi, Z), np.hstack([eval_basis_batch(B, Z) for B in Phi.blocks])
         )
         np.testing.assert_array_equal(
             jacobian_batch(Phi, Z),
-            np.concatenate([eval_basis_jacobian(B, Z) for _, B in Phi.blocks], axis=1),
+            np.concatenate([eval_basis_jacobian(B, Z) for B in Phi.blocks], axis=1),
         )
 
     def test_monomial_passes_bounded_by_row_blocks(self, example2, example2_phi, monkeypatch):
