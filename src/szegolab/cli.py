@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, basis, embedding, fourier, kernel
 from .errors import SzegolabError
 from .geometry import Manifold, monomial_products, require_keys
-from .integrate import random_surface_points, stratified_minimum
+from .integrate import random_surface_points, solve_rays, stratified_minimum
 
 SCHEMA_VERSION = 1
 
@@ -31,21 +31,23 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, option: str = "--m") -> list[int]:
     """'a..b' -> [a, ..., b]; 'a' -> [a]; 'a,b,c' -> [a, b, c]."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    if "," in text:
-        levels = [int(t) for t in text.split(",") if t.strip()]
-        if not levels:
-            raise ConfigError(f"no levels in {text!r}")
-        return levels
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = (int(t) for t in text.split("..", 1))
+            if hi < lo:
+                raise ConfigError(f"empty range {text!r}")
+            return list(range(lo, hi + 1))
+        if "," in text:
+            levels = [int(t) for t in text.split(",") if t.strip()]
+            if not levels:
+                raise ConfigError(f"no levels in {text!r}")
+            return levels
+        return [int(text)]
+    except ValueError as e:
+        raise ConfigError(f"cannot parse {option} {text!r}: {e}")
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -56,7 +58,10 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError as e:
+        raise ConfigError(f"cannot parse --weights {text!r}: {e}")
 
 
 # contract tolerances that --tolerance NAME=VALUE may override, with defaults
@@ -71,7 +76,10 @@ def _parse_tolerances(items) -> dict[str, float]:
         name, value = (t.strip() for t in item.split("=", 1))
         if name not in TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}; known: {', '.join(TOLERANCES)}")
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError as e:
+            raise ConfigError(f"cannot parse --tolerance {item!r}: {e}")
         if not 0 <= out[name] < np.inf:
             raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value!r}")
     return out
@@ -335,7 +343,7 @@ def cmd_project(args) -> int:
 
 def cmd_embed(args) -> int:
     M = resolve_manifold(args)
-    extra = _parse_range(args.extra_levels) if args.extra_levels else []
+    extra = _parse_range(args.extra_levels, "--extra-levels") if args.extra_levels else []
     m = args.m_level
     if m is None:
         if args.m0 is None:
@@ -350,11 +358,13 @@ def cmd_embed(args) -> int:
     Phi = embedding.build_embedding(
         M, m, extra_levels=extra, measure=args.measure, samples=args.samples, seed=args.seed
     )
-    imm = embedding.immersion_report(Phi, samples=args.immersion_samples, seed=args.seed)
-    worst = imm.argmin_index
-    sep = embedding.separation_report(
-        Phi, pair_count=args.pairs, threshold=args.delta, seed=args.seed
+    # both certificates' point sets share one radial_roots call per step
+    imm, sep = solve_rays(
+        M,
+        embedding.immersion_job(Phi, args.immersion_samples, args.seed),
+        embedding.separation_job(Phi, args.pairs, args.delta, args.seed),
     )
+    worst = imm.argmin_index
     results = {
         "base_level": m,
         "levels": list(Phi.levels),

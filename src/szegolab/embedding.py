@@ -15,6 +15,12 @@ exponent rows of all blocks, so the map and its Jacobian over a batch of
 points take one monomial pass per ROW_BLOCK rows; each block's coefficient
 array then acts on its own column slice.  The immersion certificate takes
 the spectra of all its samples from one stacked SVD.
+
+Both certificates are ray jobs (integrate.solve_rays): immersion_job and
+separation_job yield the directions of their point sets and return their
+reports, so one solve_rays call runs them together and the roots of a whole
+embed campaign take two radial_roots calls when every ray meets X.
+immersion_report and separation_report solve one job each.
 """
 
 from __future__ import annotations
@@ -32,8 +38,10 @@ from .basis import (
     resolve_measure,
 )
 from .geometry import ROW_BLOCK, Manifold
-from .integrate import (
-    _rng, pattern_job, regular_job, solve_rays, stratified_job, stratified_minimum,
+# stratified_points is not called here; the benchmark's span tracer rebinds it
+# in every module that imports it, so the name stays
+from .integrate import (  # noqa: F401
+    _rng, _together, pattern_job, regular_job, solve_rays, stratified_job, stratified_minimum,
     stratified_points,
 )
 
@@ -166,7 +174,16 @@ class ImmersionReport:
 
 
 def immersion_report(Phi: EmbeddingMap, samples: int = 100, seed: int = 0) -> ImmersionReport:
-    """Smallest singular value of d Phi over a stratified sample of X.
+    """Smallest singular value of d Phi over a stratified sample of X:
+    immersion_job solved alone, two radial_roots calls when every ray
+    meets X."""
+    [report] = solve_rays(Phi.manifold, immersion_job(Phi, samples, seed))
+    return report
+
+
+def immersion_job(Phi: EmbeddingMap, samples: int = 100, seed: int = 0):
+    """Ray job: the ImmersionReport of Phi over the stratified sample
+    stratified_points(Phi.manifold, samples, seed).
 
     Every sample's spectrum comes from one jacobian_singular_values call, and
     its stratum from one strata_of call, on the whole sample.  The failures
@@ -176,7 +193,7 @@ def immersion_report(Phi: EmbeddingMap, samples: int = 100, seed: int = 0) -> Im
     move the named sample when the points move by rounding.
     """
     M = Phi.manifold
-    Z, labels = stratified_points(M, samples, seed=seed)
+    Z, labels = yield from stratified_job(M, samples, seed)
     spectra = jacobian_singular_values(Phi, Z)
     sigma = spectra[:, -1]
     orders, near = M.strata_of(Z)
@@ -209,7 +226,17 @@ class SeparationReport:
 def separation_report(
     Phi: EmbeddingMap, pair_count: int = 10_000, threshold: float = 0.05, seed: int = 0
 ) -> SeparationReport:
-    """Certify that sampled distinct points have distinct images.
+    """Certify that sampled distinct points have distinct images:
+    separation_job solved alone, two radial_roots calls when every ray
+    meets X."""
+    [report] = solve_rays(Phi.manifold, separation_job(Phi, pair_count, threshold, seed))
+    return report
+
+
+def separation_job(
+    Phi: EmbeddingMap, pair_count: int = 10_000, threshold: float = 0.05, seed: int = 0
+):
+    """Ray job: the SeparationReport of Phi over pair_count stratified pairs.
 
     Pairs are stratified: same-orbit pairs (separated by the phase pair of
     consecutive levels whenever the rotation actually moves the point),
@@ -223,8 +250,7 @@ def separation_report(
     cross points from seed + 2 against support_pattern_points seeded
     seed + 3000 (regular points from seed + 3 when the action is free), and
     the near-stratum pool from stratified_points(seed + 4).  The four sets
-    are solved in lockstep by one integrate.solve_rays call, which takes two
-    radial_roots calls when every ray meets X.
+    are one ray job (integrate._together), two steps when every ray meets X.
     """
     M = Phi.manifold
     rng = _rng(seed)
@@ -240,8 +266,7 @@ def separation_report(
         cross = pattern_job(M, supports, seed + 3000)
     else:
         cross = regular_job(M, n_cross, seed + 3)
-    (X_orbit, _), X_cross, Y_cross, (near, labels) = solve_rays(
-        M,
+    (X_orbit, _), X_cross, Y_cross, (near, labels) = yield from _together(
         stratified_job(M, max(n_orbit, minimum), seed + 1),
         regular_job(M, n_cross, seed + 2),
         cross,

@@ -18,11 +18,13 @@ of those moduli, pushed to X along the same rays with the same weights.
 Every root on a ray is found by a ray job: a generator that yields the unit
 directions it needs, is sent their roots (NaN where a ray meets no point of
 X) and returns its result.  solve_rays runs any number of jobs in lockstep
-with one radial_roots call per step, so the point sets of a certificate
-share their calls.  Each job draws from its own seeded stream, so its points
-are the ones it finds alone, up to the last bits that the batch size moves.
-Jobs return their points as solved; stratified_job and the public point
-generators check theirs on X (Manifold.points).
+with one radial_roots call per step, so the point sets of both embedding
+certificates share their calls.  Each job draws from its own seeded stream,
+so its points are the ones it finds alone, up to the last bits that the
+batch size moves.  Jobs return their points as solved; stratified_job and
+the public point generators check theirs on X (Manifold.points).  The
+strata need only to know which rays meet X, and ray_brackets tells that
+without solving a root.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SampleSet:
 
 # rays still inside X at this distance from the origin get no root
 RAY_T_MAX = 8.0
-# the bracketing grid t = 0, 1, 2, 4, ..., RAY_T_MAX
-_RAY_GRID = np.append(0.0, 2.0 ** np.arange(int(math.log2(RAY_T_MAX)) + 1))
+# the bracketing grid: t = 0 and the uniform steps of RAY_T_MAX / 128 = 1/16 up
+# to RAY_T_MAX, every point a dyadic rational
+_RAY_GRID = np.arange(129) * (RAY_T_MAX / 128)
 
 
 def _ray_values(C: np.ndarray, D: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,31 +97,45 @@ def _ray_values(C: np.ndarray, D: np.ndarray, t: np.ndarray) -> tuple[np.ndarray
     return np.einsum("ij,ij->i", C, T), np.einsum("ij,ij->i", D, T[:, :-1])
 
 
+def ray_brackets(M: Manifold, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, upper) for the rays along the rows of U (N, n): no root is solved.
+
+    C (N, degree + 1) holds each ray's polynomial, rho(t u_i) = sum_d C[i, d] t^d,
+    from one evaluator pass, and one product with the powers of the grid
+    _RAY_GRID brackets every ray: upper[i] indexes the first grid point where
+    rho >= 0, and is 0 (the grid point t = 0, where rho < 0) on the rays
+    still negative at RAY_T_MAX.  rho(0) >= 0 raises SamplingError.
+    """
+    C = M.rho.ray_coefficients(U)
+    if np.any(C[:, 0] >= 0):
+        raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
+    nonneg = C @ _RAY_GRID[None, 1:] ** np.arange(C.shape[1])[:, None] >= 0
+    return C, np.where(nonneg.any(axis=1), np.argmax(nonneg, axis=1) + 1, 0)
+
+
 def radial_roots(M: Manifold, U: np.ndarray) -> np.ndarray:
     """First positive root of rho(t u) per row of U; NaN where none is bracketed.
 
-    One evaluator pass gives each ray's polynomial t -> rho(t u), and one
-    product with the powers of the grid t = 1, 2, 4, ..., RAY_T_MAX brackets
-    every ray: its upper end is the first grid point where rho >= 0, and rays
-    still negative at RAY_T_MAX get NaN.  One geometry.safeguarded_newton call
-    on _ray_values starts each ray there, so a root on the grid comes back
-    exactly.  The coefficients come from a BLAS contraction whose rounding
+    ray_brackets gives each ray's polynomial and its bracket on the uniform
+    grid of step RAY_T_MAX / 128 = 1/16.  One geometry.safeguarded_newton
+    call on _ray_values starts each bracketed ray at the upper end, so a root
+    on the grid comes back exactly.  An example2 ray converges in 5 passes
+    when its root lies within 1/32 of that end, and in at most 6.  The
+    coefficients come from a BLAS contraction whose rounding
     depends on the batch size, so a ray's root can differ from its one-ray
-    root in the last bits.  Nothing checks that a ray meets X only once:
-    crossings in pairs between grid points go unseen, and the root is a sign
-    change inside the first bracket.  rho(0) >= 0 raises SamplingError.
+    root in the last bits.  Nothing checks that a ray meets X only once: two
+    crossings within 1/16 of each other, between grid points, go unseen, and
+    the root is a sign change inside the first bracket.  rho(0) >= 0 raises
+    SamplingError.
     """
-    C = M.rho.ray_coefficients(U)  # (N, degree + 1)
-    if np.any(C[:, 0] >= 0):
-        raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
-    k = np.arange(C.shape[1])
-    nonneg = C @ _RAY_GRID[None, 1:] ** k[:, None] >= 0  # (N, grid points past 0)
-    bracketed = np.flatnonzero(nonneg.any(axis=1))
-    first = np.argmax(nonneg[bracketed], axis=1)
+    C, upper = ray_brackets(M, U)
+    bracketed = np.flatnonzero(upper)
+    upper = upper[bracketed]
     roots = np.full(len(C), np.nan)
     C = C[bracketed]
     roots[bracketed] = safeguarded_newton(
-        functools.partial(_ray_values, C, C[:, 1:] * k[1:]), _RAY_GRID[first], _RAY_GRID[first + 1]
+        functools.partial(_ray_values, C, C[:, 1:] * np.arange(1, C.shape[1])),
+        _RAY_GRID[upper - 1], _RAY_GRID[upper],
     )
     return roots
 
@@ -308,7 +325,12 @@ def _together(*jobs):
 
 def solve_rays(M: Manifold, *jobs) -> list:
     """The results of ray jobs run in lockstep on M, with one radial_roots call
-    per step; on the unit sphere every root is 1 and no call is made."""
+    per step; on the unit sphere every root is 1 and no call is made.
+
+    A job may itself run jobs (_together), as the certificates
+    embedding.immersion_job and embedding.separation_job do, so one call on
+    both solves every root of an embed campaign in as many radial_roots
+    calls as its longest job has steps: two when every ray meets X."""
     job = _together(*jobs)
     try:
         U = next(job)

@@ -339,6 +339,29 @@ def horner_two_pass(C, t):
     return f, df
 
 
+def radial_roots_doubling(M, U):
+    """First positive root of rho(t u) per row of U, bracketed by doubling.
+
+    The bracket radial_roots used before its grid was uniform: the upper end
+    is the first of t = 1, 2, 4, 8 where rho >= 0, the lower end the one
+    before it or 0, and a ray still negative at t = 8 gets NaN.  Each
+    bracketed ray is solved by safeguarded_newton on two Horner passes.
+    """
+    from szegolab.geometry import safeguarded_newton
+
+    C = M.rho.ray_coefficients(U)
+    grid = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
+    nonneg = np.stack([horner_two_pass(C.T, np.full(len(C), t))[0] >= 0 for t in grid[1:]], axis=1)
+    bracketed = np.flatnonzero(nonneg.any(axis=1))
+    upper = np.argmax(nonneg[bracketed], axis=1) + 1
+    roots = np.full(len(C), np.nan)
+    Cb = C[bracketed].T
+    roots[bracketed] = safeguarded_newton(
+        lambda t: horner_two_pass(Cb, t), grid[upper - 1], grid[upper]
+    )
+    return roots
+
+
 def derivative_table_fractions(terms, n, z_vars, zbar_vars):
     """(A, B, C) of geometry._derivative_table with every entry summed as a
     Fraction and converted to float once: the table before its entries were

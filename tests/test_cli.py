@@ -373,6 +373,26 @@ def test_option_the_command_does_not_read_is_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--weights", "1,2", "--point", "0,1", "--m", "20..22", "--tolerance", "fit=abc"],
+         "cannot parse --tolerance 'fit=abc'"),
+        (["dims", "--weights", "1,x", "--m", "3"], "cannot parse --weights '1,x'"),
+        (["dims", "--weights", "1,2", "--m", "a..4"], "cannot parse --m 'a..4'"),
+        (["dims", "--weights", "1,2", "--m", "3,b"], "cannot parse --m '3,b'"),
+        (["embed", "--weights", "1,2", "--m", "4", "--extra-levels", "x"],
+         "cannot parse --extra-levels 'x'"),
+    ],
+    ids=["tolerance", "weights", "level-range", "level-list", "extra-levels"],
+)
+def test_unparsable_number_names_its_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"configuration error: {message}" in err
+
+
 def test_config_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "fit", "--m", "20..60")
     assert code == 2
@@ -413,9 +433,9 @@ def test_embed_certifies_strata_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_embed_makes_four_root_calls_once_strata_are_certified(capsys, monkeypatch):
-    # the immersion certificate's points take two radial_roots calls and the
-    # separation certificate's four point sets two more, at any count
+def test_embed_makes_two_root_calls_once_strata_are_certified(capsys, monkeypatch):
+    # the immersion certificate's point set and the separation certificate's
+    # four are solved in one lockstep: two radial_roots calls, at any count
     import szegolab.integrate as integrate
     from szegolab.geometry import Manifold
 
@@ -435,7 +455,7 @@ def test_embed_makes_four_root_calls_once_strata_are_certified(capsys, monkeypat
         "--immersion-samples", "30",
     )
     assert code == 0
-    assert len(calls) == 4, calls
+    assert len(calls) == 2, calls
 
 
 def test_embed_report_does_not_depend_on_samples(capsys):

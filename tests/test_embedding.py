@@ -121,6 +121,25 @@ class TestConstruction:
         assert calls == [M]
 
 
+@pytest.mark.parametrize("name, m", [("wsphere126", 4), ("example2", 4)])
+def test_certificates_solved_together_equal_each_alone(request, name, m):
+    # one lockstep over both jobs batches their rays, which may move the
+    # roots in the last bits, and nothing more
+    M, Phi = _preset_map(request, name, m)
+    imm, sep = integrate.solve_rays(
+        M, embedding.immersion_job(Phi, 30, 3), embedding.separation_job(Phi, 300, 0.05, 3)
+    )
+    imm_alone = immersion_report(Phi, samples=30, seed=3)
+    sep_alone = separation_report(Phi, pair_count=300, threshold=0.05, seed=3)
+    assert imm.min_singular_value == pytest.approx(imm_alone.min_singular_value, rel=1e-12)
+    assert [r[:3] for r in imm.records] == [r[:3] for r in imm_alone.records]
+    assert len(imm.failures) == len(imm_alone.failures) == 0
+    for floor in ("min_image_distance", "min_same_orbit_image_distance", "image_scale"):
+        assert getattr(sep, floor) == pytest.approx(getattr(sep_alone, floor), rel=1e-12)
+    assert sep.pair_count == sep_alone.pair_count
+    assert len(sep.violations) == len(sep_alone.violations) == 0
+
+
 class TestEvaluation:
     def test_norm_is_sum_of_diagonals(self, wsphere12):
         Phi = build_embedding(wsphere12, 4)

@@ -8,7 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import derivative_table_fractions, holomorphic_derivative_fd, horner_two_pass
+from oracles import (
+    derivative_table_fractions,
+    holomorphic_derivative_fd,
+    horner_two_pass,
+    radial_roots_doubling,
+)
 
 import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_jacobian, monomial_values
@@ -253,6 +258,80 @@ def test_mixed_bracket_batch_gives_single_ray_roots(three_axes):
     assert np.all(three_axes.rho.value(integrate.RAY_T_MAX * U[np.isnan(batch)]) < 0)
     single = [radial_roots(three_axes, u[None, :])[0] for u in U]
     np.testing.assert_array_equal(batch, single)
+
+
+def _unit_rays(n, count, seed):
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+def test_radial_roots_match_the_doubling_bracket(example2):
+    # the 1/16 grid brackets the same first sign change as t = 1, 2, 4, 8
+    U = _unit_rays(3, 2048, 12)
+    roots = radial_roots(example2, U)
+    reference = radial_roots_doubling(example2, U)
+    assert not np.any(np.isnan(roots))
+    np.testing.assert_allclose(roots, reference, rtol=1e-14, atol=0)
+
+
+def test_radial_roots_on_a_fine_grid_point_are_exact():
+    """|z1|^4 + |z1|^2 + |z2|^2 = 71825/65536 meets the z1 axis at t = 13/16,
+    a point of the 1/16 grid and of no coarser one; every coefficient and
+    every power of 13/16 up to the fourth is exact in binary."""
+    terms = {
+        ((2, 0), (2, 0)): Fraction(1),
+        ((1, 0), (1, 0)): Fraction(1),
+        ((0, 1), (0, 1)): Fraction(1),
+        ((0, 0), (0, 0)): Fraction(-71825, 65536),
+    }
+    M = Manifold(2, (1, 1), DefiningPolynomial(2, terms))
+    U = np.array([[1.0, 0.0], [-1.0, 0.0], [1j, 0.0], [0.0, 1.0]], dtype=complex)
+    roots = radial_roots(M, U)
+    assert np.all(roots[:3] == 13 / 16)
+    # the z2 axis, in the same batch, meets X off the grid at sqrt(71825) / 256
+    assert abs(roots[3] - float(mpmath.sqrt(71825) / 256)) <= 1e-15 * roots[3]
+
+
+def test_radial_roots_bisect_when_newton_leaves_a_fine_bracket():
+    """rho(t e1) = -1 + (1984 t^2 - 1024 t^4) / 957 has its first root at
+    sqrt(29/32) in the bracket (15/16, 1], and falls at t = 1, so Newton from
+    the upper end steps past it."""
+    terms = {
+        ((1, 0), (1, 0)): Fraction(1984, 957),
+        ((2, 0), (2, 0)): Fraction(-1024, 957),
+        ((0, 1), (0, 1)): Fraction(1),
+        ((0, 0), (0, 0)): Fraction(-1),
+    }
+    M = Manifold(2, (1, 2), DefiningPolynomial(2, terms))
+    U = np.array([[1.0, 0.0]], dtype=complex)
+    ray = np.polynomial.Polynomial(M.rho.ray_coefficients(U)[0])
+    assert ray(15 / 16) < 0 < ray(1.0) and 1.0 - ray(1.0) / ray.deriv()(1.0) > 1.0
+    root = radial_roots(M, U)[0]
+    assert abs(root - np.sqrt(29 / 32)) <= 1e-15
+    assert abs(root - _mp_first_ray_root(M, U[0])) <= 1e-14 * root
+
+
+def test_newton_passes_from_the_fine_bracket(example2, monkeypatch):
+    """Newton starts at the upper end of a bracket 1/16 wide.  Rays whose
+    root lies within 1/32 of that end converge in 5 evaluator passes; the
+    rest take at most a sixth (the doubling bracket took 8)."""
+    U = _unit_rays(3, 2048, 13)
+    roots = radial_roots(example2, U)
+    _, upper = integrate.ray_brackets(example2, U)
+    near_upper = roots >= integrate._RAY_GRID[upper] - 1 / 32
+    passes = []
+    ray_values = integrate._ray_values
+
+    def counting(C, D, t):
+        passes[-1] += 1
+        return ray_values(C, D, t)
+
+    monkeypatch.setattr(integrate, "_ray_values", counting)
+    for rays in (U[near_upper], U):
+        passes.append(0)
+        radial_roots(example2, rays)
+    assert passes[0] <= 5 and passes[1] <= 6, passes
 
 
 def _non_dyadic():

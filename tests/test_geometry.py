@@ -29,9 +29,24 @@ from szegolab.geometry import (
     ROW_BLOCK,
     STRATA_RAYS,
     Manifold,
+    StrataOrders,
     WeightVector,
     safeguarded_newton,
 )
+
+# (orders, unconfirmed orders, certifying patterns) per preset, as certified
+# when every pattern's rays were solved for their roots
+_C3_PATTERNS_126 = (((0,), 1), ((1,), 2), ((0, 1), 1), ((2,), 6), ((0, 2), 1), ((1, 2), 2),
+                    ((0, 1, 2), 1))
+STRATA_BY_ROOTS = [
+    ("sphere2", ((1,), (), (((0,), 1), ((1,), 1), ((0, 1), 1)))),
+    ("sphere3", ((1,), (), (((0,), 1), ((1,), 1), ((0, 1), 1), ((2,), 1), ((0, 2), 1),
+                            ((1, 2), 1), ((0, 1, 2), 1)))),
+    ("wsphere12", ((1, 2), (), (((0,), 1), ((1,), 2), ((0, 1), 1)))),
+    ("wsphere126", ((1, 2, 6), (), _C3_PATTERNS_126)),
+    ("example2", ((1, 2, 6), (), _C3_PATTERNS_126)),
+    ("flat_ellipsoid", ((1,), (2,), (((0,), 1), ((0, 1), 1)))),
+]
 
 
 class TestConstruction:
@@ -227,21 +242,38 @@ class TestStrata:
         for seed in range(5):
             assert st_orders == strata_orders_loop(M, seed=seed)
 
-    def test_strata_orders_take_one_root_call(self, example2, monkeypatch):
+    def test_strata_orders_take_one_bracket_pass(self, example2, monkeypatch):
+        # the strata read only which rays are bracketed: no root is solved
         import szegolab.integrate as integrate
 
-        calls = []
+        root_calls, passes = [], []
         radial_roots = integrate.radial_roots
+        ray_coefficients = DefiningPolynomial.ray_coefficients
 
-        def counting(M, U):
-            calls.append(len(U))
+        def counting_roots(M, U):
+            root_calls.append(len(U))
             return radial_roots(M, U)
 
-        monkeypatch.setattr(integrate, "radial_roots", counting)
+        def counting_passes(rho, U):
+            passes.append(len(U))
+            return ray_coefficients(rho, U)
+
+        monkeypatch.setattr(integrate, "radial_roots", counting_roots)
+        monkeypatch.setattr(DefiningPolynomial, "ray_coefficients", counting_passes)
         st_orders = example2.strata_orders()
-        assert len(calls) == 1
-        assert calls[0] <= 7 * STRATA_RAYS  # the 7 support patterns of C^3
+        assert root_calls == []
+        assert len(passes) == 1
+        assert passes[0] <= 7 * STRATA_RAYS  # the 7 support patterns of C^3
         assert st_orders == example2.strata
+
+    @pytest.mark.parametrize("name, expected", STRATA_BY_ROOTS, ids=[n for n, _ in STRATA_BY_ROOTS])
+    def test_strata_orders_equal_those_certified_by_roots(self, request, name, expected):
+        # the orders, unconfirmed orders and certifying patterns that the
+        # strata had when each pattern's rays were solved for their roots
+        orders, unconfirmed, patterns = expected
+        assert request.getfixturevalue(name).strata_orders() == StrataOrders(
+            orders, unconfirmed, patterns
+        )
 
     def test_near_stratum_flag(self, wsphere12):
         z = np.array([1e-7, math.sqrt(1 - 1e-14)], dtype=complex)
