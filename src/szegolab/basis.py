@@ -26,15 +26,24 @@ diagonal Gram matrix (so no d x d matrix is formed) and 2-D otherwise.  It
 is a map with one block: block_values and block_jacobian evaluate a sequence
 of bases side by side, one alone or an embedding.EmbeddingMap's blocks.
 
-The kernels are studied over many levels on one rule or sample set, so the
-Gram matrices of all requested levels are assembled in one pass over it
-(gram_matrices, fourier_bases).  The pass runs in blocks of rows, taken from
-the given rule or sample set or streamed from the sampler; per block it
-takes the weighted compliant density once, builds one power table per
-coordinate up to the largest exponent any level needs, gathers each level's
-monomial rows from those tables, and adds them to that level's diagonal, or
-to its matrix and second-moment accumulator.  The one-level functions
-gram_matrix and fourier_basis go through the same pass.
+The kernels are studied over many levels at once, so the levels of one
+fourier_bases call are one stacked exponent array with a row count per level
+(enumerate_multiindices of a level sequence).  On the diagonal paths the
+sign and degree check, the closed-form diagonal, the gathers from the power
+tables, the reciprocal square root and the coefficient product of each
+evaluated row block (_apply_blocks) are one numpy call each, whatever the
+level count.  The Gram pass runs over the rule or sample set in blocks of
+rows, taken from the given rule or sample set or streamed from the sampler;
+per block it takes the weighted compliant density once and builds one power
+table per coordinate up to the largest exponent any level needs.  On the
+simplex rule it gathers the stacked rows from those tables in groups of
+whole levels of about GATHER_ENTRIES entries (one group unless the rows are
+many) and adds each level's squared moduli to its diagonal by a product
+of its own, so that a level's entries do not depend on the levels beside it.
+A Monte-Carlo pass gathers each level's rows and adds them to that level's
+matrix and second-moment accumulator.  Each basis and Gram estimate holds
+views of the stacked arrays.  The one-level functions gram_matrix and
+fourier_basis are the one-level case of the same code.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,25 +79,46 @@ COMPLIANT = "compliant-quadrature"
 
 DEFAULT_GRAM_SAMPLES = 200_000
 
+# complex entries (16 MiB) per gather_products call of the simplex rule: the
+# stacked rows are gathered in groups of the levels that start in the same
+# GATHER_ENTRIES entries, so a group holds less than that plus one level
+GATHER_ENTRIES = 1 << 20
 
-def enumerate_multiindices(weights: WeightVector, m: int) -> np.ndarray:
-    """All alpha >= 0 with <alpha, weights> = m: the (d, n) int64 exponent
-    rows, in colexicographic order, built a coordinate at a time from the last."""
-    if m < 0:
+
+def enumerate_multiindices(weights: WeightVector, levels):
+    """All alpha >= 0 with <alpha, weights> = m as int64 exponent rows, in
+    colexicographic order, built a coordinate at a time from the last.
+
+    An int m gives that level's (d, n) rows.  A sequence of levels gives the
+    rows of all of them stacked in the given order, each level's rows in
+    colex order, and the (L,) count of rows per level: the recurrence is
+    seeded with every level at once and tracks the level each row belongs to.
+    """
+    one = np.ndim(levels) == 0
+    ms = np.array([levels] if one else levels, dtype=np.int64)
+    if np.any(ms < 0):
         raise ValueError("m must be >= 0")
     ws = weights.weights
-    rest = np.array([m])  # what each partial row leaves of m
+    rest = ms  # what each partial row leaves of its level
+    owner = np.arange(len(ms))  # the index of each partial row's level
     columns: list[np.ndarray] = []
     for w in ws[:0:-1]:
-        left = rest[:, None] - np.arange(0, m + 1, w)
-        fits = left >= 0
-        parent, a = np.nonzero(fits)
-        rest = left[fits]
+        k = rest // w + 1  # each row's children: exponents a = 0, ..., rest // w
+        parent = np.repeat(np.arange(len(rest)), k)
+        a = np.arange(len(parent)) - np.repeat(np.cumsum(k) - k, k)
+        rest, owner = rest[parent] - w * a, owner[parent]
         columns = [a] + [c[parent] for c in columns]
     if ws[0] > 1:
         fits = rest % ws[0] == 0
-        rest, columns = rest[fits] // ws[0], [c[fits] for c in columns]
-    return np.stack([rest] + columns, axis=1, dtype=np.int64)
+        rest, owner, columns = rest[fits] // ws[0], owner[fits], [c[fits] for c in columns]
+    A = np.stack([rest] + columns, axis=1, dtype=np.int64)
+    return A if one else (A, np.bincount(owner, minlength=len(ms)))
+
+
+def _level_rows(levels: Sequence[int], counts: Sequence[int]) -> dict[int, slice]:
+    """Each level's row slice of rows stacked level by level, counts[i] rows
+    for levels[i]."""
+    return {level: slice(stop - d, stop) for level, d, stop in zip(levels, counts, accumulate(counts))}
 
 
 def dimension(weights: WeightVector, m: int) -> int:
@@ -126,14 +157,12 @@ def sphere_monomial_norm_sq(alpha: Sequence[int], n: int) -> ExactNorm:
 
 def _round_exact_diagonal(A: np.ndarray, n: int) -> np.ndarray:
     """sphere_monomial_norm_sq(alpha, n).value() per exponent row alpha of A,
-    bit for bit: the int/int true division is correctly rounded, as
+    bit for bit: the products and factorials are exact Python ints in an
+    object array, their true division is correctly rounded, as
     float(Fraction) is, and no Fraction is built."""
-    factorial = [1]
-    for k in range(1, n + int(A.sum(axis=1).max(initial=0))):
-        factorial.append(factorial[-1] * k)
-    return np.array(
-        [2 * math.prod(factorial[a] for a in alpha) / factorial[n - 1 + sum(alpha)] for alpha in A.tolist()]
-    ) * math.pi**n
+    degrees = A.sum(axis=1)
+    F = np.array([math.factorial(k) for k in range(n + int(degrees.max(initial=0)))], dtype=object)
+    return (2 * F[A].prod(axis=1) / F[n - 1 + degrees]).astype(float) * math.pi**n
 
 
 def monomial_values(Z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -176,10 +205,14 @@ def monomial_jacobian(z: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 def _apply_blocks(bases: Sequence[FourierBasis], V: np.ndarray) -> np.ndarray:
     """out[:, s] = V[:, s] @ C.T for the coefficient array C of each basis and
     its column slice s, in order (V[:, s] * C for a 1-D diagonal C): monomial
-    columns to basis columns."""
+    columns to basis columns.  When every C is 1-D, one product with their
+    concatenation."""
+    coeffs = [B.coeff_matrix for B in bases]
+    if all(C.ndim == 1 for C in coeffs):
+        return V * np.concatenate(coeffs)
     out = np.empty_like(V)
     start = 0
-    for C in (B.coeff_matrix for B in bases):
+    for C in coeffs:
         cols = slice(start, start + C.shape[0])
         out[:, cols] = V[:, cols] * C if C.ndim == 1 else V[:, cols] @ C.T
         start = cols.stop
@@ -259,63 +292,67 @@ def gram_matrices(
     standard error of the real part.  Each result must be positive definite;
     otherwise GramNotPositiveDefiniteError names the level and its size.
     """
-    exps = {
-        level: np.asarray(A, dtype=np.int64).reshape(-1, M.n)
-        for level, A in level_exponents.items()
-    }
-    for level, A in exps.items():
-        if np.any(A < 0):
-            raise ValueError(f"negative exponent in level {level}")
-        degrees = A @ M.weights.array
-        if np.any(degrees != level):
-            raise ValueError(
-                f"exponents of level {level} span several weighted degrees: "
-                f"{sorted(set(degrees.tolist()) | {level})}"
-            )
+    parts = [np.asarray(A, dtype=np.int64).reshape(-1, M.n) for A in level_exponents.values()]
+    A = np.concatenate([np.zeros((0, M.n), dtype=np.int64), *parts])
+    counts = [len(part) for part in parts]
+    rows = _level_rows(list(level_exponents), counts)
+    owner = np.repeat(np.array(list(level_exponents), dtype=np.int64), counts)  # each row's level
+    negative = np.flatnonzero(np.any(A < 0, axis=1))
+    if negative.size:
+        raise ValueError(f"negative exponent in level {owner[negative[0]]}")
+    degrees = A @ M.weights.array
+    wrong = np.flatnonzero(degrees != owner)
+    if wrong.size:
+        level = int(owner[wrong[0]])
+        raise ValueError(
+            f"exponents of level {level} span several weighted degrees: "
+            f"{sorted(set(degrees[rows[level]].tolist()) | {level})}"
+        )
     if measure == ROUND_EXACT:
-        return {
-            level: _diagonal_estimate(level, _round_exact_diagonal(A, M.n), measure)
-            for level, A in exps.items()
-        }
+        return _diagonal_estimates(rows, _round_exact_diagonal(A, M.n), measure)
     if measure != COMPLIANT:
         raise ValueError(f"unknown measure {measure!r}")
-    nonempty = any(len(A) for A in exps.values())
     if sample_set is None and torus_invariant(M):
-        diag = {level: np.zeros(len(A)) for level, A in exps.items()}
-        if nonempty:
-            degree = max(int(A.sum(axis=1).max(initial=0)) for A in exps.values())
-            blocks = _compliant_blocks(M, torus_quadrature(M, degree))
-            for c, powers in _power_blocks(blocks, exps):
-                for level, A in exps.items():
-                    V = gather_products(powers, A)
-                    diag[level] += (V.real**2 + V.imag**2) @ c
-        return {level: _diagonal_estimate(level, d, measure) for level, d in diag.items()}
-    G = {level: np.zeros((len(A), len(A))) for level, A in exps.items()}
-    S2 = {level: np.zeros((len(A), len(A))) for level, A in exps.items()}
+        diag = np.zeros(len(A))
+        if len(A):
+            blocks = _compliant_blocks(M, torus_quadrature(M, int(A.sum(axis=1).max())))
+            filled = [s for s in rows.values() if s.stop > s.start]
+            for c, powers in _power_blocks(blocks, A):
+                size = max(GATHER_ENTRIES // len(c), 1)  # rows per gather, a level or more
+                for _, group in groupby(filled, key=lambda s: s.start // size):
+                    group = list(group)
+                    first = group[0].start
+                    V = gather_products(powers, A[first : group[-1].stop])
+                    B = V.real**2 + V.imag**2
+                    for s in group:  # a product per level keeps each level's rounding
+                        diag[s] += B[s.start - first : s.stop - first] @ c
+        return _diagonal_estimates(rows, diag, measure)
+    G = {level: np.zeros((d, d)) for level, d in zip(rows, counts)}
+    S2 = {level: np.zeros((d, d)) for level, d in zip(rows, counts)}
     N = 0
-    if nonempty:
+    if len(A):
         if sample_set is not None:
             N, blocks = sample_set.count, _compliant_blocks(M, sample_set)
         else:
             N = samples
             blocks = ((X, w * density) for X, w, density in hypersurface_blocks(M, samples, seed))
-        for c, powers in _power_blocks(blocks, exps):
+        for c, powers in _power_blocks(blocks, A):
             c2 = np.repeat(c, 2)
             Nc2 = N * c**2
-            for level, A in exps.items():
+            for level, s in rows.items():
                 # R[j, 2i] + 1j R[j, 2i + 1] = z_i^{alpha_j}: a real view, no copy
-                R = gather_products(powers, A).view(np.float64)
+                R = gather_products(powers, A[s]).view(np.float64)
                 G[level] += (R * c2) @ R.T  # Re sum_i c_i z_i^{alpha_j} conj(z_i^{alpha_k})
                 R2 = R * R
                 B = R2[:, 0::2] + R2[:, 1::2]  # |z_i^{alpha_j}|^2
                 S2[level] += (B * Nc2) @ B.T
     out = {}
-    for level, A in exps.items():
+    for level, d in zip(rows, counts):
         Gm = 0.5 * (G[level] + G[level].T)
         stderr = np.sqrt(np.maximum(S2[level] - Gm**2, 0.0) / max(N - 1, 1))
-        spectrum = np.linalg.eigvalsh(Gm) if len(A) else np.zeros(1)
-        if len(A) and spectrum[0] <= 0:
-            raise _not_positive_definite(level, len(A), float(spectrum[0]))
+        spectrum = np.linalg.eigvalsh(Gm) if d else np.zeros(1)
+        if d and spectrum[0] <= 0:
+            raise _not_positive_definite(level, d, float(spectrum[0]))
         out[level] = GramEstimate(Gm, stderr, measure, float(spectrum[0]))
     return out
 
@@ -328,10 +365,10 @@ def _compliant_blocks(M: Manifold, S: SampleSet):
         yield Z, S.weights[start : start + ROW_BLOCK] * compliant_density(M, Z)
 
 
-def _power_blocks(blocks, exps: Mapping[int, np.ndarray]):
+def _power_blocks(blocks, A: np.ndarray):
     """(c, powers) per block (Z, c) of blocks, with powers one table per
-    coordinate of Z, up to the largest exponent of that coordinate in exps."""
-    e_max = np.max([A.max(axis=0, initial=0) for A in exps.values()], axis=0).tolist()
+    coordinate of Z, up to the largest exponent of that coordinate in A."""
+    e_max = A.max(axis=0, initial=0).tolist()
     for Z, c in blocks:
         yield c, [power_table(Z[:, k], e) for k, e in enumerate(e_max)]
 
@@ -344,12 +381,19 @@ def _not_positive_definite(level: int, d: int, smallest: float) -> GramNotPositi
     )
 
 
-def _diagonal_estimate(level: int, diag: np.ndarray, measure: str) -> GramEstimate:
-    """GramEstimate of an exactly diagonal Gram matrix (no standard errors)."""
-    smallest = float(diag.min()) if len(diag) else 0.0
-    if len(diag) and smallest <= 0:
-        raise _not_positive_definite(level, len(diag), smallest)
-    return GramEstimate(diag, None, measure, smallest)
+def _diagonal_estimates(rows: Mapping[int, slice], diag: np.ndarray, measure: str) -> dict[int, GramEstimate]:
+    """GramEstimates of exactly diagonal Gram matrices (no standard errors):
+    each level's rows[level] slice of one stacked diagonal."""
+    starts = [s.start for s in rows.values() if s.stop > s.start]
+    smallest = iter(np.minimum.reduceat(diag, starts).tolist() if starts else [])
+    out = {}
+    for level, s in rows.items():
+        d = s.stop - s.start
+        low = next(smallest) if d else 0.0
+        if d and low <= 0:
+            raise _not_positive_definite(level, d, low)
+        out[level] = GramEstimate(diag[s], None, measure, low)
+    return out
 
 
 def gram_matrix(
@@ -421,6 +465,17 @@ def _cholesky_with_pivot(G: np.ndarray) -> np.ndarray:
         raise RankDeficiencyError(lo - 1)
 
 
+def _whitening(G: np.ndarray) -> np.ndarray:
+    """Coefficient array that whitens G: 1 / sqrt of a 1-D Gram diagonal, of
+    one level or several stacked, or the inverse Cholesky factor of a 2-D
+    Gram matrix."""
+    if G.ndim == 1:
+        if np.any(G <= 0):
+            raise RankDeficiencyError(int(np.argmax(G <= 0)))
+        return (1.0 / np.sqrt(G)).astype(complex)
+    return np.linalg.inv(_cholesky_with_pivot(G))
+
+
 def orthonormalize(exponents: np.ndarray, gram: GramEstimate, weights: WeightVector) -> FourierBasis:
     """Cholesky whitening of the Gram matrix of one level's exponent rows
     (at least one; the level is the first row's weighted degree) into a
@@ -428,14 +483,7 @@ def orthonormalize(exponents: np.ndarray, gram: GramEstimate, weights: WeightVec
     A = np.asarray(exponents, dtype=np.int64).reshape(-1, len(weights))
     if len(A) == 0:
         raise ValueError("cannot orthonormalize an empty set of monomials")
-    G = gram.matrix
-    if G.ndim == 1:
-        if np.any(G <= 0):
-            raise RankDeficiencyError(int(np.argmax(G <= 0)))
-        C = (1.0 / np.sqrt(G)).astype(complex)
-    else:
-        C = np.linalg.inv(_cholesky_with_pivot(G))
-    return FourierBasis(int(A[0] @ weights.array), A, C, gram.measure)
+    return FourierBasis(int(A[0] @ weights.array), A, _whitening(gram.matrix), gram.measure)
 
 
 def fourier_bases(
@@ -448,21 +496,31 @@ def fourier_bases(
 ) -> dict[int, FourierBasis]:
     """Enumerate, assemble the Gram matrices and whiten, for several levels.
 
+    The levels' monomials are one stacked exponent array from one
+    enumerate_multiindices call, and each basis holds a view of its rows.
     The non-empty levels share one gram_matrices call, hence one sample set
-    and one pass over it.  measure="auto" is resolved by resolve_measure.
+    and one pass over it.  Diagonal Gram matrices are whitened together, by
+    one reciprocal square root of their concatenation, and each basis holds
+    a view of its coefficients; a dense Gram matrix is whitened on its own.
+    An empty level gets an empty basis.  measure="auto" is resolved by
+    resolve_measure.
     """
     measure = resolve_measure(M, measure)
-    exps = {m: enumerate_multiindices(M.weights, m) for m in dict.fromkeys(map(int, levels))}
+    levels = list(dict.fromkeys(map(int, levels)))
+    A, counts = enumerate_multiindices(M.weights, levels)
+    rows = _level_rows(levels, counts.tolist())
     grams = gram_matrices(
-        {m: A for m, A in exps.items() if len(A)},
+        {m: A[s] for m, s in rows.items() if s.stop > s.start},
         M, measure=measure, samples=samples, seed=seed, sample_set=sample_set,
     )
-    return {
-        m: orthonormalize(A, grams[m], M.weights)
-        if len(A)
-        else FourierBasis(m, A, np.zeros((0, 0), dtype=complex), measure)
-        for m, A in exps.items()
-    }
+    diagonals = [G.matrix for G in grams.values() if G.matrix.ndim == 1]
+    if len(diagonals) == len(grams):
+        C = _whitening(np.concatenate([np.zeros(0), *diagonals]))
+        coeffs = {m: C[s] for m, s in rows.items()}
+    else:
+        empty = np.zeros((0, 0), dtype=complex)
+        coeffs = {m: _whitening(grams[m].matrix) if m in grams else empty for m in rows}
+    return {m: FourierBasis(m, A[s], coeffs[m], measure) for m, s in rows.items()}
 
 
 def fourier_basis(

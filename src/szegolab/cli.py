@@ -190,13 +190,13 @@ def cmd_norms(args) -> int:
     if M.kind != "sphere":
         raise ConfigError("exact norms require a sphere preset")
     ms = _parse_range(args.m)
+    A, counts = basis.enumerate_multiindices(M.weights, ms)
     rows = []
-    for m in ms:
-        for alpha in basis.enumerate_multiindices(M.weights, m).tolist():
-            norm = basis.sphere_monomial_norm_sq(alpha, M.n)
-            rows.append(
-                (m, " ".join(map(str, alpha)), str(norm.rational_part), norm.pi_power, repr(norm.value()))
-            )
+    for m, alpha in zip(np.repeat(ms, counts).tolist(), A.tolist()):
+        norm = basis.sphere_monomial_norm_sq(alpha, M.n)
+        rows.append(
+            (m, " ".join(map(str, alpha)), str(norm.rational_part), norm.pi_power, repr(norm.value()))
+        )
     return emit_report(
         args, M, "norms", {"count": len(rows)}, [],
         csv_rows=rows, csv_header=("m", "alpha", "rational", "pi_power", "value"),
@@ -293,7 +293,10 @@ def cmd_vanish(args) -> int:
 def cmd_ratio(args) -> int:
     M = resolve_manifold(args)
     x0 = M.point(_parse_point(args.point))
-    radii = [float(t) for t in args.radii.split(",")]
+    try:
+        radii = [float(t) for t in args.radii.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"cannot parse --radii {args.radii!r}: {e}")
     report = kernel.ratio_search(
         M, x0,
         m_candidates=_parse_range(args.m),
@@ -352,6 +355,9 @@ def cmd_embed(args) -> int:
     # separation_report draws pairs // 3 same-orbit and cross-stratum pairs
     if args.pairs < 3:
         raise ConfigError(f"--pairs must be at least 3, got {args.pairs}")
+    # a pair is held to the separation floor when its distance exceeds --delta
+    if not 0 < args.delta < np.inf:
+        raise ConfigError(f"--delta must be finite and > 0, got {args.delta!r}")
     minimum = stratified_minimum(M)  # one regular, one per singular pattern, one near
     if args.immersion_samples < minimum:
         raise ConfigError(f"--immersion-samples must be at least {minimum}, got {args.immersion_samples}")
@@ -365,6 +371,7 @@ def cmd_embed(args) -> int:
         embedding.separation_job(Phi, args.pairs, args.delta, args.seed),
     )
     worst = imm.argmin_index
+    checked = sep.min_image_distance < np.inf  # inf when no pair's quotient distance exceeds delta
     results = {
         "base_level": m,
         "levels": list(Phi.levels),
@@ -385,8 +392,9 @@ def cmd_embed(args) -> int:
         },
         {
             "name": "separation",
-            "passed": not sep.violations,
-            "detail": f"{len(sep.violations)} violating pairs",
+            "passed": checked and not sep.violations,
+            "detail": f"{len(sep.violations)} violating pairs" if checked
+            else f"no pair has quotient distance above --delta {args.delta}: nothing was checked",
         },
     ]
     if args.m0 is not None:

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from oracles import (
 )
 
 import szegolab.basis as basis
+import szegolab.geometry as geometry
 import szegolab.integrate as integrate
 from szegolab.basis import (
     COMPLIANT,
@@ -57,6 +59,30 @@ class TestEnumeration:
             ref = multiindices_recursive(ws, m)
             assert idx.dtype == ref.dtype and idx.shape == ref.shape
             np.testing.assert_array_equal(idx, ref)
+
+    @pytest.mark.parametrize(
+        "ws", [(1, 2, 6), (1, 1), (1, 2), (2, 3, 5), (1, 1, 1, 1), (3, 1, 2), (2, 1), (1,), (5, 3)]
+    )
+    def test_stacked_levels_equal_the_per_level_rows(self, ws):
+        # unsorted, with a repeat, level 0 and levels that are empty for some weights
+        wv = WeightVector(ws)
+        levels = [17, 0, 4, 1, 60, 4, 2, 33]
+        A, counts = enumerate_multiindices(wv, levels)
+        per_level = [enumerate_multiindices(wv, m) for m in levels]
+        assert A.dtype == np.int64 and counts.tolist() == [len(B) for B in per_level]
+        np.testing.assert_array_equal(A, np.vstack(per_level))
+        np.testing.assert_array_equal(enumerate_multiindices(wv, [60])[0], per_level[4])
+
+    def test_stacked_edge_cases(self):
+        wv = WeightVector((2, 3))
+        A, counts = enumerate_multiindices(wv, [])
+        assert A.shape == (0, 2) and counts.tolist() == []
+        A, counts = enumerate_multiindices(wv, [1, 6, 1])
+        assert A.tolist() == [[3, 0], [0, 2]] and counts.tolist() == [0, 2, 0]
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            enumerate_multiindices(wv, [3, -1])
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            enumerate_multiindices(wv, -1)
 
     def test_weights_126_vs_exhaustive(self):
         idx = enumerate_multiindices(WeightVector((1, 2, 6)), 6)
@@ -390,6 +416,106 @@ class TestTorusQuadrature:
         assert "level 4 (3 monomials)" in str(info.value)
 
 
+def _counting(monkeypatch, calls, module, name):
+    """Replace module.name by a wrapper that counts its calls in calls[name]."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counted
+
+
+class TestStackedLevels:
+    """fourier_bases builds its levels as one stacked exponent array; a level's
+    basis must not depend on the levels built beside it."""
+
+    LEVELS = [9, 2, 0, 14, 2, 5, 30, 1]
+
+    @staticmethod
+    def assert_stacking_changes_no_bit(M, levels, **options):
+        bases = fourier_bases(M, levels, **options)
+        assert list(bases) == list(dict.fromkeys(levels))
+        for m, B in bases.items():
+            alone = fourier_bases(M, [m], **options)[m]
+            assert B.level == alone.level == m and B.measure == alone.measure
+            for got, want in ((B.exponents, alone.exponents), (B.coeff_matrix, alone.coeff_matrix)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["sphere2", "wsphere12", "wsphere126", "example2"])
+    def test_round_exact(self, request, name):
+        M = request.getfixturevalue(name)
+        self.assert_stacking_changes_no_bit(M, self.LEVELS, measure=ROUND_EXACT)
+
+    @staticmethod
+    def pin_the_rule(monkeypatch, degree):
+        """The simplex rule's node count follows the largest degree in a call:
+        pinned, a level alone is integrated on the rule it gets beside others."""
+        monkeypatch.setattr(
+            basis, "torus_quadrature", lambda M, _: integrate.torus_quadrature(M, degree)
+        )
+
+    @pytest.mark.parametrize("name", ["sphere2", "wsphere12", "wsphere126", "spec"])
+    def test_torus_rule(self, request, name, monkeypatch):
+        M = Manifold.from_spec(TORUS_SPEC) if name == "spec" else request.getfixturevalue(name)
+        self.pin_the_rule(monkeypatch, max(self.LEVELS))
+        self.assert_stacking_changes_no_bit(M, self.LEVELS, measure=COMPLIANT)
+
+    def test_monte_carlo(self, example2):
+        S = surface_samples(example2, 2_000, 7)
+        self.assert_stacking_changes_no_bit(example2, [6, 4, 5, 6], measure=COMPLIANT, sample_set=S)
+
+    @pytest.mark.parametrize("measure", [ROUND_EXACT, COMPLIANT])
+    def test_empty_level(self, measure, monkeypatch):
+        M = Manifold.sphere(2, (2, 3))  # no monomial has weighted degree 1
+        self.pin_the_rule(monkeypatch, 3)
+        self.assert_stacking_changes_no_bit(M, [5, 1, 0, 1, 6], measure=measure)
+        assert fourier_bases(M, [1], measure=measure)[1].d == 0
+
+    @pytest.mark.parametrize("measure", [ROUND_EXACT, COMPLIANT])
+    def test_negative_level_raises(self, wsphere12, measure):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            fourier_bases(wsphere12, [3, -2, 5], measure=measure)
+
+    def test_gather_groups_change_no_bit(self, wsphere126, monkeypatch):
+        # GATHER_ENTRIES bounds the rows of one gather; one level per group
+        # must give the same diagonals as one group for all of them
+        levels = {m: enumerate_multiindices(wsphere126.weights, m) for m in range(0, 40)}
+        grams = gram_matrices(levels, wsphere126, measure=COMPLIANT)
+        monkeypatch.setattr(basis, "GATHER_ENTRIES", 0)
+        calls = collections.Counter()
+        _counting(monkeypatch, calls, basis, "gather_products")
+        single = gram_matrices(levels, wsphere126, measure=COMPLIANT)
+        assert calls["gather_products"] == len(levels)
+        for m in levels:
+            np.testing.assert_array_equal(grams[m].matrix, single[m].matrix)
+
+    @pytest.mark.parametrize("measure", [ROUND_EXACT, COMPLIANT])
+    def test_call_counts_do_not_grow_with_the_level_count(self, wsphere12, monkeypatch, measure):
+        # a timing-free guard: the numpy passes of a diagonal path are made once
+        # per call, not once per level
+        calls = collections.Counter()
+        for name in ("gather_products", "power_table"):
+            wrapper = _counting(monkeypatch, calls, geometry, name)
+            monkeypatch.setattr(basis, name, wrapper)
+        for name in ("_round_exact_diagonal", "enumerate_multiindices"):
+            _counting(monkeypatch, calls, basis, name)
+        counts = []
+        for levels in ([20, 22], list(range(20, 61, 2))):
+            calls.clear()
+            fourier_bases(wsphere12, levels, measure=measure)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["enumerate_multiindices"] == 1
+        if measure == ROUND_EXACT:
+            assert counts[0]["_round_exact_diagonal"] == 1 and "gather_products" not in counts[0]
+        else:
+            assert counts[0]["gather_products"] >= 1 and "_round_exact_diagonal" not in counts[0]
+
+
 class TestOrthonormalize:
     def test_diagonal_gram_gives_inverse_roots(self, sphere2):
         idx = enumerate_multiindices(sphere2.weights, 3)
@@ -507,6 +633,20 @@ class TestEvaluation:
         F = basis.block_values(Z, [diagonal, dense])
         J = basis.block_jacobian(Z, [diagonal, dense])
         for B, cols in ((diagonal, slice(0, diagonal.d)), (dense, slice(diagonal.d, None))):
+            np.testing.assert_array_equal(F[:, cols], basis.block_values(Z, [B]))
+            np.testing.assert_array_equal(J[:, cols], basis.block_jacobian(Z, [B]))
+
+    def test_diagonal_bases_side_by_side(self, wsphere126):
+        # every coefficient array 1-D: one product with their concatenation,
+        # equal to each basis alone bit for bit
+        bases = list(fourier_bases(wsphere126, [7, 3, 12, 8], measure=ROUND_EXACT).values())
+        Z = np.stack([random_point(wsphere126, s) for s in range(5)])
+        F = basis.block_values(Z, bases)
+        J = basis.block_jacobian(Z, bases)
+        stop = 0
+        for B in bases:
+            cols = slice(stop, stop + B.d)
+            stop = cols.stop
             np.testing.assert_array_equal(F[:, cols], basis.block_values(Z, [B]))
             np.testing.assert_array_equal(J[:, cols], basis.block_jacobian(Z, [B]))
 

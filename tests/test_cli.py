@@ -383,8 +383,10 @@ def test_option_the_command_does_not_read_is_rejected(capsys, argv):
         (["dims", "--weights", "1,2", "--m", "3,b"], "cannot parse --m '3,b'"),
         (["embed", "--weights", "1,2", "--m", "4", "--extra-levels", "x"],
          "cannot parse --extra-levels 'x'"),
+        (["ratio", "--weights", "1,2", "--point", "0,1", "--m", "30", "--radii", "0.1,x"],
+         "cannot parse --radii '0.1,x'"),
     ],
-    ids=["tolerance", "weights", "level-range", "level-list", "extra-levels"],
+    ids=["tolerance", "weights", "level-range", "level-list", "extra-levels", "radii"],
 )
 def test_unparsable_number_names_its_option(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -489,6 +491,30 @@ def test_embed_rejects_counts_it_cannot_certify(capsys, manifold, option, value,
     assert code == 2
     assert out == ""
     assert f"{option} must be at least {bound}, got {value}" in err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_embed_rejects_a_delta_that_is_not_finite_and_positive(capsys, delta):
+    code, out, err = run_cli(capsys, "embed", "--weights", "1,2", "--m", "2", "--pairs", "30",
+                             "--immersion-samples", "10", f"--delta={delta}")
+    assert code == 2
+    assert out == ""
+    assert "configuration error: --delta must be finite and > 0" in err
+
+
+def test_embed_separation_fails_when_no_pair_clears_delta(capsys):
+    # no two points of the unit sphere are 5 apart: no pair is held to the
+    # floor, and a certificate over no pair certifies nothing
+    code, out, err = run_cli(capsys, "embed", "--weights", "1,2", "--m", "2", "--pairs", "30",
+                             "--immersion-samples", "10", "--delta", "5")
+    assert code == 1
+    report = json.loads(out)
+    assert report["results"]["separation_floor"] == math.inf
+    assert report["results"]["violations"] == []
+    [separation] = [c for c in report["contracts"] if c["name"] == "separation"]
+    assert not separation["passed"]
+    assert "no pair has quotient distance above --delta 5.0" in separation["detail"]
+    assert "CONTRACT FAILED: separation: no pair" in err
 
 
 @pytest.mark.parametrize("samples", [4, 5, 6, 7, 30])
