@@ -87,9 +87,8 @@ def _parse_tolerances(items) -> dict[str, float]:
 
 def _parse_function(terms, n: int):
     """(A, B, coeffs) of a --function polynomial: terms like rho's, complex coefficients."""
-    if isinstance(terms, dict):
-        require_keys(terms, ("terms",), "--function")
-        terms = terms["terms"]
+    if not isinstance(terms, list):
+        raise ConfigError(f"--function must be a JSON list of terms, got {type(terms).__name__!r}")
     A, B, coeffs = [], [], []
     for t in terms:
         require_keys(t, ("z_exponents", "zbar_exponents"), f"--function term {t}")
@@ -120,9 +119,9 @@ def resolve_manifold(args) -> Manifold:
     raise ConfigError("no manifold: pass --manifold, --preset, or --weights")
 
 
-def _config_dict(args, skip=("out", "func", "func_cmd", "command")) -> dict:
+def _config_dict(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if v is not None}
-    for k in skip:
+    for k in ("out", "func_cmd", "command"):
         cfg.pop(k, None)
     cfg["version"] = __version__
     return cfg
@@ -132,13 +131,13 @@ def _hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def emit_report(args, M: Manifold, command: str, results: dict, contracts: list[dict],
-                csv_rows=None, csv_header=None, primary: str = "json") -> int:
+def emit_report(args, M: Manifold, results: dict, contracts: list[dict],
+                csv_rows, csv_header, primary: str = "json") -> int:
     config = _config_dict(args)
     report = {
         "schema": SCHEMA_VERSION,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         "config_hash": _hash(config),
         "manifold_hash": M.content_hash,
@@ -147,22 +146,19 @@ def emit_report(args, M: Manifold, command: str, results: dict, contracts: list[
         "passed": all(c["passed"] for c in contracts),
     }
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    csv_text = None
-    if csv_rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        csv_text = buf.getvalue()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(csv_header)
+    writer.writerows(csv_rows)
+    csv_text = buf.getvalue()
     out = getattr(args, "out", None)
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{command}.json").write_text(text + "\n", encoding="utf-8")
-        if csv_text is not None:
-            (outdir / f"{command}.csv").write_text(csv_text, encoding="utf-8")
+        (outdir / f"{args.command}.json").write_text(text + "\n", encoding="utf-8")
+        (outdir / f"{args.command}.csv").write_text(csv_text, encoding="utf-8")
     # one artifact per stream so reports stay machine-parseable
-    sys.stdout.write(csv_text if primary == "csv" and csv_text is not None else text + "\n")
+    sys.stdout.write(csv_text if primary == "csv" else text + "\n")
     for c in contracts:
         if not c["passed"]:
             print(f"CONTRACT FAILED: {c['name']}: {c['detail']}", file=sys.stderr)
@@ -178,7 +174,7 @@ def cmd_dims(args) -> int:
     ms = _parse_range(args.m)
     rows = [(m, basis.dimension(M.weights, m)) for m in ms]
     return emit_report(
-        args, M, "dims",
+        args, M,
         {"dimensions": {str(m): d for m, d in rows}},
         [],
         csv_rows=rows, csv_header=("m", "d_m"), primary="csv",
@@ -198,7 +194,7 @@ def cmd_norms(args) -> int:
             (m, " ".join(map(str, alpha)), str(norm.rational_part), norm.pi_power, repr(norm.value()))
         )
     return emit_report(
-        args, M, "norms", {"count": len(rows)}, [],
+        args, M, {"count": len(rows)}, [],
         csv_rows=rows, csv_header=("m", "alpha", "rational", "pi_power", "value"),
         primary="csv",
     )
@@ -228,7 +224,7 @@ def cmd_kernel(args) -> int:
          "detail": f"max defect {worst_h:.2e}"},
         {"name": "diagonal-nonnegative", "passed": not np.any(diag < 0), "detail": ""},
     ]
-    return emit_report(args, M, "kernel", results, contracts,
+    return emit_report(args, M, results, contracts,
                        csv_rows=rows, csv_header=("m", "re", "im", "diag_x"))
 
 
@@ -259,7 +255,7 @@ def cmd_fit(args) -> int:
         }
     ]
     rows = list(zip(fit.levels, map(repr, fit.values)))
-    return emit_report(args, M, "fit", results, contracts,
+    return emit_report(args, M, results, contracts,
                        csv_rows=rows, csv_header=("m", "diagonal"))
 
 
@@ -285,7 +281,7 @@ def cmd_vanish(args) -> int:
             "detail": f"max |f_j(x0)| = {worst:.3e} over levels with {k} not dividing m",
         }
     ]
-    return emit_report(args, M, "vanish",
+    return emit_report(args, M,
                        {"stratum_order": k, "levels": ms, "max_abs_value": worst},
                        contracts, csv_rows=rows, csv_header=("m", "max_abs_value"))
 
@@ -322,14 +318,14 @@ def cmd_ratio(args) -> int:
         }
     ]
     rows = [(m, r, repr(wr), repr(wi)) for m, r, wr, wi in report.attempts]
-    return emit_report(args, M, "ratio", results, contracts,
+    return emit_report(args, M, results, contracts,
                        csv_rows=rows, csv_header=("m", "radius", "max_abs_one_minus_R", "max_abs_I"))
 
 
 def cmd_project(args) -> int:
     M = resolve_manifold(args)
     x = M.point(_parse_point(args.point))
-    A, B, coeffs = _parse_function(json.loads(Path(args.func).read_text()), M.n)
+    A, B, coeffs = _parse_function(json.loads(Path(args.function).read_text()), M.n)
 
     def u(Z):
         return monomial_products(Z, A, B) @ coeffs
@@ -339,7 +335,7 @@ def cmd_project(args) -> int:
     nodes = fourier.default_quadrature(max(max(ms), max_orbit_degree))
     values = fourier.circle_average(M, u, x, ms, nodes).tolist()
     rows = [(m, repr(v.real), repr(v.imag)) for m, v in zip(ms, values)]
-    return emit_report(args, M, "project",
+    return emit_report(args, M,
                        {"node_count": nodes, "levels": ms}, [],
                        csv_rows=rows, csv_header=("m", "re", "im"), primary="csv")
 
@@ -410,7 +406,7 @@ def cmd_embed(args) -> int:
         for i, (label, k, near, s) in enumerate(imm.records)
     ]
     return emit_report(
-        args, M, "embed", results, contracts, csv_rows=rows,
+        args, M, results, contracts, csv_rows=rows,
         csv_header=("sample", "label", "stratum_order", "near_stratum", "sigma_min"),
     )
 
@@ -472,7 +468,7 @@ def _project_options(p):
     _common(p)
     p.add_argument("--m", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--function", dest="func", required=True,
+    p.add_argument("--function", required=True,
                    help="JSON file with polynomial terms")
 
 

@@ -110,20 +110,9 @@ def build_embedding(
     return embedding_from_levels(M, levels, measure=measure, samples=samples, seed=seed)
 
 
-def evaluate_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
-    """Phi at the rows of Z (P, n): one monomial pass per ROW_BLOCK rows."""
-    return block_values(Z, Phi.blocks)
-
-
 def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
     """Phi at one point (n,): the batch of one."""
-    return evaluate_batch(Phi, np.asarray(x, dtype=complex)[None, :])[0]
-
-
-def jacobian_batch(Phi: EmbeddingMap, Z: np.ndarray) -> np.ndarray:
-    """Holomorphic Jacobians J[i, j, k] = d Phi_j / d z_k at the rows of Z
-    (P, n): one monomial pass per ROW_BLOCK rows over all N coordinates."""
-    return block_jacobian(Z, Phi.blocks)
+    return block_values(np.asarray(x, dtype=complex)[None, :], Phi.blocks)[0]
 
 
 def check_equivariance(Phi: EmbeddingMap, x: np.ndarray, theta: float) -> float:
@@ -146,7 +135,7 @@ def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
     """
     z = np.asarray(x, dtype=complex)
     Z = z.reshape(-1, Phi.manifold.n)
-    spectra = np.linalg.svd(jacobian_batch(Phi, Z), compute_uv=False)
+    spectra = np.linalg.svd(block_jacobian(Z, Phi.blocks), compute_uv=False)
     spectra = np.pad(spectra, ((0, 0), (0, Phi.manifold.n - spectra.shape[1])))
     return spectra[0] if z.ndim == 1 else spectra
 
@@ -293,8 +282,8 @@ def separation_job(
     image_norm = np.empty(len(X))
     for start in range(0, len(X), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        FX = evaluate_batch(Phi, X[rows])
-        img[rows] = np.linalg.norm(FX - evaluate_batch(Phi, Y[rows]), axis=1)
+        FX = block_values(X[rows], Phi.blocks)
+        img[rows] = np.linalg.norm(FX - block_values(Y[rows], Phi.blocks), axis=1)
         image_norm[rows] = np.linalg.norm(FX, axis=1)
     scale = float(np.median(image_norm)) or 1.0
     floor = VIOLATION_FLOOR * scale
@@ -302,7 +291,7 @@ def separation_job(
     separated = qd > threshold
     same_orbit_distinct = (kinds == "same-orbit") & (ambient > threshold)
     bad = np.flatnonzero((separated | same_orbit_distinct) & (img < floor))
-    gaps = np.abs(evaluate_batch(Phi, X[bad]) - evaluate_batch(Phi, Y[bad]))
+    gaps = np.abs(block_values(X[bad], Phi.blocks) - block_values(Y[bad], Phi.blocks))
     strata = np.column_stack([M.strata_of(X[bad])[0], M.strata_of(Y[bad])[0]]).tolist()
     violations = tuple(
         {
@@ -344,9 +333,7 @@ class PhasePairDemo:
         return self.distance_without_paired_levels < 1e-9 * scale
 
 
-def phase_pair_demo(
-    M: Manifold, x0: np.ndarray, m: int, measure: str = "auto", seed: int = 0
-) -> PhasePairDemo:
+def phase_pair_demo(M: Manifold, x0: np.ndarray, m: int) -> PhasePairDemo:
     """Show why paired levels are needed: for x0 with stabilizer order k and
     even m, the rotation by pi/k moves x0 but every coordinate of the
     k*m-level blocks returns to itself, so the one-block map cannot separate
@@ -356,9 +343,9 @@ def phase_pair_demo(
     if k <= 1:
         raise ValueError("x0 must have stabilizer order > 1")
     y0 = M.act(math.pi / k, x0)
-    Phi_full = build_embedding(M, m, measure=measure, seed=seed)
+    Phi_full = build_embedding(M, m)
     levels = [j * m for j in range(1, M.strata.max_order + 1)]  # Phi_full without k*(m+1)
-    Phi_km = embedding_from_levels(M, levels, measure=measure, seed=seed)
+    Phi_km = embedding_from_levels(M, levels)
     d_km = float(np.linalg.norm(evaluate(Phi_km, x0) - evaluate(Phi_km, y0)))
     d_full = float(np.linalg.norm(evaluate(Phi_full, x0) - evaluate(Phi_full, y0)))
     return PhasePairDemo(

@@ -28,20 +28,17 @@ class PseudoconvexityError(SzegolabError):
 class GramNotPositiveDefiniteError(SzegolabError):
     """An estimated Gram matrix is not positive definite within sampling noise."""
 
-    def __init__(self, smallest_eigenvalue, message=None):
+    def __init__(self, smallest_eigenvalue, message):
         self.smallest_eigenvalue = smallest_eigenvalue
-        super().__init__(
-            message or f"Gram matrix not positive definite "
-            f"(smallest eigenvalue {smallest_eigenvalue:.3e})"
-        )
+        super().__init__(message)
 
 
 class RankDeficiencyError(SzegolabError):
     """Cholesky factorization failed; carries the offending pivot index."""
 
-    def __init__(self, pivot_index, message=None):
+    def __init__(self, pivot_index):
         self.pivot_index = pivot_index
-        super().__init__(message or f"rank deficiency at pivot {pivot_index}")
+        super().__init__(f"rank deficiency at pivot {pivot_index}")
 
 
 class InsufficientLevelsError(SzegolabError):

@@ -62,7 +62,7 @@ class WeightVector:
     def normalized(cls, weights: Iterable[int]) -> tuple["WeightVector", int]:
         """Divide out the common factor; returns (vector, divisor)."""
         ws = tuple(int(w) for w in weights)
-        g = math.gcd(*ws) if len(ws) > 1 else ws[0]
+        g = math.gcd(*ws)
         if g > 1:
             ws = tuple(w // g for w in ws)
         return cls(ws), g

@@ -181,16 +181,10 @@ class DecayProfile:
 
 
 def decay_profile(
-    M: Manifold,
-    x: np.ndarray,
-    y: np.ndarray,
-    levels,
-    bases: dict[int, FourierBasis] | None = None,
-    measure: str = "auto",
-    samples: int = DEFAULT_GRAM_SAMPLES,
-    seed: int = 0,
+    M: Manifold, x: np.ndarray, y: np.ndarray, levels, bases: dict[int, FourierBasis]
 ) -> DecayProfile:
-    """Off-diagonal decay rate at fixed separation.
+    """Off-diagonal decay rate at fixed separation, from the basis of each
+    level in bases.
 
     The contract for non-orbit-equivalent points is a negative slope:
     |S_m(x, y)| / S_m(x, x) decays exponentially in m.  Underflowing levels
@@ -200,8 +194,6 @@ def decay_profile(
     if qd <= 10 * M.surface_tolerance:
         raise ValueError("points lie on (numerically) the same orbit")
     levels = list(levels)
-    if bases is None:
-        bases = fourier_bases(M, levels, measure=measure, samples=samples, seed=seed)
     level_bases = [bases[m] for m in levels]
     num = np.abs(szego_kernel(level_bases, x, y))
     den = kernel_diagonal(level_bases, x)
@@ -267,8 +259,6 @@ class RatioReport:
     """First (m, radius) at which the consecutive-level ratio bounds hold."""
 
     stratum_order: int
-    sigma: float
-    imag_bound: float
     passing_m: int | None
     passing_radius: float | None
     attempts: tuple[tuple[int, float, float, float], ...]  # (m, radius, max|1-R|, max|I|)
@@ -329,5 +319,5 @@ def ratio_search(
                 worst_r, worst_i = math.inf, math.inf
             attempts.append((m, radius, worst_r, worst_i))
             if worst_r < sigma and worst_i < imag_bound:
-                return RatioReport(k, sigma, imag_bound, m, radius, tuple(attempts))
-    return RatioReport(k, sigma, imag_bound, None, None, tuple(attempts))
+                return RatioReport(k, m, radius, tuple(attempts))
+    return RatioReport(k, None, None, tuple(attempts))

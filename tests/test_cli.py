@@ -147,6 +147,23 @@ def test_project_evaluates_the_function_once(capsys, tmp_path, monkeypatch):
     assert len(out.strip().splitlines()) == 42
 
 
+def test_project_report_records_the_function(capsys, tmp_path):
+    # the --function path is configuration, as --manifold's is: two files
+    # give two config hashes
+    hashes = set()
+    for name, z_exponents in (("u.json", [1, 0]), ("v.json", [0, 1])):
+        func = tmp_path / name
+        func.write_text(json.dumps([{"coeff": "1", "z_exponents": z_exponents,
+                                     "zbar_exponents": [0, 0]}]))
+        code, _, _ = run_cli(capsys, "project", "--weights", "1,2", "--point", "0.6,0.8",
+                             "--m", "0..2", "--function", str(func), "--out", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / "project.json").read_text())
+        assert report["config"]["function"] == str(func)
+        hashes.add(report["config_hash"])
+    assert len(hashes) == 2
+
+
 @pytest.mark.parametrize("z_exponents", [[1, 0, 0], [0, 0, 1], [1], [-1, 0], [1.5, 0]])
 def test_project_rejects_malformed_function(capsys, tmp_path, z_exponents):
     func = tmp_path / "func.json"
@@ -174,7 +191,7 @@ def _sphere12_spec_without(key=None, term_key=None):
     [
         ("project", [{"coeff": "1", "z_exponents": [1, 0]}], "zbar_exponents"),
         ("project", [{"coeff": "1", "zbar_exponents": [0, 0]}], "z_exponents"),
-        ("project", {"polynomial": []}, "terms"),
+        ("project", {"polynomial": []}, "dict"),
         ("dims", _sphere12_spec_without("rho"), "rho"),
         ("dims", _sphere12_spec_without("weights"), "weights"),
         ("dims", _sphere12_spec_without(term_key="z_exponents"), "z_exponents"),
@@ -195,6 +212,8 @@ def test_missing_json_key_is_config_error(capsys, tmp_path, command, payload, mi
     assert code == 2
     assert "configuration error" in err
     assert repr(missing) in err
+    # a --function error names the option
+    assert command != "project" or "--function" in err
 
 
 def test_embed_certificate(capsys, tmp_path):
@@ -235,6 +254,19 @@ def test_embed_extra_levels(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["levels"] == [4, 5, 7, 8, 10]
+
+
+def test_embed_with_only_m0_takes_base_level_m0_plus_one(capsys):
+    code, out, _ = run_cli(
+        capsys, "embed", "--weights", "1,2", "--m0", "3",
+        "--pairs", "300", "--immersion-samples", "20",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["base_level"] == 4
+    assert report["results"]["levels"] == [4, 5, 8, 10]
+    (bound,) = [c for c in report["contracts"] if c["name"] == "minimal-weight"]
+    assert bound["passed"] and bound["detail"] == "min weight 4 vs bound 3"
 
 
 def test_ratio_search_cli(capsys):
@@ -283,6 +315,20 @@ def test_kernel_values(capsys):
     assert report["passed"]
 
 
+def test_kernel_without_point2_reports_the_diagonal(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "kernel", "--preset", "sphere", "--n", "2", "--m", "3..5",
+        "--point", "0.6,0.8", "--out", str(tmp_path),
+    )
+    assert code == 0
+    rows = (tmp_path / "kernel.csv").read_text().splitlines()
+    assert rows[0] == "m,re,im,diag_x"
+    assert len(rows) == 4
+    for row in rows[1:]:
+        _, re, im, diag = row.split(",")
+        assert re == diag and float(im) == 0.0
+
+
 def test_manifold_json_input(capsys, tmp_path):
     from szegolab.geometry import Manifold
 
@@ -291,6 +337,17 @@ def test_manifold_json_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "dims", "--manifold", str(spec), "--m", "4")
     assert code == 0
     assert out.strip().splitlines()[1] == "4,3"
+
+
+def test_empty_weight_list_exits_two(capsys, tmp_path):
+    spec = _sphere12_spec_without()
+    spec["weights"] = []
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "dims", "--manifold", str(path), "--m", "4")
+    assert code == 2
+    assert out == ""
+    assert "configuration error: empty weight vector" in err
 
 
 def test_spec_kind_disagreeing_with_rho_exits_two(capsys, tmp_path):

@@ -20,9 +20,7 @@ from szegolab.embedding import (
     check_equivariance,
     embedding_from_levels,
     evaluate,
-    evaluate_batch,
     immersion_report,
-    jacobian_batch,
     jacobian_singular_values,
     phase_pair_demo,
     separation_report,
@@ -163,7 +161,7 @@ class TestEvaluation:
     def test_batch_matches_single(self, wsphere12):
         Phi = build_embedding(wsphere12, 4)
         pts = np.stack([random_point(wsphere12, s) for s in range(3)])
-        batch = evaluate_batch(Phi, pts)
+        batch = basis.block_values(pts, Phi.blocks)
         for i in range(3):
             assert np.allclose(batch[i], evaluate(Phi, pts[i]))
 
@@ -309,10 +307,10 @@ class TestBatchedJacobian:
         M, Phi = _preset_map(request, name, m)
         Z, _ = stratified_points(M, 12, seed=7)
         np.testing.assert_array_equal(
-            evaluate_batch(Phi, Z), np.hstack([eval_basis_batch(B, Z) for B in Phi.blocks])
+            basis.block_values(Z, Phi.blocks), np.hstack([eval_basis_batch(B, Z) for B in Phi.blocks])
         )
         np.testing.assert_array_equal(
-            jacobian_batch(Phi, Z),
+            basis.block_jacobian(Z, Phi.blocks),
             np.concatenate([eval_basis_jacobian(B, Z) for B in Phi.blocks], axis=1),
         )
 

@@ -282,7 +282,7 @@ class TestDecay:
         x = random_point(sphere2, 1)
         y = sphere2.act(1.0, x)
         with pytest.raises(ValueError, match="same orbit"):
-            decay_profile(sphere2, x, y, range(5, 15))
+            decay_profile(sphere2, x, y, range(5, 15), bases={})
 
     def test_slope_monotone_in_separation(self, sphere2):
         # pairs with increasing separation have increasingly negative slopes
