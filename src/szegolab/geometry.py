@@ -60,12 +60,11 @@ class WeightVector:
 
     @classmethod
     def normalized(cls, weights: Iterable[int]) -> tuple["WeightVector", int]:
-        """Divide out the common factor; returns (vector, divisor)."""
-        ws = tuple(int(w) for w in weights)
-        g = math.gcd(*ws)
-        if g > 1:
-            ws = tuple(w // g for w in ws)
-        return cls(ws), g
+        """Check the weights as given, then divide out their common factor;
+        returns (vector, divisor)."""
+        given = cls(tuple(int(w) for w in weights))
+        g = math.gcd(*given.weights)
+        return (cls(tuple(w // g for w in given.weights)) if g > 1 else given), g
 
     def __len__(self):
         return len(self.weights)
@@ -90,7 +89,10 @@ def _exp_tuple(e) -> tuple[int, ...]:
 
 
 def require_keys(obj: dict, keys: Sequence[str], what: str) -> None:
-    """ValueError naming every key of keys that the JSON object obj lacks."""
+    """ValueError when the JSON value obj is not an object, or naming every
+    key of keys that it lacks."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__!r}")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
@@ -106,6 +108,16 @@ _MAX_ITERS = 60
 
 # grid angles per full turn in the orbit distance scan
 ORBIT_GRID = 720
+
+
+@functools.lru_cache
+def _orbit_grid(weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, phase): the ORBIT_GRID grid angles and phase[j, k] =
+    exp(i w_j thetas[k]) for the weights w, read-only."""
+    thetas = np.linspace(0.0, 2 * np.pi, ORBIT_GRID, endpoint=False)
+    phase = np.exp(1j * np.outer(np.array(weights, dtype=float), thetas))
+    thetas.flags.writeable = phase.flags.writeable = False
+    return thetas, phase
 
 
 def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -441,6 +453,10 @@ class Manifold:
         """Build from the JSON manifold description (see README for the schema);
         a "kind" given there must be the one rho implies."""
         require_keys(spec, ("n", "weights", "rho"), "manifold spec")
+        for key in ("weights", "rho"):
+            if not isinstance(spec[key], list):
+                raise ValueError(f"manifold spec {key!r} must be a JSON list, "
+                                 f"got {type(spec[key]).__name__!r}")
         n = int(spec["n"])
         weights = [int(w) for w in spec["weights"]]
         terms: dict[tuple, Fraction] = {}
@@ -619,33 +635,33 @@ class Manifold:
         2 Im sum_j w_j c_j e^{i w_j theta} = 0 to machine precision.  A pair
         whose slope does not change sign across the bracket (c = 0, say)
         keeps the grid angle, and so does one whose grid point is closer.
+        The grid angles and their phase table are built once per process for
+        each weight vector and shared read-only.
         """
         X = np.asarray(X, dtype=complex)
         Y = np.asarray(Y, dtype=complex)
         w = self.weights.array.astype(float)
         c = X.conj() * Y  # (P, n)
-        thetas = np.linspace(0.0, 2 * np.pi, ORBIT_GRID, endpoint=False)
-        phase = np.exp(1j * np.outer(w, thetas))
+        thetas, phase = _orbit_grid(self.weights.weights)
         best = np.empty(c.shape[0], dtype=np.int64)
         for start in range(0, c.shape[0], ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             best[rows] = np.argmax((c[rows] @ phase).real, axis=1)
         theta_grid = thetas[best]
         h = 2 * np.pi / ORBIT_GRID
-        cw, cw2 = c * w, c * w**2
-
-        def slope(rows, t):
-            ph = np.exp(1j * np.outer(t, w))
-            return (2.0 * np.sum(cw[rows] * ph, axis=1).imag,
-                    2.0 * np.sum(cw2[rows] * ph, axis=1).real)
-
-        every = np.arange(c.shape[0])
+        cw = c * w
         lo, hi = theta_grid - h, theta_grid + h
-        bracketed = np.flatnonzero((slope(every, lo)[0] < 0) & (slope(every, hi)[0] >= 0))
+        slope_lo, slope_hi = (2.0 * np.sum(cw * np.exp(1j * np.outer(t, w)), axis=1).imag
+                              for t in (lo, hi))
+        bracketed = np.flatnonzero((slope_lo < 0) & (slope_hi >= 0))
+        cw, cw2 = cw[bracketed], c[bracketed] * w**2
+
+        def slope_curvature(t):
+            ph = np.exp(1j * np.outer(t, w))
+            return 2.0 * np.sum(cw * ph, axis=1).imag, 2.0 * np.sum(cw2 * ph, axis=1).real
+
         theta_star = theta_grid.copy()
-        theta_star[bracketed] = safeguarded_newton(
-            lambda t: slope(bracketed, t), lo[bracketed], hi[bracketed]
-        )
+        theta_star[bracketed] = safeguarded_newton(slope_curvature, lo[bracketed], hi[bracketed])
         # the difference form is free of the cancellation that floors
         # |x|^2 + |y|^2 - 2 Re(...) at ~1e-8
         dist = np.linalg.norm(X - Y * np.exp(1j * np.outer(theta_star, w)), axis=1)

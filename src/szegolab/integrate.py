@@ -97,6 +97,14 @@ def _ray_values(C: np.ndarray, D: np.ndarray, t: np.ndarray) -> tuple[np.ndarray
     return np.einsum("ij,ij->i", C, T), np.einsum("ij,ij->i", D, T[:, :-1])
 
 
+@functools.lru_cache
+def _ray_grid_powers(length: int) -> np.ndarray:
+    """P[d, j] = _RAY_GRID[j + 1] ** d for d < length, read-only."""
+    P = _RAY_GRID[None, 1:] ** np.arange(length)[:, None]
+    P.flags.writeable = False
+    return P
+
+
 def ray_brackets(M: Manifold, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(C, upper) for the rays along the rows of U (N, n): no root is solved.
 
@@ -104,12 +112,14 @@ def ray_brackets(M: Manifold, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from one evaluator pass, and one product with the powers of the grid
     _RAY_GRID brackets every ray: upper[i] indexes the first grid point where
     rho >= 0, and is 0 (the grid point t = 0, where rho < 0) on the rays
-    still negative at RAY_T_MAX.  rho(0) >= 0 raises SamplingError.
+    still negative at RAY_T_MAX.  The power table is built once per process
+    for each polynomial length and shared read-only.  rho(0) >= 0 raises
+    SamplingError.
     """
     C = M.rho.ray_coefficients(U)
     if np.any(C[:, 0] >= 0):
         raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
-    nonneg = C @ _RAY_GRID[None, 1:] ** np.arange(C.shape[1])[:, None] >= 0
+    nonneg = C @ _ray_grid_powers(C.shape[1]) >= 0
     return C, np.where(nonneg.any(axis=1), np.argmax(nonneg, axis=1) + 1, 0)
 
 
@@ -207,8 +217,10 @@ def _legendre_pair(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return p_prev, p
 
 
+@functools.lru_cache
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], nodes ascending.
+    """Gauss-Legendre nodes and weights on [-1, 1], nodes ascending; built
+    once per process for each q and shared read-only.
 
     The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix,
     off-diagonal k / sqrt(4 k^2 - 1) (Golub and Welsch, Math. Comp. 23, 1969),
@@ -229,7 +241,9 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     p_prev, p = _legendre_pair(x, q)
     one_minus_x2 = (1.0 - x) * (1.0 + x)
     dp = q * (p_prev - x * p) / one_minus_x2  # P_q'(x)
-    return x, 2.0 / (one_minus_x2 * dp**2)
+    w = 2.0 / (one_minus_x2 * dp**2)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def torus_quadrature(M: Manifold, degree: int) -> SampleSet:

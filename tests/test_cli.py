@@ -350,6 +350,52 @@ def test_empty_weight_list_exits_two(capsys, tmp_path):
     assert "configuration error: empty weight vector" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("weights", 5, "manifold spec 'weights' must be a JSON list, got 'int'"),
+        ("rho", {"coeff": "1"}, "manifold spec 'rho' must be a JSON list, got 'dict'"),
+        ("rho", [1], "rho term 1 must be a JSON object, got 'int'"),
+    ],
+    ids=["weights-number", "rho-object", "rho-term-number"],
+)
+def test_spec_of_the_wrong_shape_exits_two(capsys, tmp_path, field, value, message):
+    spec = _sphere12_spec_without()
+    spec[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "dims", "--manifold", str(path), "--m", "4")
+    assert (code, out) == (2, "")
+    assert f"configuration error: {message}" in err
+
+
+def test_spec_that_is_not_an_object_exits_two(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([_sphere12_spec_without()]))
+    code, _, err = run_cli(capsys, "dims", "--manifold", str(path), "--m", "4")
+    assert code == 2
+    assert "configuration error: manifold spec must be a JSON object, got 'list'" in err
+
+
+def test_function_term_that_is_not_an_object_exits_two(capsys, tmp_path):
+    func = tmp_path / "func.json"
+    func.write_text(json.dumps([1, 2]))
+    code, _, err = run_cli(capsys, "project", "--weights", "1,2", "--point", "0.6,0.8",
+                           "--m", "0..2", "--function", str(func))
+    assert code == 2
+    assert "configuration error: --function term 1 must be a JSON object, got 'int'" in err
+
+
+def test_invalid_weights_are_reported_as_given(capsys, tmp_path):
+    spec = _sphere12_spec_without()
+    spec["weights"] = [-2, 4]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "dims", "--manifold", str(path), "--m", "4")
+    assert code == 2
+    assert "configuration error: weights must be positive integers, got (-2, 4)" in err
+
+
 def test_spec_kind_disagreeing_with_rho_exits_two(capsys, tmp_path):
     from szegolab.geometry import Manifold
 
