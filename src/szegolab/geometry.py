@@ -110,16 +110,6 @@ _MAX_ITERS = 60
 ORBIT_GRID = 720
 
 
-@functools.lru_cache
-def _orbit_grid(weights: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(thetas, phase): the ORBIT_GRID grid angles and phase[j, k] =
-    exp(i w_j thetas[k]) for the weights w, read-only."""
-    thetas = np.linspace(0.0, 2 * np.pi, ORBIT_GRID, endpoint=False)
-    phase = np.exp(1j * np.outer(np.array(weights, dtype=float), thetas))
-    thetas.flags.writeable = phase.flags.writeable = False
-    return thetas, phase
-
-
 def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Root per entry in (lo, hi], where f(lo) < 0 <= f(hi): Newton with bisection.
 
@@ -635,14 +625,13 @@ class Manifold:
         2 Im sum_j w_j c_j e^{i w_j theta} = 0 to machine precision.  A pair
         whose slope does not change sign across the bracket (c = 0, say)
         keeps the grid angle, and so does one whose grid point is closer.
-        The grid angles and their phase table are built once per process for
-        each weight vector and shared read-only.
         """
         X = np.asarray(X, dtype=complex)
         Y = np.asarray(Y, dtype=complex)
         w = self.weights.array.astype(float)
         c = X.conj() * Y  # (P, n)
-        thetas, phase = _orbit_grid(self.weights.weights)
+        thetas = np.linspace(0.0, 2 * np.pi, ORBIT_GRID, endpoint=False)
+        phase = np.exp(1j * np.outer(w, thetas))
         best = np.empty(c.shape[0], dtype=np.int64)
         for start in range(0, c.shape[0], ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)

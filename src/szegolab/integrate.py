@@ -97,14 +97,6 @@ def _ray_values(C: np.ndarray, D: np.ndarray, t: np.ndarray) -> tuple[np.ndarray
     return np.einsum("ij,ij->i", C, T), np.einsum("ij,ij->i", D, T[:, :-1])
 
 
-@functools.lru_cache
-def _ray_grid_powers(length: int) -> np.ndarray:
-    """P[d, j] = _RAY_GRID[j + 1] ** d for d < length, read-only."""
-    P = _RAY_GRID[None, 1:] ** np.arange(length)[:, None]
-    P.flags.writeable = False
-    return P
-
-
 def ray_brackets(M: Manifold, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(C, upper) for the rays along the rows of U (N, n): no root is solved.
 
@@ -112,14 +104,12 @@ def ray_brackets(M: Manifold, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from one evaluator pass, and one product with the powers of the grid
     _RAY_GRID brackets every ray: upper[i] indexes the first grid point where
     rho >= 0, and is 0 (the grid point t = 0, where rho < 0) on the rays
-    still negative at RAY_T_MAX.  The power table is built once per process
-    for each polynomial length and shared read-only.  rho(0) >= 0 raises
-    SamplingError.
+    still negative at RAY_T_MAX.  rho(0) >= 0 raises SamplingError.
     """
     C = M.rho.ray_coefficients(U)
     if np.any(C[:, 0] >= 0):
         raise SamplingError("rho(0) >= 0: surface is not star-shaped about 0")
-    nonneg = C @ _ray_grid_powers(C.shape[1]) >= 0
+    nonneg = C @ _RAY_GRID[None, 1:] ** np.arange(C.shape[1])[:, None] >= 0
     return C, np.where(nonneg.any(axis=1), np.argmax(nonneg, axis=1) + 1, 0)
 
 

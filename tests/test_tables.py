@@ -1,61 +1,30 @@
-"""The seed-free tables built once per process and shared read-only: the
-Gauss-Legendre rule per node count, the ray bracket grid's powers per
-polynomial length and the orbit scan's phase table per weight vector."""
+"""The Gauss-Legendre rule, built once per process for each node count and
+shared read-only."""
 
 import pytest
 
-import szegolab.geometry as geometry
 import szegolab.integrate as integrate
 from szegolab.cli import main
 
-CACHES = (integrate._gauss_legendre, integrate._ray_grid_powers, geometry._orbit_grid)
-
-# the weight vectors of the presets: the spheres, the weighted spheres (1, 2)
-# and (1, 2, 6), and example2, whose weights are (1, 2, 6) too
-PRESET_WEIGHTS = [(1, 1), (1, 1, 1), (1, 2), (1, 2, 6)]
+RULE = integrate._gauss_legendre
 
 
-def tables():
-    """One call of each cached function, as the tuple of arrays it returns."""
-    return (
-        integrate._gauss_legendre(5),
-        (integrate._ray_grid_powers(7),),
-        geometry._orbit_grid((1, 2, 6)),
-    )
-
-
-@pytest.mark.parametrize("arrays", tables(), ids=[f.__name__ for f in CACHES])
-def test_cached_tables_are_read_only(arrays):
-    for a in arrays:
+def test_cached_rule_is_read_only():
+    for a in RULE(5):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
 
-def test_cached_tables_are_shared():
-    assert all(a is b for first, again in zip(tables(), tables()) for a, b in zip(first, again))
+def test_cached_rule_is_shared():
+    assert all(a is b for a, b in zip(RULE(5), RULE(5)))
 
 
-def assert_equal_bits(cached, fresh):
-    for a, b in zip(cached, fresh):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-
-
-def test_gauss_legendre_cache_equals_a_fresh_rule():
+def test_cached_rule_equals_a_fresh_rule():
     for q in range(1, 201):
-        assert_equal_bits(integrate._gauss_legendre(q), integrate._gauss_legendre.__wrapped__(q))
-
-
-def test_ray_grid_powers_cache_equals_a_fresh_table():
-    for length in range(1, 42):  # ray degrees 0 to 40
-        assert_equal_bits([integrate._ray_grid_powers(length)],
-                          [integrate._ray_grid_powers.__wrapped__(length)])
-
-
-def test_orbit_grid_cache_equals_a_fresh_table():
-    for weights in PRESET_WEIGHTS:
-        assert_equal_bits(geometry._orbit_grid(weights), geometry._orbit_grid.__wrapped__(weights))
+        for cached, fresh in zip(RULE(q), RULE.__wrapped__(q)):
+            assert cached.dtype == fresh.dtype and cached.shape == fresh.shape
+            assert cached.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -68,13 +37,21 @@ def test_orbit_grid_cache_equals_a_fresh_table():
     ids=["fit", "embed"],
 )
 def test_campaign_prints_the_same_bytes_cold_and_warm(capsys, argv):
-    for cache in CACHES:
-        cache.cache_clear()
+    RULE.cache_clear()
     outputs, misses = [], []
     for _ in range(2):
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
-        misses.append([cache.cache_info().misses for cache in CACHES])
+        misses.append(RULE.cache_info().misses)
     assert outputs[0] == outputs[1]
-    # the cold run built its tables, and the warm run built none
-    assert any(misses[0]) and misses[1] == misses[0]
+    # the warm run builds no rule that the cold run built
+    assert misses[1] == misses[0]
+
+
+def test_fit_builds_one_rule_and_a_repeat_reuses_it():
+    RULE.cache_clear()
+    argv = ["fit", "--weights", "1,2", "--point", "0,1", "--m", "20..40", "--samples", "20000"]
+    for _ in range(2):
+        assert main(argv) == 0
+    info = RULE.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
