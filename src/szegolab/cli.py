@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, basis, embedding, fourier, kernel
 from .errors import SzegolabError
-from .geometry import Manifold, monomial_products, require_keys
+from .geometry import Manifold, monomial_products, require_keys, term_exponents
 from .integrate import random_surface_points, solve_rays, stratified_minimum
 
 SCHEMA_VERSION = 1
@@ -50,18 +50,12 @@ def _parse_range(text: str, option: str = "--m") -> list[int]:
         raise ConfigError(f"cannot parse {option} {text!r}: {e}")
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_list(text: str, option: str, kind) -> list:
+    """The comma-separated values of option, each read by kind (int, float, complex)."""
     try:
-        return np.array([complex(t) for t in text.split(",")])
+        return [kind(t) for t in text.split(",")]
     except ValueError as e:
-        raise ConfigError(f"cannot parse point {text!r}: {e}")
-
-
-def _parse_weights(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"cannot parse --weights {text!r}: {e}")
+        raise ConfigError(f"cannot parse {option} {text!r}: {e}")
 
 
 # contract tolerances that --tolerance NAME=VALUE may override, with defaults
@@ -92,10 +86,7 @@ def _parse_function(terms, n: int):
     A, B, coeffs = [], [], []
     for t in terms:
         require_keys(t, ("z_exponents", "zbar_exponents"), f"--function term {t}")
-        a, b = list(t["z_exponents"]), list(t["zbar_exponents"])
-        if len(a) != n or len(b) != n or not all(type(e) is int and e >= 0 for e in a + b):
-            raise ConfigError(f"--function term {t} needs {n} non-negative integer "
-                              "exponents in each list")
+        a, b = term_exponents(t["z_exponents"], t["zbar_exponents"], n)
         A.append(a)
         B.append(b)
         coeffs.append(complex(str(t.get("coeff", "1"))))
@@ -108,7 +99,7 @@ def resolve_manifold(args) -> Manifold:
         spec = json.loads(Path(args.manifold).read_text())
         return Manifold.from_spec(spec)
     preset = getattr(args, "preset", None)
-    weights = _parse_weights(args.weights) if getattr(args, "weights", None) else None
+    weights = _parse_list(args.weights, "--weights", int) if getattr(args, "weights", None) else None
     if preset == "example2":
         return Manifold.invariant_hypersurface_example()
     if preset == "sphere" or (preset is None and weights is not None):
@@ -202,8 +193,8 @@ def cmd_norms(args) -> int:
 
 def cmd_kernel(args) -> int:
     M = resolve_manifold(args)
-    x = M.point(_parse_point(args.point))
-    y = M.point(_parse_point(args.point2)) if args.point2 else x
+    x = M.point(_parse_list(args.point, "--point", complex))
+    y = M.point(_parse_list(args.point2, "--point2", complex)) if args.point2 else x
     ms = _parse_range(args.m)
     k = M.stratum_order(x)
     bases = basis.fourier_bases(M, ms, measure=args.measure, samples=args.samples, seed=args.seed)
@@ -231,7 +222,8 @@ def cmd_kernel(args) -> int:
 def cmd_fit(args) -> int:
     M = resolve_manifold(args)
     tol = _parse_tolerances(args.tolerance)["fit"]
-    x = M.point(_parse_point(args.point)) if args.point else random_surface_points(M, 1, args.seed)[0]
+    x = (M.point(_parse_list(args.point, "--point", complex)) if args.point
+         else random_surface_points(M, 1, args.seed)[0])
     ms = _parse_range(args.m)
     fit = kernel.fit_expansion(
         M, x, min(ms), max(ms), measure=args.measure, samples=args.samples, seed=args.seed
@@ -261,7 +253,7 @@ def cmd_fit(args) -> int:
 
 def cmd_vanish(args) -> int:
     M = resolve_manifold(args)
-    x0 = M.point(_parse_point(args.point))
+    x0 = M.point(_parse_list(args.point, "--point", complex))
     k = M.stratum_order(x0)
     if k <= 1:
         raise ConfigError("--point must lie on a singular stratum (order > 1)")
@@ -288,15 +280,11 @@ def cmd_vanish(args) -> int:
 
 def cmd_ratio(args) -> int:
     M = resolve_manifold(args)
-    x0 = M.point(_parse_point(args.point))
-    try:
-        radii = [float(t) for t in args.radii.split(",")]
-    except ValueError as e:
-        raise ConfigError(f"cannot parse --radii {args.radii!r}: {e}")
+    x0 = M.point(_parse_list(args.point, "--point", complex))
     report = kernel.ratio_search(
         M, x0,
         m_candidates=_parse_range(args.m),
-        radii=radii,
+        radii=_parse_list(args.radii, "--radii", float),
         sigma=args.sigma,
         imag_bound=args.i_bound,
         points_per_ball=args.points,
@@ -324,7 +312,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_project(args) -> int:
     M = resolve_manifold(args)
-    x = M.point(_parse_point(args.point))
+    x = M.point(_parse_list(args.point, "--point", complex))
     A, B, coeffs = _parse_function(json.loads(Path(args.function).read_text()), M.n)
 
     def u(Z):
@@ -525,13 +513,7 @@ def main(argv=None) -> int:
     args = build_parser(commands).parse_args(argv)
     try:
         return args.func_cmd(args)
-    except (
-        ConfigError,
-        SzegolabError,
-        ValueError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as e:
+    except (ConfigError, SzegolabError, ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 

@@ -55,14 +55,15 @@ class WeightVector:
     def __post_init__(self):
         if len(self.weights) == 0:
             raise ValueError("empty weight vector")
-        if any((not isinstance(w, int)) or w < 1 for w in self.weights):
+        # a bool or a float is not an integer weight
+        if any(type(w) is not int or w < 1 for w in self.weights):
             raise ValueError(f"weights must be positive integers, got {self.weights}")
 
     @classmethod
     def normalized(cls, weights: Iterable[int]) -> tuple["WeightVector", int]:
         """Check the weights as given, then divide out their common factor;
         returns (vector, divisor)."""
-        given = cls(tuple(int(w) for w in weights))
+        given = cls(tuple(weights))
         g = math.gcd(*given.weights)
         return (cls(tuple(w // g for w in given.weights)) if g > 1 else given), g
 
@@ -81,11 +82,16 @@ class WeightVector:
         return math.lcm(*self.weights)
 
 
-def _exp_tuple(e) -> tuple[int, ...]:
-    t = tuple(int(k) for k in e)
-    if any(k < 0 for k in t):
-        raise InvalidSurfaceError(f"negative exponent in {t}")
-    return t
+def term_exponents(a, b, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exponents of the monomial z^a zbar^b as two tuples, after checking
+    that a and b are each a list or tuple of n integers >= 0 (a bool or a
+    float is not an integer); InvalidSurfaceError otherwise."""
+    for e in (a, b):
+        if not (isinstance(e, (list, tuple)) and len(e) == n
+                and all(type(k) is int and k >= 0 for k in e)):
+            raise InvalidSurfaceError(
+                f"z_exponents {a!r} and zbar_exponents {b!r} must each be {n} integers >= 0")
+    return tuple(a), tuple(b)
 
 
 def require_keys(obj: dict, keys: Sequence[str], what: str) -> None:
@@ -227,9 +233,7 @@ class DefiningPolynomial:
         self.n = n
         canonical: dict[tuple, Fraction] = {}
         for (a, b), c in terms.items():
-            a, b = _exp_tuple(a), _exp_tuple(b)
-            if len(a) != n or len(b) != n:
-                raise InvalidSurfaceError(f"term ({a}, {b}) has wrong arity for n={n}")
+            a, b = term_exponents(a, b, n)
             c = Fraction(c)
             if c != 0:
                 canonical[(a, b)] = canonical.get((a, b), Fraction(0)) + c
@@ -443,18 +447,20 @@ class Manifold:
         """Build from the JSON manifold description (see README for the schema);
         a "kind" given there must be the one rho implies."""
         require_keys(spec, ("n", "weights", "rho"), "manifold spec")
-        for key in ("weights", "rho"):
-            if not isinstance(spec[key], list):
-                raise ValueError(f"manifold spec {key!r} must be a JSON list, "
+        # no value is coerced: WeightVector checks the weights as given, and
+        # term_exponents the exponents
+        for key, kind, name in (("n", int, "integer"), ("weights", list, "list"),
+                                ("rho", list, "list")):
+            if type(spec[key]) is not kind:
+                raise ValueError(f"manifold spec {key!r} must be a JSON {name}, "
                                  f"got {type(spec[key]).__name__!r}")
-        n = int(spec["n"])
-        weights = [int(w) for w in spec["weights"]]
+        n = spec["n"]
         terms: dict[tuple, Fraction] = {}
         for t in spec["rho"]:
             require_keys(t, ("z_exponents", "zbar_exponents", "coeff"), f"rho term {t}")
-            key = (tuple(t["z_exponents"]), tuple(t["zbar_exponents"]))
+            key = term_exponents(t["z_exponents"], t["zbar_exponents"], n)
             terms[key] = terms.get(key, Fraction(0)) + Fraction(str(t["coeff"]))
-        M = cls(n, weights, DefiningPolynomial(n, terms))
+        M = cls(n, spec["weights"], DefiningPolynomial(n, terms))
         if spec.get("kind", M.kind) != M.kind:
             raise ValueError(f"manifold spec says kind {spec['kind']!r}, but its rho makes it a {M.kind}")
         return M
@@ -489,9 +495,10 @@ class Manifold:
         return Z
 
     def _require_on_surface(self, Z: np.ndarray) -> None:
-        """NotOnSurfaceError naming |rho| at the first row of Z off X, if any."""
+        """NotOnSurfaceError naming |rho| at the first row of Z off X, if any;
+        a row where rho is not finite is off X."""
         residuals = np.abs(self.rho.value(Z))
-        off = np.flatnonzero(residuals > self.surface_tolerance)
+        off = np.flatnonzero(~(residuals <= self.surface_tolerance))
         if off.size:
             raise NotOnSurfaceError(
                 f"|rho(x)| = {residuals[off[0]]:.3e} exceeds tolerance {self.surface_tolerance:.1e}"

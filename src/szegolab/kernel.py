@@ -283,14 +283,14 @@ def ratio_search(
     probe the transverse neighborhood, and both bounds are checked at every
     point, all from one ratio_diagnostic call per (m, radius); a ball with a
     point where the ratio is undefined scores (inf, inf).  A ball needs at
-    least one point and a positive radius, else ValueError: an empty ball or
-    one that holds only x0 would pass on no evidence.
+    least one point and a finite positive radius, else ValueError: an empty
+    ball or one that holds only x0 would pass on no evidence.
     """
     radii = list(radii)
     if points_per_ball < 1:
         raise ValueError(f"points_per_ball must be >= 1, got {points_per_ball}")
-    if any(radius <= 0 for radius in radii):
-        raise ValueError(f"every radius must be > 0, got {radii}")
+    if not all(0 < radius < np.inf for radius in radii):
+        raise ValueError(f"every radius must be > 0 and finite, got {radii}")
     k = M.stratum_order(x0)
     measure = resolve_measure(M, measure)
     # one sample set for every candidate; torus-invariant manifolds draw none,

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_readme import readme_commands
 
@@ -164,7 +170,8 @@ def test_project_report_records_the_function(capsys, tmp_path):
     assert len(hashes) == 2
 
 
-@pytest.mark.parametrize("z_exponents", [[1, 0, 0], [0, 0, 1], [1], [-1, 0], [1.5, 0]])
+@pytest.mark.parametrize("z_exponents", [[1, 0, 0], [0, 0, 1], [1], [-1, 0], [1.5, 0], 5,
+                                         [1.0, 0], [True, 0]])
 def test_project_rejects_malformed_function(capsys, tmp_path, z_exponents):
     func = tmp_path / "func.json"
     func.write_text(json.dumps([{"coeff": "1", "z_exponents": z_exponents, "zbar_exponents": [0, 0]}]))
@@ -174,6 +181,8 @@ def test_project_rejects_malformed_function(capsys, tmp_path, z_exponents):
     )
     assert code == 2
     assert "configuration error" in err
+    # rho's exponent rule, which names both lists
+    assert f"z_exponents {z_exponents!r} and zbar_exponents [0, 0] must each be 2 integers" in err
 
 
 def _sphere12_spec_without(key=None, term_key=None):
@@ -284,8 +293,11 @@ def test_ratio_search_cli(capsys):
     [
         ("--points", "0", "points_per_ball must be >= 1"),
         ("--radii", "0.1,0", "every radius must be > 0"),
+        # neither bounds a ball: each would run every ball round and fail there
+        ("--radii", "nan", "every radius must be > 0 and finite, got [nan]"),
+        ("--radii", "0.1,inf", "every radius must be > 0 and finite, got [0.1, inf]"),
     ],
-    ids=["no-points", "zero-radius"],
+    ids=["no-points", "zero-radius", "nan-radius", "inf-radius"],
 )
 def test_ratio_rejects_a_ball_that_holds_no_evidence(capsys, option, value, message):
     # an empty ball scores 0 and a zero radius holds only copies of x0: both would pass
@@ -356,8 +368,19 @@ def test_empty_weight_list_exits_two(capsys, tmp_path):
         ("weights", 5, "manifold spec 'weights' must be a JSON list, got 'int'"),
         ("rho", {"coeff": "1"}, "manifold spec 'rho' must be a JSON list, got 'dict'"),
         ("rho", [1], "rho term 1 must be a JSON object, got 'int'"),
+        # nothing is coerced: a float was truncated, and a list or a number crashed
+        ("n", [2], "manifold spec 'n' must be a JSON integer, got 'list'"),
+        ("n", 2.0, "manifold spec 'n' must be a JSON integer, got 'float'"),
+        ("weights", [1.5, 2], "weights must be positive integers, got (1.5, 2)"),
+        ("weights", [True, 2], "weights must be positive integers, got (True, 2)"),
+        ("weights", [[1], 2], "weights must be positive integers, got ([1], 2)"),
+        ("rho", [{"coeff": "-1", "z_exponents": [1.5, 0], "zbar_exponents": [0, 0]}],
+         "z_exponents [1.5, 0] and zbar_exponents [0, 0] must each be 2 integers >= 0"),
+        ("rho", [{"coeff": "-1", "z_exponents": 5, "zbar_exponents": [0, 0]}],
+         "z_exponents 5 and zbar_exponents [0, 0] must each be 2 integers >= 0"),
     ],
-    ids=["weights-number", "rho-object", "rho-term-number"],
+    ids=["weights-number", "rho-object", "rho-term-number", "n-list", "n-float", "weight-float",
+         "weight-bool", "weight-list", "exponent-float", "exponents-number"],
 )
 def test_spec_of_the_wrong_shape_exits_two(capsys, tmp_path, field, value, message):
     spec = _sphere12_spec_without()
@@ -394,6 +417,35 @@ def test_invalid_weights_are_reported_as_given(capsys, tmp_path):
     code, _, err = run_cli(capsys, "dims", "--manifold", str(path), "--m", "4")
     assert code == 2
     assert "configuration error: weights must be positive integers, got (-2, 4)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--point", "nan,1", "--m", "2..4"],
+        ["kernel", "--point", "inf,1", "--m", "2..4"],
+        ["kernel", "--point", "0,1", "--point2", "1,nan", "--m", "2..4"],
+        ["vanish", "--point", "0,nan", "--m", "3"],
+    ],
+    ids=["kernel-nan", "kernel-inf", "kernel-point2-nan", "vanish-nan"],
+)
+def test_point_with_a_non_finite_coordinate_is_off_x(capsys, argv):
+    # rho is nan there, and nan > tolerance is False: such a point passed as on X
+    code, out, err = run_cli(capsys, *argv, "--weights", "1,2")
+    assert (code, out) == (2, "")
+    assert "configuration error: |rho(x)| = nan exceeds tolerance" in err
+
+
+@pytest.mark.parametrize("option", ["--manifold", "--function", "--out"])
+def test_path_that_cannot_be_read_or_written_exits_two(capsys, tmp_path, option):
+    # a directory read as a file, or an existing file taken as the --out directory
+    func = tmp_path / "func.json"
+    func.write_text(json.dumps([{"coeff": "1", "z_exponents": [1, 0], "zbar_exponents": [0, 0]}]))
+    path = str(func if option == "--out" else tmp_path)
+    code, out, err = run_cli(capsys, "project", "--weights", "1,2", "--point", "0.6,0.8",
+                             "--m", "0..2", "--function", str(func), option, path)
+    assert (code, out) == (2, "")
+    assert "configuration error: [Errno" in err and repr(path) in err
 
 
 def test_spec_kind_disagreeing_with_rho_exits_two(capsys, tmp_path):
@@ -488,8 +540,12 @@ def test_option_the_command_does_not_read_is_rejected(capsys, argv):
          "cannot parse --extra-levels 'x'"),
         (["ratio", "--weights", "1,2", "--point", "0,1", "--m", "30", "--radii", "0.1,x"],
          "cannot parse --radii '0.1,x'"),
+        (["vanish", "--weights", "1,2", "--point", "0,y", "--m", "3"], "cannot parse --point '0,y'"),
+        (["kernel", "--weights", "1,2", "--point", "0,1", "--point2", "x,1", "--m", "3"],
+         "cannot parse --point2 'x,1'"),
     ],
-    ids=["tolerance", "weights", "level-range", "level-list", "extra-levels", "radii"],
+    ids=["tolerance", "weights", "level-range", "level-list", "extra-levels", "radii", "point",
+         "point2"],
 )
 def test_unparsable_number_names_its_option(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -697,3 +753,81 @@ def test_lean_parser_prints_what_the_full_parser_prints(capsys, argv):
     full = _exit_of(lambda: build_parser().parse_args(argv), capsys)
     assert lean == full
     assert lean[0] in (0, 2) and lean[1] + lean[2]
+
+
+# -- malformed specs and --function files ----------------------------------
+
+# values put where a JSON integer or an exponent list belongs; none is a JSON
+# integer, and a bool or a float does not count as one
+NOT_INTEGERS = st.one_of(st.floats(), st.booleans(), st.none(),
+                         st.lists(st.integers(0, 3), max_size=2), st.text(max_size=3))
+
+
+def _is_integer(value):
+    return type(value) is int
+
+
+def _integers_only(terms):
+    return all(type(e) is list and all(map(_is_integer, e))
+               for t in terms for e in (t["z_exponents"], t["zbar_exponents"]))
+
+
+@st.composite
+def _spec_and_function(draw):
+    """(n, spec, function terms) in n <= 3 variables with exponents at most 3
+    (the ray table grows with the degree).  rho is the unit sphere's, with
+    random terms up to 4 in all, and there are up to 4 --function terms.  In
+    half the draws any integer or exponent list may become a NOT_INTEGERS."""
+    corrupt = draw(st.booleans())
+
+    def value(v):
+        return draw(NOT_INTEGERS) if corrupt and draw(st.integers(0, 3)) == 0 else v
+
+    def term(a, b, coeff):
+        return {"coeff": coeff, "z_exponents": value([value(k) for k in a]),
+                "zbar_exponents": value([value(k) for k in b])}
+
+    n = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+
+    def random_terms(count):
+        terms = []
+        for _ in range(count):
+            a = draw(exponents)
+            # a term with b == a is real and invariant, so the spec may load
+            b = a if draw(st.booleans()) else draw(exponents)
+            terms.append(term(a, b, draw(st.sampled_from(["1", "-1", "1/2"]))))
+        return terms
+
+    unit = [[int(j == k) for k in range(n)] for j in range(n)]
+    rho = [term(e, e, "1") for e in unit] + [term([0] * n, [0] * n, "-1")]
+    rho += random_terms(draw(st.integers(0, 4 - len(rho))))
+    weights = [value(w) for w in draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))]
+    spec = {"n": value(n), "weights": value(weights), "rho": rho}
+    return n, spec, random_terms(draw(st.integers(0, 4)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(_spec_and_function())
+def test_malformed_spec_or_function_exits_zero_one_or_two(inputs):
+    n, spec, function = inputs
+    spec_integers_only = (_is_integer(spec["n"]) and type(spec["weights"]) is list
+                          and all(map(_is_integer, spec["weights"])) and _integers_only(spec["rho"]))
+    point = ",".join(["0"] * (n - 1) + ["1"])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"spec": Path(tmp) / "m.json", "function": Path(tmp) / "f.json"}
+        paths["spec"].write_text(json.dumps(spec))
+        paths["function"].write_text(json.dumps(function))
+        for argv, integers_only in (
+            (["dims", "--m", "4"], spec_integers_only),
+            (["project", "--point", point, "--m", "0..2", "--function", str(paths["function"])],
+             spec_integers_only and _integers_only(function)),
+            (["vanish", "--point", point, "--m", "1", "--samples", "2000"], spec_integers_only),
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([*argv, "--manifold", str(paths["spec"])])
+            # main never raises, and a non-integer n, weight or exponent is a
+            # configuration error
+            assert code in (0, 1, 2), argv
+            assert integers_only or code == 2, (argv, err.getvalue())
