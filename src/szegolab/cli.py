@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -487,11 +489,18 @@ def build_parser(commands=tuple(COMMANDS)) -> argparse.ArgumentParser:
     """The parser of the named subcommands, all of them by default.
 
     A parser of some commands only still shows every command name in its
-    usage line, so the errors it prints read as the full parser's do.
+    usage line, so the errors it prints read as the full parser's do.  Every
+    parser formats at the width argparse would measure, terminal columns
+    less 2, measured here once: argparse measures it again for each
+    add_argument.
     """
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="szegolab",
         description="verification campaigns for Fourier-component kernels and equivariant embeddings",
+        formatter_class=formatter,
     )
     # the default metavar lists the registered commands; a set metavar would
     # also rename the command in the full parser's "required" error
@@ -499,7 +508,7 @@ def build_parser(commands=tuple(COMMANDS)) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in commands:
         help_text, options, command = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         options(p)
         p.set_defaults(func_cmd=command)
     return parser

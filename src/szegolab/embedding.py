@@ -130,12 +130,23 @@ def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
     interlacing its restriction to the real hyperplane T_x X keeps one of
     each, so the last one is the smallest singular value of d Phi on T_x X.
     x is one point (n,) or a batch (P, n); a batch gives one spectrum per
-    row, (P, n), from one stacked SVD.  A map into C^N with N < n has rank
-    at most N, so its last n - N values are 0.
+    row, (P, n).  A map into C^N with N < n has rank at most N, so its last
+    n - N values are 0.
+
+    A tall Jacobian, N >= 17 n // 9 rows, is first reduced to the (n, n) R
+    factor of one stacked QR, and the SVD runs on R (Chan's R-SVD, ACM TOMS
+    8, 1982).  LAPACK's zgesdd, behind np.linalg.svd, takes that same QR
+    step itself from this row count on, so the spectra are bit for bit
+    those of the plain SVD, at about half its cost.  Below that count
+    zgesdd bidiagonalizes J directly, and going through R would move the
+    last bits.
     """
     z = np.asarray(x, dtype=complex)
     Z = z.reshape(-1, Phi.manifold.n)
-    spectra = np.linalg.svd(block_jacobian(Z, Phi.blocks), compute_uv=False)
+    J = block_jacobian(Z, Phi.blocks)
+    if J.shape[1] >= 17 * J.shape[2] // 9:
+        J = np.linalg.qr(J, mode="r")
+    spectra = np.linalg.svd(J, compute_uv=False)
     spectra = np.pad(spectra, ((0, 0), (0, Phi.manifold.n - spectra.shape[1])))
     return spectra[0] if z.ndim == 1 else spectra
 
@@ -291,21 +302,23 @@ def separation_job(
     separated = qd > threshold
     same_orbit_distinct = (kinds == "same-orbit") & (ambient > threshold)
     bad = np.flatnonzero((separated | same_orbit_distinct) & (img < floor))
-    gaps = np.abs(block_values(X[bad], Phi.blocks) - block_values(Y[bad], Phi.blocks))
-    strata = np.column_stack([M.strata_of(X[bad])[0], M.strata_of(Y[bad])[0]]).tolist()
-    violations = tuple(
-        {
-            "kind": str(kinds[i]),
-            "x": X[i].tolist(),
-            "y": Y[i].tolist(),
-            "quotient_distance": float(qd[i]),
-            "ambient_distance": float(ambient[i]),
-            "image_distance": float(img[i]),
-            "strata": pair_strata,
-            "offending_coordinates": np.flatnonzero(gap == gap.max(initial=0.0)).tolist(),
-        }
-        for i, gap, pair_strata in zip(bad, gaps, strata)
-    )
+    violations = ()
+    if bad.size:
+        gaps = np.abs(block_values(X[bad], Phi.blocks) - block_values(Y[bad], Phi.blocks))
+        strata = np.column_stack([M.strata_of(X[bad])[0], M.strata_of(Y[bad])[0]]).tolist()
+        violations = tuple(
+            {
+                "kind": str(kinds[i]),
+                "x": X[i].tolist(),
+                "y": Y[i].tolist(),
+                "quotient_distance": float(qd[i]),
+                "ambient_distance": float(ambient[i]),
+                "image_distance": float(img[i]),
+                "strata": pair_strata,
+                "offending_coordinates": np.flatnonzero(gap == gap.max(initial=0.0)).tolist(),
+            }
+            for i, gap, pair_strata in zip(bad, gaps, strata)
+        )
     return SeparationReport(
         pair_count=len(kinds),
         threshold=threshold,

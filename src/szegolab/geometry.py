@@ -229,14 +229,12 @@ class DefiningPolynomial:
     the weighted action requires <a, w> == <b, w> for every term.
     """
 
-    def __init__(self, n: int, terms: dict[tuple, Fraction]):
+    def __init__(self, n: int, terms: dict[tuple, Fraction | int | str]):
         self.n = n
-        canonical: dict[tuple, Fraction] = {}
-        for (a, b), c in terms.items():
-            a, b = term_exponents(a, b, n)
-            c = Fraction(c)
-            if c != 0:
-                canonical[(a, b)] = canonical.get((a, b), Fraction(0)) + c
+        # a coefficient may be an int, a Fraction or a string such as "1/3";
+        # term_exponents gives back each key's tuples unchanged, so no two
+        # terms share a key and nothing is summed here
+        canonical = {term_exponents(a, b, n): Fraction(c) for (a, b), c in terms.items()}
         self.terms = {k: c for k, c in sorted(canonical.items()) if c != 0}
         for (a, b), c in self.terms.items():
             if self.terms.get((b, a)) != c:
@@ -310,26 +308,24 @@ class DefiningPolynomial:
         ]
 
 
-def holomorphic_power_terms(poly: dict[tuple, Fraction], n: int, power: int) -> dict:
-    """Expand |p|^(2 power) for a holomorphic polynomial p into (a, b) terms."""
+def holomorphic_power_terms(
+    poly: dict[tuple, Fraction | int], n: int, power: int
+) -> dict[tuple, Fraction]:
+    """Expand |p|^(2 power) for a holomorphic polynomial p into (a, b) terms.
 
-    def multiply(u, v):
-        out: dict[tuple, Fraction] = {}
-        for ea, ca in u.items():
-            for eb, cb in v.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return out
-
-    p_pow = {tuple([0] * n): Fraction(1)}
+    The coefficients of p may be ints or Fractions: p^power is formed in
+    their own exact arithmetic, and each term's coefficient is made a
+    Fraction once.
+    """
+    p_pow = {(0,) * n: 1}
     for _ in range(power):
-        p_pow = multiply(p_pow, poly)
-    terms: dict[tuple, Fraction] = {}
-    for ea, ca in p_pow.items():
-        for eb, cb in p_pow.items():
-            key = (ea, eb)
-            terms[key] = terms.get(key, Fraction(0)) + ca * cb
-    return terms
+        product: dict[tuple, Fraction | int] = {}
+        for ea, ca in p_pow.items():
+            for eb, cb in poly.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                product[e] = product[e] + ca * cb if e in product else ca * cb
+        p_pow = product
+    return {(ea, eb): Fraction(ca * cb) for ea, ca in p_pow.items() for eb, cb in p_pow.items()}
 
 
 @dataclass(frozen=True)
@@ -427,19 +423,12 @@ class Manifold:
     def invariant_hypersurface_example(cls) -> "Manifold":
         """|z1|^2+|z2|^2+|z3|^2+|z1^2+z2|^4+|z2^3+z3|^6 = 1, weights (1, 2, 6)."""
         n = 3
-        terms: dict[tuple, Fraction] = {}
-
-        def add(extra):
-            for k, c in extra.items():
-                terms[k] = terms.get(k, Fraction(0)) + c
-
-        for j in range(n):
-            e = tuple(1 if k == j else 0 for k in range(n))
-            add({(e, e): Fraction(1)})
-        add(holomorphic_power_terms({(2, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)}, n, 2))
-        add(holomorphic_power_terms({(0, 3, 0): Fraction(1), (0, 0, 1): Fraction(1)}, n, 3))
         zero = (0,) * n
-        add({(zero, zero): Fraction(-1)})
+        terms: dict[tuple, Fraction | int] = {(e, e): 1 for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+        terms[(zero, zero)] = -1
+        for p, power in (({(2, 0, 0): 1, (0, 1, 0): 1}, 2), ({(0, 3, 0): 1, (0, 0, 1): 1}, 3)):
+            for k, c in holomorphic_power_terms(p, n, power).items():
+                terms[k] = terms[k] + c if k in terms else c
         return cls(n, (1, 2, 6), DefiningPolynomial(n, terms))
 
     @classmethod
@@ -455,11 +444,18 @@ class Manifold:
                 raise ValueError(f"manifold spec {key!r} must be a JSON {name}, "
                                  f"got {type(spec[key]).__name__!r}")
         n = spec["n"]
+        if n < 2:
+            raise ValueError(f"manifold spec 'n' must be >= 2, got {n}")
         terms: dict[tuple, Fraction] = {}
         for t in spec["rho"]:
             require_keys(t, ("z_exponents", "zbar_exponents", "coeff"), f"rho term {t}")
             key = term_exponents(t["z_exponents"], t["zbar_exponents"], n)
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(str(t["coeff"]))
+            try:
+                c = Fraction(str(t["coeff"]))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"rho term {t}: coeff {t['coeff']!r} is not a rational number") from None
+            terms[key] = terms[key] + c if key in terms else c
         M = cls(n, spec["weights"], DefiningPolynomial(n, terms))
         if spec.get("kind", M.kind) != M.kind:
             raise ValueError(f"manifold spec says kind {spec['kind']!r}, but its rho makes it a {M.kind}")
@@ -497,7 +493,8 @@ class Manifold:
     def _require_on_surface(self, Z: np.ndarray) -> None:
         """NotOnSurfaceError naming |rho| at the first row of Z off X, if any;
         a row where rho is not finite is off X."""
-        residuals = np.abs(self.rho.value(Z))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf or nan coordinates
+            residuals = np.abs(self.rho.value(Z))
         off = np.flatnonzero(~(residuals <= self.surface_tolerance))
         if off.size:
             raise NotOnSurfaceError(

@@ -30,6 +30,7 @@ without solving a root.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -368,6 +369,14 @@ def regular_job(M: Manifold, count: int, seed: int = 0):
     return X
 
 
+def _support_mask(supports: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """(len(supports), n) bool array, row i True exactly on supports[i]."""
+    on = np.zeros((len(supports), n), dtype=bool)
+    rows = np.repeat(np.arange(len(supports)), list(map(len, supports)))
+    on[rows, np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64)] = True
+    return on
+
+
 def pattern_job(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0):
     """Ray job: points of X (len(supports), n), row i nonzero exactly on supports[i].
 
@@ -379,9 +388,7 @@ def pattern_job(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0)
     SamplingError naming its pattern.
     """
     rng = _rng(seed)
-    on = np.zeros((len(supports), M.n), dtype=bool)
-    for i, support in enumerate(supports):
-        on[i, list(support)] = True
+    on = _support_mask(supports, M.n)
     X = np.empty(on.shape, dtype=complex)
     pending = np.arange(len(supports))
     for _ in range(_MAX_ROUNDS):
@@ -423,10 +430,7 @@ def stratified_job(M: Manifold, count: int, seed: int = 0):
     # a singular pattern never covers every coordinate; perturbing only the
     # off-support ones keeps the distance to the stratum locus controlled by
     # the perturbation size
-    off = np.ones((n_near, M.n), dtype=bool)
-    for i, support in enumerate(near):
-        off[i, list(support)] = False
-    delta = np.where(off, g[..., 0] + 1j * g[..., 1], 0.0)
+    delta = np.where(_support_mask(near, M.n), 0.0, g[..., 0] + 1j * g[..., 1])
     size = (0.2 + 0.8 * rng.random(n_near)) * NEAR_DISTANCE * 0.9
     delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
     near_points = yield from projection_job(base + delta)

@@ -386,6 +386,33 @@ def derivative_table_fractions(terms, n, z_vars, zbar_vars):
     return A, B, C
 
 
+def example2_terms_fractions():
+    """The terms of example2's rho, |z1|^2 + |z2|^2 + |z3|^2 + |z1^2 + z2|^4
+    + |z2^3 + z3|^6 - 1, as {(a, b): Fraction}: each power (u + v)^k of two
+    monomials expanded by the binomial theorem, every sum started at
+    Fraction(0)."""
+    n = 3
+    zero = (0,) * n
+    terms = {}
+
+    def add(key, c):
+        terms[key] = terms.get(key, Fraction(0)) + c
+
+    for j in range(n):
+        e = tuple(int(k == j) for k in range(n))
+        add((e, e), Fraction(1))
+    add((zero, zero), Fraction(-1))
+    for u, v, k in (((2, 0, 0), (0, 1, 0), 2), ((0, 3, 0), (0, 0, 1), 3)):
+        power = [
+            (Fraction(math.comb(k, i)), tuple(i * x + (k - i) * y for x, y in zip(u, v)))
+            for i in range(k + 1)
+        ]
+        for ca, ea in power:
+            for cb, eb in power:
+                add((ea, eb), ca * cb)
+    return terms
+
+
 def volume_density_gram_determinant(M, x):
     """Compliant-metric volume density at a point x (n,), as the
     Gram-determinant ratio over a real frame of the tangent space: Euclidean

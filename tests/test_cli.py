@@ -378,9 +378,16 @@ def test_empty_weight_list_exits_two(capsys, tmp_path):
          "z_exponents [1.5, 0] and zbar_exponents [0, 0] must each be 2 integers >= 0"),
         ("rho", [{"coeff": "-1", "z_exponents": 5, "zbar_exponents": [0, 0]}],
          "z_exponents 5 and zbar_exponents [0, 0] must each be 2 integers >= 0"),
+        # a zero denominator ended in a ZeroDivisionError traceback, and n = 0
+        # in a numpy reshape error that named no key
+        ("rho", [{"coeff": "1/0", "z_exponents": [0, 0], "zbar_exponents": [0, 0]}],
+         "rho term {'coeff': '1/0', 'z_exponents': [0, 0], 'zbar_exponents': [0, 0]}: "
+         "coeff '1/0' is not a rational number"),
+        ("n", 0, "manifold spec 'n' must be >= 2, got 0"),
     ],
     ids=["weights-number", "rho-object", "rho-term-number", "n-list", "n-float", "weight-float",
-         "weight-bool", "weight-list", "exponent-float", "exponents-number"],
+         "weight-bool", "weight-list", "exponent-float", "exponents-number",
+         "coeff-zero-denominator", "n-zero"],
 )
 def test_spec_of_the_wrong_shape_exits_two(capsys, tmp_path, field, value, message):
     spec = _sphere12_spec_without()

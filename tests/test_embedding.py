@@ -260,6 +260,27 @@ class TestBatchedJacobian:
             rotated = jacobian_singular_values(Phi, M.act(theta, Z))
             assert np.all(np.abs(rotated - spectra) <= 1e-13 * spectra)
 
+    @pytest.mark.parametrize("name", ["example2", "wsphere126", "wsphere12", "sphere2", "sphere3"])
+    def test_spectra_equal_the_plain_svd_bit_for_bit(self, request, name):
+        # the m = 1..7 maps all have N >= 17 n // 9 rows, so the SVD runs on
+        # the R factor of a QR, and gives the bits of the SVD of J itself
+        M = request.getfixturevalue(name)
+        Z, _ = stratified_points(M, 40, seed=9)
+        for m in range(1, 8):
+            Phi = build_embedding(M, m)
+            assert Phi.total_dim >= 17 * M.n // 9
+            plain = np.linalg.svd(basis.block_jacobian(Z, Phi.blocks), compute_uv=False)
+            assert jacobian_singular_values(Phi, Z).tobytes() == plain.tobytes()
+
+    def test_spectra_of_a_narrow_map_equal_the_plain_svd(self, wsphere126):
+        # N = 4 < 17 n // 9 = 5: LAPACK bidiagonalizes J without a QR step,
+        # and so does jacobian_singular_values
+        Phi = embedding_from_levels(wsphere126, [2, 3])
+        assert Phi.total_dim == 4
+        Z, _ = stratified_points(wsphere126, 200, seed=9)
+        plain = np.linalg.svd(basis.block_jacobian(Z, Phi.blocks), compute_uv=False)
+        assert jacobian_singular_values(Phi, Z).tobytes() == plain.tobytes()
+
     def test_map_with_fewer_coordinates_than_n_is_no_immersion(self, wsphere126):
         # a map into C^1 has rank at most 1 < n = 3: every sample fails, and
         # each spectrum lists n values, the last n - N of them 0

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     derivative_table_fractions,
+    example2_terms_fractions,
     holomorphic_derivative_fd,
     horner_two_pass,
     radial_roots_doubling,
@@ -361,6 +362,47 @@ def test_derivative_tables_equal_fraction_sums(name, request):
         for new, ref in zip(table, derivative_table_fractions(rho.terms, n, z_vars, zbar_vars)):
             assert new.dtype == ref.dtype and new.shape == ref.shape
             assert new.tobytes() == ref.tobytes()
+
+
+def test_example2_terms_and_tables_equal_a_fraction_expansion(example2):
+    # the preset expands its powers in ints; the reference by the binomial
+    # theorem in Fractions
+    ref = dict(sorted(example2_terms_fractions().items()))
+    rho = example2.rho
+    assert list(rho.terms.items()) == list(ref.items())
+    assert {type(c) for c in rho.terms.values()} == {Fraction}
+    value = derivative_table_fractions(ref, 3, [None], [None])
+    A, B, C = value
+    degree = A.sum(axis=1) + B.sum(axis=1)
+    by_degree = np.zeros((len(C), degree.max() + 1))
+    by_degree[np.arange(len(C)), degree] = C[:, 0]
+    for table, reference in [
+        (rho._value, value),
+        (rho._gradient, derivative_table_fractions(ref, 3, range(3), [None])),
+        (rho._ray, (A, B, by_degree)),
+    ]:
+        for new, old in zip(table, reference, strict=True):
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+
+
+def test_coefficients_are_read_exactly():
+    # ints, Fractions and strings all become the Fraction they name: "1/3" is
+    # a third, not the float nearest it
+    rho = DefiningPolynomial(2, {((1, 0), (1, 0)): "1/3", ((0, 1), (0, 1)): Fraction(2, 3),
+                                 ((2, 0), (2, 0)): 0, ((0, 0), (0, 0)): -1})
+    assert rho.terms == {((0, 0), (0, 0)): -1, ((0, 1), (0, 1)): Fraction(2, 3),
+                         ((1, 0), (1, 0)): Fraction(1, 3)}
+    assert {type(c) for c in rho.terms.values()} == {Fraction}
+    # from_spec sums a repeated monomial exactly: 0.2 + 0.7 + 1/10 is 1, so
+    # this is the (1, 2) unit sphere (in floats the sum is 1 - 2^-53)
+    sphere = Manifold.sphere(2, (1, 2)).to_spec()
+    z1 = next(t for t in sphere["rho"] if t["z_exponents"] == [1, 0])
+    spec = {**sphere, "rho": sphere["rho"] + [dict(z1, coeff=0.7), dict(z1, coeff="1/10")]}
+    z1["coeff"] = "0.2"
+    M = Manifold.from_spec(spec)
+    assert M.kind == "sphere"
+    assert M.content_hash == Manifold.sphere(2, (1, 2)).content_hash
 
 
 def test_hessian_table_is_built_by_the_first_levi_form():
