@@ -79,7 +79,7 @@ COMPLIANT = "compliant-quadrature"
 
 DEFAULT_GRAM_SAMPLES = 200_000
 
-# complex entries (16 MiB) per gather_products call of the simplex rule: the
+# float64 entries (8 MiB) per gather_products call of the simplex rule: the
 # stacked rows are gathered in groups of the levels that start in the same
 # GATHER_ENTRIES entries, so a group holds less than that plus one level
 GATHER_ENTRIES = 1 << 20
@@ -277,11 +277,13 @@ def gram_matrices(
     compliant volume density.  On a torus-invariant X with no sample_set given
     the Gram matrices are diagonal, and their entries come from the
     deterministic simplex rule of torus_quadrature; samples and seed are then
-    unused.  Otherwise the Gram matrices are Monte-Carlo estimates: one pass,
-    block by block, over the given sample set or over the blocks that
-    integrate.hypersurface_blocks streams for samples and seed (never
-    materialized), accumulates every level's matrix and the second moments
-    behind its per-entry standard errors.
+    unused.  The rule's nodes are real, so that pass runs in float64, bit for
+    bit as in complex128: the product of two operands with zero imaginary
+    parts is ab + 0j exactly, and |V|^2 = V.real**2 + 0.  Otherwise the Gram
+    matrices are Monte-Carlo estimates: one pass, block by block, over the
+    given sample set or over the blocks that integrate.hypersurface_blocks
+    streams for samples and seed (never materialized), accumulates every
+    level's matrix and the second moments behind its per-entry standard errors.
 
     rho has real coefficients with c(a, b) = c(b, a), so z -> zbar maps X to
     itself and preserves its surface measure and the compliant density.  So
@@ -317,13 +319,14 @@ def gram_matrices(
         if len(A):
             blocks = _compliant_blocks(M, torus_quadrature(M, int(A.sum(axis=1).max())))
             filled = [s for s in rows.values() if s.stop > s.start]
-            for c, powers in _power_blocks(blocks, A):
+            # the rule's nodes are real: real tables give |V|^2 = V * V exactly
+            for c, powers in _power_blocks(((Z.real, c) for Z, c in blocks), A):
                 size = max(GATHER_ENTRIES // len(c), 1)  # rows per gather, a level or more
                 for _, group in groupby(filled, key=lambda s: s.start // size):
                     group = list(group)
                     first = group[0].start
-                    V = gather_products(powers, A[first : group[-1].stop])
-                    B = V.real**2 + V.imag**2
+                    B = gather_products(powers, A[first : group[-1].stop])
+                    B *= B
                     for s in group:  # a product per level keeps each level's rounding
                         diag[s] += B[s.start - first : s.stop - first] @ c
         return _diagonal_estimates(rows, diag, measure)

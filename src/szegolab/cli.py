@@ -139,12 +139,13 @@ def emit_report(args, M: Manifold, results: dict, contracts: list[dict],
         "passed": all(c["passed"] for c in contracts),
     }
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(csv_header)
-    writer.writerows(csv_rows)
-    csv_text = buf.getvalue()
     out = getattr(args, "out", None)
+    if out or primary == "csv":  # csv_rows may be lazy: consumed only where written
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+        csv_text = buf.getvalue()
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -391,10 +392,10 @@ def cmd_embed(args) -> int:
                 "detail": f"min weight {Phi.min_weight} vs bound {args.m0}",
             }
         )
-    rows = [
+    rows = (
         (i, label, k, int(near), repr(s))
         for i, (label, k, near, s) in enumerate(imm.records)
-    ]
+    )
     return emit_report(
         args, M, results, contracts, csv_rows=rows,
         csv_header=("sample", "label", "stratum_order", "near_stratum", "sigma_min"),

@@ -150,8 +150,9 @@ def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def power_table(base: np.ndarray, e_max: int) -> np.ndarray:
-    """P[e] = base**e for e = 0, ..., e_max, by repeated multiplication."""
-    P = np.empty((e_max + 1,) + base.shape, dtype=complex)
+    """P[e] = base**e for e = 0, ..., e_max, by repeated multiplication; float64
+    from a float base, complex128 from any other."""
+    P = np.empty((e_max + 1,) + base.shape, dtype=float if base.dtype.kind == "f" else complex)
     P[0] = 1.0
     for e in range(1, e_max + 1):
         np.multiply(P[e - 1], base, out=P[e])

@@ -89,6 +89,7 @@ RAY_T_MAX = 8.0
 # the bracketing grid: t = 0 and the uniform steps of RAY_T_MAX / 128 = 1/16 up
 # to RAY_T_MAX, every point a dyadic rational
 _RAY_GRID = np.arange(129) * (RAY_T_MAX / 128)
+RULE_AXIS_MAX = 2048  # Gauss-Legendre nodes per axis of a simplex rule (dense Jacobi matrix)
 
 
 def _ray_values(C: np.ndarray, D: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +253,16 @@ def torus_quadrature(M: Manifold, degree: int) -> SampleSet:
     (density and co-area weight).  The directions are sqrt(sigma), projected to
     X with the co-area weights of sample_hypersurface; on a sphere they lie on
     X already and keep the simplex weights.  The weights sum to the area of
-    the unit sphere, as a sample set's do.  Nothing is drawn.
+    the unit sphere, as a sample set's do.  Nothing is drawn.  A rule of more
+    than RULE_AXIS_MAX nodes per axis or RULE_AXIS_MAX**2 in all is a ValueError.
     """
     if not torus_invariant(M):
         raise ValueError("torus_quadrature needs a torus-invariant rho")
-    n = M.n
-    x, w = _gauss_legendre((degree + n) // 2 + 8)
+    n, q = M.n, (degree + M.n) // 2 + 8
+    if q > RULE_AXIS_MAX or q ** (n - 1) > RULE_AXIS_MAX**2:
+        raise ValueError(f"the simplex rule of degree {degree} needs {q} nodes per axis, {q ** (n - 1)} "
+                         f"in all; at most {RULE_AXIS_MAX} per axis and {RULE_AXIS_MAX**2} in all are built")
+    x, w = _gauss_legendre(q)
     axes = np.meshgrid(*[0.5 * (x + 1.0)] * (n - 1), indexing="ij")
     weights = np.prod(np.meshgrid(*[0.5 * w] * (n - 1), indexing="ij"), axis=0).ravel()
     sigma = np.empty((weights.size, n))

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from szegolab.basis import FourierBasis, eval_basis_batch
-from szegolab.geometry import Manifold
-from szegolab.integrate import SampleSet, compliant_density, surface_samples
+from szegolab.geometry import ROW_BLOCK, Manifold
+from szegolab.integrate import SampleSet, compliant_density, surface_samples, torus_quadrature
 
 
 def mc_sphere_integral(f, n, samples=1_000_000, seed=123):
@@ -579,3 +579,34 @@ def component_orthogonality(
     var = np.maximum(t2 - np.abs(inner) ** 2, 0.0)
     stderr = np.sqrt(var / max(S.count - 1, 1))
     return float(np.abs(inner).max()), float(stderr.max())
+
+
+def simplex_rule_diagonal_complex(levels, M):
+    """{m: diagonal} of basis.gram_matrices(levels, M, measure=COMPLIANT) on a
+    torus-invariant M, in the complex128 arithmetic of its earlier form: per
+    block of ROW_BLOCK nodes of torus_quadrature, a complex power table per
+    coordinate by repeated multiplication, each level's monomials multiplied
+    a coordinate at a time, |V|^2 as V.real**2 + V.imag**2 and one product
+    against the weighted compliant density per level."""
+    parts = {m: np.asarray(A, dtype=np.int64).reshape(-1, M.n) for m, A in levels.items()}
+    diag = {m: np.zeros(len(A)) for m, A in parts.items()}
+    filled = [A for A in parts.values() if len(A)]
+    if not filled:
+        return diag
+    S = torus_quadrature(M, max(int(A.sum(axis=1).max()) for A in filled))
+    e_max = np.max([A.max(axis=0) for A in filled], axis=0)
+    for start in range(0, S.count, ROW_BLOCK):
+        Z = S.points[start : start + ROW_BLOCK]
+        c = S.weights[start : start + ROW_BLOCK] * compliant_density(M, Z)
+        tables = []
+        for k in range(M.n):
+            P = [np.ones(len(Z), dtype=complex)]
+            for _ in range(e_max[k]):
+                P.append(P[-1] * Z[:, k])
+            tables.append(np.array(P))
+        for m, A in parts.items():
+            V = tables[0][A[:, 0]]
+            for k in range(1, M.n):
+                V = V * tables[k][A[:, k]]
+            diag[m] += (V.real**2 + V.imag**2) @ c
+    return diag

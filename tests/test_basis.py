@@ -13,6 +13,7 @@ from oracles import (
     holomorphic_derivative_fd,
     mc_sphere_integral,
     multiindices_recursive,
+    simplex_rule_diagonal_complex,
 )
 
 import szegolab.basis as basis
@@ -36,7 +37,7 @@ from szegolab.basis import (
     resolve_measure,
     sphere_monomial_norm_sq,
 )
-from szegolab.errors import GramNotPositiveDefiniteError, RankDeficiencyError
+from szegolab.errors import GramNotPositiveDefiniteError, RankDeficiencyError, SamplingError
 from szegolab.geometry import Manifold, WeightVector
 from szegolab.integrate import SampleSet, compliant_density, surface_samples
 
@@ -365,7 +366,57 @@ def _doubled_nodes(M, degree):
     return integrate.torus_quadrature(M, 2 * degree + M.n + 16)
 
 
+# |z1|^2 + 2 |z2|^2 + |z3|^2 / 2 + |z1|^2 |z3|^2 = 1 under weights (1, 2, 6): a
+# torus-invariant non-sphere in C^3
+TORUS_SPEC_3 = {
+    "n": 3,
+    "weights": [1, 2, 6],
+    "rho": [
+        {"coeff": c, "z_exponents": list(e), "zbar_exponents": list(e)}
+        for c, e in (("-1", (0, 0, 0)), ("1", (1, 0, 0)), ("2", (0, 1, 0)), ("1/2", (0, 0, 1)),
+                     ("1", (1, 0, 1)))
+    ],
+}
+
+
+def _torus_manifold(request, name):
+    """A torus-invariant fixture by name, or the manifold of TORUS_SPEC ("spec")
+    or TORUS_SPEC_3 ("spec3")."""
+    specs = {"spec": TORUS_SPEC, "spec3": TORUS_SPEC_3}
+    return Manifold.from_spec(specs[name]) if name in specs else request.getfixturevalue(name)
+
+
+# the two specs are the non-spheres, whose nodes are projected to X along rays
+TORUS_MANIFOLDS = ["sphere2", "wsphere12", "wsphere126", "spec", "spec3"]
+
+
 class TestTorusQuadrature:
+    @pytest.mark.parametrize("name", TORUS_MANIFOLDS)
+    def test_nodes_are_real(self, request, name):
+        # the real-arithmetic Gram pass rests on this: sqrt(sigma) times a real ray root
+        M = _torus_manifold(request, name)
+        for degree in (0, 7, 60):
+            points = integrate.torus_quadrature(M, degree).points
+            assert points.dtype == complex and not np.any(points.imag)
+
+    def test_no_rule_on_an_unbracketed_manifold(self, flat_ellipsoid):
+        # the z2 axis meets X at t = 100, beyond the ray bracket
+        with pytest.raises(SamplingError, match="not bracketed"):
+            integrate.torus_quadrature(flat_ellipsoid, 4)
+
+    @pytest.mark.parametrize("gather_entries", [basis.GATHER_ENTRIES, 0])
+    @pytest.mark.parametrize("name", TORUS_MANIFOLDS)
+    def test_real_pass_equals_the_complex_diagonal(self, request, name, gather_entries, monkeypatch):
+        M = _torus_manifold(request, name)
+        levels = {m: enumerate_multiindices(M.weights, m) for m in range(61)}
+        levels[30] = levels[30][:0]  # an empty level among the others
+        monkeypatch.setattr(basis, "GATHER_ENTRIES", gather_entries)
+        grams = gram_matrices(levels, M, measure=COMPLIANT)
+        want = simplex_rule_diagonal_complex(levels, M)
+        for m in levels:
+            assert grams[m].matrix.dtype == want[m].dtype == np.float64
+            np.testing.assert_array_equal(grams[m].matrix, want[m])
+
     @pytest.mark.parametrize("n, levels", [(2, (0, 7, 30, 60)), (3, (1, 12, 40))])
     def test_standard_sphere_matches_exact_norms(self, n, levels):
         M = Manifold.sphere(n)
@@ -394,7 +445,7 @@ class TestTorusQuadrature:
 
     @pytest.mark.parametrize("name, levels", [("wsphere126", (6, 12)), ("spec", (4, 7))])
     def test_agrees_with_monte_carlo(self, request, name, levels):
-        M = Manifold.from_spec(TORUS_SPEC) if name == "spec" else request.getfixturevalue(name)
+        M = _torus_manifold(request, name)
         level_indices = {m: enumerate_multiindices(M.weights, m) for m in levels}
         exact = gram_matrices(level_indices, M, measure=COMPLIANT)
         mc = gram_matrices(
@@ -460,7 +511,7 @@ class TestStackedLevels:
 
     @pytest.mark.parametrize("name", ["sphere2", "wsphere12", "wsphere126", "spec"])
     def test_torus_rule(self, request, name, monkeypatch):
-        M = Manifold.from_spec(TORUS_SPEC) if name == "spec" else request.getfixturevalue(name)
+        M = _torus_manifold(request, name)
         self.pin_the_rule(monkeypatch, max(self.LEVELS))
         self.assert_stacking_changes_no_bit(M, self.LEVELS, measure=COMPLIANT)
 
@@ -514,6 +565,22 @@ class TestStackedLevels:
             assert counts[0]["_round_exact_diagonal"] == 1 and "gather_products" not in counts[0]
         else:
             assert counts[0]["gather_products"] >= 1 and "_round_exact_diagonal" not in counts[0]
+
+    def test_simplex_rule_tables_are_real(self, wsphere12, monkeypatch):
+        # a timing-free guard: the compliant torus branch builds and gathers
+        # float64 tables, never complex ones
+        dtypes = collections.defaultdict(set)
+        for name in ("gather_products", "power_table"):
+            fn = getattr(geometry, name)
+
+            def recorded(*args, _fn=fn, _name=name):
+                out = _fn(*args)
+                dtypes[_name].add(out.dtype)
+                return out
+
+            monkeypatch.setattr(basis, name, recorded)
+        fourier_bases(wsphere12, list(range(20, 61, 2)), measure=COMPLIANT)
+        assert dtypes == {"gather_products": {np.dtype(np.float64)}, "power_table": {np.dtype(np.float64)}}
 
 
 class TestOrthonormalize:

@@ -327,6 +327,22 @@ def test_kernel_values(capsys):
     assert report["passed"]
 
 
+@pytest.mark.parametrize(
+    "weights, point, m, message",
+    [
+        ("1,2000000", "1,0", "2000000", "1000009 nodes per axis"),
+        ("1,400,400,400", "1,0,0,0", "400", "9261000 in all"),
+    ],
+    ids=["axis", "total"],
+)
+def test_kernel_on_a_rule_too_large_to_build_exits_two(capsys, weights, point, m, message):
+    # the simplex rule is refused before its dense Jacobi matrix or nodes are allocated
+    code, out, err = run_cli(capsys, "kernel", "--weights", weights, "--point", point, "--m", m)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: the simplex rule of degree") and message in err
+
+
 def test_kernel_without_point2_reports_the_diagonal(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys, "kernel", "--preset", "sphere", "--n", "2", "--m", "3..5",
@@ -579,6 +595,20 @@ def test_reports_byte_identical(capsys, tmp_path):
         d2 / "fit.json"
     ).read_bytes().replace(str(d2).encode(), b"")
     assert (d1 / "fit.csv").read_bytes() == (d2 / "fit.csv").read_bytes()
+
+
+def test_csv_text_is_built_only_where_it_is_written(capsys, tmp_path, monkeypatch):
+    import szegolab.cli as cli
+
+    writers = []
+    real_writer = cli.csv.writer
+    monkeypatch.setattr(cli.csv, "writer", lambda *a, **k: writers.append(1) or real_writer(*a, **k))
+    sphere = ["--preset", "sphere", "--n", "2", "--m", "3..5"]
+    kernel = ["kernel", *sphere, "--point", "0.6,0.8"]
+    for argv, built in ((kernel, 0), (kernel + ["--out", str(tmp_path)], 1), (["dims", *sphere], 1)):
+        writers.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out and len(writers) == built
 
 
 def test_embed_certifies_strata_once(capsys, monkeypatch):

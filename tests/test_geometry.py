@@ -31,6 +31,7 @@ from szegolab.geometry import (
     Manifold,
     StrataOrders,
     WeightVector,
+    power_table,
     safeguarded_newton,
 )
 
@@ -581,3 +582,23 @@ class TestWeightVector:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             WeightVector((1, 0))
+
+
+class TestPowerTable:
+    def test_a_float_base_gives_the_real_part_of_the_complex_table(self):
+        # a base of -0.0 would give zeros of either sign (the complex product
+        # subtracts 0 * -0), which no square tells apart; the rule has none
+        rng = np.random.default_rng(4)
+        base = np.concatenate([rng.uniform(-1.5, 1.5, 64), [0.0, 1.0, -1.0]])
+        real = power_table(base, 40)
+        full = power_table(base.astype(complex), 40)
+        assert real.dtype == np.float64 and full.dtype == np.complex128
+        assert real.shape == full.shape == (41, base.size)
+        assert real.tobytes() == np.ascontiguousarray(full.real).tobytes()
+        assert not np.any(full.imag)
+
+    def test_a_complex_base_stays_complex(self):
+        z = np.array([0.6 + 0.8j, -1j, 2.0])
+        P = power_table(z, 3)
+        assert P.dtype == np.complex128
+        np.testing.assert_array_equal(P[3], z * z * z)
