@@ -17,7 +17,7 @@ array then acts on its own column slice.  The immersion certificate takes
 the spectra of all its samples from one stacked SVD.
 
 Both certificates are ray jobs (integrate.solve_rays): immersion_job and
-separation_job yield the directions of their point sets and return their
+separation_job each draw one point plan (integrate.plan_job) and return their
 reports, so one solve_rays call runs them together and the roots of a whole
 embed campaign take two radial_roots calls when every ray meets X.
 immersion_report and separation_report solve one job each.
@@ -41,8 +41,8 @@ from .geometry import ROW_BLOCK, Manifold
 # stratified_points is not called here; the benchmark's span tracer rebinds it
 # in every module that imports it, so the name stays
 from .integrate import (  # noqa: F401
-    _rng, _together, pattern_job, regular_job, solve_rays, stratified_job, stratified_minimum,
-    stratified_points,
+    _patterns_in_turn, _stratified_plan, _streams, plan_job, solve_rays, stratified_job,
+    stratified_minimum, stratified_points,
 )
 
 
@@ -245,37 +245,32 @@ def separation_job(
     VIOLATION_FLOOR times the median image norm; same-orbit pairs are held
     to the same floor once the ambient distance is above the threshold.
 
-    The point sets are drawn per call: same-orbit bases from
-    stratified_points(seed + 1) rotated by angles drawn from seed, regular
-    cross points from seed + 2 against support_pattern_points seeded
-    seed + 3000 (regular points from seed + 3 when the action is free), and
-    the near-stratum pool from stratified_points(seed + 4).  The four sets
-    are one ray job (integrate._together), two steps when every ray meets X.
+    The pairs come from one point plan (integrate.plan_job), two steps when
+    every ray meets X: the same-orbit bases are the rows of a stratified
+    sample of max(pair_count // 3, stratified_minimum) points, rotated by
+    angles of their own stream; the cross pairs are regular points against
+    the singular patterns in turn (regular points when the action is free);
+    and the near-stratum pairs are drawn from the regular and near-stratum
+    rows of a stratified sample of max(3 n_near // 2, 3, stratified_minimum)
+    points.  Directions, near-stratum steps and angles each have a stream,
+    spawned from one SeedSequence keyed apart from the immersion sample's.
     """
     M = Phi.manifold
-    rng = _rng(seed)
-    n_orbit = pair_count // 3
-    n_cross = pair_count // 3
+    n_orbit = n_cross = pair_count // 3
     n_near = pair_count - n_orbit - n_cross
-
     singular = M.strata.singular_patterns()
     minimum = stratified_minimum(M)
-
-    if singular:
-        supports = [singular[i % len(singular)][0] for i in range(n_cross)]
-        cross = pattern_job(M, supports, seed + 3000)
-    else:
-        cross = regular_job(M, n_cross, seed + 3)
-    (X_orbit, _), X_cross, Y_cross, (near, labels) = yield from _together(
-        stratified_job(M, max(n_orbit, minimum), seed + 1),
-        regular_job(M, n_cross, seed + 2),
-        cross,
-        stratified_job(M, max(3 * n_near // 2, 3, minimum), seed + 4),
-    )
-    X_cross, Y_cross = M.points(X_cross), M.points(Y_cross)
+    orbit, orbit_labels = _stratified_plan(M, max(n_orbit, minimum))
+    pool, pool_labels = _stratified_plan(M, max(3 * n_near // 2, 3, minimum))
+    kept = pool_labels != "stratum"
+    cross = "stratum" if singular else "regular"  # the label of the cross pairs' second points
+    on = np.concatenate([orbit, np.ones((n_cross, M.n), dtype=bool), _patterns_in_turn(M, n_cross), pool[kept]])
+    labels = np.concatenate([orbit_labels, np.repeat(["regular", cross], n_cross), pool_labels[kept]])
+    directions, perturbations, angles = _streams(seed, 1, 3)
+    Z = yield from plan_job(M, on, labels, directions, perturbations)
+    X_orbit, X_cross, Y_cross, pool = np.split(Z, np.cumsum([len(orbit), n_cross, n_cross]))
     X_orbit = X_orbit[:n_orbit]
-    Y_orbit = M.act(rng.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
-    pool = near[labels != "stratum"]
+    Y_orbit = M.act(angles.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
     i = np.arange(n_near)
     X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
 

@@ -17,20 +17,19 @@ of those moduli, pushed to X along the same rays with the same weights.
 
 Every root on a ray is found by a ray job: a generator that yields the unit
 directions it needs, is sent their roots (NaN where a ray meets no point of
-X) and returns its result.  solve_rays runs any number of jobs in lockstep
-with one radial_roots call per step, so the point sets of both embedding
-certificates share their calls.  Each job draws from its own seeded stream,
-so its points are the ones it finds alone, up to the last bits that the
-batch size moves.  Jobs return their points as solved; stratified_job and
-the public point generators check theirs on X (Manifold.points).  The
-strata need only to know which rays meet X, and ray_brackets tells that
-without solving a root.
+X) and returns its result.  solve_rays runs jobs in lockstep with one
+radial_roots call per step.  Each job reads streams of its own, so its points
+are the ones it finds alone, up to the last bits that the batch size moves:
+a sampler reads one Philox stream seeded by seed (_rng), a point plan
+(plan_job, one per certificate) one Philox stream per role (directions,
+near-stratum steps, orbit angles), spawned from one SeedSequence.  A plan
+checks every point transversal and on X.  The strata need only to know
+which rays meet X, and ray_brackets tells that without solving a root.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -187,12 +186,21 @@ def _coarea_rule(M: Manifold, U: np.ndarray, w):
     """
     t = yield from _roots(U)
     X = U * t[:, None]
+    rho_z, radial = _radial_slopes(M, X)
+    return X, w * t ** (2 * M.n) * (2.0 * np.linalg.norm(rho_z, axis=1)) / radial, rho_z
+
+
+def _radial_slopes(M: Manifold, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d rho / d z_j) and x . grad rho at the rows of X.  A ray touching X,
+    rho = -a (t - t0)^2 along it, has a slope of either sign and at most about
+    2 sqrt(a tol) where |rho| <= tol = surface_tolerance; so, with |rho(0)| for
+    a, a slope of at most sqrt(|rho(0)| tol) raises SamplingError."""
     rho_z = M.rho.z_gradient(X)
-    grad_norm = 2.0 * np.linalg.norm(rho_z, axis=1)
-    radial = 2.0 * np.sum(X * rho_z, axis=1).real  # x . grad rho
-    if np.any(radial <= 0):
+    radial = 2.0 * np.sum(X * rho_z, axis=1).real
+    depth = -float(M.rho.terms.get(((0,) * M.n, (0,) * M.n), 0))  # |rho(0)|: rho(0) < 0 on a star-shaped X
+    if np.any(radial <= math.sqrt(depth * M.surface_tolerance)):
         raise SamplingError("ray meets the surface non-transversally")
-    return X, w * t ** (2 * M.n) * grad_norm / radial, rho_z
+    return rho_z, radial
 
 
 def torus_invariant(M: Manifold) -> bool:
@@ -308,10 +316,12 @@ def compliant_density(M: Manifold, Z: np.ndarray) -> np.ndarray:
 _MAX_ROUNDS = 200
 
 
-def _together(*jobs):
-    """The ray job of jobs run in lockstep: each step yields the requests of
-    every live job as one array, and it returns the list of their results.
-    Jobs may finish at different steps."""
+def solve_rays(M: Manifold, *jobs) -> list:
+    """The results of ray jobs run in lockstep on M: each step solves the
+    requests of every live job in one radial_roots call (on the unit sphere
+    every root is 1 and no call is made), and jobs may finish at different
+    steps.  One call on both embedding certificates solves every root of an
+    embed campaign in two radial_roots calls when every ray meets X."""
     results = [None] * len(jobs)
     requests = {}  # index of each live job -> the directions it asked for
 
@@ -326,28 +336,11 @@ def _together(*jobs):
         advance(i, None)
     while requests:
         live = list(requests)
-        t = yield np.concatenate([requests[i] for i in live])
-        ends = np.cumsum([len(requests[i]) for i in live])[:-1]
-        for i, roots in zip(live, np.split(t, ends)):
+        U = np.concatenate([requests[i] for i in live])
+        t = np.ones(len(U)) if M.kind == "sphere" else radial_roots(M, U)
+        for i, roots in zip(live, np.split(t, np.cumsum([len(requests[i]) for i in live])[:-1])):
             advance(i, roots)
     return results
-
-
-def solve_rays(M: Manifold, *jobs) -> list:
-    """The results of ray jobs run in lockstep on M, with one radial_roots call
-    per step; on the unit sphere every root is 1 and no call is made.
-
-    A job may itself run jobs (_together), as the certificates
-    embedding.immersion_job and embedding.separation_job do, so one call on
-    both solves every root of an embed campaign in as many radial_roots
-    calls as its longest job has steps: two when every ray meets X."""
-    job = _together(*jobs)
-    try:
-        U = next(job)
-        while True:
-            U = job.send(np.ones(len(U)) if M.kind == "sphere" else radial_roots(M, U))
-    except StopIteration as stop:
-        return stop.value
 
 
 def _roots(U: np.ndarray):
@@ -376,72 +369,99 @@ def regular_job(M: Manifold, count: int, seed: int = 0):
 
 def _support_mask(supports: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
     """(len(supports), n) bool array, row i True exactly on supports[i]."""
-    on = np.zeros((len(supports), n), dtype=bool)
-    rows = np.repeat(np.arange(len(supports)), list(map(len, supports)))
-    on[rows, np.fromiter(itertools.chain.from_iterable(supports), dtype=np.int64)] = True
-    return on
+    return np.array([[j in s for j in range(n)] for s in supports], dtype=bool).reshape(-1, n)
 
 
-def pattern_job(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0):
-    """Ray job: points of X (len(supports), n), row i nonzero exactly on supports[i].
-
-    It draws from one generator seeded by seed, one round per step.  In each
-    round every pending point draws a direction with zeros off its support;
-    directions with a support coordinate below 1e-3 in modulus are redrawn,
-    and the rest are yielded.  Rays without a root are redrawn in the next
-    round.  A point still pending after _MAX_ROUNDS rounds raises
-    SamplingError naming its pattern.
-    """
-    rng = _rng(seed)
-    on = _support_mask(supports, M.n)
-    X = np.empty(on.shape, dtype=complex)
-    pending = np.arange(len(supports))
-    for _ in range(_MAX_ROUNDS):
-        g = rng.normal(size=(pending.size, M.n, 2))
-        U = np.where(on[pending], g[..., 0] + 1j * g[..., 1], 0.0)
-        drawn = np.flatnonzero(np.all((np.abs(U) >= 1e-3) | ~on[pending], axis=1))
-        U = U[drawn] / np.linalg.norm(U[drawn], axis=1, keepdims=True)
-        t = yield U
-        hit = np.isfinite(t)
-        X[pending[drawn[hit]]] = U[hit] * t[hit, None]
-        pending = np.delete(pending, drawn[hit])
-        if pending.size == 0:
-            return X
-    raise SamplingError(f"could not realize support pattern {tuple(supports[pending[0]])}")
+def _streams(seed: int, key: int, roles: int) -> list[np.random.Generator]:
+    """One Philox generator per role of a point plan, spawned from SeedSequence(seed)
+    under the spawn key (key,): 0 for stratified_points, 1 for the separation
+    pairs.  No two share key material, nor any of them with _rng(seed)."""
+    return [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(seed, spawn_key=(key,)).spawn(roles)]
 
 
-def stratified_job(M: Manifold, count: int, seed: int = 0):
-    """Ray job: stratified_points(M, count, seed), in two steps when every ray
-    meets X: its three point sets together, then the near points' projection."""
+def _patterns_in_turn(M: Manifold, count: int) -> np.ndarray:
+    """Support masks (count, n): the singular patterns of M.strata in turn, or all coordinates."""
+    patterns = [s for s, _ in M.strata.singular_patterns()] or [tuple(range(M.n))]
+    return _support_mask(patterns, M.n)[np.arange(count) % len(patterns)]
+
+
+def _stratified_plan(M: Manifold, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support masks and labels of the rows of stratified_points(M, count)."""
     minimum = stratified_minimum(M)
     if count < minimum:
         raise ValueError(f"count must be >= {minimum}, got {count}")
-    singular = M.strata.singular_patterns()
-    if not singular:
-        Z = yield from regular_job(M, count, seed)
-        return M.points(Z), np.full(count, "regular")
-    n_singular = max(len(singular), int(round(0.4 * count)))
-    n_near = max(1, count - max(1, int(round(0.4 * count))) - n_singular)
+    singular, n_singular, n_near = M.strata.singular_patterns(), 0, 0
+    if singular:
+        n_singular = max(len(singular), int(round(0.4 * count)))
+        n_near = max(1, count - max(1, int(round(0.4 * count))) - n_singular)
     n_regular = count - n_singular - n_near
-    on_stratum = [singular[i % len(singular)][0] for i in range(n_singular)]
-    near = [singular[i % len(singular)][0] for i in range(n_near)]
-    regular, stratum, base = yield from _together(
-        regular_job(M, n_regular, seed),
-        pattern_job(M, on_stratum, seed + 1000),
-        pattern_job(M, near, seed + 5000),
-    )
-    rng = _rng(seed)
-    g = rng.normal(size=(n_near, M.n, 2))
-    # a singular pattern never covers every coordinate; perturbing only the
-    # off-support ones keeps the distance to the stratum locus controlled by
-    # the perturbation size
-    delta = np.where(_support_mask(near, M.n), 0.0, g[..., 0] + 1j * g[..., 1])
-    size = (0.2 + 0.8 * rng.random(n_near)) * NEAR_DISTANCE * 0.9
-    delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
-    near_points = yield from projection_job(base + delta)
-    Z = np.concatenate([regular, stratum, near_points])
-    labels = np.repeat(["regular", "stratum", "near-stratum"], [n_regular, n_singular, n_near])
-    return M.points(Z), labels
+    on = np.concatenate([np.ones((n_regular, M.n), dtype=bool), _patterns_in_turn(M, n_singular),
+                         _patterns_in_turn(M, n_near)])
+    return on, np.repeat(["regular", "stratum", "near-stratum"], [n_regular, n_singular, n_near])
+
+
+def plan_job(M: Manifold, on: np.ndarray, labels: np.ndarray, directions, perturbations):
+    """Ray job: one point of X per row of a point plan, (len(on), n).
+
+    Row i is nonzero exactly where the support mask on[i] is True; labels[i]
+    is "regular" (every coordinate), "stratum" or "near-stratum".  Every row
+    draws its direction from `directions` in one pass, all yielded in one
+    step; a regular ray without a root raises SamplingError.  A pattern row
+    redraws in the next round when a support coordinate of its direction is
+    below 1e-3 in modulus (that direction is not yielded) or its ray has no
+    root; one still pending after _MAX_ROUNDS rounds raises SamplingError
+    naming its pattern.  Then each near-stratum row steps off its support by
+    a length between 0.18 and 0.9 times NEAR_DISTANCE, drawn from
+    `perturbations`, and is projected back to X in one more step.  One
+    gradient pass checks every row's slope x . grad rho (_radial_slopes),
+    and one Manifold.points pass that every row lies on X.
+    """
+    regular = labels == "regular"
+    X = np.empty(on.shape, dtype=complex)
+    pending = np.arange(len(on))
+    for _ in range(_MAX_ROUNDS):
+        g = directions.normal(size=(pending.size, M.n, 2))
+        U = np.where(on[pending], g[..., 0] + 1j * g[..., 1], 0.0)
+        drawn = np.flatnonzero(regular[pending] | np.all((np.abs(U) >= 1e-3) | ~on[pending], axis=1))
+        U = U[drawn] / np.linalg.norm(U[drawn], axis=1, keepdims=True)
+        t = yield U
+        hit = np.isfinite(t)
+        if np.any(regular[pending[drawn[~hit]]]):
+            raise SamplingError(f"ray root not bracketed in (0, {RAY_T_MAX}]")
+        X[pending[drawn[hit]]] = U[hit] * t[hit, None]
+        pending = np.delete(pending, drawn[hit])
+        if pending.size == 0:
+            break
+    else:
+        pattern = tuple(np.flatnonzero(on[pending[0]]).tolist())
+        raise SamplingError(f"could not realize support pattern {pattern}")
+    near = np.flatnonzero(labels == "near-stratum")
+    if near.size:
+        # a singular pattern never covers every coordinate; perturbing only the
+        # off-support ones keeps the distance to the stratum locus controlled by
+        # the perturbation size
+        g = perturbations.normal(size=(near.size, M.n, 2))
+        delta = np.where(on[near], 0.0, g[..., 0] + 1j * g[..., 1])
+        size = (0.2 + 0.8 * perturbations.random(near.size)) * NEAR_DISTANCE * 0.9
+        delta *= (size / np.maximum(np.linalg.norm(delta, axis=1), 1e-12))[:, None]
+        X[near] = yield from projection_job(X[near] + delta)
+    _radial_slopes(M, X)
+    return M.points(X)
+
+
+def pattern_job(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0):
+    """Ray job: support_pattern_points(M, supports, seed), plan_job on pattern
+    rows alone with directions from _rng(seed), one radial_roots call a round."""
+    return plan_job(M, _support_mask(supports, M.n), np.full(len(supports), "stratum"), _rng(seed), None)
+
+
+def stratified_job(M: Manifold, count: int, seed: int = 0):
+    """Ray job: stratified_points(M, count, seed), plan_job on its plan with
+    the first two streams of key 0, in two steps when every ray meets X."""
+    on, labels = _stratified_plan(M, count)
+    Z = yield from plan_job(M, on, labels, *_streams(seed, 0, 2))
+    return Z, labels
 
 
 def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:
@@ -460,13 +480,11 @@ def random_surface_points(M: Manifold, count: int, seed: int = 0) -> np.ndarray:
     return M.points(X)
 
 
-def support_pattern_points(
-    M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0
-) -> np.ndarray:
+def support_pattern_points(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0) -> np.ndarray:
     """Points of X (len(supports), n), row i nonzero exactly on supports[i],
-    validated on X: pattern_job solved alone, one radial_roots call a round."""
+    checked transversal and on X: pattern_job solved alone."""
     [X] = solve_rays(M, pattern_job(M, supports, seed))
-    return M.points(X)
+    return X
 
 
 def ball_points(
@@ -521,15 +539,12 @@ def stratified_points(M: Manifold, count: int, seed: int = 0) -> tuple[np.ndarra
     point; where that and the 40% shares exceed count, the regular share
     gives way.  A count below stratified_minimum(M) raises ValueError.  On
     manifolds with a free action every point is regular.  The singular
-    patterns of M.strata are used in turn.  Regular points are those of
-    random_surface_points(seed); the on-stratum points those of
-    support_pattern_points seeded seed + 1000; the near-stratum points
-    perturb the off-support coordinates of the points of a second pattern
-    set, seeded seed + 5000, by a step of length between 0.18 and 0.9 times
-    NEAR_DISTANCE drawn from seed, and project the results back to X.  The
-    three sets are solved in lockstep (stratified_job), so the whole call
-    takes two radial_roots calls when every ray meets X; a pattern redraws a
-    ray at most _MAX_ROUNDS rounds before raising SamplingError.
+    patterns of M.strata are used in turn.  The points are one plan_job on
+    two streams spawned from SeedSequence(seed): every direction comes from
+    the first, and the near points' steps off their bases' supports from the
+    second.  The call takes two radial_roots calls when every ray meets X; a
+    pattern redraws a ray at most _MAX_ROUNDS rounds before raising
+    SamplingError, and a tangential ray raises it too.
     """
     [(Z, labels)] = solve_rays(M, stratified_job(M, count, seed))
     return Z, labels

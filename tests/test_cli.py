@@ -670,6 +670,89 @@ def test_embed_report_does_not_depend_on_samples(capsys):
     assert reports[0]["contracts"] == reports[1]["contracts"]
 
 
+# the benchmark's embed campaign, without --seed
+BENCH_EMBED = ("embed", "--preset", "example2", "--m", "4", "--m0", "3", "--pairs", "60",
+               "--samples", "12500", "--immersion-samples", "30")
+
+
+@pytest.fixture
+def philox_keys(monkeypatch):
+    """(module, key) of every Philox bit generator made, in order."""
+    import sys
+
+    import numpy as np
+
+    made = []
+    Philox = np.random.Philox
+
+    def recording(*args, **kwargs):
+        bit_generator = Philox(*args, **kwargs)
+        key = tuple(bit_generator.state["state"]["key"].tolist())
+        made.append((sys._getframe(1).f_globals["__name__"], key))
+        return bit_generator
+
+    monkeypatch.setattr(np.random, "Philox", recording)
+    return made
+
+
+def test_embed_campaign_draws_each_point_family_once(capsys, monkeypatch, philox_keys):
+    # a timing-free guard on the benchmark's campaign: one point plan per
+    # certificate, solved together in two radial_roots calls, checked by one
+    # gradient pass and one rho pass each (the nested jobs these plans replaced
+    # made 2 calls on 136 rays, 5 rho passes, 4 gradient passes and 15 generators)
+    import collections
+
+    import szegolab.integrate as integrate
+    from szegolab.geometry import DefiningPolynomial
+
+    calls, rays = collections.Counter(), []
+    radial_roots = integrate.radial_roots
+
+    def counting_roots(M, U):
+        rays.append(len(U))
+        return radial_roots(M, U)
+
+    monkeypatch.setattr(integrate, "radial_roots", counting_roots)
+    for name in ("value", "z_gradient"):
+        def counting(self, *args, _fn=getattr(DefiningPolynomial, name), _name=name):
+            calls[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(DefiningPolynomial, name, counting)
+    code, _, _ = run_cli(capsys, *BENCH_EMBED, "--seed", "0")
+    assert code == 0
+    assert len(rays) == 2 and sum(rays) == 124, rays
+    assert calls == {"value": 2, "z_gradient": 2}
+    # the strata of the fresh manifold read one fixed stream of their own
+    assert [module for module, _ in philox_keys].count("szegolab.geometry") == 1
+    assert len(philox_keys) - 1 <= 6
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_embed_streams_share_no_key_material(capsys, philox_keys, seed):
+    # every generator of a campaign has a key of its own, so no two roles
+    # read the same stream
+    code, _, _ = run_cli(capsys, *BENCH_EMBED, "--seed", str(seed))
+    assert code == 0
+    keys = [key for _, key in philox_keys]
+    assert len(philox_keys) > 1 and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(BENCH_EMBED, seed) for seed in range(10)]
+    + [(("embed", "--weights", "1,2,6", "--m", "4", "--pairs", "300"), seed) for seed in range(5)],
+    ids=[f"example2-seed{seed}" for seed in range(10)] + [f"wsphere126-seed{seed}" for seed in range(5)],
+)
+def test_embed_passes_every_contract_at_any_seed(capsys, argv, seed):
+    # the benchmark checks its embed campaign at whatever seed it runs
+    code, out, _ = run_cli(capsys, *argv, "--seed", str(seed))
+    report = json.loads(out)
+    assert code == 0 and all(contract["passed"] for contract in report["contracts"])
+    assert report["results"]["violations"] == []
+    assert report["results"]["immersion_floor"] > 1e-6
+
+
 @pytest.mark.parametrize(
     "manifold, option, value, bound",
     [

@@ -119,6 +119,38 @@ class TestConstruction:
         assert calls == [M]
 
 
+def test_orbit_angles_are_not_the_raw_draws_of_another_stream(example2_phi, monkeypatch):
+    # the same-orbit angles once came from a fresh generator on the stream of
+    # the immersion sample's directions: angles / 2 pi were the first raw
+    # draws of that stream
+    Generator = np.random.Generator
+    made, angles = [], []
+
+    class Recording(Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            made.append((self, bit_generator.state))
+
+        def uniform(self, low=0.0, high=1.0, size=None):
+            out = super().uniform(low, high, size)
+            angles.append((self, out))
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    integrate.solve_rays(
+        example2_phi.manifold, embedding.immersion_job(example2_phi, 30, 0),
+        embedding.separation_job(example2_phi, 60, 0.05, 0),
+    )
+    [(drawer, theta)] = angles
+    others = [state for g, state in made if g is not drawer]
+    assert len(others) == len(made) - 1 >= 1
+    for state in others:
+        replay = np.random.Philox()
+        replay.state = state
+        raw = Generator(replay).random(theta.size)
+        assert not np.allclose(theta / (2 * math.pi), raw, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("name, m", [("wsphere126", 4), ("example2", 4)])
 def test_certificates_solved_together_equal_each_alone(request, name, m):
     # one lockstep over both jobs batches their rays, which may move the
@@ -377,11 +409,13 @@ class TestBatchedJacobian:
 
     def test_named_sample_does_not_move_with_the_last_bits(self, example2_phi, monkeypatch):
         # sigma_min is constant on an orbit, and the order-6 stratum of
-        # example2 (the z_3 axis) is one orbit: its samples tie to rounding
-        rep = immersion_report(example2_phi, samples=30, seed=0)
+        # example2 (the z_3 axis) is one orbit: its samples tie to rounding.
+        # At seed 1 the minimum lies on that stratum
+        rep = immersion_report(example2_phi, samples=30, seed=1)
         sigma = np.array([record[3] for record in rep.records])
         tied = np.flatnonzero(sigma <= rep.min_singular_value * (1 + ARGMIN_RTOL))
         assert len(tied) >= 4 and rep.argmin_index == tied[0]
+        assert {rep.records[i][1] for i in tied} == {6}
         spectra = embedding.jacobian_singular_values
         exact_argmins = set()
         for seed in range(8):
@@ -394,7 +428,7 @@ class TestBatchedJacobian:
                 return S
 
             monkeypatch.setattr(embedding, "jacobian_singular_values", perturbed)
-            moved = immersion_report(example2_phi, samples=30, seed=0)
+            moved = immersion_report(example2_phi, samples=30, seed=1)
             assert moved.min_singular_value == min(record[3] for record in moved.records)
             assert moved.argmin_index == rep.argmin_index
             assert np.array_equal(moved.argmin_point, rep.argmin_point)

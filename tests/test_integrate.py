@@ -9,6 +9,7 @@ from oracles import ball_points_loop, integrate_surface, sample_hypersurface_one
 
 import szegolab.integrate as integrate
 from szegolab.basis import enumerate_multiindices, monomial_values, sphere_monomial_norm_sq
+from szegolab.embedding import ImmersionReport, SeparationReport, build_embedding, immersion_job, separation_job
 from szegolab.errors import SamplingError
 from szegolab.geometry import ROW_BLOCK
 from szegolab.integrate import (
@@ -317,22 +318,56 @@ def test_a_ray_meeting_x_tangentially_raises():
     M = Manifold(2, (1, 1), DefiningPolynomial(2, terms))
     with pytest.raises(SamplingError, match="non-transversally"):
         solve_rays(M, integrate._coarea_rule(M, np.eye(2, dtype=complex), 1.0))
+    # a pattern row is checked like a regular one: the z_1 axis meets X at t = 1
+    with pytest.raises(SamplingError, match="non-transversally"):
+        support_pattern_points(M, [(0,)])
+
+
+@pytest.mark.parametrize("scale", [1, 10**-5, 10**5])
+def test_the_transversality_bound_scales_with_rho(scale):
+    # the touch bound sqrt(|rho(0)| surface_tolerance) scales with rho, so a
+    # transversal X keeps sampling and a touching one keeps raising
+    from fractions import Fraction
+
+    from szegolab.geometry import DefiningPolynomial, Manifold
+
+    c = Fraction(scale)
+    ellipse = {((1, 0), (1, 0)): c, ((0, 1), (0, 1)): c / 4, ((0, 0), (0, 0)): -c}
+    # -c (|z_1|^2 - 1)^2 + c |z_2|^2: the z_1 axis touches X at |z_1| = 1
+    touch = {((2, 0), (2, 0)): -c, ((1, 0), (1, 0)): 2 * c, ((0, 1), (0, 1)): c, ((0, 0), (0, 0)): -c}
+    M = Manifold(2, (1, 2), DefiningPolynomial(2, ellipse))
+    assert stratified_points(M, 10, seed=0)[0].shape == (10, 2)
+    assert sample_hypersurface(M, 50, seed=0).count == 50
+    with pytest.raises(SamplingError, match="non-transversally"):
+        support_pattern_points(Manifold(2, (1, 2), DefiningPolynomial(2, touch)), [(0,)] * 5)
+
+
+def _report_parts(report) -> tuple[tuple, np.ndarray]:
+    """An immersion or separation report as (its exact fields, its floats)."""
+    if isinstance(report, ImmersionReport):
+        floats = [r[3] for r in report.records] + report.argmin_point.view(float).tolist()
+        return ([r[:3] for r in report.records], report.argmin_index, report.failures), np.array(floats)
+    floats = [report.min_image_distance, report.min_same_orbit_image_distance, report.image_scale]
+    return (report.pair_count, report.violations), np.array(floats)
 
 
 def test_jobs_together_equal_jobs_alone(example2):
     # each job draws from its own stream; only the batch a ray is solved in
     # differs, whose rounding can move a root by the last bits
     example2.strata
+    Phi = build_embedding(example2, 4)
     rng = np.random.default_rng(4)
     Z = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
     supports = [(2,), (1, 2), (1,), (0, 1, 2)] * 3
 
-    def jobs(seed):
+    def jobs(seed, pairs=60):
         return [
             regular_job(example2, 25, seed),
             pattern_job(example2, supports, seed + 1000),
             stratified_job(example2, 30, seed),
             projection_job(Z),
+            immersion_job(Phi, 30, seed),
+            separation_job(Phi, pairs, 0.05, seed),
         ]
 
     for seed in range(4):
@@ -342,9 +377,37 @@ def test_jobs_together_equal_jobs_alone(example2):
             if isinstance(solo, tuple):  # stratified_job: (points, labels)
                 assert np.array_equal(mixed[1], solo[1])
                 mixed, solo = mixed[0], solo[0]
+            if isinstance(solo, (ImmersionReport, SeparationReport)):
+                (exact, mixed), (exact_solo, solo) = _report_parts(mixed), _report_parts(solo)
+                assert exact == exact_solo
             np.testing.assert_allclose(mixed, solo, rtol=1e-15, atol=0)
             if seed == 0:
                 assert np.array_equal(mixed, solo)
+        # the immersion sample has a stream of its own: the pair count moves
+        # none of its points
+        more_pairs = solve_rays(example2, *jobs(seed, pairs=300))
+        assert _report_parts(more_pairs[4])[0] == _report_parts(together[4])[0]
+        np.testing.assert_allclose(_report_parts(more_pairs[4])[1], _report_parts(together[4])[1], rtol=1e-15)
+
+
+def test_near_steps_do_not_reuse_the_direction_draws(example2, monkeypatch):
+    # the near-stratum steps once came from a fresh generator on the stream
+    # whose first normals the regular directions had read, so the steps were
+    # those directions reshaped
+    example2.strata
+    draws = []
+
+    class Recording(np.random.Generator):
+        def normal(self, *args, **kwargs):
+            out = super().normal(*args, **kwargs)
+            draws.append(out.ravel())
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    _, labels = stratified_points(example2, 30, seed=0)
+    directions, steps = draws[0], draws[-1]
+    assert steps.size == np.count_nonzero(labels == "near-stratum") * example2.n * 2
+    assert not np.isin(steps, directions).any()
 
 
 def test_public_wrappers_are_their_jobs_alone(example2):
