@@ -41,8 +41,8 @@ from .geometry import ROW_BLOCK, Manifold
 # stratified_points is not called here; the benchmark's span tracer rebinds it
 # in every module that imports it, so the name stays
 from .integrate import (  # noqa: F401
-    _patterns_in_turn, _stratified_plan, _streams, plan_job, solve_rays, stratified_job,
-    stratified_minimum, stratified_points,
+    SEPARATION_KEY, _patterns_in_turn, _stratified_plan, _stream, plan_job, solve_rays,
+    stratified_job, stratified_minimum, stratified_points,
 )
 
 
@@ -252,8 +252,8 @@ def separation_job(
     the singular patterns in turn (regular points when the action is free);
     and the near-stratum pairs are drawn from the regular and near-stratum
     rows of a stratified sample of max(3 n_near // 2, 3, stratified_minimum)
-    points.  Directions, near-stratum steps and angles each have a stream,
-    spawned from one SeedSequence keyed apart from the immersion sample's.
+    points.  Directions, near-stratum steps and angles read the streams
+    (SEPARATION_KEY, i) for i = 0, 1, 2, keyed apart from the immersion sample's.
     """
     M = Phi.manifold
     n_orbit = n_cross = pair_count // 3
@@ -266,7 +266,7 @@ def separation_job(
     cross = "stratum" if singular else "regular"  # the label of the cross pairs' second points
     on = np.concatenate([orbit, np.ones((n_cross, M.n), dtype=bool), _patterns_in_turn(M, n_cross), pool[kept]])
     labels = np.concatenate([orbit_labels, np.repeat(["regular", cross], n_cross), pool_labels[kept]])
-    directions, perturbations, angles = _streams(seed, 1, 3)
+    directions, perturbations, angles = (_stream(seed, SEPARATION_KEY, i) for i in range(3))
     Z = yield from plan_job(M, on, labels, directions, perturbations)
     X_orbit, X_cross, Y_cross, pool = np.split(Z, np.cumsum([len(orbit), n_cross, n_cross]))
     X_orbit = X_orbit[:n_orbit]

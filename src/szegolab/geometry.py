@@ -544,20 +544,20 @@ class Manifold:
         Candidate orders are gcds of nonempty weight subsets.  Each support
         pattern is certified by a point of X supported exactly there: the
         pattern draws STRATA_RAYS directions in its coordinate subspace, all
-        patterns from one Philox stream seeded 0, and the directions whose
-        smallest support coordinate keeps 5% of their norm go through one
-        integrate.ray_brackets pass; a pattern is confirmed when one of its
-        rays is bracketed, the rays on which radial_roots finds a root, so no
-        root is solved.  The result belongs to the manifold, not to any
-        seed.  Patterns that fail certification are reported as unconfirmed,
-        not dropped; when rho(0) >= 0 no ray meets X and every pattern is
-        unconfirmed.
+        patterns from the stream of integrate.STRATA_KEY under seed 0, and
+        the directions whose smallest support coordinate keeps 5% of their
+        norm go through one integrate.ray_brackets pass; a pattern is
+        confirmed when one of its rays is bracketed, the rays on which
+        radial_roots finds a root, so no root is solved.  The result belongs
+        to the manifold, not to any seed.  Patterns that fail certification
+        are reported as unconfirmed, not dropped; when rho(0) >= 0 no ray
+        meets X and every pattern is unconfirmed.
         """
-        from .integrate import ray_brackets  # integrate builds on this module
+        from .integrate import STRATA_KEY, _stream, ray_brackets  # integrate builds on this module
 
         n = self.n
         on = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)  # (2^n - 1, n)
-        g = np.random.Generator(np.random.Philox(0)).normal(size=(len(on), STRATA_RAYS, n, 2))
+        g = _stream(0, STRATA_KEY).normal(size=(len(on), STRATA_RAYS, n, 2))
         u = np.where(on[:, None, :], g[..., 0] + 1j * g[..., 1], 0.0)
         norm = np.linalg.norm(u, axis=2)
         smallest = np.min(np.where(on[:, None, :], np.abs(u), np.inf), axis=2)

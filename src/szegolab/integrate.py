@@ -19,12 +19,21 @@ Every root on a ray is found by a ray job: a generator that yields the unit
 directions it needs, is sent their roots (NaN where a ray meets no point of
 X) and returns its result.  solve_rays runs jobs in lockstep with one
 radial_roots call per step.  Each job reads streams of its own, so its points
-are the ones it finds alone, up to the last bits that the batch size moves:
-a sampler reads one Philox stream seeded by seed (_rng), a point plan
-(plan_job, one per certificate) one Philox stream per role (directions,
-near-stratum steps, orbit angles), spawned from one SeedSequence.  A plan
-checks every point transversal and on X.  The strata need only to know
-which rays meet X, and ray_brackets tells that without solving a root.
+are the ones it finds alone, up to the last bits that the batch size moves.
+The strata need only to know which rays meet X, and ray_brackets tells that
+without solving a root.
+
+Every random draw reads _stream(seed, *key), a counter-based Philox generator
+on SeedSequence(seed, spawn_key=key), so chunked draws equal the one-shot
+draw.  Each role has a key of its own, and no two roles share a stream:
+
+    ()                   Monte-Carlo Gram samples and sample_sphere
+    (IMMERSION_KEY, i)   the immersion plan: directions (i = 0), near steps (1)
+    (SEPARATION_KEY, i)  the separation plan: the same, and orbit angles (2)
+    (POINT_KEY,)         random_surface_points: fit's evaluation point
+    (PATTERN_KEY,)       support_pattern_points
+    (BALL_KEY,)          ball_points: ratio's balls
+    (STRATA_KEY,)        Manifold.strata_orders, under seed 0
 """
 
 from __future__ import annotations
@@ -62,10 +71,12 @@ class SampleSet:
         return self.points.shape[0]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based: streams derived from the seed are reproducible
-    # independently of how draws are chunked.
-    return np.random.Generator(np.random.Philox(seed))
+IMMERSION_KEY, SEPARATION_KEY, POINT_KEY, PATTERN_KEY, BALL_KEY, STRATA_KEY = range(6)
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of the role with spawn key `key` under seed (the key table above)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _uniform_directions(n: int, count: int, rng) -> np.ndarray:
@@ -78,7 +89,7 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SampleSet:
     """Uniform points on the unit sphere S^{2n-1} with equal weights."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    u = _uniform_directions(n, count, _rng(seed))
+    u = _uniform_directions(n, count, _stream(seed))
     w = np.full(count, sphere_area(n) / count)
     return SampleSet(u, w)
 
@@ -146,8 +157,8 @@ def hypersurface_blocks(M: Manifold, count: int, seed: int = 0):
 
     Yields (X, w, density) per block: the points on X, their co-area weights
     and the compliant density at them, computed from the gradient that the
-    co-area weight needed already.  All directions come from one Philox
-    stream seeded by seed.  Chunked draws equal the one-shot draw, roots are
+    co-area weight needed already.  All directions come from the stream
+    _stream(seed).  Chunked draws equal the one-shot draw, roots are
     found per ray, and rho's evaluator works in blocks of ROW_BLOCK rows, so
     the blocks concatenate to sample_hypersurface(M, count, seed) bit for bit.
     """
@@ -169,7 +180,7 @@ def _projected_blocks(M: Manifold, count: int, seed: int):
     """_coarea_rule per block of ROW_BLOCK directions drawn from one stream."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = _rng(seed)
+    rng = _stream(seed)
     w = sphere_area(M.n) / count
     for start in range(0, count, ROW_BLOCK):
         U = _uniform_directions(M.n, min(ROW_BLOCK, count - start), rng)
@@ -358,26 +369,9 @@ def projection_job(Z: np.ndarray):
     return U * t[:, None]
 
 
-def regular_job(M: Manifold, count: int, seed: int = 0):
-    """Ray job: the (count, n) points of sample_hypersurface(M, count, seed),
-    in one step."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    X, _, _ = yield from _coarea_rule(M, _uniform_directions(M.n, count, _rng(seed)), 1.0)
-    return X
-
-
 def _support_mask(supports: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
     """(len(supports), n) bool array, row i True exactly on supports[i]."""
     return np.array([[j in s for j in range(n)] for s in supports], dtype=bool).reshape(-1, n)
-
-
-def _streams(seed: int, key: int, roles: int) -> list[np.random.Generator]:
-    """One Philox generator per role of a point plan, spawned from SeedSequence(seed)
-    under the spawn key (key,): 0 for stratified_points, 1 for the separation
-    pairs.  No two share key material, nor any of them with _rng(seed)."""
-    return [np.random.Generator(np.random.Philox(s))
-            for s in np.random.SeedSequence(seed, spawn_key=(key,)).spawn(roles)]
 
 
 def _patterns_in_turn(M: Manifold, count: int) -> np.ndarray:
@@ -452,15 +446,16 @@ def plan_job(M: Manifold, on: np.ndarray, labels: np.ndarray, directions, pertur
 
 def pattern_job(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0):
     """Ray job: support_pattern_points(M, supports, seed), plan_job on pattern
-    rows alone with directions from _rng(seed), one radial_roots call a round."""
-    return plan_job(M, _support_mask(supports, M.n), np.full(len(supports), "stratum"), _rng(seed), None)
+    rows alone with directions from key PATTERN_KEY, one radial_roots call a round."""
+    return plan_job(M, _support_mask(supports, M.n), np.full(len(supports), "stratum"),
+                    _stream(seed, PATTERN_KEY), None)
 
 
 def stratified_job(M: Manifold, count: int, seed: int = 0):
     """Ray job: stratified_points(M, count, seed), plan_job on its plan with
-    the first two streams of key 0, in two steps when every ray meets X."""
+    the streams (IMMERSION_KEY, i), in two steps when every ray meets X."""
     on, labels = _stratified_plan(M, count)
-    Z = yield from plan_job(M, on, labels, *_streams(seed, 0, 2))
+    Z = yield from plan_job(M, on, labels, _stream(seed, IMMERSION_KEY, 0), _stream(seed, IMMERSION_KEY, 1))
     return Z, labels
 
 
@@ -474,10 +469,11 @@ def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:
 
 
 def random_surface_points(M: Manifold, count: int, seed: int = 0) -> np.ndarray:
-    """The (count, n) points of surface_samples(M, count, seed), validated on
-    X: regular_job solved alone."""
-    [X] = solve_rays(M, regular_job(M, count, seed))
-    return M.points(X)
+    """Points of X (count, n) along uniform directions, checked transversal
+    and on X: plan_job on count regular rows, directions from key POINT_KEY."""
+    [X] = solve_rays(M, plan_job(M, np.ones((count, M.n), dtype=bool), np.full(count, "regular"),
+                                 _stream(seed, POINT_KEY), None))
+    return X
 
 
 def support_pattern_points(M: Manifold, supports: Sequence[tuple[int, ...]], seed: int = 0) -> np.ndarray:
@@ -499,9 +495,10 @@ def ball_points(
     Each round projects `count` candidate steps around x0 at once, rotates
     each to the orbit representative closest to x0, probing the transverse
     neighborhood of the orbit, and keeps those within the radius after both
-    steps; the first `count` kept over the rounds are returned.
+    steps; the first `count` kept over the rounds are returned.  The steps
+    read key BALL_KEY: balls of one seed take the same normal draws, scaled.
     """
-    rng = _rng(seed)
+    rng = _stream(seed, BALL_KEY)
     z0 = np.asarray(x0, dtype=complex)
     kept: list[np.ndarray] = []
     found = 0
@@ -539,12 +536,11 @@ def stratified_points(M: Manifold, count: int, seed: int = 0) -> tuple[np.ndarra
     point; where that and the 40% shares exceed count, the regular share
     gives way.  A count below stratified_minimum(M) raises ValueError.  On
     manifolds with a free action every point is regular.  The singular
-    patterns of M.strata are used in turn.  The points are one plan_job on
-    two streams spawned from SeedSequence(seed): every direction comes from
-    the first, and the near points' steps off their bases' supports from the
-    second.  The call takes two radial_roots calls when every ray meets X; a
-    pattern redraws a ray at most _MAX_ROUNDS rounds before raising
-    SamplingError, and a tangential ray raises it too.
+    patterns of M.strata are used in turn.  The points are one plan_job,
+    directions from (IMMERSION_KEY, 0) and near steps from (IMMERSION_KEY, 1),
+    in two radial_roots calls when every ray meets X; a pattern redraws a ray
+    at most _MAX_ROUNDS rounds before raising SamplingError, and a tangential
+    ray raises it too.
     """
     [(Z, labels)] = solve_rays(M, stratified_job(M, count, seed))
     return Z, labels

@@ -19,6 +19,7 @@ over its own columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -285,6 +286,9 @@ def ratio_search(
     point where the ratio is undefined scores (inf, inf).  A ball needs at
     least one point and a finite positive radius, else ValueError: an empty
     ball or one that holds only x0 would pass on no evidence.
+    There is one ball per radius, drawn on first use from key
+    integrate.BALL_KEY and shared by every candidate m; the radii read the
+    same normal draws, scaled (common random numbers).
     """
     radii = list(radii)
     if points_per_ball < 1:
@@ -302,6 +306,7 @@ def ratio_search(
     )
     attempts = []
     bases: dict[int, FourierBasis] = {}  # level k*(m+1) is the next candidate's k*m
+    ball = functools.cache(lambda radius: ball_points(M, x0, radius, points_per_ball, seed))
     for m in m_candidates:
         missing = [level for level in (k * m, k * (m + 1)) if level not in bases]
         if missing:
@@ -310,9 +315,8 @@ def ratio_search(
             ))
         B_low, B_high = bases[k * m], bases[k * (m + 1)]
         for radius in radii:
-            Z = ball_points(M, x0, radius, points_per_ball, seed=seed + m)
             try:
-                R, I = ratio_diagnostic(B_low, B_high, Z, x0)
+                R, I = ratio_diagnostic(B_low, B_high, ball(radius), x0)
                 worst_r = float(np.max(np.abs(1.0 - R), initial=0.0))
                 worst_i = float(np.max(np.abs(I), initial=0.0))
             except UndefinedRatioError:

@@ -123,13 +123,13 @@ def ball_points_loop(M, x0, radius, count, seed=0):
 
     The per-try loop that the batched generator replaced: one direction, one
     radial projection and one orbit alignment per candidate, from the same
-    Philox stream.
+    Philox stream, the ball key (4,) under seed.
     """
     import math
 
     from szegolab.integrate import project_radially
 
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(4,))))
     z0 = x0
     out = []
     while len(out) < count:
@@ -318,7 +318,7 @@ def sample_hypersurface_one_shot(M, count, seed=0):
     drawn at once and projected in one pass: the sampler before it streamed."""
     from szegolab import integrate
 
-    U = integrate._uniform_directions(M.n, count, integrate._rng(seed))
+    U = integrate._uniform_directions(M.n, count, integrate._stream(seed))
     t = integrate.radial_roots(M, U)
     X = U * t[:, None]
     rho_z = M.rho.z_gradient(X)

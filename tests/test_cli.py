@@ -695,6 +695,14 @@ def philox_keys(monkeypatch):
     return made
 
 
+def _philox_key(seed, *spawn_key):
+    """The Philox key of the stream with this spawn key under seed."""
+    import numpy as np
+
+    bit_generator = np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    return tuple(bit_generator.state["state"]["key"].tolist())
+
+
 def test_embed_campaign_draws_each_point_family_once(capsys, monkeypatch, philox_keys):
     # a timing-free guard on the benchmark's campaign: one point plan per
     # certificate, solved together in two radial_roots calls, checked by one
@@ -719,23 +727,69 @@ def test_embed_campaign_draws_each_point_family_once(capsys, monkeypatch, philox
             return _fn(self, *args)
 
         monkeypatch.setattr(DefiningPolynomial, name, counting)
+    strata = _philox_key(0, 5)
+    philox_keys.clear()
     code, _, _ = run_cli(capsys, *BENCH_EMBED, "--seed", "0")
     assert code == 0
     assert len(rays) == 2 and sum(rays) == 124, rays
     assert calls == {"value": 2, "z_gradient": 2}
     # the strata of the fresh manifold read one fixed stream of their own
-    assert [module for module, _ in philox_keys].count("szegolab.geometry") == 1
-    assert len(philox_keys) - 1 <= 6
+    keys = [key for _, key in philox_keys]
+    assert keys.count(strata) == 1
+    assert len(keys) - 1 <= 6
+
+
+EXAMPLE2_POINT = ("--preset", "example2", "--point", "0,0,0.8260313576541872")
+# argv without --seed, and the spawn key of each generator it builds, in order
+# (integrate's key table); the strata read theirs under seed 0
+CAMPAIGN_STREAMS = {
+    "embed": (BENCH_EMBED, [(5,), (0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]),
+    "fit": (("fit", "--preset", "example2", "--m", "4..8", "--samples", "2000"), [(2,), ()]),
+    "kernel": (("kernel", *EXAMPLE2_POINT, "--m", "4..6", "--samples", "2000"), [()]),
+    # one ball stream per radius of the default three, the same draws scaled
+    "ratio": (("ratio", *EXAMPLE2_POINT, "--m", "1..2", "--samples", "2000", "--points", "10"),
+              [(), (4,), (4,), (4,)]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in CAMPAIGN_STREAMS for seed in (0, 3)],
+    # the embed cases keep the ids they had when the test covered embed alone
+    ids=[f"{name}-{seed}".removeprefix("embed-") for name in CAMPAIGN_STREAMS for seed in (0, 3)],
+)
+def test_embed_streams_share_no_key_material(capsys, philox_keys, name, seed):
+    # every role of a campaign reads a stream of its own key, so no two roles
+    # read the same stream; only ratio's radii share one, on purpose
+    argv, roles = CAMPAIGN_STREAMS[name]
+    code, _, _ = run_cli(capsys, *argv, "--seed", str(seed))
+    assert code in (0, 1)
+    keys = [key for _, key in philox_keys]
+    assert keys == [_philox_key(0 if role == (5,) else seed, *role) for role in roles]
+    assert len(set(keys)) == len(set(roles))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_embed_streams_share_no_key_material(capsys, philox_keys, seed):
-    # every generator of a campaign has a key of its own, so no two roles
-    # read the same stream
-    code, _, _ = run_cli(capsys, *BENCH_EMBED, "--seed", str(seed))
-    assert code == 0
-    keys = [key for _, key in philox_keys]
-    assert len(philox_keys) > 1 and len(set(keys)) == len(keys)
+def test_fit_point_is_not_a_node_of_its_gram_sample(capsys, monkeypatch, example2, seed):
+    # a node of the Gram sample as the evaluation point would bias c_lead low
+    # by that node's leverage
+    import numpy as np
+
+    from szegolab import kernel
+    from szegolab.integrate import sample_hypersurface
+
+    points = []
+    fit_expansion = kernel.fit_expansion
+
+    def recording(M, x, *args, **kwargs):
+        points.append(x)
+        return fit_expansion(M, x, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "fit_expansion", recording)
+    run_cli(capsys, *CAMPAIGN_STREAMS["fit"][0], "--seed", str(seed))
+    [x] = points
+    nodes = sample_hypersurface(example2, 2000, seed).points
+    assert not np.any(np.all(nodes == x, axis=1))
 
 
 @pytest.mark.parametrize(

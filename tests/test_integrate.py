@@ -19,8 +19,8 @@ from szegolab.integrate import (
     sample_hypersurface,
     sample_sphere,
     pattern_job,
+    plan_job,
     projection_job,
-    regular_job,
     solve_rays,
     sphere_area,
     stratified_job,
@@ -351,6 +351,12 @@ def _report_parts(report) -> tuple[tuple, np.ndarray]:
     return (report.pair_count, report.violations), np.array(floats)
 
 
+def _regular_plan(M, count, seed):
+    """plan_job on count regular rows, directions from the fit point's key."""
+    rows = np.ones((count, M.n), dtype=bool)
+    return plan_job(M, rows, np.full(count, "regular"), integrate._stream(seed, integrate.POINT_KEY), None)
+
+
 def test_jobs_together_equal_jobs_alone(example2):
     # each job draws from its own stream; only the batch a ray is solved in
     # differs, whose rounding can move a root by the last bits
@@ -362,7 +368,7 @@ def test_jobs_together_equal_jobs_alone(example2):
 
     def jobs(seed, pairs=60):
         return [
-            regular_job(example2, 25, seed),
+            _regular_plan(example2, 25, seed),
             pattern_job(example2, supports, seed + 1000),
             stratified_job(example2, 30, seed),
             projection_job(Z),
@@ -412,9 +418,11 @@ def test_near_steps_do_not_reuse_the_direction_draws(example2, monkeypatch):
 
 def test_public_wrappers_are_their_jobs_alone(example2):
     supports = [(2,), (1, 2)] * 3
-    [X] = solve_rays(example2, regular_job(example2, 12, 3))
+    [X] = solve_rays(example2, _regular_plan(example2, 12, 3))
     assert np.array_equal(integrate.random_surface_points(example2, 12, 3), X)
-    assert np.array_equal(sample_hypersurface(example2, 12, 3).points, X)
+    # random points and Gram samples read streams of their own: no row is shared
+    samples = sample_hypersurface(example2, 12, 3).points
+    assert not np.any(np.all(X[:, None, :] == samples[None, :, :], axis=2))
     [X] = solve_rays(example2, pattern_job(example2, supports, 5))
     assert np.array_equal(support_pattern_points(example2, supports, 5), X)
     [(X, labels)] = solve_rays(example2, stratified_job(example2, 20, 1))
