@@ -369,11 +369,12 @@ def _compliant_blocks(M: Manifold, S: SampleSet):
 
 
 def _power_blocks(blocks, A: np.ndarray):
-    """(c, powers) per block (Z, c) of blocks, with powers one table per
-    coordinate of Z, up to the largest exponent of that coordinate in A."""
-    e_max = A.max(axis=0, initial=0).tolist()
+    """(c, powers) per block (Z, c) of blocks, with powers the per-coordinate
+    slices of one power_table over the contiguous transpose of Z, up to the
+    largest exponent in A."""
+    e_max = int(A.max(initial=0))
     for Z, c in blocks:
-        yield c, [power_table(Z[:, k], e) for k, e in enumerate(e_max)]
+        yield c, list(power_table(np.ascontiguousarray(Z.T), e_max).swapaxes(0, 1))
 
 
 def _not_positive_definite(level: int, d: int, smallest: float) -> GramNotPositiveDefiniteError:

@@ -42,9 +42,6 @@ from .errors import (
 ZERO_TOLERANCE = 1e-9
 NEAR_STRATUM_TOLERANCE = 1e-6
 
-# directions drawn per support pattern when certifying the strata
-STRATA_RAYS = 32
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -141,11 +138,10 @@ def safeguarded_newton(fdf, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             newton = t - f / df
             tol = 4.0 * np.spacing(np.abs(t))
             converged = np.abs(newton - t) <= tol
-            zero = f == 0
-            step = 0.5 * (lo + hi)
-            np.copyto(step, newton, where=converged | ((newton > lo) & (newton < hi)))
-            np.copyto(t, step, where=live & ~zero)
-            live &= ~(converged | (hi - lo <= tol) | zero)
+            live &= f != 0  # an exact zero stays put, even where the step is NaN
+            inside = converged | ((newton > lo) & (newton < hi))
+            np.copyto(t, np.where(inside, newton, 0.5 * (lo + hi)), where=live)
+            live &= ~(converged | (hi - lo <= tol))
     return t
 
 
@@ -172,22 +168,25 @@ def monomial_products(Z: np.ndarray, A, B=None, real: bool = False) -> np.ndarra
     """Matrix V[i, t] = z_i^{A_t} zbar_i^{B_t} for points Z (N, n); Re(V) if real.
 
     A and B are (T, n) non-negative exponent arrays; B=None means holomorphic
-    monomials.  In passes of rows that stay in cache, gather_products combines
-    a power table per coordinate and its conjugate, the table of zbar exactly.
-    V is C-ordered: a product against a transposed operand can round otherwise.
+    monomials.  In passes of rows that stay in cache, one power_table over the
+    contiguous (n, rows) transpose, up to the largest exponent, gives each
+    coordinate its slice, and one conj gives every table of zbar exactly;
+    gather_products combines them.  V is C-ordered: a product against a
+    transposed operand can round otherwise.
     """
     Z = np.asarray(Z, dtype=complex)
     n = Z.shape[1]
     exps = np.asarray(A, dtype=np.int64).reshape(-1, n)
     if B is not None:
         exps = np.hstack([exps, np.asarray(B, dtype=np.int64).reshape(-1, n)])
-    e_maxes = exps.reshape(-1, n).max(axis=0, initial=0).tolist()
+    e_max = int(exps.max(initial=0))
     V = np.empty((Z.shape[0], len(exps)), dtype=float if real else complex)
     rows = max(1, 16_384 // max(len(exps), 1))
     for start in range(0, Z.shape[0], rows):
-        powers = [power_table(Z[start : start + rows, k], e) for k, e in enumerate(e_maxes)]
+        P = power_table(np.ascontiguousarray(Z[start : start + rows].T), e_max)
+        powers = list(P.swapaxes(0, 1))
         if B is not None:
-            powers += [P.conj() for P in powers]
+            powers += list(P.conj().swapaxes(0, 1))
         W = gather_products(powers, exps)
         V[start : start + rows] = (W.real if real else W).T
     return V
@@ -542,32 +541,23 @@ class Manifold:
         """Stabilizer orders realized by points of X.
 
         Candidate orders are gcds of nonempty weight subsets.  Each support
-        pattern is certified by a point of X supported exactly there: the
-        pattern draws STRATA_RAYS directions in its coordinate subspace, all
-        patterns from the stream of integrate.STRATA_KEY under seed 0, and
-        the directions whose smallest support coordinate keeps 5% of their
-        norm go through one integrate.ray_brackets pass; a pattern is
-        confirmed when one of its rays is bracketed, the rays on which
-        radial_roots finds a root, so no root is solved.  The result belongs
-        to the manifold, not to any seed.  Patterns that fail certification
-        are reported as unconfirmed, not dropped; when rho(0) >= 0 no ray
-        meets X and every pattern is unconfirmed.
+        pattern S is certified by a point of X supported exactly there: its
+        witness ray u_S = 1_S / sqrt(|S|), every support coordinate equal, goes
+        through one integrate.ray_brackets pass with the other 2^n - 2, and S
+        is confirmed when its ray is bracketed, the rays on which radial_roots
+        finds a root, so no root is solved and no random number is drawn.
+        On a compact X star-shaped about 0 every ray meets X, so the witness
+        confirms exactly the patterns that any other rays in S would.  Patterns
+        that fail certification are reported as unconfirmed, not dropped; when
+        rho(0) >= 0 no ray meets X and every pattern is unconfirmed.
         """
-        from .integrate import STRATA_KEY, _stream, ray_brackets  # integrate builds on this module
+        from .integrate import ray_brackets  # integrate builds on this module
 
-        n = self.n
-        on = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(bool)  # (2^n - 1, n)
-        g = _stream(0, STRATA_KEY).normal(size=(len(on), STRATA_RAYS, n, 2))
-        u = np.where(on[:, None, :], g[..., 0] + 1j * g[..., 1], 0.0)
-        norm = np.linalg.norm(u, axis=2)
-        smallest = np.min(np.where(on[:, None, :], np.abs(u), np.inf), axis=2)
-        keep = (norm >= 1e-12) & (smallest >= 0.05 * norm)
-        pattern = np.nonzero(keep)[0]
+        on = ((np.arange(1, 2**self.n)[:, None] >> np.arange(self.n)) & 1).astype(bool)
         try:
-            hit = ray_brackets(self, u[keep] / norm[keep, None])[1] > 0
+            found = ray_brackets(self, on / np.sqrt(on.sum(axis=1, keepdims=True)))[1] > 0
         except SamplingError:  # rho(0) >= 0: no ray from the origin meets X
-            hit = np.zeros(pattern.size, dtype=bool)
-        found = np.bincount(pattern[hit], minlength=len(on)) > 0
+            found = np.zeros(len(on), dtype=bool)
         supports = [tuple(np.flatnonzero(row).tolist()) for row in on]
         orders = self.strata_of(on)[0].tolist()
         confirmed = {k for k, certified in zip(orders, found) if certified}

@@ -33,7 +33,8 @@ draw.  Each role has a key of its own, and no two roles share a stream:
     (POINT_KEY,)         random_surface_points: fit's evaluation point
     (PATTERN_KEY,)       support_pattern_points
     (BALL_KEY,)          ball_points: ratio's balls
-    (STRATA_KEY,)        Manifold.strata_orders, under seed 0
+
+Manifold.strata_orders draws none: its witness rays are fixed.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class SampleSet:
         return self.points.shape[0]
 
 
-IMMERSION_KEY, SEPARATION_KEY, POINT_KEY, PATTERN_KEY, BALL_KEY, STRATA_KEY = range(6)
+IMMERSION_KEY, SEPARATION_KEY, POINT_KEY, PATTERN_KEY, BALL_KEY = range(5)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:

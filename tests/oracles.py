@@ -362,6 +362,64 @@ def radial_roots_doubling(M, U):
     return roots
 
 
+def safeguarded_newton_masks(fdf, lo, hi):
+    """geometry.safeguarded_newton as it was with separate masks: each step
+    fills the bisection midpoint and copies the Newton step over it, and the
+    zero and converged masks are applied to t and to live one by one."""
+    from szegolab.geometry import _MAX_ITERS
+
+    t, lo, hi = hi.copy(), lo.copy(), hi.copy()
+    live = np.ones(t.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITERS):
+            if not live.any():
+                break
+            f, df = fdf(t)
+            below = f < 0
+            np.copyto(lo, t, where=below)
+            np.copyto(hi, t, where=~below)
+            newton = t - f / df
+            tol = 4.0 * np.spacing(np.abs(t))
+            converged = np.abs(newton - t) <= tol
+            zero = f == 0
+            step = 0.5 * (lo + hi)
+            np.copyto(step, newton, where=converged | ((newton > lo) & (newton < hi)))
+            np.copyto(t, step, where=live & ~zero)
+            live &= ~(converged | (hi - lo <= tol) | zero)
+    return t
+
+
+def power_tables_per_coordinate(Z, e_maxes):
+    """One geometry.power_table per column k of Z (rows, n), up to e_maxes[k],
+    each on the strided column itself: the loop that one stacked table over
+    the transpose replaced."""
+    from szegolab.geometry import power_table
+
+    return [power_table(Z[:, k], e) for k, e in enumerate(e_maxes)]
+
+
+def monomial_products_per_coordinate(Z, A, B=None, real=False):
+    """geometry.monomial_products with a table per coordinate and a conj per
+    table, each up to that coordinate's largest exponent."""
+    from szegolab.geometry import gather_products
+
+    Z = np.asarray(Z, dtype=complex)
+    n = Z.shape[1]
+    exps = np.asarray(A, dtype=np.int64).reshape(-1, n)
+    if B is not None:
+        exps = np.hstack([exps, np.asarray(B, dtype=np.int64).reshape(-1, n)])
+    e_maxes = exps.reshape(-1, n).max(axis=0, initial=0).tolist()
+    V = np.empty((Z.shape[0], len(exps)), dtype=float if real else complex)
+    rows = max(1, 16_384 // max(len(exps), 1))
+    for start in range(0, Z.shape[0], rows):
+        powers = power_tables_per_coordinate(Z[start : start + rows], e_maxes)
+        if B is not None:
+            powers += [P.conj() for P in powers]
+        W = gather_products(powers, exps)
+        V[start : start + rows] = (W.real if real else W).T
+    return V
+
+
 def derivative_table_fractions(terms, n, z_vars, zbar_vars):
     """(A, B, C) of geometry._derivative_table with every entry summed as a
     Fraction and converted to float once: the table before its entries were

@@ -711,7 +711,7 @@ def test_embed_campaign_draws_each_point_family_once(capsys, monkeypatch, philox
     import collections
 
     import szegolab.integrate as integrate
-    from szegolab.geometry import DefiningPolynomial
+    from szegolab.geometry import DefiningPolynomial, Manifold
 
     calls, rays = collections.Counter(), []
     radial_roots = integrate.radial_roots
@@ -721,29 +721,36 @@ def test_embed_campaign_draws_each_point_family_once(capsys, monkeypatch, philox
         return radial_roots(M, U)
 
     monkeypatch.setattr(integrate, "radial_roots", counting_roots)
+    strata_orders, strata_keys = Manifold.strata_orders, []
+
+    def recording_strata(M):
+        made = len(philox_keys)
+        out = strata_orders(M)
+        strata_keys.append(philox_keys[made:])  # the generators this call built
+        return out
+
+    monkeypatch.setattr(Manifold, "strata_orders", recording_strata)
     for name in ("value", "z_gradient"):
         def counting(self, *args, _fn=getattr(DefiningPolynomial, name), _name=name):
             calls[_name] += 1
             return _fn(self, *args)
 
         monkeypatch.setattr(DefiningPolynomial, name, counting)
-    strata = _philox_key(0, 5)
-    philox_keys.clear()
     code, _, _ = run_cli(capsys, *BENCH_EMBED, "--seed", "0")
     assert code == 0
     assert len(rays) == 2 and sum(rays) == 124, rays
     assert calls == {"value": 2, "z_gradient": 2}
-    # the strata of the fresh manifold read one fixed stream of their own
-    keys = [key for _, key in philox_keys]
-    assert keys.count(strata) == 1
-    assert len(keys) - 1 <= 6
+    # the strata of the fresh manifold are certified once, and build no
+    # generator: their witness rays are fixed
+    assert strata_keys == [[]]
+    assert len(philox_keys) <= 5
 
 
 EXAMPLE2_POINT = ("--preset", "example2", "--point", "0,0,0.8260313576541872")
 # argv without --seed, and the spawn key of each generator it builds, in order
-# (integrate's key table); the strata read theirs under seed 0
+# (integrate's key table)
 CAMPAIGN_STREAMS = {
-    "embed": (BENCH_EMBED, [(5,), (0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]),
+    "embed": (BENCH_EMBED, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]),
     "fit": (("fit", "--preset", "example2", "--m", "4..8", "--samples", "2000"), [(2,), ()]),
     "kernel": (("kernel", *EXAMPLE2_POINT, "--m", "4..6", "--samples", "2000"), [()]),
     # one ball stream per radius of the default three, the same draws scaled
@@ -765,7 +772,7 @@ def test_embed_streams_share_no_key_material(capsys, philox_keys, name, seed):
     code, _, _ = run_cli(capsys, *argv, "--seed", str(seed))
     assert code in (0, 1)
     keys = [key for _, key in philox_keys]
-    assert keys == [_philox_key(0 if role == (5,) else seed, *role) for role in roles]
+    assert keys == [_philox_key(seed, *role) for role in roles]
     assert len(set(keys)) == len(set(roles))
 
 

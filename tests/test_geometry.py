@@ -13,7 +13,10 @@ from oracles import (
     contact_form,
     levi_bracket_oracle,
     levi_form_passes,
+    monomial_products_per_coordinate,
     orbit_distance_whole,
+    power_tables_per_coordinate,
+    safeguarded_newton_masks,
     strata_orders_loop,
     stratum_info,
     volume_density_gram_determinant,
@@ -24,13 +27,15 @@ from szegolab.errors import (
     NotOnSurfaceError,
     PseudoconvexityError,
 )
+from szegolab import basis, geometry
 from szegolab.geometry import (
+    _MAX_ITERS,
     DefiningPolynomial,
     ROW_BLOCK,
-    STRATA_RAYS,
     Manifold,
     StrataOrders,
     WeightVector,
+    monomial_products,
     power_table,
     safeguarded_newton,
 )
@@ -244,10 +249,13 @@ class TestStrata:
             assert st_orders == strata_orders_loop(M, seed=seed)
 
     def test_strata_orders_take_one_bracket_pass(self, example2, monkeypatch):
-        # the strata read only which rays are bracketed: no root is solved
+        # the strata read only which rays are bracketed: no root is solved,
+        # and each pattern's one witness ray is fixed, so no generator is built
         import szegolab.integrate as integrate
 
-        root_calls, passes = [], []
+        root_calls, passes, generators = [], [], []
+        Philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: generators.append(1) or Philox(*a, **k))
         radial_roots = integrate.radial_roots
         ray_coefficients = DefiningPolynomial.ray_coefficients
 
@@ -263,8 +271,8 @@ class TestStrata:
         monkeypatch.setattr(DefiningPolynomial, "ray_coefficients", counting_passes)
         st_orders = example2.strata_orders()
         assert root_calls == []
-        assert len(passes) == 1
-        assert passes[0] <= 7 * STRATA_RAYS  # the 7 support patterns of C^3
+        assert passes == [7]  # one witness per support pattern of C^3
+        assert generators == []
         assert st_orders == example2.strata
 
     @pytest.mark.parametrize("name, expected", STRATA_BY_ROOTS, ids=[n for n, _ in STRATA_BY_ROOTS])
@@ -572,6 +580,72 @@ class TestSafeguardedNewton:
             assert batch[i].tobytes() == alone[0].tobytes()
 
 
+def _iterates(solve, fdf, lo, hi):
+    """(roots, every iterate array fdf saw) of one solve."""
+    seen = []
+
+    def recording(t):
+        seen.append(t.tobytes())
+        return fdf(t)
+
+    return solve(recording, lo, hi), seen
+
+
+def _assert_iterates_equal_the_oracle(fdf, lo, hi):
+    """The roots of safeguarded_newton, after checking that it and the oracle
+    run the same iterates and return the same roots, bit for bit; and its step count."""
+    roots, seen = _iterates(safeguarded_newton, fdf, lo, hi)
+    oracle, oracle_seen = _iterates(safeguarded_newton_masks, fdf, lo, hi)
+    assert roots.tobytes() == oracle.tobytes()
+    assert seen == oracle_seen
+    return roots, len(seen)
+
+
+class TestNewtonAgainstTheOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 120))
+    def test_ray_iterates(self, example2, seed, count):
+        # example2 ray polynomials in their grid brackets, beside (t - 2)^3,
+        # exactly 0 at hi with f' = 0 there, and t^3 - 1e-300, which Newton
+        # shrinks by 2/3 a step inside its bracket until _MAX_ITERS
+        from szegolab.integrate import _RAY_GRID, _ray_values, ray_brackets
+
+        rng = np.random.default_rng(seed)
+        U = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+        C, upper = ray_brackets(example2, U / np.linalg.norm(U, axis=1, keepdims=True))
+        C = np.vstack([C, np.zeros((2, C.shape[1]))])
+        C[-2, :4] = [-8.0, 12.0, -6.0, 1.0]
+        C[-1, [0, 3]] = [-1e-300, 1.0]
+        lo = np.concatenate([_RAY_GRID[upper - 1], [1.0, 0.0]])
+        hi = np.concatenate([_RAY_GRID[upper], [2.0, 1.0]])
+        D = C[:, 1:] * np.arange(1, C.shape[1])
+        roots, steps = _assert_iterates_equal_the_oracle(
+            lambda t: _ray_values(C, D, t), lo, hi)
+        assert roots[-2] == 2.0
+        assert steps == _MAX_ITERS
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 60))
+    def test_orbit_slope_iterates(self, example2, seed, count):
+        # every solve of orbit_distance_batch's slopes, on pairs of example2
+        # points, half of them on one orbit
+        solves = []
+
+        def checked(fdf, lo, hi):
+            roots, steps = _assert_iterates_equal_the_oracle(fdf, lo, hi)
+            solves.append(steps)
+            return roots
+
+        from szegolab.integrate import sample_hypersurface
+
+        X, Y = sample_hypersurface(example2, 2 * count, seed).points.reshape(2, count, 3)
+        Y[::2] = example2.act(np.random.default_rng(seed).uniform(0, 2 * np.pi, len(Y[::2])), X[::2])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "safeguarded_newton", checked)
+            example2.orbit_distance_batch(X, Y)
+        assert len(solves) == 1 and solves[0] >= 1
+
+
 class TestWeightVector:
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=5))
     def test_normalized_gcd_one(self, ws):
@@ -602,3 +676,43 @@ class TestPowerTable:
         P = power_table(z, 3)
         assert P.dtype == np.complex128
         np.testing.assert_array_equal(P[3], z * z * z)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 4), rows=st.integers(1, 300), count=st.integers(1, 6),
+           e_max=st.integers(0, 120), real=st.booleans(), strided=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_tables_equal_the_per_coordinate_loop(self, n, rows, count, e_max, real,
+                                                          strided, seed):
+        # one table over the transpose, sliced per coordinate, against a table
+        # per strided column; then the products gathered from each
+        rng = np.random.default_rng(seed)
+        full = rng.uniform(-1.2, 1.2, (rows, 2 * n))
+        if not real:
+            full = full + 1j * rng.uniform(-1.2, 1.2, (rows, 2 * n))
+        Z = full[:, ::2] if strided else np.ascontiguousarray(full[:, :n])
+        A, B = rng.integers(0, e_max + 1, (2, count, n))
+        A[0, rng.integers(n)] = e_max
+        [(c, powers)] = basis._power_blocks([(Z, None)], A)
+        expected = power_tables_per_coordinate(Z, A.max(axis=0).tolist())
+        assert c is None and len(powers) == n
+        for P, Q in zip(powers, expected):
+            assert P.dtype == Q.dtype == (np.float64 if real else np.complex128)
+            assert P[: len(Q)].tobytes() == Q.tobytes()
+        for B_ in (None, B):
+            for part in (False, True):
+                assert (monomial_products(Z, A, B_, part).tobytes()
+                        == monomial_products_per_coordinate(Z, A, B_, part).tobytes())
+
+    def test_each_row_block_makes_one_power_table_call(self, example2, monkeypatch):
+        # a timing-free guard: one stacked table per row block of
+        # monomial_products, whatever the coordinate count
+        bases = []
+        table = geometry.power_table
+        monkeypatch.setattr(geometry, "power_table",
+                            lambda base, e: bases.append(base.shape) or table(base, e))
+        A, B, _ = example2.rho._value
+        Z = np.random.default_rng(1).normal(size=(3000, 3)) + 0j
+        monomial_products(Z, A, B)
+        rows = 16_384 // len(A)
+        assert len(bases) == -(-len(Z) // rows) > 1
+        assert bases == [(3, min(rows, len(Z) - start)) for start in range(0, len(Z), rows)]

@@ -37,6 +37,15 @@ REPORTS = {
     # one ball per radius, shared by every candidate m
     "ratio --weights 1,2 --point 0,1 --m 30 --seed 0":
         (0, "c9f9a133e8f6e5a01fc95bdd91ed68c28d3e24359efc4b6139af944b787d1a94"),
+    # Monte-Carlo Grams and the orbit search over many pairs
+    "embed --preset example2 --m 4 --m0 3 --pairs 2000 --seed 0":
+        (0, "0326e6ab108670f500cdc32948286985454595cc081b39e921b9e9ebeb640554"),
+    # a weighted sphere's embedding, on round-exact Grams
+    "embed --weights 1,2,6 --m 4 --m0 3 --pairs 600 --seed 0":
+        (0, "83c4b392d3ba5c2aa5c508d1c6ecd276cefade7a4b7d610119cf62919959a8a1"),
+    # simplex-rule Grams on real power tables up to exponent 120
+    "fit --weights 1,2,6 --point 0,0,1 --m 60..120 --tolerance fit=0.5":
+        (0, "4e371293be3f264ffa7d296d1beec15b36cc70665e39ec532124e317c6a23530"),
 }
 
 
