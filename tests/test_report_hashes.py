@@ -9,9 +9,12 @@ on purpose updates its digest here and names the argv in CHANGES.md.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_readme import readme_commands
 
 from szegolab.cli import main
 
@@ -49,10 +52,71 @@ REPORTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(REPORTS))
-def test_report_is_byte_identical(capsys, argv):
+# README's command block, and the files --out writes.  Each runs in a fresh
+# directory with relative paths: --function's path enters the config hash,
+# --out's does not.
+# argv -> (exit code, sha256 of stdout, {file --out writes: its sha256})
+README_REPORTS = {
+    "dims --preset sphere --n 2 --m 0..10":
+        (0, "f383e3752ec453cf22e92ea31696b03ac4f83e4e2b4628cc5ddc48e4cc94c326", {}),
+    "norms --preset sphere --n 2 --m 3":
+        (0, "d262ee5be3eca653b52a5ea0753119d65e856361b88c25b99fd3d864d0a83527", {}),
+    "kernel --preset sphere --n 2 --m 3..5 --point 1,0 --point2 0,1":
+        (0, "f6f43f6f97de4556904ceaceec92e395db236da66fca8ee5328b111231f388a3", {}),
+    "fit --preset sphere --n 2 --m 20..60 --point 1,0":
+        (0, "c73ea45b64b27f4d22661167ba252e7981f378f5c47a1ccd5a071ce99235d439", {}),
+    "fit --weights 1,2 --point 0,1 --m 20..60 --tolerance fit=0.1":
+        (0, "6e9f0e0b5c3a1099b39854f891bf0e2597a2187b2f239288b608731f8f5425a5", {}),
+    "vanish --weights 1,2 --point 0,1 --m 1..59":
+        (0, "09b8ee0df6b109d6ed8b74cc6725aa7f7f893107d28f632e0d138d722a1c7f8c", {}),
+    "ratio --weights 1,2 --point 0,1 --m 30..60 --radii 0.3,0.1,0.03":
+        (0, "0da8103c43e0204efdf4b8593a0c9f6e3ef5a4d68443ecb314c03d9d2a07ed21", {}),
+    "project --weights 1,2 --point 0.6,0.8 --m 0..4 --function func.json":
+        (0, "54d86afb620649c7d55345401060eb9daffff9edc82ca5cdd81b5f3839e0d19e", {}),
+    "embed --weights 1,2,6 --m 4 --m0 3 --pairs 10000 --out reports/": (
+        0, "88915eee3d3a62d786e476aa908a7fc67ad50e038059a0474cd37bcd24e87641",
+        {"embed.json": "88915eee3d3a62d786e476aa908a7fc67ad50e038059a0474cd37bcd24e87641",
+         "embed.csv": "a36b0e061f3784bc8e384b5619fde7788d8111a3be5574bb98d24814d7b3b461"},
+    ),
+    # a CSV-primary report written by --out
+    "dims --preset example2 --m 0..12 --out reports": (
+        0, "52f97b96247100c2868b72714ef3da49a6bdc45d85b601b495e187fcdc969397",
+        {"dims.json": "5411bdd4fae62049d90bc041e16e3c917cb6cbd1c4423382440879eba05e89f4",
+         "dims.csv": "52f97b96247100c2868b72714ef3da49a6bdc45d85b601b495e187fcdc969397"},
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _skip_under_other_numpy():
     if np.__version__ != NUMPY_VERSION:
         pytest.skip(f"report digests were recorded under numpy {NUMPY_VERSION}; this is numpy {np.__version__}")
+
+
+@pytest.mark.parametrize("argv", list(REPORTS))
+def test_report_is_byte_identical(capsys, argv):
+    _skip_under_other_numpy()
     code = main(argv.split())
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert (code, digest) == REPORTS[argv]
+    assert (code, _sha256(capsys.readouterr().out.encode())) == REPORTS[argv]
+
+
+def test_every_readme_command_is_pinned():
+    assert {" ".join(words[1:]) for words in readme_commands()} <= set(README_REPORTS)
+
+
+@pytest.mark.parametrize("argv", list(README_REPORTS))
+def test_readme_report_and_out_files_are_byte_identical(capsys, monkeypatch, tmp_path, argv):
+    _skip_under_other_numpy()
+    monkeypatch.chdir(tmp_path)
+    # the project line's --function file: the polynomial z1 zbar2, as test_readme writes it
+    Path("func.json").write_text(json.dumps(
+        [{"coeff": "1", "z_exponents": [1, 0], "zbar_exponents": [0, 1]}]
+    ))
+    code = main(argv.split())
+    stdout = _sha256(capsys.readouterr().out.encode())
+    *_, files = README_REPORTS[argv]
+    written = {name: _sha256(Path("reports", name).read_bytes()) for name in files}
+    assert (code, stdout, written) == README_REPORTS[argv]
