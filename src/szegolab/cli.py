@@ -1,6 +1,9 @@
 """Command-line front end: reproducible verification campaigns with
 machine-readable CSV/JSON reports.
 
+Each subcommand is a campaign: from the manifold and the parsed options it
+returns (results, contracts, CSV rows), and `main` writes them as one report
+in the CSV header and primary format that COMMANDS gives the subcommand.
 Every report embeds the exact configuration, its hash, the manifold hash and
 the tool version; identical (config, seed, version) produce byte-identical
 output.  Exit status: 0 when all configured contracts pass, 1 on a contract
@@ -97,35 +100,43 @@ def _parse_function(terms, n: int):
 
 
 def resolve_manifold(args) -> Manifold:
-    if getattr(args, "manifold", None):
-        spec = json.loads(Path(args.manifold).read_text())
+    spec = json.loads(Path(args.manifold).read_text()) if args.manifold else None
+    # --manifold and --preset example2 fix the manifold: refuse the options they would ignore
+    fixed = ("--preset", "--n", "--weights") if args.manifold else (
+        ("--n", "--weights") if args.preset == "example2" else ())
+    ignored = [option for option in fixed if getattr(args, option[2:]) is not None]
+    if ignored:
+        source = "--manifold" if args.manifold else "--preset example2"
+        raise ConfigError(f"{source} fixes the manifold, so {' and '.join(ignored)} would be ignored")
+    if args.manifold:
         return Manifold.from_spec(spec)
-    preset = getattr(args, "preset", None)
-    weights = _parse_list(args.weights, "--weights", int) if getattr(args, "weights", None) else None
-    if preset == "example2":
+    if args.preset == "example2":
         return Manifold.invariant_hypersurface_example()
-    if preset == "sphere" or (preset is None and weights is not None):
-        n = getattr(args, "n", None) or (len(weights) if weights else None)
-        if n is None:
-            raise ConfigError("sphere preset needs --n or --weights")
-        return Manifold.sphere(int(n), weights)
-    raise ConfigError("no manifold: pass --manifold, --preset, or --weights")
+    if not (args.preset or args.weights):
+        raise ConfigError("no manifold: pass --manifold, --preset, or --weights")
+    weights = _parse_list(args.weights, "--weights", int) if args.weights else None
+    n = args.n or (len(weights) if weights else None)
+    if n is None:
+        raise ConfigError("sphere preset needs --n or --weights")
+    return Manifold.sphere(n, weights)
 
 
 def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if v is not None}
-    for k in ("out", "func_cmd", "command"):
-        cfg.pop(k, None)
-    cfg["version"] = __version__
-    return cfg
+    cfg = {k: v for k, v in vars(args).items() if v is not None and k not in ("out", "command")}
+    return {**cfg, "version": __version__}
 
 
 def _hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
+def _contract(name: str, passed, detail: str = "") -> dict:
+    """One contract record; passed is kept as given, numpy bool or not."""
+    return {"name": name, "passed": passed, "detail": detail}
+
+
 def emit_report(args, M: Manifold, results: dict, contracts: list[dict],
-                csv_rows, csv_header, primary: str = "json") -> int:
+                csv_rows, csv_header, primary: str) -> int:
     config = _config_dict(args)
     report = {
         "schema": SCHEMA_VERSION,
@@ -139,15 +150,14 @@ def emit_report(args, M: Manifold, results: dict, contracts: list[dict],
         "passed": all(c["passed"] for c in contracts),
     }
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    out = getattr(args, "out", None)
-    if out or primary == "csv":  # csv_rows may be lazy: consumed only where written
+    if args.out or primary == "csv":  # csv_rows may be lazy: consumed only where written
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
         csv_text = buf.getvalue()
-    if out:
-        outdir = Path(out)
+    if args.out:
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{args.command}.json").write_text(text + "\n", encoding="utf-8")
         (outdir / f"{args.command}.csv").write_text(csv_text, encoding="utf-8")
@@ -160,42 +170,26 @@ def emit_report(args, M: Manifold, results: dict, contracts: list[dict],
     return 0
 
 
-# -- subcommands -----------------------------------------------------------
+# -- campaigns: (M, args) -> (results, contracts, CSV rows) ------------------
 
 
-def cmd_dims(args) -> int:
-    M = resolve_manifold(args)
-    ms = _parse_range(args.m)
-    rows = [(m, basis.dimension(M.weights, m)) for m in ms]
-    return emit_report(
-        args, M,
-        {"dimensions": {str(m): d for m, d in rows}},
-        [],
-        csv_rows=rows, csv_header=("m", "d_m"), primary="csv",
-    )
+def cmd_dims(M: Manifold, args):
+    rows = [(m, basis.dimension(M.weights, m)) for m in _parse_range(args.m)]
+    return {"dimensions": {str(m): d for m, d in rows}}, [], rows
 
 
-def cmd_norms(args) -> int:
-    M = resolve_manifold(args)
+def cmd_norms(M: Manifold, args):
     if M.kind != "sphere":
         raise ConfigError("exact norms require a sphere preset")
     ms = _parse_range(args.m)
     A, counts = basis.enumerate_multiindices(M.weights, ms)
-    rows = []
-    for m, alpha in zip(np.repeat(ms, counts).tolist(), A.tolist()):
-        norm = basis.sphere_monomial_norm_sq(alpha, M.n)
-        rows.append(
-            (m, " ".join(map(str, alpha)), str(norm.rational_part), norm.pi_power, repr(norm.value()))
-        )
-    return emit_report(
-        args, M, {"count": len(rows)}, [],
-        csv_rows=rows, csv_header=("m", "alpha", "rational", "pi_power", "value"),
-        primary="csv",
-    )
+    norms = [basis.sphere_monomial_norm_sq(alpha, M.n) for alpha in A.tolist()]
+    rows = [(m, " ".join(map(str, alpha)), str(nm.rational_part), nm.pi_power, repr(nm.value()))
+            for m, alpha, nm in zip(np.repeat(ms, counts).tolist(), A.tolist(), norms)]
+    return {"count": len(rows)}, [], rows
 
 
-def cmd_kernel(args) -> int:
-    M = resolve_manifold(args)
+def cmd_kernel(M: Manifold, args):
     x = M.point(_parse_list(args.point, "--point", complex))
     y = M.point(_parse_list(args.point2, "--point2", complex)) if args.point2 else x
     ms = _parse_range(args.m)
@@ -212,50 +206,36 @@ def cmd_kernel(args) -> int:
     worst_h = float(np.max(defect / scale))
     rows = [(m, repr(v.real), repr(v.imag), repr(d))
             for m, v, d in zip(ms, v_xy.tolist(), diag.tolist())]
-    results = {"stratum_order_x": k, "hermitian_max_relative_defect": worst_h}
     contracts = [
-        {"name": "hermitian-symmetry", "passed": not np.any(defect > 1e-12 * scale),
-         "detail": f"max defect {worst_h:.2e}"},
-        {"name": "diagonal-nonnegative", "passed": not np.any(diag < 0), "detail": ""},
+        _contract("hermitian-symmetry", not np.any(defect > 1e-12 * scale),
+                  f"max defect {worst_h:.2e}"),
+        _contract("diagonal-nonnegative", not np.any(diag < 0)),
     ]
-    return emit_report(args, M, results, contracts,
-                       csv_rows=rows, csv_header=("m", "re", "im", "diag_x"))
+    return {"stratum_order_x": k, "hermitian_max_relative_defect": worst_h}, contracts, rows
 
 
-def cmd_fit(args) -> int:
-    M = resolve_manifold(args)
+def cmd_fit(M: Manifold, args):
     tol = _parse_tolerances(args.tolerance)["fit"]
     x = (M.point(_parse_list(args.point, "--point", complex)) if args.point
          else random_surface_points(M, 1, args.seed)[0])
     ms = _parse_range(args.m)
+    if ms != list(range(ms[0], ms[-1] + 1)):
+        raise ConfigError(f"fit fits every level of a range: --m must be a..b, got {args.m!r}")
     fit = kernel.fit_expansion(
-        M, x, min(ms), max(ms), measure=args.measure, samples=args.samples, seed=args.seed
+        M, x, ms[0], ms[-1], measure=args.measure, samples=args.samples, seed=args.seed
     )
-    results = {
-        "stratum_order": fit.stratum_order,
-        "levels": list(fit.levels),
-        "c_lead": fit.c_lead,
-        "c_next": fit.c_next,
-        "predicted": fit.predicted,
-        "levi_determinant": fit.levi_determinant,
-        "relative_error": fit.relative_error,
-        "measure": fit.measure,
-    }
-    contracts = [
-        {
-            "name": "leading-coefficient",
-            "passed": fit.relative_error <= tol,
-            "detail": f"relative error {fit.relative_error:.4f} vs tolerance {tol}; "
-            f"fitted {fit.c_lead:.6g}, predicted {fit.predicted:.6g}",
-        }
-    ]
-    rows = list(zip(fit.levels, map(repr, fit.values)))
-    return emit_report(args, M, results, contracts,
-                       csv_rows=rows, csv_header=("m", "diagonal"))
+    results = {name: getattr(fit, name) for name in (
+        "stratum_order", "levels", "c_lead", "c_next", "predicted", "levi_determinant",
+        "relative_error", "measure")}
+    contract = _contract(
+        "leading-coefficient", fit.relative_error <= tol,
+        f"relative error {fit.relative_error:.4f} vs tolerance {tol}; "
+        f"fitted {fit.c_lead:.6g}, predicted {fit.predicted:.6g}",
+    )
+    return results, [contract], list(zip(fit.levels, map(repr, fit.values)))
 
 
-def cmd_vanish(args) -> int:
-    M = resolve_manifold(args)
+def cmd_vanish(M: Manifold, args):
     x0 = M.point(_parse_list(args.point, "--point", complex))
     k = M.stratum_order(x0)
     if k <= 1:
@@ -268,21 +248,13 @@ def cmd_vanish(args) -> int:
     bases = basis.fourier_bases(M, ms, measure=measure, samples=args.samples, seed=args.seed)
     values = kernel.stratum_vanishing_check([bases[m] for m in ms], M, x0).tolist()
     worst = max([0.0] + values)
-    rows = [(m, repr(v)) for m, v in zip(ms, values)]
-    contracts = [
-        {
-            "name": "stratum-vanishing",
-            "passed": worst <= 1e-12,
-            "detail": f"max |f_j(x0)| = {worst:.3e} over levels with {k} not dividing m",
-        }
-    ]
-    return emit_report(args, M,
-                       {"stratum_order": k, "levels": ms, "max_abs_value": worst},
-                       contracts, csv_rows=rows, csv_header=("m", "max_abs_value"))
+    contract = _contract("stratum-vanishing", worst <= 1e-12,
+                         f"max |f_j(x0)| = {worst:.3e} over levels with {k} not dividing m")
+    results = {"stratum_order": k, "levels": ms, "max_abs_value": worst}
+    return results, [contract], [(m, repr(v)) for m, v in zip(ms, values)]
 
 
-def cmd_ratio(args) -> int:
-    M = resolve_manifold(args)
+def cmd_ratio(M: Manifold, args):
     x0 = M.point(_parse_list(args.point, "--point", complex))
     report = kernel.ratio_search(
         M, x0,
@@ -301,20 +273,15 @@ def cmd_ratio(args) -> int:
         "passing_radius": report.passing_radius,
         "attempts": [list(a) for a in report.attempts],
     }
-    contracts = [
-        {
-            "name": "ratio-bounds",
-            "passed": report.passing_m is not None,
-            "detail": f"first passing (m, radius) = ({report.passing_m}, {report.passing_radius})",
-        }
-    ]
+    contract = _contract(
+        "ratio-bounds", report.passing_m is not None,
+        f"first passing (m, radius) = ({report.passing_m}, {report.passing_radius})",
+    )
     rows = [(m, r, repr(wr), repr(wi)) for m, r, wr, wi in report.attempts]
-    return emit_report(args, M, results, contracts,
-                       csv_rows=rows, csv_header=("m", "radius", "max_abs_one_minus_R", "max_abs_I"))
+    return results, [contract], rows
 
 
-def cmd_project(args) -> int:
-    M = resolve_manifold(args)
+def cmd_project(M: Manifold, args):
     x = M.point(_parse_list(args.point, "--point", complex))
     A, B, coeffs = _parse_function(json.loads(Path(args.function).read_text()), M.n)
 
@@ -326,13 +293,10 @@ def cmd_project(args) -> int:
     nodes = fourier.default_quadrature(max(max(ms), max_orbit_degree))
     values = fourier.circle_average(M, u, x, ms, nodes).tolist()
     rows = [(m, repr(v.real), repr(v.imag)) for m, v in zip(ms, values)]
-    return emit_report(args, M,
-                       {"node_count": nodes, "levels": ms}, [],
-                       csv_rows=rows, csv_header=("m", "re", "im"), primary="csv")
+    return {"node_count": nodes, "levels": ms}, [], rows
 
 
-def cmd_embed(args) -> int:
-    M = resolve_manifold(args)
+def cmd_embed(M: Manifold, args):
     extra = _parse_range(args.extra_levels, "--extra-levels") if args.extra_levels else []
     m = args.m_level
     if m is None:
@@ -371,35 +335,21 @@ def cmd_embed(args) -> int:
         "warnings": list(Phi.warnings),
     }
     contracts = [
-        {
-            "name": "immersion-floor",
-            "passed": imm.min_singular_value > 1e-6,
-            "detail": f"min singular value {imm.min_singular_value:.3e} at sample {worst} "
-                      f"({imm.records[worst][0]}, stratum order {imm.records[worst][1]})",
-        },
-        {
-            "name": "separation",
-            "passed": checked and not sep.violations,
-            "detail": f"{len(sep.violations)} violating pairs" if checked
-            else f"no pair has quotient distance above --delta {args.delta}: nothing was checked",
-        },
+        _contract("immersion-floor", imm.min_singular_value > 1e-6,
+                  f"min singular value {imm.min_singular_value:.3e} at sample {worst} "
+                  f"({imm.records[worst][0]}, stratum order {imm.records[worst][1]})"),
+        _contract("separation", checked and not sep.violations,
+                  f"{len(sep.violations)} violating pairs" if checked
+                  else f"no pair has quotient distance above --delta {args.delta}: nothing was checked"),
     ]
     if args.m0 is not None:
-        contracts.append(
-            {
-                "name": "minimal-weight",
-                "passed": Phi.min_weight > args.m0,
-                "detail": f"min weight {Phi.min_weight} vs bound {args.m0}",
-            }
-        )
+        contracts.append(_contract("minimal-weight", Phi.min_weight > args.m0,
+                                   f"min weight {Phi.min_weight} vs bound {args.m0}"))
     rows = (
         (i, label, k, int(near), repr(s))
         for i, (label, k, near, s) in enumerate(imm.records)
     )
-    return emit_report(
-        args, M, results, contracts, csv_rows=rows,
-        csv_header=("sample", "label", "stratum_order", "near_stratum", "sigma_min"),
-    )
+    return results, contracts, rows
 
 
 def _common(p):
@@ -424,10 +374,14 @@ def _levels_options(p):
     p.add_argument("--m", required=True, help="level or range a..b")
 
 
-def _kernel_options(p):
+def _vanish_options(p):
     _sampled(p)
     p.add_argument("--m", required=True)
     p.add_argument("--point", required=True)
+
+
+def _kernel_options(p):
+    _vanish_options(p)
     p.add_argument("--point2")
 
 
@@ -437,12 +391,6 @@ def _fit_options(p):
                    help=f"override a contract tolerance ({', '.join(TOLERANCES)})")
     p.add_argument("--m", required=True, help="level range a..b")
     p.add_argument("--point")
-
-
-def _vanish_options(p):
-    _sampled(p)
-    p.add_argument("--m", required=True)
-    p.add_argument("--point", required=True)
 
 
 def _ratio_options(p):
@@ -473,16 +421,24 @@ def _embed_options(p):
     p.add_argument("--immersion-samples", type=int, default=100)
 
 
-# name -> (help text, options, command), in the order help lists them
+# name -> (help text, options, campaign, CSV header, primary output), in the
+# order help lists them
 COMMANDS = {
-    "dims": ("component dimensions d_m as CSV", _levels_options, cmd_dims),
-    "norms": ("exact sphere monomial norm table", _levels_options, cmd_norms),
-    "kernel": ("kernel values S_m(x, y)", _kernel_options, cmd_kernel),
-    "fit": ("diagonal growth fit against the Levi prediction", _fit_options, cmd_fit),
-    "vanish": ("exact vanishing certificate at a stabilized point", _vanish_options, cmd_vanish),
-    "ratio": ("consecutive-level kernel ratio diagnostics", _ratio_options, cmd_ratio),
-    "project": ("orbit Fourier coefficients of a polynomial", _project_options, cmd_project),
-    "embed": ("equivariant embedding certificate", _embed_options, cmd_embed),
+    "dims": ("component dimensions d_m as CSV", _levels_options, cmd_dims, ("m", "d_m"), "csv"),
+    "norms": ("exact sphere monomial norm table", _levels_options, cmd_norms,
+              ("m", "alpha", "rational", "pi_power", "value"), "csv"),
+    "kernel": ("kernel values S_m(x, y)", _kernel_options, cmd_kernel,
+               ("m", "re", "im", "diag_x"), "json"),
+    "fit": ("diagonal growth fit against the Levi prediction", _fit_options, cmd_fit,
+            ("m", "diagonal"), "json"),
+    "vanish": ("exact vanishing certificate at a stabilized point", _vanish_options, cmd_vanish,
+               ("m", "max_abs_value"), "json"),
+    "ratio": ("consecutive-level kernel ratio diagnostics", _ratio_options, cmd_ratio,
+              ("m", "radius", "max_abs_one_minus_R", "max_abs_I"), "json"),
+    "project": ("orbit Fourier coefficients of a polynomial", _project_options, cmd_project,
+                ("m", "re", "im"), "csv"),
+    "embed": ("equivariant embedding certificate", _embed_options, cmd_embed,
+              ("sample", "label", "stratum_order", "near_stratum", "sigma_min"), "json"),
 }
 
 
@@ -508,10 +464,8 @@ def build_parser(commands=tuple(COMMANDS)) -> argparse.ArgumentParser:
     metavar = None if set(commands) == set(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in commands:
-        help_text, options, command = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        options(p)
-        p.set_defaults(func_cmd=command)
+        help_text, options, *_ = COMMANDS[name]
+        options(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
@@ -521,8 +475,10 @@ def main(argv=None) -> int:
     # command get the full one
     commands = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
     args = build_parser(commands).parse_args(argv)
+    *_, campaign, csv_header, primary = COMMANDS[args.command]
     try:
-        return args.func_cmd(args)
+        M = resolve_manifold(args)
+        return emit_report(args, M, *campaign(M, args), csv_header, primary)
     except (ConfigError, SzegolabError, ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

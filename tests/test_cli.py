@@ -583,6 +583,38 @@ def test_config_error_exit_two(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("levels", ["20,40,60", "30,20", "20,22"])
+def test_fit_levels_that_are_not_a_range_exit_two(capsys, levels):
+    # fit takes the whole range from the first level to the last: a list with
+    # gaps would have its report's levels disagree with its config
+    code, out, err = run_cli(capsys, "fit", "--weights", "1,2", "--point", "0,1", "--m", levels,
+                             "--samples", "2000")
+    assert (code, out) == (2, "")
+    assert f"--m must be a..b, got {levels!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, ignored",
+    [
+        (["--preset", "example2", "--weights", "1,2", "--n", "5"], "--n and --weights"),
+        (["--preset", "example2", "--n", "3"], "--n"),
+        (["--manifold", "spec.json", "--preset", "sphere"], "--preset"),
+        (["--manifold", "spec.json", "--weights", "1,2", "--n", "2"], "--n and --weights"),
+    ],
+    ids=["example2-n-weights", "example2-n", "manifold-preset", "manifold-n-weights"],
+)
+def test_options_the_manifold_source_would_ignore_exit_two(capsys, monkeypatch, tmp_path,
+                                                            argv, ignored):
+    from szegolab.geometry import Manifold
+
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(Manifold.sphere(2, (1, 2)).to_spec()))
+    code, out, err = run_cli(capsys, "dims", "--m", "0..3", *argv)
+    assert (code, out) == (2, "")
+    source = "--manifold" if "--manifold" in argv else "--preset example2"
+    assert f"configuration error: {source} fixes the manifold, so {ignored} would be ignored" in err
+
+
 def test_reports_byte_identical(capsys, tmp_path):
     args = ["fit", "--weights", "1,2", "--point", "0,1", "--m", "20..32",
             "--samples", "20000", "--seed", "5", "--tolerance", "fit=0.5"]
@@ -896,9 +928,12 @@ def test_lean_parser_namespace_equals_full_parser(monkeypatch, argv):
     import szegolab.cli as cli
 
     seen, built = [], []
-    for name, (help_text, options, _) in list(cli.COMMANDS.items()):
+    # main runs no manifold, campaign or report: it hands on the namespace
+    monkeypatch.setattr(cli, "resolve_manifold", seen.append)
+    monkeypatch.setattr(cli, "emit_report", lambda *report: 0)
+    for name, (help_text, options, _, *report_format) in list(cli.COMMANDS.items()):
         monkeypatch.setitem(cli.COMMANDS, name,
-                            (help_text, options, lambda args: seen.append(args) or 0))
+                            (help_text, options, lambda M, args: ({}, [], []), *report_format))
     full_parser = cli.build_parser
 
     def recording(commands=tuple(cli.COMMANDS)):

@@ -46,3 +46,12 @@ def test_command_line_block_runs(tmp_path, capsys):
         ][1:]
         assert main(argv) == 0, " ".join(words)
         capsys.readouterr()
+
+
+def test_csv_columns_paragraph_equals_each_command_header():
+    from szegolab.cli import COMMANDS
+
+    text = " ".join(README.read_text().split("CSV columns per subcommand:", 1)[1]
+                    .split("\n\n", 1)[0].split())
+    documented = dict(re.findall(r"`(\w+)`: `([\w,]+)`", text))
+    assert documented == {name: ",".join(header) for name, (*_, header, _) in COMMANDS.items()}

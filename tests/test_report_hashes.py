@@ -10,6 +10,9 @@ on purpose updates its digest here and names the argv in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +123,15 @@ def test_readme_report_and_out_files_are_byte_identical(capsys, monkeypatch, tmp
     *_, files = README_REPORTS[argv]
     written = {name: _sha256(Path("reports", name).read_bytes()) for name in files}
     assert (code, stdout, written) == README_REPORTS[argv]
+
+
+def test_a_fresh_process_on_one_blas_thread_prints_the_pinned_report():
+    # runs the module's sys.exit(main()), and shows the report does not
+    # depend on the BLAS thread count
+    _skip_under_other_numpy()
+    argv = f"{EMBED} --seed 0"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-m", "szegolab.cli", *argv.split()],
+                         env=env, capture_output=True, check=False)
+    assert (run.returncode, _sha256(run.stdout)) == REPORTS[argv]
