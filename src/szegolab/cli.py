@@ -115,7 +115,7 @@ def resolve_manifold(args) -> Manifold:
     if not (args.preset or args.weights):
         raise ConfigError("no manifold: pass --manifold, --preset, or --weights")
     weights = _parse_list(args.weights, "--weights", int) if args.weights else None
-    n = args.n or (len(weights) if weights else None)
+    n = args.n if args.n is not None else (len(weights) if weights else None)
     if n is None:
         raise ConfigError("sphere preset needs --n or --weights")
     return Manifold.sphere(n, weights)

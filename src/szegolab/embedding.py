@@ -16,9 +16,9 @@ points take one monomial pass per ROW_BLOCK rows; each block's coefficient
 array then acts on its own column slice.  The immersion certificate takes
 the spectra of all its samples from one stacked SVD.
 
-Both certificates are ray jobs (integrate.solve_rays): immersion_job and
-separation_job each draw one point plan (integrate.plan_job) and return their
-reports, so one solve_rays call runs them together and the roots of a whole
+Both certificates are ray jobs (integrate.solve_rays) on the point plans of
+integrate.stratified_job and integrate.pair_job, which draw all their random
+numbers, so one solve_rays call runs them together and the roots of a whole
 embed campaign take two radial_roots calls when every ray meets X.
 immersion_report and separation_report solve one job each.
 """
@@ -40,10 +40,7 @@ from .basis import (
 from .geometry import ROW_BLOCK, Manifold
 # stratified_points is not called here; the benchmark's span tracer rebinds it
 # in every module that imports it, so the name stays
-from .integrate import (  # noqa: F401
-    SEPARATION_KEY, _patterns_in_turn, _stratified_plan, _stream, plan_job, solve_rays,
-    stratified_job, stratified_minimum, stratified_points,
-)
+from .integrate import pair_job, solve_rays, stratified_job, stratified_points  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,50 +233,16 @@ def separation_report(
 def separation_job(
     Phi: EmbeddingMap, pair_count: int = 10_000, threshold: float = 0.05, seed: int = 0
 ):
-    """Ray job: the SeparationReport of Phi over pair_count stratified pairs.
+    """Ray job: the SeparationReport of Phi over pair_job(Phi.manifold, pair_count, seed).
 
-    Pairs are stratified: same-orbit pairs (separated by the phase pair of
-    consecutive levels whenever the rotation actually moves the point),
-    cross-stratum pairs, and near-stratum regular pairs.  For every pair with
+    Same-orbit pairs are separated by the phase pair of consecutive levels
+    whenever the rotation actually moves the point.  For every pair with
     quotient distance above the threshold the image distance must clear
     VIOLATION_FLOOR times the median image norm; same-orbit pairs are held
     to the same floor once the ambient distance is above the threshold.
-
-    The pairs come from one point plan (integrate.plan_job), two steps when
-    every ray meets X: the same-orbit bases are the rows of a stratified
-    sample of max(pair_count // 3, stratified_minimum) points, rotated by
-    angles of their own stream; the cross pairs are regular points against
-    the singular patterns in turn (regular points when the action is free);
-    and the near-stratum pairs are drawn from the regular and near-stratum
-    rows of a stratified sample of max(3 n_near // 2, 3, stratified_minimum)
-    points.  Directions, near-stratum steps and angles read the streams
-    (SEPARATION_KEY, i) for i = 0, 1, 2, keyed apart from the immersion sample's.
     """
     M = Phi.manifold
-    n_orbit = n_cross = pair_count // 3
-    n_near = pair_count - n_orbit - n_cross
-    singular = M.strata.singular_patterns()
-    minimum = stratified_minimum(M)
-    orbit, orbit_labels = _stratified_plan(M, max(n_orbit, minimum))
-    pool, pool_labels = _stratified_plan(M, max(3 * n_near // 2, 3, minimum))
-    kept = pool_labels != "stratum"
-    cross = "stratum" if singular else "regular"  # the label of the cross pairs' second points
-    on = np.concatenate([orbit, np.ones((n_cross, M.n), dtype=bool), _patterns_in_turn(M, n_cross), pool[kept]])
-    labels = np.concatenate([orbit_labels, np.repeat(["regular", cross], n_cross), pool_labels[kept]])
-    directions, perturbations, angles = (_stream(seed, SEPARATION_KEY, i) for i in range(3))
-    Z = yield from plan_job(M, on, labels, directions, perturbations)
-    X_orbit, X_cross, Y_cross, pool = np.split(Z, np.cumsum([len(orbit), n_cross, n_cross]))
-    X_orbit = X_orbit[:n_orbit]
-    Y_orbit = M.act(angles.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
-    i = np.arange(n_near)
-    X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
-
-    X = np.concatenate([X_orbit, X_cross, X_near])
-    Y = np.concatenate([Y_orbit, Y_cross, Y_near])
-    kinds = np.repeat(
-        ["same-orbit", "cross-stratum" if singular else "regular", "near-stratum"],
-        [n_orbit, n_cross, n_near],
-    )
+    X, Y, kinds = yield from pair_job(M, pair_count, seed)
     qd, _ = M.orbit_distance_batch(X, Y)
     ambient = np.linalg.norm(X - Y, axis=1)
     # the images are formed ROW_BLOCK pairs at a time; only each pair's image

@@ -381,6 +381,12 @@ def _unit_sphere_terms(n: int) -> dict[tuple, Fraction]:
     return terms
 
 
+def _ambient_dimension(n: int) -> int:
+    if n < 2:
+        raise ValueError(f"ambient dimension n must be >= 2, got {n}")
+    return n
+
+
 class Manifold:
     """Circle-invariant hypersurface {rho = 0} with a diagonal action."""
 
@@ -388,9 +394,7 @@ class Manifold:
     surface_tolerance = 1e-8
 
     def __init__(self, n: int, weights: WeightVector | Sequence[int], rho: DefiningPolynomial):
-        if n < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {n}")
-        self.n = n
+        self.n = _ambient_dimension(n)
         self.warnings: list[str] = []
         weights, divisor = WeightVector.normalized(weights)
         if divisor > 1:
@@ -416,6 +420,7 @@ class Manifold:
     @classmethod
     def sphere(cls, n: int, weights: Sequence[int] | None = None) -> "Manifold":
         """Unit sphere |z|^2 = 1 with the given rotation weights."""
+        n = _ambient_dimension(n)
         weights = tuple(weights) if weights is not None else tuple([1] * n)
         return cls(n, weights, DefiningPolynomial(n, _unit_sphere_terms(n)))
 
@@ -443,9 +448,7 @@ class Manifold:
             if type(spec[key]) is not kind:
                 raise ValueError(f"manifold spec {key!r} must be a JSON {name}, "
                                  f"got {type(spec[key]).__name__!r}")
-        n = spec["n"]
-        if n < 2:
-            raise ValueError(f"manifold spec 'n' must be >= 2, got {n}")
+        n = _ambient_dimension(spec["n"])
         terms: dict[tuple, Fraction] = {}
         for t in spec["rho"]:
             require_keys(t, ("z_exponents", "zbar_exponents", "coeff"), f"rho term {t}")

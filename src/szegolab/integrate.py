@@ -23,13 +23,13 @@ are the ones it finds alone, up to the last bits that the batch size moves.
 The strata need only to know which rays meet X, and ray_brackets tells that
 without solving a root.
 
-Every random draw reads _stream(seed, *key), a counter-based Philox generator
-on SeedSequence(seed, spawn_key=key), so chunked draws equal the one-shot
-draw.  Each role has a key of its own, and no two roles share a stream:
+Every random draw is made here, from _stream(seed, *key): a counter-based
+Philox generator on SeedSequence(seed, spawn_key=key), so chunked draws equal
+the one-shot draw.  Each role has a key of its own; no two share a stream:
 
     ()                   Monte-Carlo Gram samples and sample_sphere
-    (IMMERSION_KEY, i)   the immersion plan: directions (i = 0), near steps (1)
-    (SEPARATION_KEY, i)  the separation plan: the same, and orbit angles (2)
+    (IMMERSION_KEY, i)   stratified_job: directions (i = 0), near steps (1)
+    (SEPARATION_KEY, i)  pair_job: the same, and orbit angles (2)
     (POINT_KEY,)         random_surface_points: fit's evaluation point
     (PATTERN_KEY,)       support_pattern_points
     (BALL_KEY,)          ball_points: ratio's balls
@@ -458,6 +458,40 @@ def stratified_job(M: Manifold, count: int, seed: int = 0):
     on, labels = _stratified_plan(M, count)
     Z = yield from plan_job(M, on, labels, _stream(seed, IMMERSION_KEY, 0), _stream(seed, IMMERSION_KEY, 1))
     return Z, labels
+
+
+def pair_job(M: Manifold, pair_count: int, seed: int = 0):
+    """Ray job: pair_count stratified pairs of points of X, (X, Y, kinds).
+
+    pair_count // 3 "same-orbit" pairs rotate the rows of a stratified sample
+    of max(pair_count // 3, stratified_minimum) points by random angles; as
+    many "cross-stratum" pairs put regular points against the singular
+    patterns in turn ("regular" pairs of regular points on a free action);
+    the rest are "near-stratum" pairs from the regular and near-stratum rows
+    of a stratified sample of max(3 n_near // 2, 3, stratified_minimum)
+    points.  All points are one plan_job, two steps when every ray meets X,
+    and read the streams (SEPARATION_KEY, i), i = 0, 1, 2.
+    """
+    n_orbit = n_cross = pair_count // 3
+    n_near = pair_count - n_orbit - n_cross
+    singular = M.strata.singular_patterns()
+    minimum = stratified_minimum(M)
+    orbit, orbit_labels = _stratified_plan(M, max(n_orbit, minimum))
+    pool, pool_labels = _stratified_plan(M, max(3 * n_near // 2, 3, minimum))
+    kept = pool_labels != "stratum"
+    cross = "stratum" if singular else "regular"  # the label of the cross pairs' second points
+    on = np.concatenate([orbit, np.ones((n_cross, M.n), dtype=bool), _patterns_in_turn(M, n_cross), pool[kept]])
+    labels = np.concatenate([orbit_labels, np.repeat(["regular", cross], n_cross), pool_labels[kept]])
+    directions, perturbations, angles = (_stream(seed, SEPARATION_KEY, i) for i in range(3))
+    Z = yield from plan_job(M, on, labels, directions, perturbations)
+    X_orbit, X_cross, Y_cross, pool = np.split(Z, np.cumsum([len(orbit), n_cross, n_cross]))
+    X_orbit = X_orbit[:n_orbit]
+    Y_orbit = M.act(angles.uniform(0.0, 2 * math.pi, size=n_orbit), X_orbit)
+    i = np.arange(n_near)
+    X_near, Y_near = pool[i % len(pool)], pool[(i * 7 + 1) % len(pool)]
+    kinds = np.repeat(["same-orbit", "cross-stratum" if singular else "regular", "near-stratum"],
+                      [n_orbit, n_cross, n_near])
+    return np.concatenate([X_orbit, X_cross, X_near]), np.concatenate([Y_orbit, Y_cross, Y_near]), kinds
 
 
 def project_radially(M: Manifold, Z: np.ndarray) -> np.ndarray:

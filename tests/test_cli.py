@@ -399,7 +399,7 @@ def test_empty_weight_list_exits_two(capsys, tmp_path):
         ("rho", [{"coeff": "1/0", "z_exponents": [0, 0], "zbar_exponents": [0, 0]}],
          "rho term {'coeff': '1/0', 'z_exponents': [0, 0], 'zbar_exponents': [0, 0]}: "
          "coeff '1/0' is not a rational number"),
-        ("n", 0, "manifold spec 'n' must be >= 2, got 0"),
+        ("n", 0, "ambient dimension n must be >= 2, got 0"),
     ],
     ids=["weights-number", "rho-object", "rho-term-number", "n-list", "n-float", "weight-float",
          "weight-bool", "weight-list", "exponent-float", "exponents-number",
@@ -591,6 +591,16 @@ def test_fit_levels_that_are_not_a_range_exit_two(capsys, levels):
                              "--samples", "2000")
     assert (code, out) == (2, "")
     assert f"--m must be a..b, got {levels!r}" in err
+
+
+@pytest.mark.parametrize("n", [0, -1, 1])
+@pytest.mark.parametrize("source", [["--preset", "sphere"], ["--weights", "1,2"]], ids=["preset", "weights"])
+def test_ambient_dimension_below_two_exits_two(capsys, source, n):
+    # --n 0 once gave way to the weights' length, and a negative n reached the
+    # exponent check; the dimension is now checked before any exponent is built
+    code, out, err = run_cli(capsys, "dims", *source, "--n", str(n), "--m", "2")
+    assert (code, out) == (2, "")
+    assert f"configuration error: ambient dimension n must be >= 2, got {n}" in err
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,8 @@ from szegolab.errors import (
     InvalidSurfaceError,
     NotOnSurfaceError,
     PseudoconvexityError,
+    SingularPointError,
+    TransversalityError,
 )
 from szegolab import basis, geometry
 from szegolab.geometry import (
@@ -421,6 +423,23 @@ class TestTangentAndLevi:
         t = math.sqrt((math.sqrt(3) - 1) / 2)
         with pytest.raises(PseudoconvexityError):
             M.levi_form(M.point([t, t]))
+
+    def test_levi_form_refuses_singular_and_non_transversal_points(self):
+        with pytest.raises(SingularPointError, match="d rho vanishes"):
+            Manifold.sphere(2).levi_form(np.zeros(2))
+        # |z1|^2 + |z2|^2 - 1 + 2 (z1^2 zbar2 + zbar1^2 z2) is invariant under
+        # the weights (1, 2); at (sqrt(24/5), -1/5), on X, the transversal
+        # pairing is 24/5 + 2/25 - 192/25 = -14/5
+        terms = {
+            ((1, 0), (1, 0)): Fraction(1),
+            ((0, 1), (0, 1)): Fraction(1),
+            ((2, 0), (0, 1)): Fraction(2),
+            ((0, 1), (2, 0)): Fraction(2),
+            ((0, 0), (0, 0)): Fraction(-1),
+        }
+        M = Manifold(2, (1, 2), DefiningPolynomial(2, terms))
+        with pytest.raises(TransversalityError, match=r"transversal pairing -2\.800e\+00 <= 0"):
+            M.levi_form(M.point([math.sqrt(4.8), -0.2]))
 
 
 class TestVolumeDensity:

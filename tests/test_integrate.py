@@ -18,6 +18,7 @@ from szegolab.integrate import (
     hypersurface_blocks,
     sample_hypersurface,
     sample_sphere,
+    pair_job,
     pattern_job,
     plan_job,
     projection_job,
@@ -374,15 +375,16 @@ def test_jobs_together_equal_jobs_alone(example2):
             projection_job(Z),
             immersion_job(Phi, 30, seed),
             separation_job(Phi, pairs, 0.05, seed),
+            pair_job(example2, pairs, seed),
         ]
 
     for seed in range(4):
         together = solve_rays(example2, *jobs(seed))
         alone = [solve_rays(example2, job)[0] for job in jobs(seed)]
         for mixed, solo in zip(together, alone):
-            if isinstance(solo, tuple):  # stratified_job: (points, labels)
-                assert np.array_equal(mixed[1], solo[1])
-                mixed, solo = mixed[0], solo[0]
+            if isinstance(solo, tuple):  # stratified_job: (points, labels); pair_job: (X, Y, kinds)
+                assert np.array_equal(mixed[-1], solo[-1])
+                mixed, solo = np.stack(mixed[:-1]), np.stack(solo[:-1])
             if isinstance(solo, (ImmersionReport, SeparationReport)):
                 (exact, mixed), (exact_solo, solo) = _report_parts(mixed), _report_parts(solo)
                 assert exact == exact_solo

@@ -1,6 +1,6 @@
 """Pinned reports: the exit code and the sha256 of stdout of each argv below,
-run in process through cli.main, so a change that moves one reported bit
-fails here.
+run in process through cli.main, or for THREAD_REPORTS in a fresh process at
+a set BLAS thread count, so a change that moves one reported bit fails here.
 
 The digests were recorded under numpy NUMPY_VERSION.  Another numpy may draw
 other bits from the same Philox stream or round a kernel differently, so
@@ -31,8 +31,6 @@ REPORTS = {
     f"{EMBED} --seed 1": (0, "f571c1e7f71eb3970f33958de90d760f96d4682113705ad924233cc524eb802a"),
     "fit --weights 1,2 --point 0,1 --m 20..60 --samples 100000 --tolerance fit=0.1 --seed 0":
         (0, "c0aa4e412144573c2ff8dc185ee893202b4d475ce97365883dde3d911fc8bd89"),
-    f"fit {EXAMPLE2_POINT} --m 4..30 --samples 20000 --seed 0":
-        (1, "43580b8d90913d3cf5134976b944a194e8a55b57e1cced1d17b9211b684330fb"),
     f"kernel {EXAMPLE2_POINT} --m 4..8 --samples 20000 --seed 2":
         (0, "c6abdf571ab14ae52fa4f7af8b818f42b95609dde85ec05913cada1f7133eeb4"),
     "vanish --weights 1,2,6 --point 0,0,1 --m 4..9":
@@ -43,15 +41,24 @@ REPORTS = {
     # one ball per radius, shared by every candidate m
     "ratio --weights 1,2 --point 0,1 --m 30 --seed 0":
         (0, "c9f9a133e8f6e5a01fc95bdd91ed68c28d3e24359efc4b6139af944b787d1a94"),
-    # Monte-Carlo Grams and the orbit search over many pairs
+    # the orbit search over many pairs, on round-exact Grams
     "embed --preset example2 --m 4 --m0 3 --pairs 2000 --seed 0":
         (0, "0326e6ab108670f500cdc32948286985454595cc081b39e921b9e9ebeb640554"),
     # a weighted sphere's embedding, on round-exact Grams
     "embed --weights 1,2,6 --m 4 --m0 3 --pairs 600 --seed 0":
         (0, "83c4b392d3ba5c2aa5c508d1c6ecd276cefade7a4b7d610119cf62919959a8a1"),
-    # simplex-rule Grams on real power tables up to exponent 120
-    "fit --weights 1,2,6 --point 0,0,1 --m 60..120 --tolerance fit=0.5":
-        (0, "4e371293be3f264ffa7d296d1beec15b36cc70665e39ec532124e317c6a23530"),
+}
+
+# reports whose BLAS products OpenBLAS rounds differently when it splits them
+# over threads: BLAS thread count -> argv -> (exit code, sha256 of stdout)
+MC_FIT = f"fit {EXAMPLE2_POINT} --m 4..30 --samples 20000 --seed 0"  # Monte-Carlo Grams
+# simplex-rule Grams on real power tables up to exponent 120
+SIMPLEX_FIT = "fit --weights 1,2,6 --point 0,0,1 --m 60..120 --tolerance fit=0.5"
+THREAD_REPORTS = {
+    1: {MC_FIT: (1, "fc95c9ea90c31762627f75c758a61578fcd60d117b16d20a49cbc59456dde6c0"),
+        SIMPLEX_FIT: (0, "fdab77cd6acf268b116c4f800389a9b57402a2e8aa642c94e877536c0c4613ea")},
+    2: {MC_FIT: (1, "43580b8d90913d3cf5134976b944a194e8a55b57e1cced1d17b9211b684330fb"),
+        SIMPLEX_FIT: (0, "4e371293be3f264ffa7d296d1beec15b36cc70665e39ec532124e317c6a23530")},
 }
 
 
@@ -135,3 +142,17 @@ def test_a_fresh_process_on_one_blas_thread_prints_the_pinned_report():
     run = subprocess.run([sys.executable, "-m", "szegolab.cli", *argv.split()],
                          env=env, capture_output=True, check=False)
     assert (run.returncode, _sha256(run.stdout)) == REPORTS[argv]
+
+
+@pytest.mark.parametrize("threads, argv", [(t, argv) for t, reports in THREAD_REPORTS.items() for argv in reports])
+def test_report_at_a_set_blas_thread_count_is_byte_identical(threads, argv):
+    _skip_under_other_numpy()
+    # OpenBLAS runs at most one thread per CPU the process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus < threads:
+        pytest.skip(f"the digest needs {threads} BLAS threads; this process may use {cpus} CPUs")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+    run = subprocess.run([sys.executable, "-m", "szegolab.cli", *argv.split()],
+                         env=env, capture_output=True, check=False)
+    assert (run.returncode, _sha256(run.stdout)) == THREAD_REPORTS[threads][argv]
