@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import hashlib
 import io
@@ -469,7 +470,20 @@ def build_parser(commands=tuple(COMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Raise libc's mmap and trim thresholds where it has mallopt, so that a
+    campaign's temporaries reuse the heap the last one freed instead of
+    faulting in fresh pages.  The library never changes its host's allocator."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform != "win32" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     argv = sys.argv[1:] if argv is None else list(argv)
     # build only the invoked command's parser; help, a missing or an unknown
     # command get the full one

@@ -240,11 +240,17 @@ def separation_job(
     quotient distance above the threshold the image distance must clear
     VIOLATION_FLOOR times the median image norm; same-orbit pairs are held
     to the same floor once the ambient distance is above the threshold.
+
+    Exact bounds decide most pairs: the quotient distance qd is 0 on a
+    same-orbit pair and || |x| - |y| || <= qd <= |x - y| (moduli are invariant;
+    theta = 0).  The orbit search runs only on pairs they leave within 1e-12
+    of the threshold and on violating pairs, whose records keep its value.
     """
     M = Phi.manifold
     X, Y, kinds = yield from pair_job(M, pair_count, seed)
-    qd, _ = M.orbit_distance_batch(X, Y)
     ambient = np.linalg.norm(X - Y, axis=1)
+    separated = np.linalg.norm(np.abs(X) - np.abs(Y), axis=1) > threshold * (1 + 1e-12)
+    undecided = ~separated & (ambient >= threshold * (1 - 1e-12)) & (kinds != "same-orbit")
     # the images are formed ROW_BLOCK pairs at a time; only each pair's image
     # distance and |Phi(x)| are kept
     img = np.empty(len(X))
@@ -257,8 +263,12 @@ def separation_job(
     scale = float(np.median(image_norm)) or 1.0
     floor = VIOLATION_FLOOR * scale
 
-    separated = qd > threshold
     same_orbit_distinct = (kinds == "same-orbit") & (ambient > threshold)
+    searched = undecided | ((separated | same_orbit_distinct) & (img < floor))
+    qd = np.zeros(len(X))
+    if searched.any():
+        qd[searched] = M.orbit_distance_batch(X[searched], Y[searched])[0]
+        separated |= undecided & (qd > threshold)
     bad = np.flatnonzero((separated | same_orbit_distinct) & (img < floor))
     violations = ()
     if bad.size:

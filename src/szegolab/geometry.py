@@ -590,6 +590,7 @@ class Manifold:
         z = np.asarray(x, dtype=complex)
         rho_z = self.rho.z_gradient(z[None, :])
         frame = _holomorphic_frames(rho_z)[0]
+        self.point(z)  # NotOnSurfaceError off X, once d rho is known not to vanish
         pairing = float(np.sum(self.weights.array * z * rho_z[0]).real)
         if pairing <= 0:
             raise TransversalityError(f"transversal pairing {pairing:.3e} <= 0")

@@ -788,6 +788,64 @@ def test_embed_campaign_draws_each_point_family_once(capsys, monkeypatch, philox
     assert len(philox_keys) <= 5
 
 
+@pytest.mark.parametrize("argv, searched", [
+    ((*BENCH_EMBED, "--seed", "0"), []),
+    ((*BENCH_EMBED, "--seed", "1"), []),
+    (("embed", "--preset", "example2", "--m", "4", "--m0", "3", "--pairs", "2000", "--seed", "0"), [21]),
+    (("embed", "--preset", "example2", "--m", "4", "--m0", "3", "--pairs", "2000", "--seed", "1"), [24]),
+])
+def test_embed_campaign_searches_only_the_pairs_its_bounds_leave_open(capsys, monkeypatch, argv, searched):
+    # a timing-free guard: the exact orbit-distance bounds decide every
+    # benchmark pair, and all but 21 (24) of 2,000 pairs at seed 0 (1);
+    # no pair violates, so only those reach the orbit search
+    from szegolab.geometry import Manifold
+
+    rows, search = [], Manifold.orbit_distance_batch
+    monkeypatch.setattr(Manifold, "orbit_distance_batch",
+                        lambda M, X, Y: rows.append(len(X)) or search(M, X, Y))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"]["violations"] == []
+    assert rows == searched
+
+
+# run in a fresh process, whose heap no earlier test has grown: the
+# benchmark's embed campaign twice to warm up, then five more, printing the
+# median of their minor page faults
+WARM_FAULTS = """
+import contextlib, io, resource, statistics, sys
+from szegolab.cli import main
+
+def faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+for _ in range(2):
+    faults()
+print(statistics.median(faults() for _ in range(5)))
+"""
+
+
+def test_warm_embed_campaigns_fault_in_no_fresh_heap():
+    # cli.main raises the allocator's mmap and trim thresholds, so a warm
+    # campaign reuses the heap its predecessor freed; without that setting
+    # pruning the orbit search left each campaign about 700 minor faults
+    import ctypes
+    import os
+    import subprocess
+    import sys
+
+    pytest.importorskip("resource")
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("this libc has no mallopt")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", WARM_FAULTS, *BENCH_EMBED, "--seed", "0"],
+                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 100
+
+
 EXAMPLE2_POINT = ("--preset", "example2", "--point", "0,0,0.8260313576541872")
 # argv without --seed, and the spawn key of each generator it builds, in order
 # (integrate's key table)

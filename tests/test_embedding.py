@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_point, random_points
 from oracles import (
+    brute_orbit_distance,
     jacobian_smallest_singular_value,
     jacobian_spectra_loop,
     reeb_image,
@@ -493,3 +496,116 @@ class TestSeparation:
         m, Phi, rep = search_embedding(wsphere12, 2, 6, pair_count=400, seed=7)
         assert m == 2
         assert rep.violations == ()
+
+
+def _certify_given_pairs(monkeypatch, M, X, Y, same_orbit, threshold):
+    """separation_report on the pairs (X, Y) under a map that sends every
+    point to 0, so that each pair it holds to the floor is a violation.
+    Each pair's kind is its index, or "same-orbit" where same_orbit is set."""
+    kinds = np.where(same_orbit, "same-orbit", np.arange(len(X)).astype(str))
+
+    def given_pairs(M, pair_count, seed):
+        return X, Y, kinds
+        yield  # a ray job that asks for no rays
+
+    monkeypatch.setattr(embedding, "pair_job", given_pairs)
+    monkeypatch.setattr(embedding, "block_values", lambda Z, bases: np.zeros((len(Z), 1)))
+    Phi = embedding.EmbeddingMap(M, (), np.zeros(0, dtype=np.int64))
+    return separation_report(Phi, len(X), threshold).violations
+
+
+def _pairs(M, delta, seed):
+    """(X, Y, same_orbit): eight pairs of each family on M, in order: random
+    points; points at ambient distance about delta; pairs whose quotient
+    distance is the lower bound || |x| - |y| || (equal phases, up to a turn);
+    pairs whose quotient distance is the ambient one (real coordinates >= 0);
+    same-orbit pairs."""
+    rng = np.random.default_rng(seed)
+    P = integrate.random_surface_points(M, 24, seed)
+    step = rng.normal(size=(8, M.n)) + 1j * rng.normal(size=(8, M.n))
+    near = integrate.project_radially(M, P[16:] + delta * step / np.linalg.norm(step, axis=1, keepdims=True))
+    stretched = integrate.project_radially(M, P[:8] * rng.uniform(0.5, 1.5, size=(8, M.n)))
+    aligned = M.act(rng.uniform(0.0, 2 * math.pi, 8), stretched)
+    real = integrate.project_radially(M, np.abs(P[8:]))
+    turned = M.act(rng.uniform(0.0, 2 * math.pi, 8), P[:8])
+    X = np.concatenate([P[:8], P[16:], P[:8], real[:8], P[:8]])
+    Y = np.concatenate([P[8:16], near, aligned, real[8:], turned])
+    return X, Y, np.arange(40) >= 32
+
+
+class TestSeparationBounds:
+    """separation_job decides pairs by exact bounds on the quotient distance,
+    and runs the orbit search only on the pairs they leave open."""
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), delta=st.sampled_from([0.001, 0.05, 0.3]))
+    def test_bound_verdicts_equal_the_search(self, monkeypatch, sphere2, wsphere12, wsphere126,
+                                             example2, seed, delta):
+        # thresholds: delta, and nudged by a relative step, the quotient
+        # distance of a random and a near pair, the lower bound of an aligned
+        # pair and the ambient distance of a real one, where each bound is tight
+        for M in (sphere2, wsphere12, wsphere126, example2):
+            X, Y, same_orbit = _pairs(M, delta, seed)
+            qd = M.orbit_distance_batch(X, Y)[0]
+            lower = np.linalg.norm(np.abs(X) - np.abs(Y), axis=1)
+            ambient = np.linalg.norm(X - Y, axis=1)
+            j = seed % 8
+            straddling = np.outer([qd[j], qd[8 + j], lower[16 + j], ambient[24 + j]],
+                                  1 + np.array([-1e-9, -1e-13, 0.0, 1e-13, 1e-9]))
+            for threshold in [delta, *straddling[straddling > 0].tolist()]:
+                violations = _certify_given_pairs(monkeypatch, M, X, Y, same_orbit, threshold)
+                held = {int(v["kind"]) for v in violations if v["kind"] != "same-orbit"}
+                assert held == set(np.flatnonzero(~same_orbit & (qd > threshold)).tolist())
+                assert np.all(qd[same_orbit] <= threshold)
+
+    @pytest.mark.parametrize("name", ["sphere2", "wsphere12", "wsphere126", "example2"])
+    def test_the_search_lies_between_the_bounds(self, request, name):
+        M = request.getfixturevalue(name)
+        X, Y, _ = _pairs(M, 0.05, 1)
+        qd = M.orbit_distance_batch(X, Y)[0]
+        lower = np.linalg.norm(np.abs(X) - np.abs(Y), axis=1)
+        ambient = np.linalg.norm(X - Y, axis=1)
+        for i in range(0, len(X), 3):
+            brute = brute_orbit_distance(M.weights.array, X[i], Y[i])
+            assert lower[i] <= qd[i] * (1 + 1e-12) + 1e-15
+            assert lower[i] <= brute and qd[i] <= brute * (1 + 1e-12) + 1e-15
+            assert brute <= ambient[i] * (1 + 1e-15)
+
+    def test_violations_keep_the_search_value_same_orbit(self, monkeypatch, wsphere12):
+        # the level-4 block of the (1, 2) sphere is invariant under the
+        # quarter turn, so same-orbit pairs a quarter turn apart violate
+        pairs = []
+
+        def quarter_turns(M, pair_count, seed):
+            X, Y, kinds = yield from integrate.pair_job(M, pair_count, seed)
+            orbit = np.flatnonzero(kinds == "same-orbit")
+            Y[orbit] = M.act(math.pi / 2 * (1 + orbit % 3), X[orbit])
+            pairs.append((X, Y))
+            return X, Y, kinds
+
+        monkeypatch.setattr(embedding, "pair_job", quarter_turns)
+        rep = separation_report(embedding_from_levels(wsphere12, [4]), pair_count=60, seed=0)
+        [(X, Y)] = pairs
+        self._assert_records_keep_the_search_value(wsphere12, X, Y, rep.violations)
+        assert {v["kind"] for v in rep.violations} == {"same-orbit"}
+        assert len(rep.violations) >= 10
+
+    def test_violations_keep_the_search_value_every_kind(self, monkeypatch):
+        # level 1 has no representation on the (2, 3) sphere, so N = 0 and
+        # every pair violates; all of them, and only they, are searched
+        M = geometry.Manifold.sphere(2, (2, 3))
+        [(X, Y, _)] = integrate.solve_rays(M, integrate.pair_job(M, 30, 0))
+        rows, search = [], geometry.Manifold.orbit_distance_batch
+        monkeypatch.setattr(geometry.Manifold, "orbit_distance_batch",
+                            lambda M, A, B: rows.append(len(A)) or search(M, A, B))
+        rep = separation_report(embedding_from_levels(M, [1]), pair_count=30, seed=0)
+        assert rows == [len(rep.violations)] == [30]
+        self._assert_records_keep_the_search_value(M, X, Y, rep.violations)
+
+    @staticmethod
+    def _assert_records_keep_the_search_value(M, X, Y, violations):
+        qd = M.orbit_distance_batch(X, Y)[0]
+        index = {(tuple(x), tuple(y)): i for i, (x, y) in enumerate(zip(X.tolist(), Y.tolist()))}
+        for v in violations:
+            assert v["quotient_distance"] == qd[index[tuple(v["x"]), tuple(v["y"])]]

@@ -441,6 +441,12 @@ class TestTangentAndLevi:
         with pytest.raises(TransversalityError, match=r"transversal pairing -2\.800e\+00 <= 0"):
             M.levi_form(M.point([math.sqrt(4.8), -0.2]))
 
+    def test_levi_form_refuses_a_point_off_x(self, example2):
+        # rho(0.8, 0.6, 0) = 2.364..., where the pairing is positive and d rho
+        # does not vanish: levi_form once returned another level set's Levi data
+        with pytest.raises(NotOnSurfaceError, match=r"\|rho\(x\)\| = 2\.364e\+00"):
+            example2.levi_form(np.array([0.8, 0.6, 0.0]))
+
 
 class TestVolumeDensity:
     """The Gram-determinant reference of tests/oracles.py, and the closed form

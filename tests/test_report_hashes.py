@@ -41,7 +41,8 @@ REPORTS = {
     # one ball per radius, shared by every candidate m
     "ratio --weights 1,2 --point 0,1 --m 30 --seed 0":
         (0, "c9f9a133e8f6e5a01fc95bdd91ed68c28d3e24359efc4b6139af944b787d1a94"),
-    # the orbit search over many pairs, on round-exact Grams
+    # the orbit-distance bounds over many pairs and the orbit search on the
+    # 21 they leave open, on round-exact Grams
     "embed --preset example2 --m 4 --m0 3 --pairs 2000 --seed 0":
         (0, "0326e6ab108670f500cdc32948286985454595cc081b39e921b9e9ebeb640554"),
     # a weighted sphere's embedding, on round-exact Grams
@@ -132,16 +133,23 @@ def test_readme_report_and_out_files_are_byte_identical(capsys, monkeypatch, tmp
     assert (code, stdout, written) == README_REPORTS[argv]
 
 
-def test_a_fresh_process_on_one_blas_thread_prints_the_pinned_report():
-    # runs the module's sys.exit(main()), and shows the report does not
-    # depend on the BLAS thread count
-    _skip_under_other_numpy()
-    argv = f"{EMBED} --seed 0"
+def _fresh_process(argv: str, threads: int) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) of the module's sys.exit(main()) run in
+    a new process at the given BLAS thread count."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
     run = subprocess.run([sys.executable, "-m", "szegolab.cli", *argv.split()],
                          env=env, capture_output=True, check=False)
-    assert (run.returncode, _sha256(run.stdout)) == REPORTS[argv]
+    return run.returncode, _sha256(run.stdout)
+
+
+def test_a_fresh_process_on_one_blas_thread_prints_the_pinned_report():
+    # shows the reports do not depend on the BLAS thread count; the
+    # 2,000-pair embed also meets the orbit-distance bounds, the orbit search
+    # and the CLI's allocator setting as a one-shot run meets them
+    _skip_under_other_numpy()
+    for argv in (f"{EMBED} --seed 0", "embed --preset example2 --m 4 --m0 3 --pairs 2000 --seed 0"):
+        assert _fresh_process(argv, 1) == REPORTS[argv], argv
 
 
 @pytest.mark.parametrize("threads, argv", [(t, argv) for t, reports in THREAD_REPORTS.items() for argv in reports])
@@ -151,8 +159,4 @@ def test_report_at_a_set_blas_thread_count_is_byte_identical(threads, argv):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if cpus < threads:
         pytest.skip(f"the digest needs {threads} BLAS threads; this process may use {cpus} CPUs")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
-    run = subprocess.run([sys.executable, "-m", "szegolab.cli", *argv.split()],
-                         env=env, capture_output=True, check=False)
-    assert (run.returncode, _sha256(run.stdout)) == THREAD_REPORTS[threads][argv]
+    assert _fresh_process(argv, threads) == THREAD_REPORTS[threads][argv]
