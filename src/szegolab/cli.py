@@ -472,12 +472,11 @@ def build_parser(commands=tuple(COMMANDS)) -> argparse.ArgumentParser:
 
 @functools.cache
 def _keep_freed_heap() -> None:
-    """Raise libc's mmap and trim thresholds where it has mallopt, so that a
-    campaign's temporaries reuse the heap the last one freed instead of
-    faulting in fresh pages.  The library never changes its host's allocator."""
+    """Fix libc's mmap and trim thresholds where it has mallopt, so that temporaries
+    reuse freed heap instead of faulting in fresh pages.  Only the CLI does this."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform != "win32" else None
     if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 

@@ -241,10 +241,9 @@ def separation_job(
     VIOLATION_FLOOR times the median image norm; same-orbit pairs are held
     to the same floor once the ambient distance is above the threshold.
 
-    Exact bounds decide most pairs: the quotient distance qd is 0 on a
-    same-orbit pair and || |x| - |y| || <= qd <= |x - y| (moduli are invariant;
-    theta = 0).  The orbit search runs only on pairs they leave within 1e-12
-    of the threshold and on violating pairs, whose records keep its value.
+    Exact bounds decide most pairs: the quotient distance qd is 0 on same-orbit pairs,
+    and || |x| - |y| || <= qd <= |x - y| (invariant moduli; theta = 0).  Only pairs whose
+    bounds straddle the threshold (relative margin 1e-12) and violating ones are searched.
     """
     M = Phi.manifold
     X, Y, kinds = yield from pair_job(M, pair_count, seed)

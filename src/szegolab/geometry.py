@@ -633,8 +633,10 @@ class Manifold:
         phase = np.exp(1j * np.outer(w, thetas))
         best = np.empty(c.shape[0], dtype=np.int64)
         for start in range(0, c.shape[0], ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            best[rows] = np.argmax((c[rows] @ phase).real, axis=1)
+            block = c[start:start + ROW_BLOCK]
+            # a lone row is scanned twice: numpy's gemv rounds otherwise than gemm
+            scan = (block if len(block) > 1 else block.repeat(2, axis=0)) @ phase
+            best[start:start + len(block)] = np.argmax(scan.real, axis=1)[:len(block)]
         theta_grid = thetas[best]
         h = 2 * np.pi / ORBIT_GRID
         cw = c * w

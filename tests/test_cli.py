@@ -808,29 +808,25 @@ def test_embed_campaign_searches_only_the_pairs_its_bounds_leave_open(capsys, mo
     assert rows == searched
 
 
-# run in a fresh process, whose heap no earlier test has grown: the
-# benchmark's embed campaign twice to warm up, then five more, printing the
-# median of their minor page faults
-WARM_FAULTS = """
-import contextlib, io, resource, statistics, sys
-from szegolab.cli import main
+# run in a fresh process: main once, with the allocator setting or with it
+# replaced by a no-op, printing the minor page faults that main took
+ONE_SHOT_FAULTS = """
+import contextlib, io, resource, sys
+from szegolab import cli
 
-def faults():
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-for _ in range(2):
-    faults()
-print(statistics.median(faults() for _ in range(5)))
+if sys.argv[1] == "off":
+    cli._keep_freed_heap = lambda: None
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[2:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def test_warm_embed_campaigns_fault_in_no_fresh_heap():
-    # cli.main raises the allocator's mmap and trim thresholds, so a warm
-    # campaign reuses the heap its predecessor freed; without that setting
-    # pruning the orbit search left each campaign about 700 minor faults
+def test_the_allocator_setting_spares_a_one_shot_embed_most_page_faults():
+    # README's 10,000-pair embed, one campaign per process as the command
+    # runs it: about 4,100 minor faults with cli.main's mallopt setting and
+    # 17,900 without, on glibc 2.36
     import ctypes
     import os
     import subprocess
@@ -840,10 +836,15 @@ def test_warm_embed_campaigns_fault_in_no_fresh_heap():
     if getattr(ctypes.CDLL(None), "mallopt", None) is None:
         pytest.skip("this libc has no mallopt")
     src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-c", WARM_FAULTS, *BENCH_EMBED, "--seed", "0"],
-                         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert float(run.stdout) < 100
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    faults = {}
+    for side in ("on", "off"):
+        run = subprocess.run([sys.executable, "-c", ONE_SHOT_FAULTS, side, "embed", "--weights", "1,2,6",
+                              "--m", "4", "--m0", "3", "--pairs", "10000"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        faults[side] = int(run.stdout)
+    assert 2 * faults["on"] < faults["off"], faults
 
 
 EXAMPLE2_POINT = ("--preset", "example2", "--point", "0,0,0.8260313576541872")

@@ -603,6 +603,21 @@ class TestSeparationBounds:
         assert rows == [len(rep.violations)] == [30]
         self._assert_records_keep_the_search_value(M, X, Y, rep.violations)
 
+    def test_a_lone_violating_pair_keeps_the_search_value(self, monkeypatch, example2):
+        # each same-orbit pair certified alone is the one row searched; its
+        # record equals the all-pairs search, where a one-row grid scan that
+        # rounded otherwise picked another angle on 25 of these 988 pairs
+        [(X, Y, kinds)] = integrate.solve_rays(example2, integrate.pair_job(example2, 3000, 5))
+        qd = example2.orbit_distance_batch(X, Y)[0]
+        rows, search = [], geometry.Manifold.orbit_distance_batch
+        monkeypatch.setattr(geometry.Manifold, "orbit_distance_batch",
+                            lambda M, A, B: rows.append(len(A)) or search(M, A, B))
+        same = np.flatnonzero((kinds == "same-orbit") & (np.linalg.norm(X - Y, axis=1) > 0.05))
+        for i in same:
+            [v] = _certify_given_pairs(monkeypatch, example2, X[i : i + 1], Y[i : i + 1], True, 0.05)
+            assert v["quotient_distance"] == qd[i], i
+        assert rows == [1] * len(same)
+
     @staticmethod
     def _assert_records_keep_the_search_value(M, X, Y, violations):
         qd = M.orbit_distance_batch(X, Y)[0]

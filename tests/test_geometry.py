@@ -514,6 +514,21 @@ class TestQuotientDistance:
             assert np.max(np.minimum(gap, 2 * np.pi - gap)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["example2", "wsphere126"])
+    def test_a_row_searched_alone_keeps_its_batch_value(self, request, name):
+        # same-orbit pairs tie on the grid to rounding, so a one-row scan that
+        # rounded otherwise than a block's picked another angle on 56 (64) of
+        # these 3,000 pairs, up to 5e-15 away
+        from szegolab.integrate import pair_job, solve_rays
+
+        M = request.getfixturevalue(name)
+        [(X, Y, kinds)] = solve_rays(M, pair_job(M, 3000, 5))
+        same = np.flatnonzero(kinds == "same-orbit")
+        dist, theta = M.orbit_distance_batch(X, Y)
+        for i in same:
+            alone = M.orbit_distance_batch(X[i : i + 1], Y[i : i + 1])
+            assert (alone[0][0], alone[1][0]) == (dist[i], theta[i]), i
+
+    @pytest.mark.parametrize("name", ["example2", "wsphere126"])
     def test_matches_golden_section_on_support_patterns(self, request, name):
         """Pairs with exact zero coordinates: c = conj(x) y may vanish, so the
         slope never changes sign and the grid angle is kept, or be supported
