@@ -150,6 +150,8 @@ def emit_report(args, M: Manifold, results: dict, contracts: list[dict],
         "contracts": contracts,
         "passed": all(c["passed"] for c in contracts),
     }
+    if M.warnings:
+        report["warnings"] = list(M.warnings)
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     if args.out or primary == "csv":  # csv_rows may be lazy: consumed only where written
         buf = io.StringIO()
@@ -335,8 +337,13 @@ def cmd_embed(M: Manifold, args):
         "violations": list(sep.violations),
         "warnings": list(Phi.warnings),
     }
+    if imm.failures:  # every sample at or below the floor, by point
+        results["immersion_failures"] = [
+            {key: f[key] for key in ("index", "label", "stratum_order", "point")}
+            for f in imm.failures
+        ]
     contracts = [
-        _contract("immersion-floor", imm.min_singular_value > 1e-6,
+        _contract("immersion-floor", not imm.failures,
                   f"min singular value {imm.min_singular_value:.3e} at sample {worst} "
                   f"({imm.records[worst][0]}, stratum order {imm.records[worst][1]})"),
         _contract("separation", checked and not sep.violations,
@@ -481,8 +488,24 @@ def _keep_freed_heap() -> None:
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+@functools.cache
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, where it is found, so that no
+    report depends on how BLAS splits its products over threads."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     argv = sys.argv[1:] if argv is None else list(argv)
     # build only the invoked command's parser; help, a missing or an unknown
     # command get the full one

@@ -107,19 +107,6 @@ def build_embedding(
     return embedding_from_levels(M, levels, measure=measure, samples=samples, seed=seed)
 
 
-def evaluate(Phi: EmbeddingMap, x) -> np.ndarray:
-    """Phi at one point (n,): the batch of one."""
-    return block_values(np.asarray(x, dtype=complex)[None, :], Phi.blocks)[0]
-
-
-def check_equivariance(Phi: EmbeddingMap, x: np.ndarray, theta: float) -> float:
-    """Max componentwise |Phi_j(e^{i theta}.x) - e^{i w_j theta} Phi_j(x)|."""
-    M = Phi.manifold
-    rotated = evaluate(Phi, M.act(theta, x))
-    phased = np.exp(1j * theta * Phi.coordinate_weights) * evaluate(Phi, x)
-    return float(np.max(np.abs(rotated - phased))) if Phi.total_dim else 0.0
-
-
 def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
     """Singular values (descending) of the holomorphic Jacobian d Phi at x.
 
@@ -148,8 +135,9 @@ def jacobian_singular_values(Phi: EmbeddingMap, x) -> np.ndarray:
     return spectra[0] if z.ndim == 1 else spectra
 
 
-# a sample whose smallest singular value is below this is a rank drop
-FAILURE_FLOOR = 1e-9
+# a sample whose smallest singular value is at or below this is a rank drop,
+# and a map with one fails the immersion certificate
+IMMERSION_FLOOR = 1e-6
 # image distances below this times the median image norm are violations
 VIOLATION_FLOOR = 1e-9
 
@@ -184,7 +172,7 @@ def immersion_job(Phi: EmbeddingMap, samples: int = 100, seed: int = 0):
 
     Every sample's spectrum comes from one jacobian_singular_values call, and
     its stratum from one strata_of call, on the whole sample.  The failures
-    are the samples whose smallest singular value is below FAILURE_FLOOR.
+    are the samples whose smallest singular value is at most IMMERSION_FLOOR.
     min_singular_value is the exact minimum, and argmin_index names the
     first sample within ARGMIN_RTOL of it, so that ties on an orbit do not
     move the named sample when the points move by rounding.
@@ -203,7 +191,7 @@ def immersion_job(Phi: EmbeddingMap, samples: int = 100, seed: int = 0):
             "point": Z[i].tolist(),
             "singular_values": spectra[i].tolist(),
         }
-        for i in np.flatnonzero(sigma < FAILURE_FLOOR).tolist()
+        for i in np.flatnonzero(sigma <= IMMERSION_FLOOR).tolist()
     )
     floor = float(np.min(sigma))
     worst = int(np.argmax(sigma <= floor * (1.0 + ARGMIN_RTOL)))
@@ -293,47 +281,5 @@ def separation_job(
         min_same_orbit_image_distance=float(np.min(img[same_orbit_distinct], initial=math.inf)),
         violations=violations,
         image_scale=scale,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PhasePairDemo:
-    """Image distances for a stabilized point against its half-period rotation."""
-
-    point: np.ndarray
-    rotated: np.ndarray
-    stratum_order: int
-    ambient_distance: float
-    distance_without_paired_levels: float
-    distance_with_paired_levels: float
-
-    @property
-    def violation_detected(self) -> bool:
-        scale = max(self.distance_with_paired_levels, 1.0)
-        return self.distance_without_paired_levels < 1e-9 * scale
-
-
-def phase_pair_demo(M: Manifold, x0: np.ndarray, m: int) -> PhasePairDemo:
-    """Show why paired levels are needed: for x0 with stabilizer order k and
-    even m, the rotation by pi/k moves x0 but every coordinate of the
-    k*m-level blocks returns to itself, so the one-block map cannot separate
-    the pair; the k*(m+1) blocks restore separation.
-    """
-    k = M.stratum_order(x0)
-    if k <= 1:
-        raise ValueError("x0 must have stabilizer order > 1")
-    y0 = M.act(math.pi / k, x0)
-    Phi_full = build_embedding(M, m)
-    levels = [j * m for j in range(1, M.strata.max_order + 1)]  # Phi_full without k*(m+1)
-    Phi_km = embedding_from_levels(M, levels)
-    d_km = float(np.linalg.norm(evaluate(Phi_km, x0) - evaluate(Phi_km, y0)))
-    d_full = float(np.linalg.norm(evaluate(Phi_full, x0) - evaluate(Phi_full, y0)))
-    return PhasePairDemo(
-        point=x0,
-        rotated=y0,
-        stratum_order=k,
-        ambient_distance=float(np.linalg.norm(x0 - y0)),
-        distance_without_paired_levels=d_km,
-        distance_with_paired_levels=d_full,
     )
 

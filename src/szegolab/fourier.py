@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import FourierBasis, eval_basis, eval_basis_jacobian
 from .geometry import Manifold
 
 
@@ -36,10 +35,3 @@ def circle_average(M: Manifold, u, x: np.ndarray, m, nodes: int):
     coeffs = np.mean(vals * np.exp(-1j * np.multiply.outer(levels, thetas)), axis=-1)
     return complex(coeffs) if levels.ndim == 0 else coeffs
 
-
-def check_T_eigen(B: FourierBasis, M: Manifold, x: np.ndarray) -> np.ndarray:
-    """Residuals |T f_j - i m f_j| at x via the holomorphic chain rule."""
-    J = eval_basis_jacobian(B, x)
-    f = eval_basis(B, x)
-    T = M.reeb_vector(x)
-    return np.abs(J @ T - 1j * B.level * f)

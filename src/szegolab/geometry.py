@@ -74,10 +74,6 @@ class WeightVector:
     def array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=np.int64)
 
-    @property
-    def lcm(self) -> int:
-        return math.lcm(*self.weights)
-
 
 def term_exponents(a, b, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The exponents of the monomial z^a zbar^b as two tuples, after checking
@@ -404,7 +400,6 @@ class Manifold:
         if len(weights) != n:
             raise ValueError("weights length must equal n")
         self.weights = weights
-        self.weight_divisor = divisor
         self.rho = rho
         rho.check_invariance(weights)
 

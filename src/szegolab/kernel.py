@@ -8,8 +8,9 @@ coefficient at a point with stabilizer order k is
 
 in the compliant-metric normalization (k divides m, other levels vanish at
 stabilized points).  This module fits that law, certifies the exact
-vanishing, measures off-diagonal decay, and computes the consecutive-level
-kernel ratio used by the embedding construction.
+vanishing, and computes the consecutive-level kernel ratio used by the
+embedding construction.  Off-diagonal decay is read from szego_kernel and
+kernel_diagonal directly (acceptance criterion 9).
 
 A point is a complex (n,) array and a point set a (P, n) array.  The kernel
 functions take one basis per level and evaluate all levels at all points in
@@ -69,20 +70,6 @@ def kernel_diagonal(bases: Sequence[FourierBasis], X: np.ndarray) -> np.ndarray:
     F, slices = _level_values(bases, X.reshape(-1, X.shape[-1]))
     S = _level_sums(np.abs(F) ** 2, slices)
     return S[0] if X.ndim == 1 else S
-
-
-def root_of_unity_selector(k: int, m: int) -> int:
-    """sum_{s=1}^{k} e^{2 pi i (s-1) m / k}, evaluated exactly as an integer.
-
-    When k | m every term is e^{2 pi i * integer} = 1 and the sum is k.
-    Otherwise, with g = gcd(m, k) < k, the exponents (s-1) m mod k sweep the
-    multiples of g, each hit g times, so the terms are g copies of the full
-    set of (k/g)-th roots of unity, whose sum vanishes because
-    x^{k/g} - 1 = (x - 1)(x^{k/g - 1} + ... + 1) and e^{2 pi i g / k} != 1.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k if m % k == 0 else 0
 
 
 def stratum_vanishing_check(
@@ -165,59 +152,6 @@ def fit_expansion(
         levi_determinant=float(levi.determinant),
         max_residual=float(np.max(np.abs(resid))),
         measure=measure,
-    )
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Fit of log(|S_m(x,y)| / S_m(x,x)) against m."""
-
-    levels: tuple[int, ...]
-    log_ratios: tuple[float, ...]
-    slope: float
-    intercept: float
-    r_squared: float
-    truncated: bool
-    quotient_distance: float
-
-
-def decay_profile(
-    M: Manifold, x: np.ndarray, y: np.ndarray, levels, bases: dict[int, FourierBasis]
-) -> DecayProfile:
-    """Off-diagonal decay rate at fixed separation, from the basis of each
-    level in bases.
-
-    The contract for non-orbit-equivalent points is a negative slope:
-    |S_m(x, y)| / S_m(x, x) decays exponentially in m.  Underflowing levels
-    are dropped with a flag.
-    """
-    qd = M.quotient_distance(x, y)
-    if qd <= 10 * M.surface_tolerance:
-        raise ValueError("points lie on (numerically) the same orbit")
-    levels = list(levels)
-    level_bases = [bases[m] for m in levels]
-    num = np.abs(szego_kernel(level_bases, x, y))
-    den = kernel_diagonal(level_bases, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        usable = (num > 0) & (den > 0) & (num / den >= 1e-280)
-    used = np.asarray(levels)[usable]
-    logs = np.log(num[usable]) - np.log(den[usable])
-    if len(used) < 3:
-        raise InsufficientLevelsError("fewer than 3 usable levels in decay fit")
-    A = np.column_stack([used.astype(float), np.ones(len(used))])
-    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
-    fitted = A @ coef
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayProfile(
-        levels=tuple(used.tolist()),
-        log_ratios=tuple(logs.tolist()),
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        r_squared=r2,
-        truncated=not np.all(usable),
-        quotient_distance=float(qd),
     )
 
 

@@ -112,7 +112,7 @@ class TestEnumeration:
 
     def test_dimension_monotone_along_residue_classes(self):
         wv = WeightVector((1, 2, 6))
-        L = wv.lcm
+        L = math.lcm(*wv)
         for r in range(L):
             ds = [dimension(wv, m) for m in range(r, 201, L)]
             assert all(a <= b for a, b in zip(ds, ds[1:]))
@@ -122,7 +122,7 @@ class TestEnumeration:
         for ws in ((1, 1), (1, 2), (1, 2, 6)):
             wv = WeightVector(ws)
             n = len(ws)
-            L = wv.lcm
+            L = math.lcm(*wv)
             m = (200 // L) * L
             ratio = (
                 dimension(wv, m)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_readme import readme_commands
 
 from szegolab.cli import main
-from szegolab.embedding import ARGMIN_RTOL
+from szegolab.embedding import ARGMIN_RTOL, IMMERSION_FLOOR
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,7 @@ def test_fit_contract_passes(capsys):
     assert report["results"]["relative_error"] <= 0.01
     assert report["results"]["predicted"] == pytest.approx(1 / (2 * math.pi**2))
     assert "config_hash" in report and "manifold_hash" in report
+    assert "warnings" not in report
 
 
 def test_fit_contract_failure_exits_one(capsys):
@@ -238,6 +239,7 @@ def test_embed_certificate(capsys, tmp_path):
     assert r["N"] == 17
     assert r["min_weight"] == 4
     assert r["immersion_floor"] > 1e-6
+    assert "immersion_failures" not in r
     assert r["violations"] == []
     assert (out_dir / "embed.json").exists()
     csv = (out_dir / "embed.csv").read_text()
@@ -254,6 +256,33 @@ def test_embed_certificate(capsys, tmp_path):
         f"min singular value {r['immersion_floor']:.3e} at sample {sample} "
         f"({label}, stratum order {order})"
     )
+
+
+def test_failing_immersion_names_every_sample_at_the_floor(capsys, tmp_path):
+    # at m = 3 no example2 level is 1 mod 6, so the map drops rank on the
+    # order-6 stratum, the z_3 axis
+    code, out, err = run_cli(
+        capsys, "embed", "--preset", "example2", "--m", "3", "--pairs", "60",
+        "--samples", "12500", "--immersion-samples", "30", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "CONTRACT FAILED: immersion-floor" in err
+    failures = json.loads(out)["results"]["immersion_failures"]
+    rows = [line.split(",") for line in (tmp_path / "embed.csv").read_text().splitlines()[1:]]
+    at_floor = [row for row in rows if float(row[4]) <= IMMERSION_FLOOR]
+    assert [(f["index"], f["label"], f["stratum_order"]) for f in failures] == [
+        (int(row[0]), row[1], int(row[2])) for row in at_floor
+    ]
+    for f in failures:
+        assert f["stratum_order"] == 6
+        assert [abs(complex(z)) > 0 for z in f["point"]] == [False, False, True]
+
+
+def test_normalized_weights_are_reported(capsys):
+    with pytest.warns(UserWarning, match="common factor 2"):
+        code, out, _ = run_cli(capsys, "kernel", "--weights", "2,4", "--point", "0,1", "--m", "2..4")
+    assert code == 0
+    assert json.loads(out)["warnings"] == ["weights had common factor 2; normalized to (1, 2)"]
 
 
 def test_embed_extra_levels(capsys):

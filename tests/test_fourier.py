@@ -8,17 +8,15 @@ from oracles import component_orthogonality, integrate_surface
 
 from szegolab.basis import (
     ROUND_EXACT,
+    block_jacobian,
+    block_values,
     enumerate_multiindices,
     eval_basis,
     fourier_basis,
     monomial_values,
     sphere_monomial_norm_sq,
 )
-from szegolab.fourier import (
-    check_T_eigen,
-    circle_average,
-    default_quadrature,
-)
+from szegolab.fourier import circle_average, default_quadrature
 from szegolab.integrate import sample_sphere
 
 
@@ -168,11 +166,12 @@ class TestParseval:
 
 class TestTEigen:
     def test_exact_route(self, wsphere126):
+        # T f = df(T) by the holomorphic chain rule, = i m f on level m
         B = fourier_basis(wsphere126, 9, measure=ROUND_EXACT)
-        for seed in (0, 1):
-            x = random_point(wsphere126, seed)
-            res = check_T_eigen(B, wsphere126, x)
-            assert np.max(res) < 1e-9
+        X = np.stack([random_point(wsphere126, seed) for seed in (0, 1)])
+        T = wsphere126.reeb_vector(X)
+        Tf = np.einsum("pjk,pk->pj", block_jacobian(X, [B]), T)
+        assert np.max(np.abs(Tf - 1j * B.level * block_values(X, [B]))) < 1e-9
 
     def test_finite_difference_route(self, wsphere12):
         B = fourier_basis(wsphere12, 6, measure=ROUND_EXACT)

@@ -73,8 +73,7 @@ class TestConstruction:
         with pytest.warns(UserWarning):
             M = Manifold.sphere(2, (2, 4))
         assert M.weights.weights == (1, 2)
-        assert M.weight_divisor == 2
-        assert M.warnings
+        assert M.warnings == ["weights had common factor 2; normalized to (1, 2)"]
 
     def test_non_invariant_rho_rejected_with_term(self):
         # z1 zbar2 has weighted bidegree (1, 2) under weights (1, 2)

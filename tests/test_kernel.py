@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -25,12 +24,10 @@ from szegolab.basis import (
 from szegolab.errors import InsufficientLevelsError, UndefinedRatioError
 from szegolab.integrate import ball_points, sample_sphere, stratified_points, surface_samples
 from szegolab.kernel import (
-    decay_profile,
     fit_expansion,
     kernel_diagonal,
     ratio_diagnostic,
     ratio_search,
-    root_of_unity_selector,
     stratum_vanishing_check,
     szego_kernel,
 )
@@ -196,20 +193,6 @@ class TestStratumVanishing:
         assert np.all(szego_kernel([B], X, np.broadcast_to(x0, X.shape)) == 0)
 
 
-class TestRootOfUnity:
-    def test_selector_table(self):
-        for k in range(1, 13):
-            for m in range(0, 201):
-                v = root_of_unity_selector(k, m)
-                assert v == (k if m % k == 0 else 0)
-                fl = sum(cmath.exp(2j * cmath.pi * s * m / k) for s in range(k))
-                assert abs(fl - v) < 1e-9
-
-    def test_selector_rejects_k_below_one(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            root_of_unity_selector(0, 3)
-
-
 class TestFitExpansion:
     def test_sphere2_exact(self, sphere2):
         x = random_point(sphere2, 0)
@@ -266,48 +249,32 @@ class TestFitExpansion:
             assert max(ratios) / min(ratios) < 10
 
 
+def decay_ratios(bases, X, Y):
+    """|S_m(x, y)| / S_m(x, x) at each basis's level, for rows of X and Y."""
+    return np.abs(szego_kernel(bases, X, Y)) / kernel_diagonal(bases, X)
+
+
 class TestDecay:
     def test_sphere_slope_matches_inner_product(self, sphere2):
-        bases = {m: fourier_basis(sphere2, m) for m in range(5, 41)}
+        # the ratio is |<x, y>|^m exactly on the round sphere
+        levels = np.arange(5, 41)
+        bases = [fourier_basis(sphere2, m) for m in levels]
         for seed in range(5):
             x, y = random_points(sphere2, 2, seed=60 + seed * 3)
             inner = abs(np.sum(x * y.conj()))
             if inner < 0.15:
                 continue
-            prof = decay_profile(sphere2, x, y, range(5, 41), bases=bases)
-            assert prof.slope == pytest.approx(math.log(inner), rel=1e-6)
-            assert prof.r_squared > 0.999999
-
-    def test_same_orbit_rejected(self, sphere2):
-        x = random_point(sphere2, 1)
-        y = sphere2.act(1.0, x)
-        with pytest.raises(ValueError, match="same orbit"):
-            decay_profile(sphere2, x, y, range(5, 15), bases={})
+            logs = np.log(decay_ratios(bases, x, y))
+            np.testing.assert_allclose(logs, levels * math.log(inner), rtol=1e-6)
 
     def test_slope_monotone_in_separation(self, sphere2):
-        # pairs with increasing separation have increasingly negative slopes
-        bases = {m: fourier_basis(sphere2, m) for m in range(5, 31)}
-        base = np.array([1.0, 0.0], dtype=complex)
-        slopes = []
-        for t in (0.25, 0.5, 0.75, 1.0, 1.2):
-            other = np.array([math.cos(t), math.sin(t)], dtype=complex)
-            prof = decay_profile(
-                sphere2, sphere2.point(base), sphere2.point(other), range(5, 31), bases=bases
-            )
-            slopes.append(prof.slope)
-        assert all(a > b for a, b in zip(slopes, slopes[1:]))
-
-    def test_underflow_truncates_with_flag(self, sphere2):
-        # inner product 0.34: the ratio crosses the representability floor
-        # inside the window, so the top levels are dropped and flagged
-        levels = range(560, 621, 5)
-        bases = {m: fourier_basis(sphere2, m) for m in levels}
-        x = sphere2.point([1.0, 0.0])
-        y = sphere2.point([0.34, math.sqrt(1 - 0.34**2)])
-        prof = decay_profile(sphere2, x, y, levels, bases=bases)
-        assert prof.truncated
-        assert max(prof.levels) < 620
-        assert prof.slope == pytest.approx(math.log(0.34), rel=1e-6)
+        # at every level, pairs with increasing separation decay faster
+        bases = [fourier_basis(sphere2, m) for m in range(5, 31)]
+        ts = np.array([0.25, 0.5, 0.75, 1.0, 1.2])
+        Y = sphere2.points(np.column_stack([np.cos(ts), np.sin(ts)]))
+        X = np.broadcast_to(sphere2.point([1.0, 0.0]), Y.shape)
+        R = decay_ratios(bases, X, Y)
+        assert np.all(R[:-1] > R[1:])
 
 
 class TestRatio:
