@@ -339,7 +339,8 @@ def cmd_embed(M: Manifold, args):
     }
     if imm.failures:  # every sample at or below the floor, by point
         results["immersion_failures"] = [
-            {key: f[key] for key in ("index", "label", "stratum_order", "point")}
+            {"index": f["index"], "label": f["label"], "stratum_order": f["stratum_order"],
+             "point": [[z.real, z.imag] for z in f["point"]]}  # [re, im] per coordinate
             for f in imm.failures
         ]
     contracts = [
@@ -489,35 +490,38 @@ def _keep_freed_heap() -> None:
 
 
 @functools.cache
-def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, where it is found, so that no
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or no-ops
+    where none is found.  main runs each command on one thread, so that no
     report depends on how BLAS splits its products over threads."""
     for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                setter(1)
-                return
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(handle, name.format("set")):
+                return getattr(handle, name.format("get")), getattr(handle, name.format("set"))
+    return (lambda: None), (lambda threads: None)
 
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    _one_blas_thread()
     argv = sys.argv[1:] if argv is None else list(argv)
     # build only the invoked command's parser; help, a missing or an unknown
     # command get the full one
     commands = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
     args = build_parser(commands).parse_args(argv)
     *_, campaign, csv_header, primary = COMMANDS[args.command]
+    get_threads, set_threads = _openblas_threads()
+    caller_threads = get_threads()
+    set_threads(1)  # the caller's count returns below
     try:
         M = resolve_manifold(args)
         return emit_report(args, M, *campaign(M, args), csv_header, primary)
     except (ConfigError, SzegolabError, ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    finally:
+        set_threads(caller_threads)
 
 
 if __name__ == "__main__":

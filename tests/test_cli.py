@@ -275,7 +275,7 @@ def test_failing_immersion_names_every_sample_at_the_floor(capsys, tmp_path):
     ]
     for f in failures:
         assert f["stratum_order"] == 6
-        assert [abs(complex(z)) > 0 for z in f["point"]] == [False, False, True]
+        assert [math.hypot(re, im) > 0 for re, im in f["point"]] == [False, False, True]
 
 
 def test_normalized_weights_are_reported(capsys):
@@ -874,6 +874,31 @@ def test_the_allocator_setting_spares_a_one_shot_embed_most_page_faults():
         assert run.returncode == 0, run.stderr
         faults[side] = int(run.stdout)
     assert 2 * faults["on"] < faults["off"], faults
+
+
+def test_main_runs_on_one_blas_thread_and_returns_the_callers_count(capsys, monkeypatch):
+    # the campaign runs on one OpenBLAS thread; the caller's count is back
+    # after main returns, on the error path too
+    from szegolab import cli
+
+    get, put = cli._openblas_threads()
+    caller = get()
+    if caller is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    put(2)
+    seen = []
+
+    def resolve(args):
+        seen.append(get())
+        raise cli.ConfigError("stop")
+
+    monkeypatch.setattr(cli, "resolve_manifold", resolve)
+    try:
+        before = get()
+        code, _, _ = run_cli(capsys, "kernel", "--weights", "1,1", "--point", "1,0", "--m", "1")
+        assert (code, seen, get()) == (2, [1], before)
+    finally:
+        put(caller)
 
 
 EXAMPLE2_POINT = ("--preset", "example2", "--point", "0,0,0.8260313576541872")

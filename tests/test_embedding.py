@@ -114,8 +114,15 @@ class TestConstruction:
         Phi = build_embedding(M, 4)
         assert immersion_report(Phi, samples=6, seed=1).failures == ()
         assert separation_report(Phi, pair_count=12, seed=2).violations == ()
+        # the order-6 point x0 on the z_3 axis and its rotation by pi / 6: the
+        # k*m levels alone map them to one point, the full map does not
         x0 = M.point(integrate.project_radially(M, np.array([0.0, 0.0, 1.0])))
         assert M.stratum_order(x0) == M.strata.max_order == 6
+        pair = np.stack([x0, M.act(math.pi / 6, x0)])
+        F_km = basis.block_values(pair, embedding_from_levels(M, [j * 4 for j in range(1, 7)]).blocks)
+        F_full = basis.block_values(pair, Phi.blocks)
+        assert np.linalg.norm(F_km[0] - F_km[1]) < 1e-12
+        assert np.linalg.norm(F_full[0] - F_full[1]) > 0.5
         assert calls == [M]
 
 
